@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellations import (
+    GusEnsemble,
     make_double_bpsk,
     make_double_ppm,
     make_ppm,
@@ -294,7 +295,22 @@ def mutual_info_double_ppm(m: int, alpha: float) -> float:
     return max(info, 0.0)
 
 
-SCHEMES = ("psk", "ppm", "double_ppm", "double_bpsk")
+def _double_bpsk_route(alpha, m, delta, prior):
+    p = 0.25 if prior is None else float(prior)
+    beta = alpha * cmath.exp(1j * float(delta))
+    return make_double_bpsk(alpha, beta, p), {"delta": float(delta), "prior": p}
+
+
+# scheme -> (required parameter, its description, builder). A builder maps
+# (alpha, m, delta, prior) to the ensemble and the scheme's SweepPoint
+# fields; a GusEnsemble takes the fast path, a Constellation dense ``srm``.
+_SCHEME_TABLE = {
+    "psk": ("m", "a phase count m", lambda a, m, d, p: (make_psk(m, a), {"m": m})),
+    "ppm": ("m", "a slot count m", lambda a, m, d, p: (make_ppm(m, a), {"m": m})),
+    "double_ppm": ("m", "a slot count m", lambda a, m, d, p: (make_double_ppm(m, a), {"m": m})),
+    "double_bpsk": ("delta", "a phase offset delta", _double_bpsk_route),
+}
+SCHEMES = tuple(_SCHEME_TABLE)
 
 
 @dataclass(frozen=True)
@@ -337,34 +353,16 @@ def evaluate_scheme(
     """
     if photon_number <= 0.0:
         raise DomainError(f"mean photon number must be positive, got {photon_number}")
-    alpha = math.sqrt(photon_number)
+    if scheme not in _SCHEME_TABLE:
+        raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    needs, what, build = _SCHEME_TABLE[scheme]
+    if {"m": m, "delta": delta}[needs] is None:
+        raise DomainError(f"scheme {scheme!r} needs {what}")
 
-    if scheme == "ppm":
-        if m is None:
-            raise DomainError("scheme 'ppm' needs a slot count m")
-        result = srm(weighted_gram(make_ppm(m, alpha)), tol_psd=tol_psd)
-        info = channel_stats(result).mutual_information
-        return SweepPoint(photon_number, result.pc, 1.0 - result.pc, info, m=m)
-    if scheme == "double_ppm":
-        if m is None:
-            raise DomainError("scheme 'double_ppm' needs a slot count m")
-        result, _ = fast_srm(make_double_ppm(m, alpha), tol_psd=tol_psd)
-        info = channel_stats(result).mutual_information
-        return SweepPoint(photon_number, result.pc, 1.0 - result.pc, info, m=m)
-    if scheme == "psk":
-        if m is None:
-            raise DomainError("scheme 'psk' needs a phase count m")
-        result, _ = fast_srm(make_psk(m, alpha), tol_psd=tol_psd)
-        info = channel_stats(result).mutual_information
-        return SweepPoint(photon_number, result.pc, 1.0 - result.pc, info, m=m)
-    if scheme == "double_bpsk":
-        if delta is None:
-            raise DomainError("scheme 'double_bpsk' needs a phase offset delta")
-        p = 0.25 if prior is None else float(prior)
-        beta = alpha * cmath.exp(1j * float(delta))
-        result, _ = fast_srm(make_double_bpsk(alpha, beta, p), tol_psd=tol_psd)
-        info = channel_stats(result).mutual_information
-        return SweepPoint(
-            photon_number, result.pc, 1.0 - result.pc, info, delta=float(delta), prior=p
-        )
-    raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    ensemble, params = build(math.sqrt(photon_number), m, delta, prior)
+    if isinstance(ensemble, GusEnsemble):
+        result, _ = fast_srm(ensemble, tol_psd=tol_psd)
+    else:
+        result = srm(weighted_gram(ensemble), tol_psd=tol_psd)
+    info = channel_stats(result).mutual_information
+    return SweepPoint(photon_number, result.pc, max(1.0 - result.pc, 0.0), info, **params)

@@ -207,7 +207,7 @@ def rows_fig23(grid, tol_psd: float) -> list[dict]:
                 "alpha_sq": photon_number,
                 "p_star": p_star,
                 "pc": result.pc,
-                "pe": 1.0 - result.pc,
+                "pe": max(1.0 - result.pc, 0.0),
             }
         )
     return rows

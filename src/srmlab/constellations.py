@@ -14,11 +14,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidPrior
-from .linalg import TOL_RECON
+from .linalg import _circulant_blocks
 
 PRIOR_TOL = 1e-12
 RULE_TOL = 1e-10
@@ -84,53 +85,85 @@ class Constellation:
 class GusEnsemble:
     """``s`` constellations of ``m`` states sharing one cyclic symmetry.
 
-    The flat state order is constellation-major: states of constellation 0
-    first, then constellation 1, and so on. Every state of constellation k
-    carries the same prior ``constellation_priors[k]``, and every m-by-m
-    block of the overlap matrix is circulant, which is what the fast
-    discrimination path exploits.
+    The ensemble is its (s, s, m) first rows: ``rows[h, k, r]`` is the
+    inner product between the seed state of constellation h and the r-step
+    shift of the seed state of constellation k, and block (h, k) of the
+    overlap matrix is the circulant with that first row. States are
+    ordered constellation-major; every state of constellation k carries
+    the prior ``constellation_priors[k]``.
+
+    Construction checks, in O(s^2 m), finite entries, the Hermitian mirror
+    ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])`` and unit seeds. It
+    keeps the upper blocks as supplied, derives the lower ones from them,
+    symmetrises the diagonal rows and sets their seed entry to one. The
+    dense ``base`` constellation is assembled only when read.
     """
 
-    s: int
-    m: int
+    rows: np.ndarray
     constellation_priors: np.ndarray
-    base: Constellation
+    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if self.s < 1 or self.m < 1:
-            raise ValueError("need at least one constellation and one state")
+        rows = np.array(self.rows, dtype=complex)
+        if rows.ndim != 3 or rows.shape[0] != rows.shape[1] or 0 in rows.shape:
+            raise ValueError(f"rows must have shape (s, s, m) with s, m >= 1, got {rows.shape}")
+        s, _, m = rows.shape
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("rows must be finite")
         q = np.array(self.constellation_priors, dtype=float).reshape(-1)
-        if len(q) != self.s:
-            raise InvalidPrior(f"expected {self.s} constellation priors, got {len(q)}")
+        if len(q) != s:
+            raise InvalidPrior(f"expected {s} constellation priors, got {len(q)}")
         if np.any(q <= 0):
             raise InvalidPrior("constellation priors must be strictly positive")
-        if abs(self.m * q.sum() - 1.0) > PRIOR_TOL:
+        if abs(m * q.sum() - 1.0) > PRIOR_TOL:
             raise InvalidPrior(
-                f"per-state priors must satisfy m * sum(q) = 1, got {self.m * q.sum()!r}"
+                f"per-state priors must satisfy m * sum(q) = 1, got {m * q.sum()!r}"
             )
-        if self.base.n != self.s * self.m:
-            raise ValueError(
-                f"base constellation has {self.base.n} states, expected {self.s * self.m}"
-            )
-        expected = np.repeat(q, self.m)
-        if np.abs(self.base.priors - expected).max() > PRIOR_TOL:
-            raise InvalidPrior("base priors must replicate the constellation priors")
-        worst = self._circulant_defect()
-        if worst > TOL_RECON:
-            raise ValueError(f"overlap blocks are not circulant: defect {worst:.3e}")
-        q.setflags(write=False)
-        object.__setattr__(self, "constellation_priors", q)
 
-    def _circulant_defect(self) -> float:
-        o = self.base.overlaps
-        m = self.m
-        worst = 0.0
-        for h in range(self.s):
-            for k in range(self.s):
-                block = o[h * m : (h + 1) * m, k * m : (k + 1) * m]
-                shifted = np.roll(np.roll(block, 1, axis=0), 1, axis=1)
-                worst = max(worst, float(np.abs(block - shifted).max()))
-        return worst
+        mirror = rows.transpose(1, 0, 2)[:, :, (m - np.arange(m)) % m].conj()
+        defect = np.abs(rows - mirror).max(axis=2)
+        if defect.max() > RULE_TOL:
+            h, k = np.unravel_index(int(defect.argmax()), defect.shape)
+            raise ValueError(
+                f"rows are not Hermitian-consistent on blocks ({h}, {k}) / ({k}, {h}): "
+                f"defect {defect[h, k]:.3e}"
+            )
+        diag = np.arange(s)
+        seed_err = np.abs(rows[diag, diag, 0] - 1.0)
+        if seed_err.max() > RULE_TOL:
+            h = int(seed_err.argmax())
+            raise ValueError(f"seed state {h} is not unit norm: <0|0> = {rows[h, h, 0]}")
+        lower = np.tril(np.ones((s, s), dtype=bool), -1)[:, :, None]
+        rows = np.where(lower, mirror, rows)
+        rows[diag, diag] = (rows[diag, diag] + mirror[diag, diag]) / 2.0
+        rows[diag, diag, 0] = 1.0
+
+        labels = tuple(self.labels) or tuple(f"c{h}s{i}" for h in range(s) for i in range(m))
+        if len(labels) != s * m:
+            raise ValueError(f"expected {s * m} labels, got {len(labels)}")
+
+        rows.setflags(write=False)
+        q.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "constellation_priors", q)
+        object.__setattr__(self, "labels", labels)
+
+    @property
+    def s(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[2]
+
+    @cached_property
+    def base(self) -> Constellation:
+        """The dense constellation of all s * m states, built on first read."""
+        return Constellation(
+            priors=np.repeat(self.constellation_priors, self.m),
+            overlaps=_circulant_blocks(self.rows),
+            labels=self.labels,
+        )
 
 
 def coherent_inner(alpha, beta) -> complex:
@@ -167,52 +200,9 @@ def make_gus_from_base(s: int, m: int, base_inners, priors, *, labels=None) -> G
     """
     if s < 1 or m < 1:
         raise ValueError("need s >= 1 constellations of m >= 1 states")
-    q = np.asarray(priors, dtype=float).reshape(-1)
-    if len(q) != s:
-        raise InvalidPrior(f"expected {s} constellation priors, got {len(q)}")
-
-    mirror_idx = (m - np.arange(m)) % m
-    rows = np.empty((s, s, m), dtype=complex)
-    for h in range(s):
-        for k in range(h, s):
-            row = np.array([complex(base_inners(h, k, r)) for r in range(m)])
-            if not np.all(np.isfinite(row)):
-                raise ValueError(f"inner rule returned a non-finite value on block ({h}, {k})")
-            if k == h:
-                mirror = np.conj(row[mirror_idx])
-                defect = float(np.abs(row - mirror).max())
-                if defect > RULE_TOL:
-                    raise ValueError(
-                        f"inner rule is not Hermitian-consistent on block ({h}, {h}): "
-                        f"defect {defect:.3e}"
-                    )
-                row = (row + mirror) / 2.0
-                if abs(row[0] - 1.0) > RULE_TOL:
-                    raise ValueError(f"seed state {h} is not unit norm: <0|0> = {row[0]}")
-                row[0] = 1.0
-                rows[h, h] = row
-            else:
-                supplied = np.array([complex(base_inners(k, h, r)) for r in range(m)])
-                derived = np.conj(row[mirror_idx])
-                defect = float(np.abs(supplied - derived).max())
-                if defect > RULE_TOL:
-                    raise ValueError(
-                        f"inner rule is not Hermitian-consistent on blocks ({h}, {k}) / "
-                        f"({k}, {h}): defect {defect:.3e}"
-                    )
-                rows[h, k] = row
-                rows[k, h] = derived
-
-    shift_idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    overlaps = np.empty((s * m, s * m), dtype=complex)
-    for h in range(s):
-        for k in range(s):
-            overlaps[h * m : (h + 1) * m, k * m : (k + 1) * m] = rows[h, k][shift_idx]
-
-    if labels is None:
-        labels = tuple(f"c{h}s{i}" for h in range(s) for i in range(m))
-    base = Constellation(priors=np.repeat(q, m), overlaps=overlaps, labels=tuple(labels))
-    return GusEnsemble(s=s, m=m, constellation_priors=q, base=base)
+    rows = [[[complex(base_inners(h, k, r)) for r in range(m)] for k in range(s)] for h in range(s)]
+    labels = () if labels is None else labels
+    return GusEnsemble(rows=rows, constellation_priors=priors, labels=labels)
 
 
 def make_double_bpsk(alpha, beta, p: float) -> GusEnsemble:

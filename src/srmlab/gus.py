@@ -1,17 +1,16 @@
 """Fast discrimination path for ensembles with circulant Gram blocks.
 
 The Gram matrix of a multi-constellation ensemble sharing one cyclic
-symmetry splits into s x s circulant blocks of order m. One DFT per block
-diagonalizes them simultaneously, leaving m independent s x s Hermitian
-coupling matrices (one per frequency bin) whose square roots assemble,
-through the inverse DFT, into the square root of the full Gram matrix.
-The per-constellation diagonal value g_h of that square root is the mean
-of the (h, h) spectral diagonal; the measurement is optimal exactly when
-all g_h agree, in which case the correct-decision probability is
-m * s * g^2.
-
-The regrouping between block-spectral layout and per-bin coupling
-matrices is pure index bookkeeping; no permutation matrix is ever formed.
+symmetry splits into s x s circulant blocks of order m, so it is fully
+described by the ensemble's (s, s, m) first rows. One FFT along the last
+axis diagonalizes all blocks at once, leaving m independent s x s Hermitian
+coupling matrices (one per frequency bin). One batched eigendecomposition
+of that stack yields both the singularity test and the square roots, which
+assemble, through the inverse FFT, into the square root of the full Gram
+matrix; the dense (s m) x (s m) matrix is formed only for that final factor.
+The per-constellation diagonal value g_h of the root is the mean of the
+(h, h) spectral diagonal; the measurement is optimal exactly when all g_h
+agree, in which case the correct-decision probability is m * s * g^2.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellations import GusEnsemble, weighted_gram
-from .errors import GramSingular
-from .linalg import TOL_PSD, circulant_eigenvalues, fourier_matrix, principal_sqrt
+from .constellations import GusEnsemble
+from .errors import GramSingular, NotPSD
+from .linalg import TOL_HERM, TOL_PSD, _circulant_blocks, _eigh, _sqrt_from_eig, circulant_eigenvalues
 from .srm import TOL_COND, SrmResult, _result_from_factor
 
 
@@ -62,38 +61,38 @@ class BlockSpectrum:
 
 
 def block_diagonalize(ensemble: GusEnsemble) -> BlockSpectrum:
-    """DFT every circulant Gram block of the ensemble."""
-    s, m = ensemble.s, ensemble.m
-    gram = weighted_gram(ensemble.base)
-    blocks = np.empty((s, s, m), dtype=complex)
-    for h in range(s):
-        for k in range(s):
-            first_row = gram[h * m, k * m : (k + 1) * m]
-            blocks[h, k] = circulant_eigenvalues(first_row)
-    return BlockSpectrum(s=s, m=m, blocks=blocks)
+    """DFT every circulant block of the weighted Gram matrix, from the first rows."""
+    w = np.sqrt(ensemble.constellation_priors)
+    weighted = np.outer(w, w)[:, :, None] * ensemble.rows
+    return BlockSpectrum(s=ensemble.s, m=ensemble.m, blocks=circulant_eigenvalues(weighted))
+
+
+def _coupling_root(spectrum: BlockSpectrum) -> tuple[float, BlockSpectrum]:
+    """Smallest coupling eigenvalue and the spectral root, from one batched ``eigh``."""
+    w, v = _eigh(np.moveaxis(spectrum.blocks, -1, 0), TOL_HERM)
+    root = np.moveaxis(_sqrt_from_eig(w, v), 0, -1)
+    return float(w[:, 0].min()), BlockSpectrum(s=spectrum.s, m=spectrum.m, blocks=root)
 
 
 def block_sqrt(spectrum: BlockSpectrum, *, tol_psd: float = TOL_PSD) -> BlockSpectrum:
-    """Square root in the spectral domain, one coupling matrix at a time."""
-    out = np.empty((spectrum.s, spectrum.s, spectrum.m), dtype=complex)
-    for j in range(spectrum.m):
-        root = principal_sqrt(spectrum.coupling(j), tol_psd=tol_psd)
-        out[:, :, j] = root
-    return BlockSpectrum(s=spectrum.s, m=spectrum.m, blocks=out)
+    """Square root in the spectral domain: the principal root of every coupling matrix.
+
+    Eigenvalues in ``[-tol_psd, 0)`` are clamped to zero; anything lower
+    raises ``NotPSD``.
+    """
+    lowest, root = _coupling_root(spectrum)
+    if lowest < -tol_psd:
+        raise NotPSD(f"min eigenvalue {lowest:.3e} is below -{tol_psd:g}")
+    return root
 
 
 def spectrum_to_matrix(spectrum: BlockSpectrum) -> np.ndarray:
-    """Assemble the dense matrix whose (h, k) block is F diag(blocks[h,k]) F†."""
-    s, m = spectrum.s, spectrum.m
-    f = fourier_matrix(m)
-    fh = f.conj().T
-    out = np.empty((s * m, s * m), dtype=complex)
-    for h in range(s):
-        for k in range(s):
-            out[h * m : (h + 1) * m, k * m : (k + 1) * m] = (
-                f * spectrum.blocks[h, k][None, :]
-            ) @ fh
-    return out
+    """Assemble the dense matrix whose (h, k) block is F diag(blocks[h,k]) F†.
+
+    Each block is circulant; its first row is the inverse DFT of its
+    spectrum (``circulant_from_eigenvalues``), taken for all blocks at once.
+    """
+    return _circulant_blocks(np.fft.fft(spectrum.blocks, norm="forward"))
 
 
 def trace_criterion(
@@ -121,16 +120,12 @@ def fast_srm(
     constellation h are each detected correctly with probability g_h^2.
     """
     spectrum = block_diagonalize(ensemble)
-    lowest = min(
-        float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
-        for c in (spectrum.coupling(j) for j in range(spectrum.m))
-    )
+    lowest, root_spectrum = _coupling_root(spectrum)
     if lowest < tol_psd:
         raise GramSingular(
             f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
             "the weighted states are not linearly independent"
         )
-    root_spectrum = block_sqrt(spectrum, tol_psd=tol_psd)
     factor = spectrum_to_matrix(root_spectrum)
     factor = (factor + factor.conj().T) / 2.0
     return _result_from_factor(factor), root_spectrum.diagonal_means()

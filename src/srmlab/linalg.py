@@ -33,17 +33,25 @@ def as_matrix(values) -> np.ndarray:
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
-    """Max-norm distance from a matrix to its conjugate transpose."""
-    return float(np.abs(mat - mat.conj().T).max())
+    """Max-norm distance from a matrix, or a stack of them, to its conjugate transpose."""
+    return float(np.abs(mat - _adjoint(mat)).max())
 
 
-def _require_hermitian(mat: np.ndarray, tol: float) -> np.ndarray:
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mat.conj(), -1, -2)
+
+
+def _eigh(mat: np.ndarray, tol_herm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian matrix, or of a stack of them in one ``eigh`` call."""
     defect = hermiticity_defect(mat)
-    if defect > tol:
+    if defect > tol_herm:
         raise NotHermitian(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:g}"
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {tol_herm:g}"
         )
-    return (mat + mat.conj().T) / 2.0
+    try:
+        return np.linalg.eigh((mat + _adjoint(mat)) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -69,12 +77,7 @@ class HermitianEig:
 
 def hermitian_eig(mat, *, tol_herm: float = TOL_HERM) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    m = as_matrix(mat)
-    sym = _require_hermitian(m, tol_herm)
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    w, v = _eigh(as_matrix(mat), tol_herm)
     return HermitianEig(eigenvalues=w, eigenvectors=v)
 
 
@@ -99,9 +102,17 @@ def principal_sqrt(mat, *, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM)
     w = eig.eigenvalues
     if w[0] < -tol_psd:
         raise NotPSD(f"min eigenvalue {w[0]:.3e} is below -{tol_psd:g}")
-    v = eig.eigenvectors
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    return _sqrt_from_eig(w, eig.eigenvectors)
+
+
+def _sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetrised ``V diag(sqrt(max(w, 0))) V†``, batched over leading axes.
+
+    ``w[..., i]`` and ``v[..., :, i]`` are matching eigenpairs, as
+    ``np.linalg.eigh`` returns them.
+    """
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
+    return (root + _adjoint(root)) / 2.0
 
 
 def fourier_matrix(m: int) -> np.ndarray:
@@ -136,36 +147,38 @@ class CirculantSpec:
         return len(self.first_row)
 
     def matrix(self) -> np.ndarray:
-        m = self.dim
-        idx = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-        return self.first_row[idx]
+        return _circulant_blocks(self.first_row[None, None, :])
 
 
-def _first_row(spec) -> np.ndarray:
-    if isinstance(spec, CirculantSpec):
-        return spec.first_row
-    return CirculantSpec(spec).first_row
+def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
+    """Dense (s*m, s*m) matrix whose (h, k) block is circulant with first row ``rows[h, k]``.
+
+    ``rows`` has shape (s, s, m); entry (i, j) of block (h, k) is
+    ``rows[h, k, (j - i) mod m]``.
+    """
+    s, _, m = rows.shape
+    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    return rows[:, :, shift].transpose(0, 2, 1, 3).reshape(s * m, s * m)
 
 
 def circulant_eigenvalues(spec) -> np.ndarray:
-    """Eigenvalues of a circulant matrix via the direct DFT of its first row.
+    """Eigenvalues of a circulant matrix: the DFT of its first row.
 
-    Bin ``k`` carries ``sum_r c[r] exp(+2i*pi*k*r/m)``; the phase sign
-    matches ``fourier_matrix``, so ``F @ diag(lam) @ F†`` rebuilds the
-    matrix. Direct O(m^2) evaluation; dimensions stay small here.
+    Bin ``k`` carries ``sum_r c[r] exp(+2i*pi*k*r/m)``, i.e. ``m * ifft(c)``;
+    the phase sign matches ``fourier_matrix``, so ``F @ diag(lam) @ F†``
+    rebuilds the matrix. Accepts a ``CirculantSpec`` or an array of first
+    rows and transforms along its last axis, so a stack of rows gives the
+    stacked spectra in one FFT.
     """
-    c = _first_row(spec)
-    m = len(c)
-    idx = np.arange(m)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / m) @ c
+    c = spec.first_row if isinstance(spec, CirculantSpec) else np.asarray(spec, dtype=complex)
+    if c.size == 0 or not np.all(np.isfinite(c)):
+        raise ValueError("first rows must be non-empty and finite")
+    return np.fft.ifft(c, norm="forward")
 
 
 def circulant_from_eigenvalues(eigenvalues) -> CirculantSpec:
-    """Inverse DFT: recover the first row from circulant eigenvalues."""
+    """Inverse DFT: recover the first row ``fft(lam) / m`` from circulant eigenvalues."""
     lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)
     if len(lam) == 0:
         raise ValueError("eigenvalue list must be non-empty")
-    m = len(lam)
-    idx = np.arange(m)
-    row = np.exp(-2j * np.pi * np.outer(idx, idx) / m) @ lam / m
-    return CirculantSpec(row)
+    return CirculantSpec(np.fft.fft(lam, norm="forward"))

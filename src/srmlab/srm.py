@@ -36,6 +36,7 @@ from .linalg import (
     TOL_HERM,
     TOL_PSD,
     TOL_RECON,
+    _sqrt_from_eig,
     as_matrix,
     hermitian_eig,
     hermiticity_defect,
@@ -119,10 +120,7 @@ def srm(gram, *, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM) -> SrmRes
             f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
             "the weighted states are not linearly independent"
         )
-    v = eig.eigenvectors
-    factor = (v * np.sqrt(eig.eigenvalues)) @ v.conj().T
-    factor = (factor + factor.conj().T) / 2.0
-    return _result_from_factor(factor)
+    return _result_from_factor(_sqrt_from_eig(eig.eigenvalues, eig.eigenvectors))
 
 
 def _min_eig(hermitian: np.ndarray) -> float:

@@ -353,15 +353,17 @@ def test_criterion_10_probability_normalization():
 
 def test_criterion_11_cli_determinism(tmp_path, capsys):
     identical = True
-    for name, extra in (
+    for index, (name, extra) in enumerate((
         ("fig1", []),
         ("fig2", ["--grid", "0.5:5:10"]),
         ("fig3", ["--grid", "0.5:5:10"]),
         ("fig4", []),
         ("fig5", []),
-    ):
-        first = tmp_path / f"{name}_a.csv"
-        second = tmp_path / f"{name}_b.csv"
+        ("sweep", ["--scheme", "double_ppm"]),
+        ("sweep", ["--scheme", "double_bpsk"]),
+    )):
+        first = tmp_path / f"{index}_{name}_a.csv"
+        second = tmp_path / f"{index}_{name}_b.csv"
         assert main([name, *extra, "--out", str(first)]) == 0
         assert main([name, *extra, "--out", str(second)]) == 0
         identical = identical and first.read_bytes() == second.read_bytes()

@@ -267,6 +267,18 @@ class TestDeterminismAndFormats:
         captured = capsys.readouterr()
         assert captured.out.startswith("alpha_sq,delta,pc,pe\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig2"], ["fig3"], ["sweep", "--scheme", "double_ppm"]],
+    )
+    def test_bright_pipeline_error_probability_is_never_negative(self, argv, tmp_path):
+        # near |alpha|^2 = 10 the pipeline pc can round to one ulp above one
+        out = tmp_path / "bright.csv"
+        assert main([*argv, "--grid", "9:10:11", "--out", str(out)]) == EXIT_OK
+        cells = [row["pe"] for row in read_csv(out)]
+        assert cells
+        assert not [cell for cell in cells if cell.startswith("-")]
+
     def test_emitted_probabilities_and_information_are_bounded(self, tmp_path):
         fig1 = tmp_path / "fig1.csv"
         assert main(["fig1", "--grid", "0.2:6:7", "--out", str(fig1)]) == EXIT_OK

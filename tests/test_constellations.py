@@ -299,16 +299,22 @@ class TestGusFromBase:
 
 class TestGusEnsembleInvariants:
     def test_rejects_wrong_base_size(self):
-        base = make_ppm(4, 1.0)
+        # first rows of an s-constellation ensemble are (s, s, m); two
+        # constellations cannot couple to three
+        rows = np.zeros((2, 3, 4), dtype=complex)
         with pytest.raises(ValueError):
-            GusEnsemble(s=2, m=3, constellation_priors=np.array([1 / 6, 1 / 6]), base=base)
+            GusEnsemble(rows=rows, constellation_priors=np.array([1 / 8, 1 / 8]))
 
     def test_rejects_non_circulant_blocks(self):
-        overlaps = np.eye(4, dtype=complex)
-        overlaps[0, 3] = overlaps[3, 0] = 0.3  # cross block loses the shift property
-        base = Constellation(priors=np.full(4, 0.25), overlaps=overlaps)
+        # blocks built from first rows are circulant by construction; what
+        # can still break the block structure is a (1, 0) row that is not
+        # the conjugate mirror of the (0, 1) row
+        rows = np.zeros((2, 2, 2), dtype=complex)
+        rows[0, 0, 0] = rows[1, 1, 0] = 1.0
+        rows[0, 1] = [0.2, 0.3]
+        rows[1, 0] = [0.2, 0.9]
         with pytest.raises(ValueError):
-            GusEnsemble(s=2, m=2, constellation_priors=np.array([0.25, 0.25]), base=base)
+            GusEnsemble(rows=rows, constellation_priors=np.array([0.25, 0.25]))
 
     def test_identical_rules_give_identical_grams(self):
         a = weighted_gram(make_double_ppm(3, 1.1).base)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_gus_ensemble, single_gus_pc
-from srmlab.analysis import pc_double_bpsk_equal_amp
+from srmlab.analysis import double_ppm_closed_form, pc_double_bpsk_equal_amp
 from srmlab.constellations import (
     coherent_inner,
     make_double_bpsk,
@@ -219,6 +219,31 @@ class TestFastSrm:
         m = 2
         result, g = fast_srm(make_double_ppm(m, 1.0))
         assert result.pc == pytest.approx(2 * m * g[0] ** 2, abs=1e-12)
+
+    def test_double_ppm_at_two_to_the_sixteen_matches_closed_form(self):
+        # 2^17 states: the dense Gram matrix would need hundreds of GB, so
+        # this runs only because the path works on first rows
+        m = 2**16
+        for alpha in (0.5, 1.5):
+            spectrum = block_diagonalize(make_double_ppm(m, alpha))
+            g, optimal = trace_criterion(block_sqrt(spectrum))
+            assert optimal
+            expected = double_ppm_closed_form(m, alpha).pc
+            assert abs(2 * m * g[0] ** 2 - expected) <= 1e-12
+
+    def test_one_eigendecomposition_and_no_dense_base(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(mat, *args, **kwargs):
+            calls.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ens = make_double_ppm(8, 1.0)
+        fast_srm(ens)
+        assert calls == [(8, 2, 2)]
+        assert "base" not in vars(ens)
 
     def test_rejects_coincident_constellations(self):
         with pytest.raises(GramSingular):
