@@ -19,7 +19,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellations import (
-    GusEnsemble,
     make_double_bpsk,
     make_double_ppm,
     make_ppm,
@@ -29,7 +28,7 @@ from .constellations import (
 from .errors import DomainError, NoRoot
 from .gus import fast_srm
 from .linalg import TOL_PSD, principal_sqrt
-from .srm import channel_stats, srm, verify_theorem1
+from .srm import channel_stats, verify_theorem1
 
 TOL_ROOT = 1e-12
 _BRACKET_MARGIN = 1e-6
@@ -309,16 +308,17 @@ def _double_bpsk_route(alpha, m, delta, prior):
     return make_double_bpsk(alpha, beta, p), {"delta": float(delta), "prior": p}
 
 
-# scheme -> (required parameter, its description, builder). A builder maps
-# (alpha, m, delta, prior) to the ensemble and the scheme's SweepPoint
-# fields; a GusEnsemble takes the fast path, a Constellation dense ``srm``.
+# scheme -> (its SweepPoint parameter fields, the required one first; that
+# parameter's description; builder). A builder maps (alpha, m, delta, prior)
+# to the scheme's GusEnsemble and its SweepPoint parameter values.
 _SCHEME_TABLE = {
-    "psk": ("m", "a phase count m", lambda a, m, d, p: (make_psk(m, a), {"m": m})),
-    "ppm": ("m", "a slot count m", lambda a, m, d, p: (make_ppm(m, a), {"m": m})),
-    "double_ppm": ("m", "a slot count m", lambda a, m, d, p: (make_double_ppm(m, a), {"m": m})),
-    "double_bpsk": ("delta", "a phase offset delta", _double_bpsk_route),
+    "psk": (("m",), "a phase count m", lambda a, m, d, p: (make_psk(m, a), {"m": m})),
+    "ppm": (("m",), "a slot count m", lambda a, m, d, p: (make_ppm(m, a), {"m": m})),
+    "double_ppm": (("m",), "a slot count m", lambda a, m, d, p: (make_double_ppm(m, a), {"m": m})),
+    "double_bpsk": (("delta", "prior"), "a phase offset delta", _double_bpsk_route),
 }
 SCHEMES = tuple(_SCHEME_TABLE)
+SCHEME_FIELDS = {scheme: row[0] for scheme, row in _SCHEME_TABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -355,22 +355,19 @@ def evaluate_scheme(
 ) -> SweepPoint:
     """Run the discrimination pipeline for one named scheme at one energy.
 
-    Uses the block-circulant fast path where the scheme has the required
-    symmetry and the dense route otherwise; mutual information always
-    comes from the induced channel of the computed measurement.
+    Every scheme is geometrically uniform and takes the block-circulant
+    fast path; mutual information comes from the induced channel of the
+    computed measurement.
     """
     if photon_number <= 0.0:
         raise DomainError(f"mean photon number must be positive, got {photon_number}")
     if scheme not in _SCHEME_TABLE:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    needs, what, build = _SCHEME_TABLE[scheme]
-    if {"m": m, "delta": delta}[needs] is None:
+    fields, what, build = _SCHEME_TABLE[scheme]
+    if {"m": m, "delta": delta}[fields[0]] is None:
         raise DomainError(f"scheme {scheme!r} needs {what}")
 
     ensemble, params = build(math.sqrt(photon_number), m, delta, prior)
-    if isinstance(ensemble, GusEnsemble):
-        result, _ = fast_srm(ensemble, tol_psd=tol_psd)
-    else:
-        result = srm(weighted_gram(ensemble), tol_psd=tol_psd)
+    result, _ = fast_srm(ensemble, tol_psd=tol_psd)
     info = channel_stats(result).mutual_information
     return SweepPoint(photon_number, result.pc, max(1.0 - result.pc, 0.0), info, **params)

@@ -25,18 +25,13 @@ import numpy as np
 from . import analysis
 from .constellations import Constellation, make_double_bpsk, weighted_gram
 from .errors import (
-    ConvergenceFailure,
-    DomainError,
     GramFileError,
-    GramSingular,
-    InvalidFactorization,
+    InputError,
     InvalidPrior,
     NoRoot,
     NotBlockDiagonal,
-    NotHermitian,
-    NotPSD,
+    NumericalError,
     ReducibleBlock,
-    SingularFactor,
 )
 from .gus import fast_srm
 from .linalg import TOL_PSD, TOL_RECON
@@ -79,6 +74,8 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"bad grid {text!r}: {exc}") from None
     if count < 1:
         raise ValueError(f"grid count must be at least 1, got {count}")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"bad grid {text!r}: endpoints must be finite")
     if start < 0 or stop < 0:
         raise ValueError("mean photon numbers must be nonnegative")
     if count == 1:
@@ -87,18 +84,21 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def parse_angle(token: str) -> float:
-    """Parse one angle: a plain float or a multiple of pi like ``3pi/8``."""
+    """Parse one finite angle: a plain float or a multiple of pi like ``3pi/8``."""
     match = _ANGLE_RE.match(token)
-    if match:
-        coef = float(match.group(1)) if match.group(1) else 1.0
-        div = float(match.group(2)) if match.group(2) else 1.0
-        if div == 0:
-            raise ValueError(f"bad angle {token!r}: division by zero")
-        return coef * math.pi / div
     try:
-        return float(token)
+        if match:
+            coef, div = (float(group) if group else 1.0 for group in match.groups())
+        else:
+            coef, div = float(token), None
     except ValueError:
         raise ValueError(f"bad angle {token!r}") from None
+    if div == 0:
+        raise ValueError(f"bad angle {token!r}: division by zero")
+    angle = coef if div is None else coef * math.pi / div
+    if not math.isfinite(angle):
+        raise ValueError(f"bad angle {token!r}")
+    return angle
 
 
 def parse_angle_list(text: str) -> list[float]:
@@ -263,49 +263,29 @@ def cmd_fig45(args) -> int:
 
 def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
-    columns = ["alpha_sq", "scheme"]
+    fields = analysis.SCHEME_FIELDS[args.scheme]
+    values = parse_int_list(args.m) if fields[0] == "m" else parse_angle_list(args.delta)
     rows = []
-    if args.scheme in ("psk", "ppm", "double_ppm"):
-        columns += ["m", "pc", "pe", "mutual_info_bits"]
-        ms = parse_int_list(args.m)
-        for photon_number in grid:
-            for m in ms:
-                point = analysis.evaluate_scheme(
-                    args.scheme, photon_number, m=m, tol_psd=args.tol_psd
-                )
-                rows.append(
-                    {
-                        "alpha_sq": photon_number,
-                        "scheme": args.scheme,
-                        "m": m,
-                        "pc": point.pc,
-                        "pe": point.pe,
-                        "mutual_info_bits": point.mutual_info,
-                    }
-                )
-    else:
-        columns += ["delta", "prior", "pc", "pe", "mutual_info_bits"]
-        deltas = parse_angle_list(args.delta)
-        for photon_number in grid:
-            for delta in deltas:
-                point = analysis.evaluate_scheme(
-                    args.scheme,
-                    photon_number,
-                    delta=delta,
-                    prior=args.p,
-                    tol_psd=args.tol_psd,
-                )
-                rows.append(
-                    {
-                        "alpha_sq": photon_number,
-                        "scheme": args.scheme,
-                        "delta": delta,
-                        "prior": point.prior,
-                        "pc": point.pc,
-                        "pe": point.pe,
-                        "mutual_info_bits": point.mutual_info,
-                    }
-                )
+    for photon_number in grid:
+        for value in values:
+            point = analysis.evaluate_scheme(
+                args.scheme,
+                photon_number,
+                prior=args.p,
+                tol_psd=args.tol_psd,
+                **{fields[0]: value},
+            )
+            rows.append(
+                {
+                    "alpha_sq": photon_number,
+                    "scheme": args.scheme,
+                    **{field: getattr(point, field) for field in fields},
+                    "pc": point.pc,
+                    "pe": point.pe,
+                    "mutual_info_bits": point.mutual_info,
+                }
+            )
+    columns = ["alpha_sq", "scheme", *fields, "pc", "pe", "mutual_info_bits"]
     return write_dataset(columns, rows, args)
 
 
@@ -500,13 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep", help="evaluate one scheme over an energy grid")
     ps.add_argument("--scheme", required=True, choices=analysis.SCHEMES)
     add_grid(ps)
-    ps.add_argument("--m", default=DEFAULT_MS, help="comma list of sizes (psk/ppm schemes)")
-    ps.add_argument(
-        "--delta", default="pi/2", help="comma list of phase offsets (double_bpsk)"
-    )
-    ps.add_argument(
-        "--p", type=float, default=None, help="per-state prior of the first pair (double_bpsk)"
-    )
+    ps.add_argument("--m", default=DEFAULT_MS, help="comma list of sizes m")
+    ps.add_argument("--delta", default="pi/2", help="comma list of phase offsets delta")
+    ps.add_argument("--p", type=float, default=None, help="per-state prior of the first pair")
     add_output(ps)
     ps.set_defaults(func=cmd_sweep)
 
@@ -523,29 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol_psd", TOL_PSD) <= 0 or getattr(args, "tol_cond", TOL_COND) <= 0:
+    tolerances = (getattr(args, "tol_psd", TOL_PSD), getattr(args, "tol_cond", TOL_COND))
+    if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
         print("error: tolerance overrides must be positive", file=sys.stderr)
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except GramFileError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, InvalidPrior, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        GramSingular,
-        NoRoot,
-        ConvergenceFailure,
-        NotPSD,
-        NotHermitian,
-        SingularFactor,
-        InvalidFactorization,
-        NotBlockDiagonal,
-        ReducibleBlock,
-        ArithmeticError,
-    ) as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

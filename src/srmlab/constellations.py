@@ -236,11 +236,13 @@ def make_psk(m: int, alpha) -> GusEnsemble:
     return make_gus_from_base(1, m, rule, (1.0 / m,), labels=labels)
 
 
-def make_ppm(m: int, alpha: float) -> Constellation:
+def make_ppm(m: int, alpha: float) -> GusEnsemble:
     """Pulse position modulation: one pulse of amplitude alpha in m slots.
 
-    Distinct positions overlap through the vacuum component only, giving
-    the constant off-diagonal inner product chi = exp(-alpha^2).
+    The m equiprobable positions are cyclic shifts of one seed, so they form
+    a single constellation with first row [1, chi, ..., chi]: distinct
+    positions overlap through the vacuum component only, with chi =
+    exp(-alpha^2).
     """
     if m < 2:
         raise ValueError("need at least two slots")
@@ -248,10 +250,12 @@ def make_ppm(m: int, alpha: float) -> Constellation:
     if a <= 0:
         raise ValueError("amplitude must be positive")
     chi = math.exp(-a * a)
-    overlaps = np.full((m, m), chi, dtype=complex)
-    np.fill_diagonal(overlaps, 1.0)
+
+    def rule(h: int, k: int, r: int) -> complex:
+        return 1.0 if r == 0 else chi
+
     labels = tuple(f"slot{i}" for i in range(m))
-    return Constellation(priors=np.full(m, 1.0 / m), overlaps=overlaps, labels=labels)
+    return make_gus_from_base(1, m, rule, (1.0 / m,), labels=labels)
 
 
 def make_double_ppm(m: int, alpha: float) -> GusEnsemble:

@@ -220,7 +220,7 @@ def test_criterion_07_ppm_closed_forms():
         for photon_number in (0.5, 1.0, 2.0, 5.0):
             alpha = math.sqrt(photon_number)
             form = analysis.ppm_closed_form(m, alpha)
-            gram = weighted_gram(make_ppm(m, alpha))
+            gram = weighted_gram(make_ppm(m, alpha).base)
             result = srm(gram)
             _record(result, gram)
             worst = max(
@@ -307,7 +307,7 @@ def test_criterion_09_mutual_information():
     for m in (2, 16):
         for photon_number in (0.5, 2.0, 20.0):
             alpha = math.sqrt(photon_number)
-            single_gram = weighted_gram(make_ppm(m, alpha))
+            single_gram = weighted_gram(make_ppm(m, alpha).base)
             single_result = srm(single_gram)
             _record(single_result, single_gram)
             worst = max(
@@ -372,6 +372,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         ("fig3", ["--grid", "0.5:5:10"]),
         ("fig4", []),
         ("fig5", []),
+        ("sweep", ["--scheme", "ppm"]),
         ("sweep", ["--scheme", "double_ppm"]),
         ("sweep", ["--scheme", "double_bpsk"]),
     )):

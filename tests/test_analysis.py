@@ -132,7 +132,7 @@ class TestPpmClosedForm:
             for photon_number in (0.5, 1.0, 2.0, 5.0):
                 alpha = math.sqrt(photon_number)
                 form = ppm_closed_form(m, alpha)
-                result = srm(weighted_gram(make_ppm(m, alpha)))
+                result = srm(weighted_gram(make_ppm(m, alpha).base))
                 assert form.pc == pytest.approx(result.pc, abs=1e-10)
                 assert form.correct == pytest.approx(
                     result.factor[0, 0].real, abs=1e-10
@@ -218,7 +218,7 @@ class TestMutualInformation:
     @pytest.mark.parametrize("photon_number", [0.5, 2.0, 20.0])
     def test_matches_channel_stats(self, m, photon_number):
         alpha = math.sqrt(photon_number)
-        single = channel_stats(srm(weighted_gram(make_ppm(m, alpha))))
+        single = channel_stats(srm(weighted_gram(make_ppm(m, alpha).base)))
         assert mutual_info_ppm(m, alpha) == pytest.approx(
             single.mutual_information, abs=1e-8
         )
@@ -249,7 +249,7 @@ class TestMutualInformation:
 class TestEvaluateScheme:
     def test_ppm_point(self):
         point = evaluate_scheme("ppm", 1.0, m=3)
-        assert point.pc == pytest.approx(srm(weighted_gram(make_ppm(3, 1.0))).pc)
+        assert point.pc == pytest.approx(srm(weighted_gram(make_ppm(3, 1.0).base)).pc)
         assert point.pe == pytest.approx(1 - point.pc)
         assert point.mutual_info == pytest.approx(mutual_info_ppm(3, 1.0), abs=1e-10)
 

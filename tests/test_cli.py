@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srmlab
 from helpers import single_gus_pc
+from srmlab import cli, errors
 from srmlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -35,7 +38,9 @@ class TestParsers:
         np.testing.assert_allclose(parse_grid("1:3:3"), [1.0, 2.0, 3.0])
         np.testing.assert_allclose(parse_grid("5:9:1"), [5.0])
 
-    @pytest.mark.parametrize("bad", ["1:2", "1:2:0", "-1:2:3", "a:b:c"])
+    @pytest.mark.parametrize(
+        "bad", ["1:2", "1:2:0", "-1:2:3", "a:b:c", "nan:1:2", "1:inf:2", "1:nan:2", "inf:inf:1"]
+    )
     def test_grid_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_grid(bad)
@@ -48,6 +53,9 @@ class TestParsers:
         assert parse_angle_list("0,pi/4") == pytest.approx([0.0, math.pi / 4])
         with pytest.raises(ValueError):
             parse_angle("two")
+        for bad in (".pi", "pi/.", "nan", "inf", "-inf", "1.2.3pi", "pi/1.2.3"):
+            with pytest.raises(ValueError, match=f"^bad angle '{re.escape(bad)}'$"):
+                parse_angle(bad)
 
     def test_int_list(self):
         assert parse_int_list("2,16") == [2, 16]
@@ -132,6 +140,12 @@ class TestFig4Fig5:
             if scheme == "ppm":
                 assert seen[(alpha_sq, m, "double_ppm")] > pe
 
+    def test_infinite_tolerance_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "fig4.csv"
+        assert main(["fig4", "--tol-psd", "inf", "--out", str(out)]) == EXIT_CONFIG
+        assert "tolerance overrides must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bright_pulse_information(self, tmp_path):
         out = tmp_path / "fig5.csv"
         assert main(["fig5", "--grid", "20:20:1", "--m", "2", "--out", str(out)]) == EXIT_OK
@@ -212,6 +226,13 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/does/not/exist.gram"]) == EXIT_CONFIG
+
+    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        argv = ["check", str(GRAMFILES / "binary_biased.gram"), "--tol-cond", "nan", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert "tolerance overrides must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_directive(self, tmp_path, capsys):
         bad = tmp_path / "bad.gram"
@@ -298,3 +319,27 @@ class TestDeterminismAndFormats:
         for row in read_csv(sweep):
             assert 0.0 <= float(row["pc"]) <= 1.0
             assert 0.0 <= float(row["mutual_info_bits"]) <= math.log2(int(row["m"])) + 1e-12
+
+
+def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
+    classes, stack = [], [errors.SrmLabError]
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        classes.append(cls)
+    bases = (errors.SrmLabError, errors.InputError, errors.NumericalError)
+    leaves = [cls for cls in classes if cls not in bases]
+    assert len(leaves) == 12
+    assert srmlab.InputError is errors.InputError
+    assert srmlab.NumericalError is errors.NumericalError
+    for cls in leaves:
+        kinds = [issubclass(cls, errors.InputError), issubclass(cls, errors.NumericalError)]
+        assert kinds.count(True) == 1, cls.__name__
+
+        def raising(args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_check", raising)
+        expected = EXIT_CONFIG if kinds[0] else EXIT_NUMERIC
+        assert main(["check", "unused.gram"]) == expected, cls.__name__
+        assert capsys.readouterr().err == "error: boom\n"

@@ -98,7 +98,7 @@ class TestWeightedGram:
     @pytest.mark.parametrize(
         "constellation",
         [
-            make_ppm(3, 1.0),
+            make_ppm(3, 1.0).base,
             make_double_bpsk(1.0, 1j, 0.25).base,
             make_double_bpsk(0.8, 2.4, 0.31).base,
             make_double_ppm(4, 0.9).base,
@@ -163,17 +163,17 @@ class TestDoubleBpsk:
 
 class TestPpm:
     def test_gram_is_uniform_circulant(self):
-        c = make_ppm(3, 1.0)
+        c = make_ppm(3, 1.0).base
         chi = math.exp(-1)
         expected = np.array([[1, chi, chi], [chi, 1, chi], [chi, chi, 1]]) / 3
         np.testing.assert_allclose(weighted_gram(c), expected, atol=1e-15)
 
     def test_two_slot_off_diagonal(self):
-        g = weighted_gram(make_ppm(2, 1.0))
+        g = weighted_gram(make_ppm(2, 1.0).base)
         assert g[0, 1].real == pytest.approx(math.exp(-1) / 2, abs=1e-15)
 
     def test_bright_pulse_limit(self):
-        g = weighted_gram(make_ppm(3, 30.0))
+        g = weighted_gram(make_ppm(3, 30.0).base)
         np.testing.assert_allclose(g, np.eye(3) / 3, atol=1e-12)
 
     def test_rejects_bad_args(self):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from helpers import random_gus_ensemble, single_gus_pc
-from srmlab.analysis import double_ppm_closed_form, pc_double_bpsk_equal_amp
+from srmlab.analysis import double_ppm_closed_form, pc_double_bpsk_equal_amp, ppm_closed_form
 from srmlab.constellations import (
     coherent_inner,
     make_double_bpsk,
     make_double_ppm,
+    make_ppm,
     make_psk,
     weighted_gram,
 )
@@ -221,8 +222,9 @@ class TestFastSrm:
         assert result.pc == pytest.approx(2 * m * g[0] ** 2, abs=1e-12)
 
     def test_double_ppm_at_two_to_the_sixteen_matches_closed_form(self):
-        # 2^17 states: the dense Gram matrix would need hundreds of GB, so
-        # this runs only because the path works on first rows
+        # 2^17 double PPM and 2^16 PPM states: the dense Gram matrices would
+        # need 256 GiB and 64 GiB, so this runs only because the path works
+        # on first rows
         m = 2**16
         for alpha in (0.5, 1.5):
             spectrum = block_diagonalize(make_double_ppm(m, alpha))
@@ -230,6 +232,10 @@ class TestFastSrm:
             assert optimal
             expected = double_ppm_closed_form(m, alpha).pc
             assert abs(2 * m * g[0] ** 2 - expected) <= 1e-12
+
+            g, optimal = trace_criterion(block_sqrt(block_diagonalize(make_ppm(m, alpha))))
+            assert optimal
+            assert abs(m * g[0] ** 2 - ppm_closed_form(m, alpha).pc) <= 1e-12
 
     def test_one_eigendecomposition_and_no_dense_base(self, monkeypatch):
         calls = []
@@ -240,10 +246,11 @@ class TestFastSrm:
             return eigh(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        ens = make_double_ppm(8, 1.0)
-        fast_srm(ens)
-        assert calls == [(8, 2, 2)]
-        assert "base" not in vars(ens)
+        for ens, shape in ((make_double_ppm(8, 1.0), (8, 2, 2)), (make_ppm(8, 1.0), (8, 1, 1))):
+            calls.clear()
+            fast_srm(ens)
+            assert calls == [shape]
+            assert "base" not in vars(ens)
 
     def test_rejects_coincident_constellations(self):
         with pytest.raises(GramSingular):

@@ -45,7 +45,7 @@ class TestSrm:
 
     def test_three_slot_ppm_value(self):
         # frozen from the closed form and confirmed by this dense route
-        result = srm(weighted_gram(make_ppm(3, 1.0)))
+        result = srm(weighted_gram(make_ppm(3, 1.0).base))
         chi = math.exp(-1)
         formula = (math.sqrt(1 + 2 * chi) + 2 * math.sqrt(1 - chi)) ** 2 / 9
         assert result.pc == pytest.approx(formula, abs=1e-12)
