@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constellations import (
+    Constellation,
     make_double_bpsk,
     make_double_ppm,
     make_ppm,
@@ -93,13 +94,14 @@ def pc_double_bpsk_equal_amp(alpha: float, delta: float) -> float:
     if not 0.0 <= d <= math.pi / 2.0 + 1e-12:
         raise DomainError(f"phase offset must lie in [0, pi/2], got {delta}")
     eta, chi, xi = _equal_amp_overlaps(a, d)
+    gap = -math.expm1(-2.0 * a * a)  # 1 - eta without cancellation
     plus = abs(chi + xi)
     minus = abs(chi - xi)
     total = (
         _sqrt0(1.0 + eta + plus)
         + _sqrt0(1.0 + eta - plus)
-        + _sqrt0(1.0 - eta + minus)
-        + _sqrt0(1.0 - eta - minus)
+        + _sqrt0(gap + minus)
+        + _sqrt0(gap - minus)
     )
     return total * total / 16.0
 
@@ -126,7 +128,8 @@ def optimize_prior_4pam(alpha: float, *, tol_root: float = TOL_ROOT) -> float:
     Solves g_1(p) = g_2(p) by bracketed bisection of the gap on
     (0, 1/2); there is no closed form. Raises ``NoRoot`` when the gap
     never changes sign on the bracket. The returned prior is certified by
-    the ground-truth optimality oracle on the resulting Gram matrix.
+    the ground-truth optimality oracle on the resulting Gram matrix, built
+    from the closed-form overlaps of ``pam4_overlaps``.
     """
     a = float(alpha)
     if a <= 0.0:
@@ -168,7 +171,10 @@ def optimize_prior_4pam(alpha: float, *, tol_root: float = TOL_ROOT) -> float:
             hi = mid
     p_star = 0.5 * (lo + hi)
 
-    gram = weighted_gram(make_double_bpsk(a, 3.0 * a, p_star).base)
+    eta_a, eta_b, chi, xi = pam4_overlaps(a)
+    overlaps = [[1, eta_a, chi, xi], [eta_a, 1, xi, chi], [chi, xi, 1, eta_b], [xi, chi, eta_b, 1]]
+    q = 0.5 - p_star
+    gram = weighted_gram(Constellation((p_star, p_star, q, q), overlaps))
     verdict = verify_theorem1(gram, principal_sqrt(gram))
     if not verdict.optimal:
         raise RuntimeError(
@@ -203,7 +209,7 @@ def ppm_closed_form(m: int, alpha: float) -> PpmClosedForm:
     _validate_ppm_args(m, alpha)
     chi = math.exp(-float(alpha) ** 2)
     head = math.sqrt(1.0 + (m - 1) * chi)
-    tail = math.sqrt(1.0 - chi)
+    tail = math.sqrt(-math.expm1(-float(alpha) ** 2))
     scale = m * math.sqrt(m)
     correct = (head + (m - 1) * tail) / scale
     cross = (head - tail) / scale
@@ -234,18 +240,20 @@ class DoublePpmClosedForm(NamedTuple):
 def double_ppm_closed_form(m: int, alpha: float) -> DoublePpmClosedForm:
     """Closed-form square root and performance of phase-doubled PPM."""
     _validate_ppm_args(m, alpha)
-    chi = math.exp(-float(alpha) ** 2)
+    a2 = float(alpha) ** 2
+    chi = math.exp(-a2)
+    gap = -math.expm1(-a2)  # 1 - chi without cancellation
     big = math.sqrt(1.0 + chi * chi + 2.0 * (m - 1) * chi)
-    ortho = math.sqrt(max(1.0 - chi * chi, 0.0))
+    ortho = math.sqrt(-math.expm1(-2.0 * a2))
     spectral_scale = math.sqrt(8.0 * m)
     same_head = (big + ortho) / spectral_scale
-    same_rest = ((1.0 - chi) + ortho) / spectral_scale
+    same_rest = (gap + ortho) / spectral_scale
     flip_head = (big - ortho) / spectral_scale
-    flip_rest = ((1.0 - chi) - ortho) / spectral_scale
+    flip_rest = (gap - ortho) / spectral_scale
     row_scale = 2.0 * m * math.sqrt(2.0 * m)
-    correct = (big + (m - 1) * (1.0 - chi) + m * ortho) / row_scale
-    flip = (big + (m - 1) * (1.0 - chi) - m * ortho) / row_scale
-    cross = (big - (1.0 - chi)) / row_scale
+    correct = (big + (m - 1) * gap + m * ortho) / row_scale
+    flip = (big + (m - 1) * gap - m * ortho) / row_scale
+    cross = (big - gap) / row_scale
     return DoublePpmClosedForm(
         same_head=same_head,
         same_rest=same_rest,
@@ -366,6 +374,10 @@ def evaluate_scheme(
     fields, what, build = _SCHEME_TABLE[scheme]
     if {"m": m, "delta": delta}[fields[0]] is None:
         raise DomainError(f"scheme {scheme!r} needs {what}")
+    if fields[0] == "m":
+        if not float(m).is_integer():
+            raise DomainError(f"scheme {scheme!r} needs an integer m, got {m}")
+        m = int(m)
 
     ensemble, params = build(math.sqrt(photon_number), m, delta, prior)
     result, _ = fast_srm(ensemble, tol_psd=tol_psd)

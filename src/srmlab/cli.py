@@ -264,7 +264,9 @@ def cmd_fig45(args) -> int:
 def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     fields = analysis.SCHEME_FIELDS[args.scheme]
-    values = parse_int_list(args.m) if fields[0] == "m" else parse_angle_list(args.delta)
+    values = {"m": parse_int_list(args.m), "delta": parse_angle_list(args.delta)}[fields[0]]
+    if args.p is not None and "prior" not in fields:
+        raise ValueError(f"--p does not apply to scheme {args.scheme!r}")
     rows = []
     for photon_number in grid:
         for value in values:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidPrior
-from .linalg import _circulant_blocks
+from .linalg import _circulant_blocks, _mirror
 
 PRIOR_TOL = 1e-12
 RULE_TOL = 1e-10
@@ -120,7 +120,7 @@ class GusEnsemble:
                 f"per-state priors must satisfy m * sum(q) = 1, got {m * q.sum()!r}"
             )
 
-        mirror = rows.transpose(1, 0, 2)[:, :, (m - np.arange(m)) % m].conj()
+        mirror = _mirror(rows)
         defect = np.abs(rows - mirror).max(axis=2)
         if defect.max() > RULE_TOL:
             h, k = np.unravel_index(int(defect.argmax()), defect.shape)

@@ -5,9 +5,9 @@ symmetry splits into s x s circulant blocks of order m, so it is fully
 described by the ensemble's (s, s, m) first rows. One FFT along the last
 axis diagonalizes all blocks at once, leaving m independent s x s Hermitian
 coupling matrices (one per frequency bin). One batched eigendecomposition
-of that stack yields both the singularity test and the square roots, which
-assemble, through the inverse FFT, into the square root of the full Gram
-matrix; the dense (s m) x (s m) matrix is formed only for that final factor.
+of that stack yields both the singularity test and the square roots, and
+one inverse FFT turns those into the first rows of the full Gram root; the
+dense (s m) x (s m) factor is formed only if a caller reads it.
 The per-constellation diagonal value g_h of the root is the mean of the
 (h, h) spectral diagonal; the measurement is optimal exactly when all g_h
 agree, in which case the correct-decision probability is m * s * g^2.
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellations import GusEnsemble
-from .errors import GramSingular, NotPSD
-from .linalg import TOL_HERM, TOL_PSD, _circulant_blocks, _eigh, _sqrt_from_eig, circulant_eigenvalues
-from .srm import TOL_COND, SrmResult, _result_from_factor
+from .errors import NotPSD
+from .linalg import TOL_HERM, TOL_PSD, _circulant_blocks, _eigh, _mirror, _sqrt_from_eig, circulant_eigenvalues
+from .srm import TOL_COND, SrmResult, _check_independent
 
 
 @dataclass(frozen=True)
@@ -115,17 +115,12 @@ def fast_srm(
 ) -> tuple[SrmResult, np.ndarray]:
     """Square-root measurement through the block-circulant fast path.
 
-    Produces the same result as the dense route on the assembled Gram
-    matrix, plus the per-constellation diagonal values g_h; the states of
-    constellation h are each detected correctly with probability g_h^2.
+    Returns the same measurement as dense ``srm`` on the assembled Gram matrix,
+    held as the root's first rows, plus the per-constellation diagonal values
+    g_h; the states of constellation h are each detected correctly with probability g_h^2.
     """
     spectrum = block_diagonalize(ensemble)
     lowest, root_spectrum = _coupling_root(spectrum)
-    if lowest < tol_psd:
-        raise GramSingular(
-            f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
-            "the weighted states are not linearly independent"
-        )
-    factor = spectrum_to_matrix(root_spectrum)
-    factor = (factor + factor.conj().T) / 2.0
-    return _result_from_factor(factor), root_spectrum.diagonal_means()
+    _check_independent(lowest, tol_psd)
+    rows = np.fft.fft(root_spectrum.blocks, norm="forward")
+    return SrmResult((rows + _mirror(rows)) / 2.0), root_spectrum.diagonal_means()

@@ -150,6 +150,11 @@ class CirculantSpec:
         return _circulant_blocks(self.first_row[None, None, :])
 
 
+def _mirror(rows: np.ndarray) -> np.ndarray:
+    """First rows of the adjoint block-circulant matrix: ``conj(rows[k, h, -r mod m])`` at (h, k, r)."""
+    return rows.transpose(1, 0, 2)[:, :, -np.arange(rows.shape[2]) % rows.shape[2]].conj()
+
+
 def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
     """Dense (s*m, s*m) matrix whose (h, k) block is circulant with first row ``rows[h, k]``.
 

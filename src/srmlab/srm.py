@@ -22,6 +22,7 @@ optimal for the given ensemble:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .linalg import (
     TOL_HERM,
     TOL_PSD,
     TOL_RECON,
+    _circulant_blocks,
     _sqrt_from_eig,
     as_matrix,
     hermitian_eig,
@@ -51,20 +53,32 @@ TRACE_TOL = 1e-10
 class SrmResult:
     """Outcome of discriminating an ensemble with the square-root measurement.
 
-    ``factor`` is the Gram square root X, ``joint[i, j] = |X[i, j]|^2``
-    the joint input-output probability matrix (summing to one, with row
-    sums equal to the priors), ``per_state_correct`` its diagonal, and
-    ``pc`` the total correct-decision probability.
+    ``rows`` are the (s, s, m) first rows of the Gram square root X: block
+    (h, k) of X is the circulant with first row ``rows[h, k]`` (a dense root
+    has s = n, m = 1). ``per_state_correct`` and ``pc`` come from the seeds
+    ``rows[h, h, 0]``; ``factor`` and ``joint[i, j] = |X[i, j]|^2`` are built when read.
     """
 
-    factor: np.ndarray
-    joint: np.ndarray
-    per_state_correct: np.ndarray
-    pc: float
+    rows: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.per_state_correct)
+    @cached_property
+    def factor(self) -> np.ndarray:
+        return _circulant_blocks(self.rows)
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        return (self.factor * self.factor.conj()).real
+
+    @cached_property
+    def per_state_correct(self) -> np.ndarray:
+        seeds = self.rows[:, :, 0].diagonal()
+        per_state = (seeds * seeds.conj()).real.repeat(self.rows.shape[2])
+        per_state.setflags(write=False)
+        return per_state
+
+    @cached_property
+    def pc(self) -> float:
+        return float(self.per_state_correct.sum())
 
 
 @dataclass(frozen=True)
@@ -85,22 +99,17 @@ class OptimalityVerdict:
 class ChannelStats:
     """Input-output law of the classical channel induced by a measurement."""
 
-    joint: np.ndarray
     input_marginals: np.ndarray
     output_marginals: np.ndarray
     mutual_information: float
 
 
-def _result_from_factor(factor: np.ndarray) -> SrmResult:
-    joint = (factor * factor.conj()).real
-    per_state = np.diagonal(joint).copy()
-    per_state.setflags(write=False)
-    return SrmResult(
-        factor=factor,
-        joint=joint,
-        per_state_correct=per_state,
-        pc=float(per_state.sum()),
-    )
+def _check_independent(lowest: float, tol_psd: float) -> None:
+    if lowest < tol_psd:
+        raise GramSingular(
+            f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
+            "the weighted states are not linearly independent"
+        )
 
 
 def srm(gram, *, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM) -> SrmResult:
@@ -114,13 +123,8 @@ def srm(gram, *, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM) -> SrmRes
     trace = float(np.trace(g).real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"weighted Gram matrix must have unit trace, got {trace!r}")
-    lowest = float(eig.eigenvalues[0])
-    if lowest < tol_psd:
-        raise GramSingular(
-            f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
-            "the weighted states are not linearly independent"
-        )
-    return _result_from_factor(_sqrt_from_eig(eig.eigenvalues, eig.eigenvectors))
+    _check_independent(float(eig.eigenvalues[0]), tol_psd)
+    return SrmResult(_sqrt_from_eig(eig.eigenvalues, eig.eigenvectors)[:, :, None])
 
 
 def _min_eig(hermitian: np.ndarray) -> float:
@@ -318,18 +322,14 @@ def verify_theorem1(
 def channel_stats(result: SrmResult) -> ChannelStats:
     """Marginals and mutual information of the induced classical channel.
 
-    Mutual information is in bits, with the usual convention that terms
-    with zero joint probability contribute nothing.
+    Read from the root's first rows, each entry of ``|rows|^2`` counting m
+    times. Mutual information is in bits, with the usual convention that
+    terms with zero joint probability contribute nothing.
     """
-    joint = result.joint
-    sent = joint.sum(axis=1)
-    decided = joint.sum(axis=0)
-    mask = joint > 0.0
-    products = np.outer(sent, decided)
-    info = float((joint[mask] * np.log2(joint[mask] / products[mask])).sum())
-    return ChannelStats(
-        joint=joint,
-        input_marginals=sent,
-        output_marginals=decided,
-        mutual_information=max(info, 0.0),
-    )
+    m = result.rows.shape[2]
+    joint = (result.rows * result.rows.conj()).real
+    sent, decided = joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2))
+    h, k, r = np.nonzero(joint > 0.0)
+    p = joint[h, k, r]
+    info = m * float((p * np.log2(p / (sent[h] * decided[k]))).sum())
+    return ChannelStats(sent.repeat(m), decided.repeat(m), max(info, 0.0))

@@ -155,6 +155,18 @@ class TestPpmClosedForm:
         gap = ppm_closed_form(2, alpha).pc - 0.5
         assert 0 < gap < 1e-4
 
+    @pytest.mark.parametrize("photon_number", [1e-12, 1e-8])
+    @pytest.mark.parametrize("m", [2, 3, 16, 64])
+    def test_low_energy_excess_has_no_cancellation(self, m, photon_number):
+        # Pc - 1/m = (m-1) t (2h + (m-2) t) / m^2 with t = sqrt(1 - chi) from
+        # its series and h = sqrt(m - (m-1) t^2); no term cancels
+        n = photon_number
+        t = math.sqrt(n - n * n / 2 + n**3 / 6)
+        h = math.sqrt(m - (m - 1) * t * t)
+        reference = (m - 1) * t * (2 * h + (m - 2) * t) / m**2
+        excess = ppm_closed_form(m, math.sqrt(n)).pc - 1 / m
+        assert abs(excess - reference) <= 1e-8 * reference
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             ppm_closed_form(1, 1.0)
@@ -252,6 +264,9 @@ class TestEvaluateScheme:
         assert point.pc == pytest.approx(srm(weighted_gram(make_ppm(3, 1.0).base)).pc)
         assert point.pe == pytest.approx(1 - point.pc)
         assert point.mutual_info == pytest.approx(mutual_info_ppm(3, 1.0), abs=1e-10)
+        # an integral float slot count is the same point, held as an int
+        assert evaluate_scheme("ppm", 1.0, m=3.0) == point
+        assert type(evaluate_scheme("ppm", 1.0, m=3.0).m) is int
 
     def test_double_bpsk_point_matches_closed_form(self):
         point = evaluate_scheme("double_bpsk", 1.0, delta=math.pi / 2)
@@ -273,6 +288,10 @@ class TestEvaluateScheme:
             evaluate_scheme("ppm", 1.0)
         with pytest.raises(DomainError):
             evaluate_scheme("double_bpsk", 1.0)
+        for scheme in ("psk", "ppm", "double_ppm"):
+            for m in (2.5, 3.5, math.nan, math.inf):
+                with pytest.raises(DomainError, match="integer m"):
+                    evaluate_scheme(scheme, 1.0, m=m)
 
     def test_sweep_point_validates(self):
         with pytest.raises(ValueError):

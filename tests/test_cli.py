@@ -174,6 +174,20 @@ class TestSweep:
         assert len(rows) == 4
         assert all(float(row["mutual_info_bits"]) > 0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--scheme", "ppm", "--delta", "foo"],
+            ["--scheme", "double_bpsk", "--m", "x"],
+            ["--scheme", "ppm", "--p", "0.2"],
+        ],
+    )
+    def test_inapplicable_flags_are_still_checked(self, flags, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *flags, "--grid", "1:1:1", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_singular_sweep_is_numeric_failure(self, tmp_path):
         code = main(
             ["sweep", "--scheme", "double_bpsk", "--grid", "1:1:1", "--delta", "0", "--out", str(tmp_path / "x.csv")]

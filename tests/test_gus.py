@@ -1,12 +1,21 @@
 """Tests for the block-circulant fast path."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import random_gus_ensemble, single_gus_pc
-from srmlab.analysis import double_ppm_closed_form, pc_double_bpsk_equal_amp, ppm_closed_form
+from srmlab.analysis import (
+    double_ppm_closed_form,
+    evaluate_scheme,
+    mutual_info_double_ppm,
+    mutual_info_ppm,
+    pc_double_bpsk_equal_amp,
+    ppm_closed_form,
+)
+from srmlab.cli import rows_fig1, rows_fig23
 from srmlab.constellations import (
     coherent_inner,
     make_double_bpsk,
@@ -23,7 +32,7 @@ from srmlab.gus import (
     spectrum_to_matrix,
     trace_criterion,
 )
-from srmlab.linalg import TOL_RECON, circulant_eigenvalues, principal_sqrt
+from srmlab.linalg import TOL_PSD, TOL_RECON, circulant_eigenvalues, principal_sqrt
 from srmlab.srm import srm, verify_theorem1
 
 
@@ -237,6 +246,15 @@ class TestFastSrm:
             assert optimal
             assert abs(m * g[0] ** 2 - ppm_closed_form(m, alpha).pc) <= 1e-12
 
+            # the whole sweep point, Pc and MI read from the root's first rows
+            for scheme, form, info in (
+                ("ppm", ppm_closed_form, mutual_info_ppm),
+                ("double_ppm", double_ppm_closed_form, mutual_info_double_ppm),
+            ):
+                point = evaluate_scheme(scheme, alpha * alpha, m=m)
+                assert abs(point.pc - form(m, alpha).pc) <= 1e-12
+                assert abs(point.mutual_info - info(m, alpha)) <= 1e-10
+
     def test_one_eigendecomposition_and_no_dense_base(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
@@ -251,6 +269,30 @@ class TestFastSrm:
             fast_srm(ens)
             assert calls == [shape]
             assert "base" not in vars(ens)
+
+        # no (s m)^2 array on the sweep and figure paths: every dense
+        # block-circulant gather refuses
+        def refuse(rows):
+            raise AssertionError(f"dense gather of first rows {np.shape(rows)}")
+
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.startswith("srmlab") and hasattr(module, "_circulant_blocks"):
+                monkeypatch.setattr(module, "_circulant_blocks", refuse)
+                patched.add(name)
+        assert {"srmlab.linalg", "srmlab.constellations", "srmlab.gus", "srmlab.srm"} <= patched
+        for scheme, params in (
+            ("psk", {"m": 4}),
+            ("ppm", {"m": 8}),
+            ("double_ppm", {"m": 8}),
+            ("double_bpsk", {"delta": math.pi / 3}),
+        ):
+            point = evaluate_scheme(scheme, 1.0, **params)
+            assert 0.0 < point.pc < 1.0 and point.mutual_info > 0.0
+        (row,) = rows_fig1([1.0], [math.pi / 4], TOL_PSD)
+        assert row["pc"] == pytest.approx(pc_double_bpsk_equal_amp(1.0, math.pi / 4))
+        (row,) = rows_fig23([1.0], TOL_PSD)
+        assert 0.0 < row["p_star"] < 0.5 and 0.0 < row["pc"] < 1.0
 
     def test_rejects_coincident_constellations(self):
         with pytest.raises(GramSingular):
