@@ -4,9 +4,11 @@ States are never stored as amplitude vectors. A constellation records the
 prior probability of each state and the full matrix of pairwise inner
 products; the weighted Gram matrix assembled from those two ingredients is
 the complete input to everything downstream. Builders cover coherent-state
-binary phase keying in two constellations, pulse position modulation and
-its two-phase variant, plus a general constructor for any family of
-constellations sharing one cyclic symmetry.
+binary phase keying in two constellations, m-ary phase keying, pulse
+position modulation and its two-phase variant; each writes the first rows
+of its Gram blocks as an array and hands them to ``GusEnsemble``, the
+general constructor for any family of constellations sharing one cyclic
+symmetry.
 """
 
 from __future__ import annotations
@@ -96,12 +98,12 @@ class GusEnsemble:
     ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])`` and unit seeds. It
     keeps the upper blocks as supplied, derives the lower ones from them,
     symmetrises the diagonal rows and sets their seed entry to one. The
-    dense ``base`` constellation is assembled only when read.
+    dense ``base`` constellation, with ``Constellation``'s default labels,
+    is assembled only when read.
     """
 
     rows: np.ndarray
     constellation_priors: np.ndarray
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=complex)
@@ -138,15 +140,10 @@ class GusEnsemble:
         rows[diag, diag] = (rows[diag, diag] + mirror[diag, diag]) / 2.0
         rows[diag, diag, 0] = 1.0
 
-        labels = tuple(self.labels) or tuple(f"c{h}s{i}" for h in range(s) for i in range(m))
-        if len(labels) != s * m:
-            raise ValueError(f"expected {s * m} labels, got {len(labels)}")
-
         rows.setflags(write=False)
         q.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "constellation_priors", q)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def s(self) -> int:
@@ -162,7 +159,6 @@ class GusEnsemble:
         return Constellation(
             priors=np.repeat(self.constellation_priors, self.m),
             overlaps=_circulant_blocks(self.rows),
-            labels=self.labels,
         )
 
 
@@ -187,22 +183,21 @@ def weighted_gram(constellation: Constellation) -> np.ndarray:
     return np.outer(w, w) * constellation.overlaps
 
 
-def make_gus_from_base(s: int, m: int, base_inners, priors, *, labels=None) -> GusEnsemble:
-    """General constructor for multi-constellation ensembles with one symmetry.
+def _cyclic_order(m, what: str) -> int:
+    """The number m of cyclic shifts, as an int; ``ValueError`` unless it is an integer >= 2."""
+    if m < 2:
+        raise ValueError(f"need at least two {what}")
+    if not float(m).is_integer():
+        raise ValueError(f"the number of {what} must be an integer, got {m}")
+    return int(m)
 
-    ``base_inners(h, k, r)`` must return the inner product between the
-    seed state of constellation h and the r-step shift of the seed state
-    of constellation k, for shifts r = 0..m-1. The rule must be
-    Hermitian-consistent, i.e. ``base_inners(k, h, (m - r) % m)`` equal to
-    the conjugate of ``base_inners(h, k, r)``, and unit-norm on the
-    diagonal (``base_inners(h, h, 0) == 1``). ``priors`` gives one
-    per-state prior per constellation, with m * sum(priors) = 1.
-    """
-    if s < 1 or m < 1:
-        raise ValueError("need s >= 1 constellations of m >= 1 states")
-    rows = [[[complex(base_inners(h, k, r)) for r in range(m)] for k in range(s)] for h in range(s)]
-    labels = () if labels is None else labels
-    return GusEnsemble(rows=rows, constellation_priors=priors, labels=labels)
+
+def _amplitude_chi(alpha: float) -> float:
+    """Vacuum overlap chi = exp(-alpha^2) of a pulse with positive amplitude alpha."""
+    a = float(alpha)
+    if a <= 0:
+        raise ValueError("amplitude must be positive")
+    return math.exp(-a * a)
 
 
 def make_double_bpsk(alpha, beta, p: float) -> GusEnsemble:
@@ -215,25 +210,16 @@ def make_double_bpsk(alpha, beta, p: float) -> GusEnsemble:
     if not 0.0 < p < 0.5:
         raise InvalidPrior(f"p must lie strictly between 0 and 1/2, got {p}")
     seeds = (complex(alpha), complex(beta))
-
-    def rule(h: int, k: int, r: int) -> complex:
-        return coherent_inner(seeds[h], seeds[k] * (-1) ** r)
-
-    labels = ("alpha+", "alpha-", "beta+", "beta-")
-    return make_gus_from_base(2, 2, rule, (p, 0.5 - p), labels=labels)
+    rows = [[[coherent_inner(a, b * (-1) ** r) for r in range(2)] for b in seeds] for a in seeds]
+    return GusEnsemble(rows=rows, constellation_priors=(p, 0.5 - p))
 
 
 def make_psk(m: int, alpha) -> GusEnsemble:
     """Single equiprobable constellation of m phase-rotated coherent states."""
-    if m < 2:
-        raise ValueError("need at least two phases")
+    m = _cyclic_order(m, "phases")
     seed = complex(alpha)
-
-    def rule(h: int, k: int, r: int) -> complex:
-        return coherent_inner(seed, seed * cmath.exp(2j * cmath.pi * r / m))
-
-    labels = tuple(f"phase{i}" for i in range(m))
-    return make_gus_from_base(1, m, rule, (1.0 / m,), labels=labels)
+    row = [coherent_inner(seed, seed * cmath.exp(2j * cmath.pi * r / m)) for r in range(m)]
+    return GusEnsemble(rows=[[row]], constellation_priors=(1.0 / m,))
 
 
 def make_ppm(m: int, alpha: float) -> GusEnsemble:
@@ -244,18 +230,10 @@ def make_ppm(m: int, alpha: float) -> GusEnsemble:
     positions overlap through the vacuum component only, with chi =
     exp(-alpha^2).
     """
-    if m < 2:
-        raise ValueError("need at least two slots")
-    a = float(alpha)
-    if a <= 0:
-        raise ValueError("amplitude must be positive")
-    chi = math.exp(-a * a)
-
-    def rule(h: int, k: int, r: int) -> complex:
-        return 1.0 if r == 0 else chi
-
-    labels = tuple(f"slot{i}" for i in range(m))
-    return make_gus_from_base(1, m, rule, (1.0 / m,), labels=labels)
+    m = _cyclic_order(m, "slots")
+    rows = np.full((1, 1, m), _amplitude_chi(alpha), dtype=complex)
+    rows[0, 0, 0] = 1.0
+    return GusEnsemble(rows=rows, constellation_priors=(1.0 / m,))
 
 
 def make_double_ppm(m: int, alpha: float) -> GusEnsemble:
@@ -266,17 +244,8 @@ def make_double_ppm(m: int, alpha: float) -> GusEnsemble:
     equiprobable. Same-slot opposite-phase states overlap with chi^2,
     everything else with chi = exp(-alpha^2).
     """
-    if m < 2:
-        raise ValueError("need at least two slots")
-    a = float(alpha)
-    if a <= 0:
-        raise ValueError("amplitude must be positive")
-    chi = math.exp(-a * a)
-
-    def rule(h: int, k: int, r: int) -> complex:
-        if r != 0:
-            return chi
-        return 1.0 if h == k else chi * chi
-
-    labels = tuple(f"slot{i}+" for i in range(m)) + tuple(f"slot{i}-" for i in range(m))
-    return make_gus_from_base(2, m, rule, (0.5 / m, 0.5 / m), labels=labels)
+    m = _cyclic_order(m, "slots")
+    chi = _amplitude_chi(alpha)
+    rows = np.full((2, 2, m), chi, dtype=complex)
+    rows[:, :, 0] = [[1.0, chi * chi], [chi * chi, 1.0]]
+    return GusEnsemble(rows=rows, constellation_priors=(0.5 / m, 0.5 / m))

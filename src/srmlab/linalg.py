@@ -66,10 +66,6 @@ class HermitianEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
@@ -142,10 +138,6 @@ class CirculantSpec:
         row.setflags(write=False)
         object.__setattr__(self, "first_row", row)
 
-    @property
-    def dim(self) -> int:
-        return len(self.first_row)
-
     def matrix(self) -> np.ndarray:
         return _circulant_blocks(self.first_row[None, None, :])
 
@@ -166,16 +158,15 @@ def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
     return rows[:, :, shift].transpose(0, 2, 1, 3).reshape(s * m, s * m)
 
 
-def circulant_eigenvalues(spec) -> np.ndarray:
+def circulant_eigenvalues(rows) -> np.ndarray:
     """Eigenvalues of a circulant matrix: the DFT of its first row.
 
     Bin ``k`` carries ``sum_r c[r] exp(+2i*pi*k*r/m)``, i.e. ``m * ifft(c)``;
     the phase sign matches ``fourier_matrix``, so ``F @ diag(lam) @ F†``
-    rebuilds the matrix. Accepts a ``CirculantSpec`` or an array of first
-    rows and transforms along its last axis, so a stack of rows gives the
-    stacked spectra in one FFT.
+    rebuilds the matrix. Transforms an array of first rows along its last
+    axis, so a stack of rows gives the stacked spectra in one FFT.
     """
-    c = spec.first_row if isinstance(spec, CirculantSpec) else np.asarray(spec, dtype=complex)
+    c = np.asarray(rows, dtype=complex)
     if c.size == 0 or not np.all(np.isfinite(c)):
         raise ValueError("first rows must be non-empty and finite")
     return np.fft.ifft(c, norm="forward")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from srmlab.constellations import GusEnsemble, make_gus_from_base, weighted_gram
+from srmlab.constellations import GusEnsemble, weighted_gram
 from srmlab.linalg import CirculantSpec, circulant_eigenvalues, circulant_from_eigenvalues
 
 
@@ -42,12 +42,13 @@ def random_gus_ensemble(
         seeds = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
         coords = seeds @ basis.conj()
 
-        def rule(h: int, k: int, r: int) -> complex:
-            return complex(np.sum(np.conj(coords[h]) * phases**r * coords[k]))
-
+        rows = [
+            [[np.sum(np.conj(coords[h]) * phases**r * coords[k]) for r in range(m)] for k in range(s)]
+            for h in range(s)
+        ]
         raw = rng.uniform(0.2, 1.0, size=s)
         priors = raw / raw.sum() / m
-        ensemble = make_gus_from_base(s, m, rule, priors)
+        ensemble = GusEnsemble(rows=rows, constellation_priors=priors)
         gram = weighted_gram(ensemble.base)
         if np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0] > min_eig:
             return ensemble

@@ -199,8 +199,8 @@ class TestDoublePpmClosedForm:
             chi = math.exp(-1)
             form = double_ppm_closed_form(m, alpha)
             spectrum = block_diagonalize(make_double_ppm(m, alpha))
-            lam0 = spectrum.blocks[0, 0].real
-            lam1 = spectrum.blocks[0, 1].real
+            lam0 = spectrum[:, 0, 0].real
+            lam1 = spectrum[:, 0, 1].real
             # head bin
             assert form.same_head**2 + form.flip_head**2 == pytest.approx(lam0[0], abs=1e-12)
             assert 2 * form.same_head * form.flip_head == pytest.approx(lam1[0], abs=1e-12)

@@ -13,7 +13,6 @@ from srmlab.constellations import (
     coherent_inner,
     make_double_bpsk,
     make_double_ppm,
-    make_gus_from_base,
     make_ppm,
     make_psk,
     weighted_gram,
@@ -181,6 +180,11 @@ class TestPpm:
             make_ppm(1, 1.0)
         with pytest.raises(ValueError):
             make_ppm(3, 0.0)
+        # a non-integral number of slots or phases is a ValueError, not a TypeError
+        for build in (make_psk, make_ppm, make_double_ppm):
+            for m in (1, 2.5, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    build(m, 1.0)
 
 
 class TestDoublePpm:
@@ -217,6 +221,24 @@ class TestDoublePpm:
 
 
 class TestGusFromBase:
+    # every builder is pinned bitwise to first rows written out here, entry
+    # by entry, from coherent_inner and chi
+
+    @staticmethod
+    def assert_builds(rows, priors, named):
+        built = GusEnsemble(rows=rows, constellation_priors=priors)
+        np.testing.assert_array_equal(built.rows, named.rows)
+        np.testing.assert_array_equal(built.constellation_priors, named.constellation_priors)
+        return built
+
+    @staticmethod
+    def bpsk_rows(alpha, beta):
+        seeds = (complex(alpha), complex(beta))
+        return [
+            [[coherent_inner(seeds[h], seeds[k] * (-1) ** r) for r in range(2)] for k in range(2)]
+            for h in range(2)
+        ]
+
     def test_single_constellation_is_circulant(self):
         ens = make_psk(4, 1.0)
         assert ens.s == 1 and ens.m == 4
@@ -224,30 +246,33 @@ class TestGusFromBase:
         expected = [coherent_inner(1.0, cmath.exp(2j * cmath.pi * r / 4)) for r in range(4)]
         np.testing.assert_allclose(row, expected, atol=1e-14)
 
+        for m, alpha in ((2, 0.6), (5, 1.0 + 0.4j), (12, 1.7)):
+            seed = complex(alpha)
+            row = [coherent_inner(seed, seed * cmath.exp(2j * cmath.pi * r / m)) for r in range(m)]
+            self.assert_builds([[row]], (1.0 / m,), make_psk(m, alpha))
+            chi = math.exp(-(abs(alpha) ** 2))
+            row = [1.0 if r == 0 else chi for r in range(m)]
+            self.assert_builds([[row]], (1.0 / m,), make_ppm(m, abs(alpha)))
+
     def test_reproduces_double_bpsk(self):
         alpha, beta, p = 1.0, 1j, 0.25
-        seeds = (complex(alpha), complex(beta))
-
-        def rule(h, k, r):
-            return coherent_inner(seeds[h], seeds[k] * (-1) ** r)
-
-        built = make_gus_from_base(2, 2, rule, (p, 0.5 - p))
         named = make_double_bpsk(alpha, beta, p)
+        built = self.assert_builds(self.bpsk_rows(alpha, beta), (p, 0.5 - p), named)
         np.testing.assert_array_equal(built.base.overlaps, named.base.overlaps)
         np.testing.assert_array_equal(built.base.priors, named.base.priors)
 
+        for alpha, beta, p in ((0.7, 2.1, 0.4), (1.0, 3.0, 0.1), (0.5, 0.3 - 0.8j, 0.3), (1.2, -0.4, 0.2)):
+            named = make_double_bpsk(alpha, beta, p)
+            self.assert_builds(self.bpsk_rows(alpha, beta), (p, 0.5 - p), named)
+
     def test_reproduces_double_ppm(self):
-        m, alpha = 3, 0.9
-        chi = math.exp(-(alpha**2))
-
-        def rule(h, k, r):
-            if r != 0:
-                return chi
-            return 1.0 if h == k else chi * chi
-
-        built = make_gus_from_base(2, m, rule, (0.5 / m, 0.5 / m))
-        named = make_double_ppm(m, alpha)
-        np.testing.assert_array_equal(built.base.overlaps, named.base.overlaps)
+        for m, alpha in ((3, 0.9), (2, 0.1), (16, 1.5)):
+            chi = math.exp(-(alpha**2))
+            seeds = [[1.0, chi * chi], [chi * chi, 1.0]]
+            rows = [[[seeds[h][k] if r == 0 else chi for r in range(m)] for k in range(2)] for h in range(2)]
+            named = make_double_ppm(m, alpha)
+            built = self.assert_builds(rows, (0.5 / m, 0.5 / m), named)
+            np.testing.assert_array_equal(built.base.overlaps, named.base.overlaps)
 
     def test_blocks_are_exactly_circulant(self):
         rng = np.random.default_rng(23)
@@ -274,27 +299,19 @@ class TestGusFromBase:
         )
 
     def test_rejects_bad_prior_normalization(self):
-        def rule(h, k, r):
-            return 1.0 if r == 0 and h == k else 0.0
-
+        rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         with pytest.raises(InvalidPrior):
-            make_gus_from_base(2, 2, rule, (0.25, 0.35))
+            GusEnsemble(rows=rows, constellation_priors=(0.25, 0.35))
 
     def test_rejects_inconsistent_rule(self):
-        def rule(h, k, r):
-            if h == k:
-                return 1.0 if r == 0 else 0.1
-            return 0.2 if h < k else 0.9  # not the conjugate mirror
-
+        # the (1, 0) row is not the conjugate mirror of the (0, 1) row
+        rows = [[[1.0, 0.1], [0.2, 0.2]], [[0.9, 0.9], [1.0, 0.1]]]
         with pytest.raises(ValueError):
-            make_gus_from_base(2, 2, rule, (0.25, 0.25))
+            GusEnsemble(rows=rows, constellation_priors=(0.25, 0.25))
 
     def test_rejects_non_unit_seed(self):
-        def rule(h, k, r):
-            return 0.9 if r == 0 else 0.0
-
         with pytest.raises(ValueError):
-            make_gus_from_base(1, 2, rule, (0.5,))
+            GusEnsemble(rows=[[[0.9, 0.0]]], constellation_priors=(0.5,))
 
 
 class TestGusEnsembleInvariants:
