@@ -49,18 +49,12 @@ from .errors import (
     SingularFactor,
     SrmLabError,
 )
-from .gus import block_diagonalize, block_sqrt, fast_srm, spectrum_to_matrix, trace_criterion
+from .gus import block_diagonalize, fast_srm, trace_criterion
 from .linalg import (
     TOL_HERM,
     TOL_PSD,
     TOL_RECON,
-    CirculantSpec,
-    HermitianEig,
     circulant_eigenvalues,
-    circulant_from_eigenvalues,
-    fourier_matrix,
-    hermitian_eig,
-    is_psd,
     principal_sqrt,
 )
 from .srm import (
@@ -79,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelStats",
-    "CirculantSpec",
     "Constellation",
     "ConvergenceFailure",
     "DomainError",
@@ -87,7 +80,6 @@ __all__ = [
     "GramFileError",
     "GramSingular",
     "GusEnsemble",
-    "HermitianEig",
     "InputError",
     "InvalidFactorization",
     "InvalidPrior",
@@ -108,20 +100,15 @@ __all__ = [
     "TOL_PSD",
     "TOL_RECON",
     "block_diagonalize",
-    "block_sqrt",
     "channel_stats",
     "check_theorem2",
     "check_theorem3",
     "circulant_eigenvalues",
-    "circulant_from_eigenvalues",
     "coherent_inner",
     "double_bpsk_block_traces",
     "double_ppm_closed_form",
     "evaluate_scheme",
     "fast_srm",
-    "fourier_matrix",
-    "hermitian_eig",
-    "is_psd",
     "make_double_bpsk",
     "make_double_ppm",
     "make_ppm",
@@ -134,7 +121,6 @@ __all__ = [
     "pc_double_bpsk_equal_amp",
     "ppm_closed_form",
     "principal_sqrt",
-    "spectrum_to_matrix",
     "srm",
     "trace_criterion",
     "verify_theorem1",

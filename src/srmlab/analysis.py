@@ -35,6 +35,11 @@ TOL_ROOT = 1e-12
 _BRACKET_MARGIN = 1e-6
 
 
+def _check_amplitude(a: float) -> None:
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"amplitude must be positive and finite, got {a}")
+
+
 def _sqrt0(value: float) -> float:
     """Square root with tiny negative roundoff clamped to zero."""
     return math.sqrt(value) if value > 0.0 else 0.0
@@ -89,8 +94,7 @@ def pc_double_bpsk_equal_amp(alpha: float, delta: float) -> float:
     """
     a = float(alpha)
     d = float(delta)
-    if a <= 0.0:
-        raise DomainError(f"amplitude must be positive, got {alpha}")
+    _check_amplitude(a)
     if not 0.0 <= d <= math.pi / 2.0 + 1e-12:
         raise DomainError(f"phase offset must lie in [0, pi/2], got {delta}")
     eta, chi, xi = _equal_amp_overlaps(a, d)
@@ -122,7 +126,7 @@ def pam4_block_traces(alpha: float, p: float) -> tuple[float, float]:
     return double_bpsk_block_traces(p, eta_a, eta_b, chi, xi)
 
 
-def optimize_prior_4pam(alpha: float, *, tol_root: float = TOL_ROOT) -> float:
+def optimize_prior_4pam(alpha: float) -> float:
     """Prior p making the square-root measurement optimal for 4-level PAM.
 
     Solves g_1(p) = g_2(p) by bracketed bisection of the gap on
@@ -132,8 +136,7 @@ def optimize_prior_4pam(alpha: float, *, tol_root: float = TOL_ROOT) -> float:
     from the closed-form overlaps of ``pam4_overlaps``.
     """
     a = float(alpha)
-    if a <= 0.0:
-        raise DomainError(f"amplitude must be positive, got {alpha}")
+    _check_amplitude(a)
 
     def gap(p: float) -> float:
         g1, g2 = pam4_block_traces(a, p)
@@ -159,7 +162,7 @@ def optimize_prior_4pam(alpha: float, *, tol_root: float = TOL_ROOT) -> float:
         lo, hi = float(scan[flips[0]]), float(scan[flips[0] + 1])
         gap_lo = gap(lo)
 
-    while hi - lo > tol_root:
+    while hi - lo > TOL_ROOT:
         mid = 0.5 * (lo + hi)
         gap_mid = gap(mid)
         if gap_mid == 0.0:
@@ -267,10 +270,9 @@ def double_ppm_closed_form(m: int, alpha: float) -> DoublePpmClosedForm:
 
 
 def _validate_ppm_args(m: int, alpha: float) -> None:
-    if int(m) != m or m < 2:
+    if not (math.isfinite(m) and int(m) == m and m >= 2):
         raise DomainError(f"slot count must be an integer >= 2, got {m}")
-    if float(alpha) <= 0.0:
-        raise DomainError(f"amplitude must be positive, got {alpha}")
+    _check_amplitude(float(alpha))
 
 
 def _xlog2x(value: float) -> float:
@@ -367,8 +369,8 @@ def evaluate_scheme(
     fast path; mutual information comes from the induced channel of the
     computed measurement.
     """
-    if photon_number <= 0.0:
-        raise DomainError(f"mean photon number must be positive, got {photon_number}")
+    if not (math.isfinite(photon_number) and photon_number > 0.0):
+        raise DomainError(f"mean photon number must be positive and finite, got {photon_number}")
     if scheme not in _SCHEME_TABLE:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     fields, what, build = _SCHEME_TABLE[scheme]

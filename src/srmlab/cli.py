@@ -400,8 +400,8 @@ def cmd_check(args) -> int:
     result = srm(gram, tol_psd=args.tol_psd)
 
     lines = [f"states {constellation.n}", f"pc {fmt(result.pc)}", f"pe {fmt(1.0 - result.pc)}"]
-    for i, label in enumerate(constellation.labels):
-        lines.append(f"correct {i} {label} {fmt(result.per_state_correct[i])}")
+    for i, correct in enumerate(result.per_state_correct):
+        lines.append(f"correct {i} state{i} {fmt(correct)}")
     if blocks is not None:
         try:
             verdict3 = check_theorem3(
@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
-        p.add_argument("--tol-cond", dest="tol_cond", type=float, default=TOL_COND)
 
     def add_grid(p):
         p.add_argument(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,20 +33,18 @@ class Constellation:
 
     ``priors`` are the positive state probabilities (summing to one) and
     ``overlaps[i, j]`` is the inner product of unit-norm states i and j,
-    so the matrix is Hermitian with unit diagonal. ``labels`` are display
-    names used in reports.
+    so the matrix is Hermitian with unit diagonal.
     """
 
     priors: np.ndarray
     overlaps: np.ndarray
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         priors = np.array(self.priors, dtype=float).reshape(-1)
         n = len(priors)
         if n == 0:
             raise InvalidPrior("a constellation needs at least one state")
-        if np.any(priors <= 0):
+        if not np.all(priors > 0):
             raise InvalidPrior("priors must be strictly positive")
         if abs(priors.sum() - 1.0) > PRIOR_TOL:
             raise InvalidPrior(f"priors must sum to 1, got {priors.sum()!r}")
@@ -65,22 +63,14 @@ class Constellation:
         overlaps = (overlaps + overlaps.conj().T) / 2.0
         np.fill_diagonal(overlaps, 1.0)
 
-        labels = tuple(self.labels) or tuple(f"state{i}" for i in range(n))
-        if len(labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(labels)}")
-
         priors.setflags(write=False)
         overlaps.setflags(write=False)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "overlaps", overlaps)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
         return len(self.priors)
-
-    def inner(self, i: int, j: int) -> complex:
-        return complex(self.overlaps[i, j])
 
 
 @dataclass(frozen=True)
@@ -98,8 +88,7 @@ class GusEnsemble:
     ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])`` and unit seeds. It
     keeps the upper blocks as supplied, derives the lower ones from them,
     symmetrises the diagonal rows and sets their seed entry to one. The
-    dense ``base`` constellation, with ``Constellation``'s default labels,
-    is assembled only when read.
+    dense ``base`` constellation is assembled only when read.
     """
 
     rows: np.ndarray
@@ -115,7 +104,7 @@ class GusEnsemble:
         q = np.array(self.constellation_priors, dtype=float).reshape(-1)
         if len(q) != s:
             raise InvalidPrior(f"expected {s} constellation priors, got {len(q)}")
-        if np.any(q <= 0):
+        if not np.all(q > 0):
             raise InvalidPrior("constellation priors must be strictly positive")
         if abs(m * q.sum() - 1.0) > PRIOR_TOL:
             raise InvalidPrior(

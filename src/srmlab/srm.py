@@ -5,8 +5,12 @@ The measurement itself is the principal square root X of the Gram matrix:
 weighted state i, so ``|X[i, j]|^2`` is the joint probability of sending i
 and deciding j (the factor is Hermitian, so either index may play either
 role), and the correct-decision probability is the sum of squared diagonal
-entries. Three certificates decide whether this measurement is globally
-optimal for the given ensemble:
+entries. ``srm`` treats a dense Gram matrix as the one-bin case (s = n,
+m = 1) of the block-circulant path: it and ``gus.fast_srm`` hand the
+eigenpairs of an (m, s, s) coupling stack to one private tail, which tests
+for singularity, takes the clamped root and returns its first rows. Three
+certificates decide whether this measurement is globally optimal for the
+given ensemble:
 
 * ``check_theorem2``: necessary and sufficient conditions on any candidate
   factor X, a diagonal-balance identity per state pair plus positive
@@ -34,13 +38,14 @@ from .errors import (
     SingularFactor,
 )
 from .linalg import (
-    TOL_HERM,
     TOL_PSD,
     TOL_RECON,
     _circulant_blocks,
+    _eigh,
+    _first_rows,
+    _mirror,
     _sqrt_from_eig,
     as_matrix,
-    hermitian_eig,
     hermiticity_defect,
     principal_sqrt,
 )
@@ -104,27 +109,38 @@ class ChannelStats:
     mutual_information: float
 
 
-def _check_independent(lowest: float, tol_psd: float) -> None:
+def _srm_from_eig(w: np.ndarray, v: np.ndarray, tol_psd: float) -> tuple[SrmResult, np.ndarray]:
+    """The measurement from the eigenpairs of an (m, s, s) coupling stack, and the stack's root.
+
+    Raises ``GramSingular`` when the smallest eigenvalue over all bins falls
+    below ``tol_psd``. The root's first rows are averaged with their mirror,
+    so the factor they describe is exactly Hermitian.
+    """
+    lowest = float(w[:, 0].min())
     if lowest < tol_psd:
         raise GramSingular(
             f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
             "the weighted states are not linearly independent"
         )
+    root = _sqrt_from_eig(w, v)
+    rows = _first_rows(root)
+    return SrmResult((rows + _mirror(rows)) / 2.0), root
 
 
-def srm(gram, *, tol_psd: float = TOL_PSD, tol_herm: float = TOL_HERM) -> SrmResult:
+def srm(gram, *, tol_psd: float = TOL_PSD) -> SrmResult:
     """Square-root measurement of a unit-trace, positive definite Gram matrix.
 
-    Raises ``GramSingular`` when the smallest eigenvalue falls below
-    ``tol_psd``, which is how linearly dependent state sets surface here.
+    The Gram matrix is the one-bin case of the block-circulant path (s = n,
+    m = 1), so it takes the same root kernel as ``fast_srm``. Raises
+    ``GramSingular`` when the smallest eigenvalue falls below ``tol_psd``,
+    which is how linearly dependent state sets surface here.
     """
     g = as_matrix(gram)
-    eig = hermitian_eig(g, tol_herm=tol_herm)
+    w, v = _eigh(g[None])
     trace = float(np.trace(g).real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"weighted Gram matrix must have unit trace, got {trace!r}")
-    _check_independent(float(eig.eigenvalues[0]), tol_psd)
-    return SrmResult(_sqrt_from_eig(eig.eigenvalues, eig.eigenvectors)[:, :, None])
+    return _srm_from_eig(w, v, tol_psd)[0]
 
 
 def _min_eig(hermitian: np.ndarray) -> float:
@@ -201,7 +217,6 @@ def check_theorem3(
     *,
     tol_cond: float = TOL_COND,
     tol_psd: float = TOL_PSD,
-    tol_herm: float = TOL_HERM,
 ) -> OptimalityVerdict:
     """Optimality test for a Gram matrix that is block diagonal.
 
@@ -218,6 +233,8 @@ def check_theorem3(
     indices = sorted(i for block in partition for i in block)
     if indices != list(range(n)):
         raise ValueError("blocks must partition the state indices exactly once each")
+    if not all(partition):
+        raise ValueError("every block must hold at least one state index")
 
     inside = np.zeros((n, n), dtype=bool)
     for block in partition:
@@ -240,7 +257,7 @@ def check_theorem3(
     worst_spread = -1.0
     worst_block = -1
     for b, sub in enumerate(submatrices):
-        root = principal_sqrt(sub, tol_psd=tol_psd, tol_herm=tol_herm)
+        root = principal_sqrt(sub, tol_psd=tol_psd)
         diag = np.diagonal(root).real
         spread = float(diag.max() - diag.min())
         if spread > worst_spread:
@@ -262,13 +279,12 @@ def verify_theorem1(
     gram,
     factor,
     *,
-    tol_recon: float = TOL_RECON,
     tol_cond: float = TOL_COND,
     tol_psd: float = TOL_PSD,
 ) -> OptimalityVerdict:
     """Ground-truth optimality certificate for any factorization of the Gram.
 
-    Requires ``X† X`` to reproduce the Gram matrix within ``tol_recon``
+    Requires ``X† X`` to reproduce the Gram matrix within ``TOL_RECON``
     (else ``InvalidFactorization``). In the measurement basis it forms
     ``Y[j, k] = X[j, k] conj(X[k, k])`` and the rank-one weighted state
     matrices ``W_r = x_r x_r†`` (x_r the r-th column of X), then demands
@@ -282,9 +298,9 @@ def verify_theorem1(
     if x.shape != g.shape:
         raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {g.shape}")
     residual = float(np.abs(x.conj().T @ x - g).max())
-    if residual > tol_recon:
+    if residual > TOL_RECON:
         raise InvalidFactorization(
-            f"X†X differs from the Gram matrix by {residual:.3e} (tolerance {tol_recon:g})"
+            f"X†X differs from the Gram matrix by {residual:.3e} (tolerance {TOL_RECON:g})"
         )
 
     diag = np.diagonal(x)

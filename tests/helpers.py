@@ -1,9 +1,85 @@
-"""Deterministic generators and independent oracles shared by the test suite."""
+"""Deterministic generators and independent oracles shared by the test suite.
+
+Also the test references that the library does not need: the unitary
+Fourier matrix, dense circulants from a first row or a spectrum, a PSD
+test, the eigendecomposition record, the spectral square root and the
+dense assembly of a coupling stack.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from srmlab.constellations import GusEnsemble, weighted_gram
-from srmlab.linalg import CirculantSpec, circulant_eigenvalues, circulant_from_eigenvalues
+from srmlab.linalg import _circulant_blocks, _eigh, _first_rows, as_matrix, circulant_eigenvalues
+
+
+def fourier_matrix(m: int) -> np.ndarray:
+    """Unitary Fourier matrix with entries exp(+2i*pi*k*h/m)/sqrt(m)."""
+    if m < 1:
+        raise ValueError("dimension must be at least 1")
+    idx = np.arange(m)
+    return np.exp(2j * np.pi * np.outer(idx, idx) / m) / np.sqrt(m)
+
+
+@dataclass(frozen=True)
+class CirculantSpec:
+    """A circulant matrix ``G[i, j] = first_row[(j - i) mod m]``, stored as its first row."""
+
+    first_row: np.ndarray
+
+    def __post_init__(self):
+        row = np.array(self.first_row, dtype=complex).reshape(-1)
+        if len(row) == 0 or not np.all(np.isfinite(row)):
+            raise ValueError("first row must be non-empty and finite")
+        object.__setattr__(self, "first_row", row)
+
+    def matrix(self) -> np.ndarray:
+        return _circulant_blocks(self.first_row[None, None, :])
+
+
+def circulant_from_eigenvalues(eigenvalues) -> CirculantSpec:
+    """Inverse DFT: recover the first row ``fft(lam) / m`` from circulant eigenvalues."""
+    lam = np.asarray(eigenvalues, dtype=complex).reshape(-1)
+    if len(lam) == 0:
+        raise ValueError("eigenvalue list must be non-empty")
+    return CirculantSpec(np.fft.fft(lam, norm="forward"))
+
+
+@dataclass(frozen=True)
+class HermitianEig:
+    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        v = self.eigenvectors
+        return (v * self.eigenvalues) @ v.conj().T
+
+
+def hermitian_eig(mat) -> HermitianEig:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    return HermitianEig(*_eigh(as_matrix(mat)))
+
+
+def is_psd(mat, tol: float) -> tuple[bool, float]:
+    """``(verdict, min_eigenvalue)``; the verdict is true iff the minimum is at least ``-tol``."""
+    lowest = float(hermitian_eig(mat).eigenvalues[0])
+    return lowest >= -tol, lowest
+
+
+def block_sqrt(spectrum: np.ndarray) -> np.ndarray:
+    """Principal root of every coupling matrix of an (m, s, s) stack, small negatives clamped."""
+    w, v = _eigh(spectrum)
+    adjoint = v.conj().swapaxes(-1, -2)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ adjoint
+    return (root + root.conj().swapaxes(-1, -2)) / 2.0
+
+
+def spectrum_to_matrix(spectrum: np.ndarray) -> np.ndarray:
+    """Dense matrix whose (h, k) block is F diag(spectrum[:, h, k]) F†."""
+    return _circulant_blocks(_first_rows(spectrum))
 
 
 def random_unit_trace_gram(rng: np.random.Generator, n: int, min_eig: float = 1e-6) -> np.ndarray:
@@ -29,15 +105,18 @@ def random_gus_ensemble(
     """Random valid ensemble of s constellations sharing one cyclic symmetry.
 
     Builds an order-m unitary symmetry explicitly (random eigenbasis with
-    m-th roots of unity as eigenvalues) and s random unit seed vectors,
-    then reads off the base inner products. Resamples until the weighted
-    Gram matrix is comfortably positive definite.
+    m-th roots of unity as eigenvalues, each root on s basis vectors plus
+    two random extras, so every phase class can hold the s seeds) and s
+    random unit seed vectors, then reads off the base inner products.
+    Resamples until the weighted Gram matrix is comfortably positive
+    definite.
     """
     dim = s * m + 2
     while True:
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         basis, _ = np.linalg.qr(z)
-        phases = np.exp(2j * np.pi * rng.integers(0, m, size=dim) / m)
+        classes = np.concatenate([np.repeat(np.arange(m), s), rng.integers(0, m, size=2)])
+        phases = np.exp(2j * np.pi * classes / m)
         seeds = rng.normal(size=(s, dim)) + 1j * rng.normal(size=(s, dim))
         seeds = seeds / np.linalg.norm(seeds, axis=1, keepdims=True)
         coords = seeds @ basis.conj()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import random_gus_ensemble, random_unit_trace_gram, single_gus_pc
+from helpers import block_sqrt, random_gus_ensemble, random_unit_trace_gram, single_gus_pc
 from srmlab import analysis
 from srmlab.cli import main
 from srmlab.constellations import (
@@ -32,7 +32,7 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import ReducibleBlock
-from srmlab.gus import block_diagonalize, block_sqrt, fast_srm, trace_criterion
+from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
 from srmlab.linalg import principal_sqrt
 from srmlab.srm import channel_stats, check_theorem2, check_theorem3, srm, verify_theorem1
 

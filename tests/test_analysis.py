@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import single_gus_pc
+from helpers import block_sqrt, single_gus_pc
 from srmlab import analysis
 from srmlab.analysis import (
     SweepPoint,
@@ -27,7 +27,7 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import DomainError, GramSingular
-from srmlab.gus import block_diagonalize, block_sqrt, fast_srm, trace_criterion
+from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
 from srmlab.linalg import principal_sqrt
 from srmlab.srm import channel_stats, srm, verify_theorem1
 
@@ -72,8 +72,11 @@ class TestEqualAmplitudePairs:
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                pc_double_bpsk_equal_amp(alpha, math.pi / 2)
         with pytest.raises(DomainError):
-            pc_double_bpsk_equal_amp(0.0, math.pi / 2)
+            pc_double_bpsk_equal_amp(math.nan, 0.3)
         with pytest.raises(DomainError):
             pc_double_bpsk_equal_amp(1.0, 2.0)
 
@@ -122,8 +125,9 @@ class TestPriorOptimization:
         assert g2 == pytest.approx(g[1], abs=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            optimize_prior_4pam(0.0)
+        for alpha in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                optimize_prior_4pam(alpha)
 
 
 class TestPpmClosedForm:
@@ -172,6 +176,10 @@ class TestPpmClosedForm:
             ppm_closed_form(1, 1.0)
         with pytest.raises(DomainError):
             ppm_closed_form(4, 0.0)
+        for m, alpha in ((math.inf, 1.0), (math.nan, 1.0), (2, math.nan), (2, math.inf)):
+            for evaluator in (ppm_closed_form, double_ppm_closed_form, mutual_info_ppm, mutual_info_double_ppm):
+                with pytest.raises(DomainError):
+                    evaluator(m, alpha)
 
 
 class TestDoublePpmClosedForm:
@@ -292,6 +300,11 @@ class TestEvaluateScheme:
             for m in (2.5, 3.5, math.nan, math.inf):
                 with pytest.raises(DomainError, match="integer m"):
                     evaluate_scheme(scheme, 1.0, m=m)
+
+    def test_rejects_bad_photon_number(self):
+        for photon_number in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="photon number"):
+                evaluate_scheme("ppm", photon_number, m=2)
 
     def test_sweep_point_validates(self):
         with pytest.raises(ValueError):

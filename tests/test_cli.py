@@ -188,6 +188,14 @@ class TestSweep:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_tolerance_of_check_only_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--scheme", "ppm", "--tol-cond", "1e-9", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--tol-cond" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_singular_sweep_is_numeric_failure(self, tmp_path):
         code = main(
             ["sweep", "--scheme", "double_bpsk", "--grid", "1:1:1", "--delta", "0", "--out", str(tmp_path / "x.csv")]
@@ -247,6 +255,21 @@ class TestCheck:
         assert main(argv) == EXIT_CONFIG
         assert "tolerance overrides must be positive" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_block_is_reported(self, tmp_path):
+        gram = tmp_path / "empty_block.gram"
+        gram.write_text("n 3\npriors 0.25 0.25 0.5\ninner 0 1 0.5 0\nblocks 0,1 , 2\n")
+        out = tmp_path / "report.txt"
+        assert main(["check", str(gram), "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert "theorem3 error (every block must hold at least one state index)" in lines
+        assert any(line.startswith("theorem1_oracle ") for line in lines)
+
+    def test_nan_prior_is_an_invalid_prior(self, tmp_path, capsys):
+        gram = tmp_path / "nan_prior.gram"
+        gram.write_text("n 2\npriors nan 0.5\n")
+        assert main(["check", str(gram)]) == EXIT_CONFIG
+        assert "priors must be strictly positive" in capsys.readouterr().err
 
     def test_unknown_directive(self, tmp_path, capsys):
         bad = tmp_path / "bad.gram"

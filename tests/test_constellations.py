@@ -51,8 +51,9 @@ class TestConstellation:
             Constellation(priors=np.array([0.5, 0.4]), overlaps=np.eye(2))
 
     def test_rejects_nonpositive_prior(self):
-        with pytest.raises(InvalidPrior):
-            Constellation(priors=np.array([1.0, 0.0]), overlaps=np.eye(2))
+        for priors in ([1.0, 0.0], [np.nan, 0.5], [0.5, np.nan]):
+            with pytest.raises(InvalidPrior):
+                Constellation(priors=np.array(priors), overlaps=np.eye(2))
 
     def test_rejects_non_unit_diagonal(self):
         overlaps = np.array([[1.0, 0.0], [0.0, 0.9]])
@@ -63,16 +64,6 @@ class TestConstellation:
         overlaps = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
             Constellation(priors=np.array([0.5, 0.5]), overlaps=overlaps)
-
-    def test_default_labels(self):
-        c = Constellation(priors=np.array([0.5, 0.5]), overlaps=np.eye(2))
-        assert c.labels == ("state0", "state1")
-
-    def test_inner_accessor(self):
-        overlaps = np.array([[1.0, 0.25j], [-0.25j, 1.0]])
-        c = Constellation(priors=np.array([0.5, 0.5]), overlaps=overlaps)
-        assert c.inner(0, 1) == pytest.approx(0.25j)
-        assert c.inner(1, 0) == pytest.approx(-0.25j)
 
 
 class TestWeightedGram:
@@ -302,6 +293,9 @@ class TestGusFromBase:
         rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         with pytest.raises(InvalidPrior):
             GusEnsemble(rows=rows, constellation_priors=(0.25, 0.35))
+        for priors in ((np.nan, 0.25), (0.25, np.nan)):
+            with pytest.raises(InvalidPrior):
+                GusEnsemble(rows=rows, constellation_priors=priors)
 
     def test_rejects_inconsistent_rule(self):
         # the (1, 0) row is not the conjugate mirror of the (0, 1) row

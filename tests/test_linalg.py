@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from helpers import random_circulant_gram
-from srmlab.errors import NotHermitian, NotPSD
-from srmlab.linalg import (
-    TOL_RECON,
+from helpers import (
     CirculantSpec,
-    circulant_eigenvalues,
     circulant_from_eigenvalues,
     fourier_matrix,
     hermitian_eig,
     is_psd,
-    principal_sqrt,
+    random_circulant_gram,
 )
+from srmlab.errors import NotHermitian, NotPSD
+from srmlab.linalg import TOL_RECON, circulant_eigenvalues, principal_sqrt
 
 
 def random_hermitian(rng, n):

@@ -81,6 +81,20 @@ class TestSrm:
         with pytest.raises(ValueError):
             srm(np.eye(2))
 
+    def test_one_eigendecomposition_of_the_one_bin_stack(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(mat, *args, **kwargs):
+            calls.append(np.shape(mat))
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for n in (1, 3, 6):
+            calls.clear()
+            srm(random_unit_trace_gram(np.random.default_rng(n), n))
+            assert calls == [(1, n, n)]
+
 
 class TestCheckTheorem2:
     def test_circulant_root_is_optimal(self):
@@ -156,6 +170,8 @@ class TestCheckTheorem3:
     def test_rejects_non_partition(self):
         with pytest.raises(ValueError):
             check_theorem3(np.eye(2) / 2, [(0,)])
+        with pytest.raises(ValueError, match="at least one state"):
+            check_theorem3(np.eye(3) / 3, [(0, 1), (), (2,)])
 
 
 class TestVerifyTheorem1:
