@@ -380,6 +380,8 @@ def evaluate_scheme(
         if not float(m).is_integer():
             raise DomainError(f"scheme {scheme!r} needs an integer m, got {m}")
         m = int(m)
+    elif not math.isfinite(delta):
+        raise DomainError(f"scheme {scheme!r} needs a finite phase offset delta, got {delta}")
 
     ensemble, params = build(math.sqrt(photon_number), m, delta, prior)
     result, _ = fast_srm(ensemble, tol_psd=tol_psd)

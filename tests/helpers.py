@@ -3,7 +3,8 @@
 Also the test references that the library does not need: the unitary
 Fourier matrix, dense circulants from a first row or a spectrum, a PSD
 test, the eigendecomposition record, the spectral square root and the
-dense assembly of a coupling stack.
+dense assembly of a coupling stack, and the O(n⁴) Theorem-1 oracle that
+runs one eigensolve per downdate.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from srmlab.constellations import GusEnsemble, weighted_gram
-from srmlab.linalg import _circulant_blocks, _eigh, _first_rows, as_matrix, circulant_eigenvalues
+from srmlab.errors import InvalidFactorization
+from srmlab.linalg import (
+    TOL_PSD,
+    TOL_RECON,
+    _circulant_blocks,
+    _eigh,
+    _first_rows,
+    as_matrix,
+    circulant_eigenvalues,
+    hermiticity_defect,
+)
+from srmlab.srm import TOL_COND, OptimalityVerdict, _min_eig
 
 
 def fourier_matrix(m: int) -> np.ndarray:
@@ -147,3 +159,58 @@ def single_gus_pc(first_row) -> float:
 
 def circulant_from_row(first_row) -> np.ndarray:
     return CirculantSpec(np.asarray(first_row)).matrix()
+
+
+def verify_theorem1_reference(
+    gram,
+    factor,
+    *,
+    tol_cond: float = TOL_COND,
+    tol_psd: float = TOL_PSD,
+) -> OptimalityVerdict:
+    """Theorem-1 oracle by one eigensolve of ``Y - W_r`` per state r, in O(n⁴).
+
+    Same inputs, errors and verdicts as ``srm.verify_theorem1``. Its
+    optimal boundary note prints the minimum over all r as the eigensolver
+    returns it, where the library prints the structural zero.
+    """
+    g = as_matrix(gram)
+    x = as_matrix(factor)
+    if x.shape != g.shape:
+        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {g.shape}")
+    residual = float(np.abs(x.conj().T @ x - g).max())
+    if residual > TOL_RECON:
+        raise InvalidFactorization(
+            f"X†X differs from the Gram matrix by {residual:.3e} (tolerance {TOL_RECON:g})"
+        )
+
+    diag = np.diagonal(x)
+    y = x * diag.conj()[None, :]
+    defect = hermiticity_defect(y)
+    y = (y + y.conj().T) / 2.0
+
+    lowest = np.inf
+    for r in range(len(x)):
+        column = x[:, r]
+        gap = y - np.outer(column, column.conj())
+        low = _min_eig(gap)
+        if low < -tol_psd:
+            return OptimalityVerdict(
+                optimal=False,
+                method="theorem1_oracle",
+                witness=f"Y - W_{r} has min eigenvalue {low:.6e}",
+            )
+        lowest = min(lowest, low)
+    if defect > tol_cond:
+        return OptimalityVerdict(
+            optimal=False,
+            method="theorem1_oracle",
+            witness=f"Y is not Hermitian: max asymmetry {defect:.6e}",
+        )
+    if lowest <= tol_psd:
+        return OptimalityVerdict(
+            optimal=True,
+            method="theorem1_oracle",
+            witness=f"boundary: min eigenvalue over Y - W_r is {lowest:.6e}, inside the zero band",
+        )
+    return OptimalityVerdict(optimal=True, method="theorem1_oracle")

@@ -300,6 +300,9 @@ class TestEvaluateScheme:
             for m in (2.5, 3.5, math.nan, math.inf):
                 with pytest.raises(DomainError, match="integer m"):
                     evaluate_scheme(scheme, 1.0, m=m)
+        for delta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="phase offset"):
+                evaluate_scheme("double_bpsk", 1.0, delta=delta)
 
     def test_rejects_bad_photon_number(self):
         for photon_number in (0.0, -1.0, math.nan, math.inf):

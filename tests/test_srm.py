@@ -1,11 +1,18 @@
 """Tests for the square-root measurement and the optimality certificates."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_circulant_gram, random_unit_trace_gram
+from helpers import (
+    random_circulant_gram,
+    random_gus_ensemble,
+    random_unit_trace_gram,
+    verify_theorem1_reference,
+)
+from srmlab.cli import load_gram_file
 from srmlab.constellations import Constellation, make_ppm, make_psk, weighted_gram
 from srmlab.errors import (
     GramSingular,
@@ -14,7 +21,7 @@ from srmlab.errors import (
     ReducibleBlock,
     SingularFactor,
 )
-from srmlab.linalg import principal_sqrt
+from srmlab.linalg import TOL_PSD, principal_sqrt
 from srmlab.srm import (
     channel_stats,
     check_theorem2,
@@ -22,6 +29,9 @@ from srmlab.srm import (
     srm,
     verify_theorem1,
 )
+
+GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
+STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
 
 
 def binary_gram(p0: float, chi: float) -> np.ndarray:
@@ -225,6 +235,105 @@ class TestVerifyTheorem1:
             v2 = check_theorem2(root)
             v1 = verify_theorem1(g, root)
             assert v2.optimal and v1.optimal
+
+
+def assert_matches_reference(gram, factor) -> bool:
+    """Same verdict as the O(n⁴) reference, and for suboptimal factors the same witness."""
+    fast = verify_theorem1(gram, factor)
+    slow = verify_theorem1_reference(gram, factor)
+    assert fast.optimal == slow.optimal
+    if fast.optimal:
+        assert fast.witness == STRUCTURAL_ZERO
+        assert slow.witness.startswith("boundary: ")
+    else:
+        assert fast.witness == slow.witness
+    return fast.optimal
+
+
+def counted_eigensolvers(monkeypatch) -> dict:
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, log in calls.items():
+        solver = getattr(np.linalg, name)
+
+        def counted(mat, *args, _solver=solver, _log=log, **kwargs):
+            _log.append(np.shape(mat))
+            return _solver(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def certify_gram(rng, n: int, skewed: bool) -> np.ndarray:
+    """A geometrically uniform circulant Gram, with equal or with skewed priors."""
+    spectrum = rng.uniform(0.2, 1.8, n)
+    row = np.fft.ifft(spectrum / spectrum.mean())
+    overlaps = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    priors = rng.uniform(0.5, 1.5, n) if skewed else np.ones(n)
+    return weighted_gram(Constellation(priors=priors / priors.sum(), overlaps=overlaps))
+
+
+class TestTheorem1Reduction:
+    """The one-eigendecomposition oracle against the per-state reference loop."""
+
+    def test_matches_reference_on_random_ensembles(self):
+        rng = np.random.default_rng(107)
+        verdicts = set()
+        for index in range(60):
+            n = int(rng.integers(2, 9))
+            if index % 4 == 0:
+                gram = random_unit_trace_gram(rng, n)
+            else:
+                gram = weighted_gram(random_gus_ensemble(rng, index % 4, n).base)
+            root = principal_sqrt(gram)
+            verdicts.add(assert_matches_reference(gram, root))
+            u, _ = np.linalg.qr(rng.normal(size=gram.shape) + 1j * rng.normal(size=gram.shape))
+            verdicts.add(assert_matches_reference(gram, u @ root))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_matches_reference_on_circulant_grams(self, n):
+        rng = np.random.default_rng(n)
+        for skewed in (False, True):
+            gram = certify_gram(rng, n, skewed)
+            assert assert_matches_reference(gram, srm(gram).factor) == (not skewed)
+
+    @pytest.mark.parametrize("stem", ["binary_equal", "binary_biased", "identity3"])
+    def test_matches_reference_on_gram_files(self, stem):
+        constellation, _ = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
+        gram = weighted_gram(constellation)
+        assert assert_matches_reference(gram, srm(gram).factor) == (stem != "binary_biased")
+
+    def test_indefinite_hermitian_y_fails_at_the_first_state(self):
+        # X[j, k] = Y[j, k] / sqrt(Y[k, k]) gives back exactly this Y, so
+        # condition (i) holds and condition (ii) fails; by interlacing the
+        # first downdate already dips below Y's lowest eigenvalue
+        y = np.array([[1.0, 2.0j, 0.5], [-2.0j, 1.0, 0.3], [0.5, 0.3, 2.0]])
+        lowest = np.linalg.eigvalsh(y)[0]
+        assert lowest < -TOL_PSD
+        x = y / np.sqrt(np.diagonal(y).real)[None, :]
+        gram = x.conj().T @ x
+        assert check_theorem2(x).witness.startswith("condition (ii) fails")
+        fast = verify_theorem1(gram, x)
+        slow = verify_theorem1_reference(gram, x)
+        assert not fast.optimal
+        assert fast.witness == slow.witness
+        assert fast.witness.startswith("Y - W_0 has min eigenvalue ")
+        assert float(fast.witness.rsplit(" ", 1)[1]) <= lowest
+
+    def test_one_eigendecomposition_of_an_optimal_factor(self, monkeypatch):
+        gram = weighted_gram(make_ppm(64, 1.0).base)
+        factor = srm(gram).factor
+        calls = counted_eigensolvers(monkeypatch)
+        assert verify_theorem1(gram, factor).optimal
+        assert calls == {"eigh": [(64, 64)], "eigvalsh": []}
+
+    def test_one_confirming_eigensolve_of_a_suboptimal_factor(self, monkeypatch):
+        constellation, _ = load_gram_file(str(GRAMFILES / "binary_biased.gram"))
+        gram = weighted_gram(constellation)
+        factor = srm(gram).factor
+        calls = counted_eigensolvers(monkeypatch)
+        assert verify_theorem1(gram, factor).witness == "Y - W_0 has min eigenvalue -1.015895e-03"
+        assert calls == {"eigh": [(2, 2)], "eigvalsh": [(2, 2)]}
 
 
 class TestChannelStats:
