@@ -40,7 +40,6 @@ from .errors import (
     InputError,
     InvalidFactorization,
     InvalidPrior,
-    NoRoot,
     NotBlockDiagonal,
     NotHermitian,
     NotPSD,
@@ -83,7 +82,6 @@ __all__ = [
     "InputError",
     "InvalidFactorization",
     "InvalidPrior",
-    "NoRoot",
     "NotBlockDiagonal",
     "NotHermitian",
     "NotPSD",

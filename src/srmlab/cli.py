@@ -28,7 +28,6 @@ from .errors import (
     GramFileError,
     InputError,
     InvalidPrior,
-    NoRoot,
     NotBlockDiagonal,
     NumericalError,
     ReducibleBlock,
@@ -56,10 +55,7 @@ def fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return format(v, ".12g")
+    return format(float(value), ".12g")
 
 
 def parse_grid(text: str) -> np.ndarray:
@@ -188,19 +184,7 @@ def rows_fig23(grid, tol_psd: float) -> list[dict]:
     rows = []
     for photon_number in grid:
         alpha = math.sqrt(photon_number)
-        try:
-            p_star = analysis.optimize_prior_4pam(alpha)
-        except NoRoot as exc:
-            print(f"note: |alpha|^2={photon_number}: {exc}", file=sys.stderr)
-            rows.append(
-                {
-                    "alpha_sq": photon_number,
-                    "p_star": float("nan"),
-                    "pc": float("nan"),
-                    "pe": float("nan"),
-                }
-            )
-            continue
+        p_star = analysis.optimize_prior_4pam(alpha)
         result, _ = fast_srm(make_double_bpsk(alpha, 3.0 * alpha, p_star), tol_psd=tol_psd)
         rows.append(
             {
@@ -298,7 +282,8 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
     then one ``inner i j re im`` per pair with i < j (unlisted pairs are
     orthogonal; diagonal and conjugates are implied). An optional
     ``blocks`` line lists comma-joined index groups separated by spaces.
-    Blank lines and ``#`` comments are ignored.
+    Each of ``n``, ``priors`` and ``blocks`` appears at most once. Blank
+    lines and ``#`` comments are ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -310,6 +295,15 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
     priors = None
     entries: list[tuple[int, int, complex, int]] = []
     blocks = None
+    first_line: dict[str, int] = {}
+
+    def once(key: str, lineno: int) -> None:
+        if key in first_line:
+            raise GramFileError(
+                f"{path}:{lineno}: duplicate {key!r} line, first given on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -318,6 +312,7 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
         key = parts[0]
         where = f"{path}:{lineno}"
         if key == "n":
+            once(key, lineno)
             if len(parts) != 2:
                 raise GramFileError(f"{where}: expected 'n <count>'")
             try:
@@ -327,6 +322,7 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
             if n < 1:
                 raise GramFileError(f"{where}: state count must be positive")
         elif key == "priors":
+            once(key, lineno)
             if n is None:
                 raise GramFileError(f"{where}: 'n' must come before 'priors'")
             if len(parts) != n + 1:
@@ -351,6 +347,7 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
                 )
             entries.append((i, j, value, lineno))
         elif key == "blocks":
+            once(key, lineno)
             if len(parts) < 2:
                 raise GramFileError(f"{where}: expected at least one index group")
             try:
@@ -441,6 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    def add_tol_psd(p):
         p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
 
     def add_grid(p):
@@ -457,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid(p1)
     p1.add_argument("--delta", default=DEFAULT_DELTAS, help="comma list of phase offsets")
     add_output(p1)
+    add_tol_psd(p1)
     p1.set_defaults(func=cmd_fig1)
 
     for name, help_text in (
@@ -466,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         add_grid(p)
         add_output(p)
+        add_tol_psd(p)
         p.set_defaults(func=cmd_fig23)
 
     for name, help_text in (
@@ -485,12 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--delta", default="pi/2", help="comma list of phase offsets delta")
     ps.add_argument("--p", type=float, default=None, help="per-state prior of the first pair")
     add_output(ps)
+    add_tol_psd(ps)
     ps.set_defaults(func=cmd_sweep)
 
     pc = sub.add_parser("check", help="report measurement performance for a Gram file")
     pc.add_argument("gramfile", help="path to a Gram description file")
     pc.add_argument("--out", help="output path (default: stdout)")
-    pc.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
+    add_tol_psd(pc)
     pc.add_argument("--tol-cond", dest="tol_cond", type=float, default=TOL_COND)
     pc.set_defaults(func=cmd_check)
 

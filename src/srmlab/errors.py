@@ -59,9 +59,5 @@ class DomainError(InputError):
     """An argument is outside the domain of a closed-form evaluator."""
 
 
-class NoRoot(NumericalError):
-    """A bracketed root search found no sign change."""
-
-
 class GramFileError(InputError):
     """A Gram description file could not be parsed or validated."""

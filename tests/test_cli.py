@@ -11,7 +11,7 @@ import pytest
 
 import srmlab
 from helpers import single_gus_pc
-from srmlab import cli, errors
+from srmlab import analysis, cli, errors
 from srmlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -56,11 +56,17 @@ class TestParsers:
         for bad in (".pi", "pi/.", "nan", "inf", "-inf", "1.2.3pi", "pi/1.2.3"):
             with pytest.raises(ValueError, match=f"^bad angle '{re.escape(bad)}'$"):
                 parse_angle(bad)
+        with pytest.raises(ValueError, match="^bad angle 'pi/0': division by zero$"):
+            parse_angle("pi/0")
+        with pytest.raises(ValueError, match="^empty angle list$"):
+            parse_angle_list(" , ")
 
     def test_int_list(self):
         assert parse_int_list("2,16") == [2, 16]
         with pytest.raises(ValueError):
             parse_int_list("2,x")
+        with pytest.raises(ValueError, match="^empty integer list$"):
+            parse_int_list(",")
 
     def test_fmt(self):
         assert fmt(1.0) == "1"
@@ -119,6 +125,15 @@ class TestFig2Fig3:
         assert main(["fig3", "--grid", "0.5:2:3", "--out", str(out3)]) == EXIT_OK
         assert out2.read_bytes() == out3.read_bytes()
 
+    @pytest.mark.parametrize("photon_number", ["1e-15", "1e-12", "1e-9", "2e-7", "3e-6"])
+    def test_failed_certificate_is_numeric_failure(self, photon_number, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        grid = f"{photon_number}:{photon_number}:1"
+        assert main(["fig2", "--grid", grid, "--out", str(out)]) == EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: optimized prior failed the optimality certificate: ")
+        assert not out.exists()
+
 
 class TestFig4Fig5:
     def test_coverage_and_ordering(self, tmp_path):
@@ -141,10 +156,17 @@ class TestFig4Fig5:
                 assert seen[(alpha_sq, m, "double_ppm")] > pe
 
     def test_infinite_tolerance_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "fig4.csv"
-        assert main(["fig4", "--tol-psd", "inf", "--out", str(out)]) == EXIT_CONFIG
+        out = tmp_path / "fig2.csv"
+        assert main(["fig2", "--tol-psd", "inf", "--out", str(out)]) == EXIT_CONFIG
         assert "tolerance overrides must be positive" in capsys.readouterr().err
         assert not out.exists()
+        # fig4/fig5 rows are closed forms, so they take no tolerance at all
+        for name in ("fig4", "fig5"):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--tol-psd", "1e-3", "--out", str(out)])
+            assert exc.value.code == EXIT_CONFIG
+            assert "--tol-psd" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bright_pulse_information(self, tmp_path):
         out = tmp_path / "fig5.csv"
@@ -277,6 +299,53 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_CONFIG
         assert "bad.gram:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("n\n", 1, "expected 'n <count>'"),
+            ("n two\n", 1, "state count must be an integer"),
+            ("n 0\n", 1, "state count must be positive"),
+            ("priors 0.5 0.5\n", 1, "'n' must come before 'priors'"),
+            ("n 2\npriors 1.0\n", 2, "expected 2 priors, got 1"),
+            ("n 2\npriors a b\n", 2, "priors must be numbers"),
+            ("inner 0 1 0.5 0\n", 1, "'n' must come before 'inner'"),
+            ("n 2\ninner 0 1 0.5\n", 2, "expected 'inner i j re im'"),
+            ("n 2\ninner 0 1 x 0\n", 2, "bad 'inner' line"),
+            ("n 2\nblocks\n", 2, "expected at least one index group"),
+            ("n 2\nblocks 0,x\n", 2, "block indices must be integers"),
+            ("# no directives\n", None, "missing 'n' line"),
+            ("n 2\n", None, "missing 'priors' line"),
+            (
+                "n 2\npriors 0.5 0.5\ninner 0 1 0.1 0\n\ninner 0 1 0.2 0\n",
+                5,
+                "duplicate inner product for pair (0, 1), first given on line 3",
+            ),
+        ],
+    )
+    def test_malformed_file_names_its_line(self, text, lineno, message, tmp_path, capsys):
+        bad = tmp_path / "bad.gram"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == EXIT_CONFIG
+        where = str(bad) if lineno is None else f"{bad}:{lineno}"
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key, text, lineno, first",
+        [
+            ("n", "n 3\npriors 0.2 0.3 0.5\ninner 0 2 0.1 0.0\nn 2\n", 4, 1),
+            ("priors", "n 2\npriors 0.5 0.5\npriors 0.4 0.6\n", 3, 2),
+            ("blocks", "n 2\npriors 0.5 0.5\nblocks 0 1\n# again\nblocks 0,1\n", 5, 3),
+        ],
+        ids=["n", "priors", "blocks"],
+    )
+    def test_repeated_directive_is_refused(self, key, text, lineno, first, tmp_path, capsys):
+        bad = tmp_path / "bad.gram"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {bad}:{lineno}: duplicate {key!r} line, first given on line {first}\n"
+        )
+
 
 class TestDeterminismAndFormats:
     @pytest.mark.parametrize(
@@ -358,6 +427,22 @@ class TestDeterminismAndFormats:
             assert 0.0 <= float(row["mutual_info_bits"]) <= math.log2(int(row["m"])) + 1e-12
 
 
+@pytest.mark.parametrize("photon_number", ["1e-12", "2e-7", "1e3"])
+@pytest.mark.parametrize(
+    "command",
+    [["fig1"], ["fig2"], ["fig4"], *(["sweep", "--scheme", scheme] for scheme in analysis.SCHEMES)],
+    ids=lambda command: command[-1],
+)
+def test_every_energy_gets_an_answer_or_one_error_line(command, photon_number, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    code = main([*command, "--grid", f"{photon_number}:{photon_number}:1", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_NUMERIC)
+    if code == EXIT_NUMERIC:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert not out.exists()
+
+
 def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
     classes, stack = [], [errors.SrmLabError]
     while stack:
@@ -366,7 +451,7 @@ def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
         classes.append(cls)
     bases = (errors.SrmLabError, errors.InputError, errors.NumericalError)
     leaves = [cls for cls in classes if cls not in bases]
-    assert len(leaves) == 12
+    assert len(leaves) == 11
     assert srmlab.InputError is errors.InputError
     assert srmlab.NumericalError is errors.NumericalError
     for cls in leaves:

@@ -206,6 +206,8 @@ class TestVerifyTheorem1:
         g = binary_gram(0.5, 0.5)
         with pytest.raises(InvalidFactorization):
             verify_theorem1(g, np.eye(2))
+        with pytest.raises(InvalidFactorization, match="factor shape"):
+            verify_theorem1(g, np.eye(3))
 
     def test_accepts_any_valid_factor(self):
         # a unitary rotation of the root is still a factorization; the
@@ -302,6 +304,16 @@ class TestTheorem1Reduction:
         constellation, _ = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
         gram = weighted_gram(constellation)
         assert assert_matches_reference(gram, srm(gram).factor) == (stem != "binary_biased")
+
+    def test_non_hermitian_y_matches_reference(self):
+        # rotating the root by exp(i eps H) keeps X†X = G but breaks condition (i)
+        gram = weighted_gram(make_psk(4, 1.0).base)
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
+        factor = (v * np.exp(1e-7j * w)) @ v.conj().T @ principal_sqrt(gram)
+        assert not assert_matches_reference(gram, factor)
+        assert verify_theorem1(gram, factor).witness == "Y is not Hermitian: max asymmetry 3.099467e-08"
 
     def test_indefinite_hermitian_y_fails_at_the_first_state(self):
         # X[j, k] = Y[j, k] / sqrt(Y[k, k]) gives back exactly this Y, so
