@@ -45,6 +45,7 @@ DEFAULT_DELTAS = "0,pi/8,pi/4,3pi/8,pi/2"
 DEFAULT_MS = "2,16"
 
 _ANGLE_RE = re.compile(r"^\s*([0-9.]*)\s*pi\s*(?:/\s*([0-9.]+))?\s*$")
+_COMMENT_RE = re.compile(r"#[^\n]*")
 
 
 def fmt(value) -> str:
@@ -282,19 +283,34 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
     then one ``inner i j re im`` per pair with i < j (unlisted pairs are
     orthogonal; diagonal and conjugates are implied). An optional
     ``blocks`` line lists comma-joined index groups separated by spaces.
-    Each of ``n``, ``priors`` and ``blocks`` appears at most once. Blank
-    lines and ``#`` comments are ignored.
+    Each of ``n``, ``priors`` and ``blocks`` appears at most once, and
+    ``n`` comes before ``priors`` and every ``inner`` line.
+
+    Only ``\\n`` breaks lines (``\\r\\n`` and ``\\r`` read as ``\\n``); ``#``
+    starts a comment anywhere on a line; tokens are separated by any
+    whitespace ``str.split`` knows; numbers are read by Python's ``int``
+    and ``float``. Blank lines are ignored.
+
+    The file is read in one pass that only sorts lines by directive; the
+    ``inner`` tokens are then converted and checked column by column.
+    Every error names the file and, where there is one, the line, and a
+    file with several faults reports the one a line-by-line reading meets
+    first: faults in line order, then a missing ``n`` or ``priors``, then
+    a repeated pair, then an invalid constellation.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw_lines = handle.readlines()
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise GramFileError(f"{path}: cannot read file: {exc}") from exc
+    lines = _COMMENT_RE.sub("", text).split("\n")
+    del text
 
     n = None
     priors = None
-    entries: list[tuple[int, int, complex, int]] = []
     blocks = None
+    inner: list[str] = []
+    inner_lines: list[int] = []
     first_line: dict[str, int] = {}
 
     def once(key: str, lineno: int) -> None:
@@ -304,84 +320,130 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
             )
         first_line[key] = lineno
 
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key = parts[0]
-        where = f"{path}:{lineno}"
-        if key == "n":
-            once(key, lineno)
-            if len(parts) != 2:
-                raise GramFileError(f"{where}: expected 'n <count>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GramFileError(f"{where}: state count must be an integer") from None
-            if n < 1:
-                raise GramFileError(f"{where}: state count must be positive")
-        elif key == "priors":
-            once(key, lineno)
-            if n is None:
-                raise GramFileError(f"{where}: 'n' must come before 'priors'")
-            if len(parts) != n + 1:
-                raise GramFileError(f"{where}: expected {n} priors, got {len(parts) - 1}")
-            try:
-                priors = [float(tok) for tok in parts[1:]]
-            except ValueError:
-                raise GramFileError(f"{where}: priors must be numbers") from None
-        elif key == "inner":
-            if n is None:
-                raise GramFileError(f"{where}: 'n' must come before 'inner'")
-            if len(parts) != 5:
-                raise GramFileError(f"{where}: expected 'inner i j re im'")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-                value = complex(float(parts[3]), float(parts[4]))
-            except ValueError:
-                raise GramFileError(f"{where}: bad 'inner' line") from None
-            if not (0 <= i < j < n):
-                raise GramFileError(
-                    f"{where}: need 0 <= i < j < {n}, got i={i}, j={j}"
-                )
-            entries.append((i, j, value, lineno))
-        elif key == "blocks":
-            once(key, lineno)
-            if len(parts) < 2:
-                raise GramFileError(f"{where}: expected at least one index group")
-            try:
-                blocks = [
-                    tuple(int(tok) for tok in group.split(",") if tok)
-                    for group in parts[1:]
-                ]
-            except ValueError:
-                raise GramFileError(f"{where}: block indices must be integers") from None
-        else:
-            raise GramFileError(f"{where}: unknown directive {key!r}")
+    fault = None
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            # the prefix test is a shortcut for the common case of the split test
+            if line.startswith("inner ") or line.split()[:1] == ["inner"]:
+                if n is None:
+                    raise GramFileError(f"{path}:{lineno}: 'n' must come before 'inner'")
+                inner.append(line)
+                inner_lines.append(lineno)
+                continue
+            parts = line.split()
+            if not parts:
+                continue
+            key = parts[0]
+            where = f"{path}:{lineno}"
+            if key == "n":
+                once(key, lineno)
+                if len(parts) != 2:
+                    raise GramFileError(f"{where}: expected 'n <count>'")
+                try:
+                    n = int(parts[1])
+                except ValueError:
+                    raise GramFileError(f"{where}: state count must be an integer") from None
+                if n < 1:
+                    raise GramFileError(f"{where}: state count must be positive")
+            elif key == "priors":
+                once(key, lineno)
+                if n is None:
+                    raise GramFileError(f"{where}: 'n' must come before 'priors'")
+                if len(parts) != n + 1:
+                    raise GramFileError(f"{where}: expected {n} priors, got {len(parts) - 1}")
+                try:
+                    priors = [float(tok) for tok in parts[1:]]
+                except ValueError:
+                    raise GramFileError(f"{where}: priors must be numbers") from None
+            elif key == "blocks":
+                once(key, lineno)
+                if len(parts) < 2:
+                    raise GramFileError(f"{where}: expected at least one index group")
+                try:
+                    blocks = [
+                        tuple(int(tok) for tok in group.split(",") if tok)
+                        for group in parts[1:]
+                    ]
+                except ValueError:
+                    raise GramFileError(f"{where}: block indices must be integers") from None
+            else:
+                raise GramFileError(f"{where}: unknown directive {key!r}")
+    except GramFileError as exc:
+        fault = exc
+    del lines
 
+    # the 'inner' lines collected before a fault precede it, so their faults win
+    columns = _inner_columns(path, n, inner, inner_lines)
+    del inner
+    if fault is not None:
+        raise fault
     if n is None:
         raise GramFileError(f"{path}: missing 'n' line")
     if priors is None:
         raise GramFileError(f"{path}: missing 'priors' line")
 
+    i, j, values = columns
+    keys = i * n + j
+    unique, first = np.unique(keys, return_index=True)
+    if unique.size < keys.size:
+        firsts = first[np.searchsorted(unique, keys)]
+        at = np.flatnonzero(firsts != np.arange(keys.size))[0]
+        raise GramFileError(
+            f"{path}:{inner_lines[at]}: duplicate inner product for pair ({i[at]}, {j[at]}), "
+            f"first given on line {inner_lines[firsts[at]]}"
+        )
+
     overlaps = np.eye(n, dtype=complex)
-    seen = {}
-    for i, j, value, lineno in entries:
-        if (i, j) in seen:
-            raise GramFileError(
-                f"{path}:{lineno}: duplicate inner product for pair ({i}, {j}), "
-                f"first given on line {seen[(i, j)]}"
-            )
-        seen[(i, j)] = lineno
-        overlaps[i, j] = value
-        overlaps[j, i] = value.conjugate()
+    overlaps[i, j] = values
+    overlaps[j, i] = values.conj()
 
     try:
         constellation = Constellation(priors=np.array(priors), overlaps=overlaps)
     except (InvalidPrior, ValueError) as exc:
         raise GramFileError(f"{path}: invalid constellation: {exc}") from exc
     return constellation, blocks
+
+
+def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
+    """Convert ``inner`` lines, each starting with that word, to index and value arrays.
+
+    The lines are split as one text, and every fifth token from the second
+    to the fifth on forms the ``i``, ``j``, ``re`` and ``im`` column; the
+    columns are converted and range-checked in bulk. This keeps the lines
+    apart: no column accepts the word "inner" that starts every line, so
+    when there are five tokens a line and the columns convert, each line
+    holds exactly five. Only if a bulk step fails are the lines checked one
+    by one, to raise the error of the first faulty line. That check finds
+    no fault only when an index does not fit in int64, which needs ``n``
+    not to either; ``None`` is returned then, and the ``priors`` check
+    refuses the file.
+    """
+    count = len(lines)
+    tokens = " ".join(lines).split()
+    try:
+        if len(tokens) == 5 * count:
+            i = np.fromiter(map(int, tokens[1::5]), dtype=np.int64, count=count)
+            j = np.fromiter(map(int, tokens[2::5]), dtype=np.int64, count=count)
+            if ((i >= 0) & (i < j) & (j < n)).all():
+                values = np.empty(count, dtype=complex)
+                values.real = np.fromiter(map(float, tokens[3::5]), dtype=float, count=count)
+                values.imag = np.fromiter(map(float, tokens[4::5]), dtype=float, count=count)
+                return i, j, values
+    except (ValueError, OverflowError):
+        pass
+    for line, lineno in zip(lines, linenos):
+        where = f"{path}:{lineno}"
+        parts = line.split()
+        if len(parts) != 5:
+            raise GramFileError(f"{where}: expected 'inner i j re im'")
+        try:
+            i, j = int(parts[1]), int(parts[2])
+            float(parts[3]), float(parts[4])
+        except ValueError:
+            raise GramFileError(f"{where}: bad 'inner' line") from None
+        if not (0 <= i < j < n):
+            raise GramFileError(f"{where}: need 0 <= i < j < {n}, got i={i}, j={j}")
+    return None
 
 
 def _verdict_line(name: str, verdict) -> str:
@@ -396,7 +458,11 @@ def cmd_check(args) -> int:
     gram = weighted_gram(constellation)
     result = srm(gram, tol_psd=args.tol_psd)
 
-    lines = [f"states {constellation.n}", f"pc {fmt(result.pc)}", f"pe {fmt(1.0 - result.pc)}"]
+    lines = [
+        f"states {constellation.n}",
+        f"pc {fmt(result.pc)}",
+        f"pe {fmt(max(1.0 - result.pc, 0.0))}",
+    ]
     for i, correct in enumerate(result.per_state_correct):
         lines.append(f"correct {i} state{i} {fmt(correct)}")
     if blocks is not None:

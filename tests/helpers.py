@@ -3,16 +3,16 @@
 Also the test references that the library does not need: the unitary
 Fourier matrix, dense circulants from a first row or a spectrum, a PSD
 test, the eigendecomposition record, the spectral square root and the
-dense assembly of a coupling stack, and the O(n⁴) Theorem-1 oracle that
-runs one eigensolve per downdate.
+dense assembly of a coupling stack, the O(n⁴) Theorem-1 oracle that
+runs one eigensolve per downdate, and the line-by-line Gram-file parser.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from srmlab.constellations import GusEnsemble, weighted_gram
-from srmlab.errors import InvalidFactorization
+from srmlab.constellations import Constellation, GusEnsemble, weighted_gram
+from srmlab.errors import GramFileError, InvalidFactorization, InvalidPrior
 from srmlab.linalg import (
     TOL_PSD,
     TOL_RECON,
@@ -214,3 +214,112 @@ def verify_theorem1_reference(
             witness=f"boundary: min eigenvalue over Y - W_r is {lowest:.6e}, inside the zero band",
         )
     return OptimalityVerdict(optimal=True, method="theorem1_oracle")
+
+
+def load_gram_file_reference(path: str) -> tuple[Constellation, list[tuple[int, ...]] | None]:
+    """Parse a Gram description file one line at a time: ``cli.load_gram_file``'s reference.
+
+    Line-oriented format: ``n <count>``, ``priors <q0> ... <q_{n-1}>``,
+    then one ``inner i j re im`` per pair with i < j (unlisted pairs are
+    orthogonal; diagonal and conjugates are implied). An optional
+    ``blocks`` line lists comma-joined index groups separated by spaces.
+    Each of ``n``, ``priors`` and ``blocks`` appears at most once. Blank
+    lines and ``#`` comments are ignored.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw_lines = handle.readlines()
+    except OSError as exc:
+        raise GramFileError(f"{path}: cannot read file: {exc}") from exc
+
+    n = None
+    priors = None
+    entries: list[tuple[int, int, complex, int]] = []
+    blocks = None
+    first_line: dict[str, int] = {}
+
+    def once(key: str, lineno: int) -> None:
+        if key in first_line:
+            raise GramFileError(
+                f"{path}:{lineno}: duplicate {key!r} line, first given on line {first_line[key]}"
+            )
+        first_line[key] = lineno
+
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        key = parts[0]
+        where = f"{path}:{lineno}"
+        if key == "n":
+            once(key, lineno)
+            if len(parts) != 2:
+                raise GramFileError(f"{where}: expected 'n <count>'")
+            try:
+                n = int(parts[1])
+            except ValueError:
+                raise GramFileError(f"{where}: state count must be an integer") from None
+            if n < 1:
+                raise GramFileError(f"{where}: state count must be positive")
+        elif key == "priors":
+            once(key, lineno)
+            if n is None:
+                raise GramFileError(f"{where}: 'n' must come before 'priors'")
+            if len(parts) != n + 1:
+                raise GramFileError(f"{where}: expected {n} priors, got {len(parts) - 1}")
+            try:
+                priors = [float(tok) for tok in parts[1:]]
+            except ValueError:
+                raise GramFileError(f"{where}: priors must be numbers") from None
+        elif key == "inner":
+            if n is None:
+                raise GramFileError(f"{where}: 'n' must come before 'inner'")
+            if len(parts) != 5:
+                raise GramFileError(f"{where}: expected 'inner i j re im'")
+            try:
+                i, j = int(parts[1]), int(parts[2])
+                value = complex(float(parts[3]), float(parts[4]))
+            except ValueError:
+                raise GramFileError(f"{where}: bad 'inner' line") from None
+            if not (0 <= i < j < n):
+                raise GramFileError(
+                    f"{where}: need 0 <= i < j < {n}, got i={i}, j={j}"
+                )
+            entries.append((i, j, value, lineno))
+        elif key == "blocks":
+            once(key, lineno)
+            if len(parts) < 2:
+                raise GramFileError(f"{where}: expected at least one index group")
+            try:
+                blocks = [
+                    tuple(int(tok) for tok in group.split(",") if tok)
+                    for group in parts[1:]
+                ]
+            except ValueError:
+                raise GramFileError(f"{where}: block indices must be integers") from None
+        else:
+            raise GramFileError(f"{where}: unknown directive {key!r}")
+
+    if n is None:
+        raise GramFileError(f"{path}: missing 'n' line")
+    if priors is None:
+        raise GramFileError(f"{path}: missing 'priors' line")
+
+    overlaps = np.eye(n, dtype=complex)
+    seen = {}
+    for i, j, value, lineno in entries:
+        if (i, j) in seen:
+            raise GramFileError(
+                f"{path}:{lineno}: duplicate inner product for pair ({i}, {j}), "
+                f"first given on line {seen[(i, j)]}"
+            )
+        seen[(i, j)] = lineno
+        overlaps[i, j] = value
+        overlaps[j, i] = value.conjugate()
+
+    try:
+        constellation = Constellation(priors=np.array(priors), overlaps=overlaps)
+    except (InvalidPrior, ValueError) as exc:
+        raise GramFileError(f"{path}: invalid constellation: {exc}") from exc
+    return constellation, blocks

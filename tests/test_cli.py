@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import srmlab
-from helpers import single_gus_pc
+from helpers import load_gram_file_reference, random_circulant_gram, single_gus_pc
 from srmlab import analysis, cli, errors
 from srmlab.cli import (
     EXIT_CONFIG,
@@ -26,6 +26,33 @@ from srmlab.cli import (
 from srmlab.constellations import make_psk, weighted_gram
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
+
+MALFORMED_FILES = [
+    ("n\n", 1, "expected 'n <count>'"),
+    ("n two\n", 1, "state count must be an integer"),
+    ("n 0\n", 1, "state count must be positive"),
+    ("priors 0.5 0.5\n", 1, "'n' must come before 'priors'"),
+    ("n 2\npriors 1.0\n", 2, "expected 2 priors, got 1"),
+    ("n 2\npriors a b\n", 2, "priors must be numbers"),
+    ("inner 0 1 0.5 0\n", 1, "'n' must come before 'inner'"),
+    ("n 2\ninner 0 1 0.5\n", 2, "expected 'inner i j re im'"),
+    ("n 2\ninner 0 1 x 0\n", 2, "bad 'inner' line"),
+    ("n 2\nblocks\n", 2, "expected at least one index group"),
+    ("n 2\nblocks 0,x\n", 2, "block indices must be integers"),
+    ("# no directives\n", None, "missing 'n' line"),
+    ("n 2\n", None, "missing 'priors' line"),
+    (
+        "n 2\npriors 0.5 0.5\ninner 0 1 0.1 0\n\ninner 0 1 0.2 0\n",
+        5,
+        "duplicate inner product for pair (0, 1), first given on line 3",
+    ),
+]
+
+REPEATED_DIRECTIVES = [
+    ("n", "n 3\npriors 0.2 0.3 0.5\ninner 0 2 0.1 0.0\nn 2\n", 4, 1),
+    ("priors", "n 2\npriors 0.5 0.5\npriors 0.4 0.6\n", 3, 2),
+    ("blocks", "n 2\npriors 0.5 0.5\nblocks 0 1\n# again\nblocks 0,1\n", 5, 3),
+]
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -293,35 +320,28 @@ class TestCheck:
         assert main(["check", str(gram)]) == EXIT_CONFIG
         assert "priors must be strictly positive" in capsys.readouterr().err
 
+    def test_error_probability_is_never_negative(self, tmp_path):
+        # orthogonal states whose computed pc rounds one ulp above 1
+        gram = tmp_path / "orthogonal.gram"
+        gram.write_text("n 2\npriors 0.5 0.5\n")
+        out = tmp_path / "report.txt"
+        assert main(["check", str(gram), "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[1:3] == ["pc 1", "pe 0"]
+
+    def test_undecodable_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.gram"
+        bad.write_bytes(b"n 2\npriors 0.5 0.5\n# caf\xe9\n")
+        assert main(["check", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: cannot read file: 'utf-8' codec can't decode byte 0xe9")
+
     def test_unknown_directive(self, tmp_path, capsys):
         bad = tmp_path / "bad.gram"
         bad.write_text("n 1\npriors 1.0\nwat 1 2\n")
         assert main(["check", str(bad)]) == EXIT_CONFIG
         assert "bad.gram:3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "text, lineno, message",
-        [
-            ("n\n", 1, "expected 'n <count>'"),
-            ("n two\n", 1, "state count must be an integer"),
-            ("n 0\n", 1, "state count must be positive"),
-            ("priors 0.5 0.5\n", 1, "'n' must come before 'priors'"),
-            ("n 2\npriors 1.0\n", 2, "expected 2 priors, got 1"),
-            ("n 2\npriors a b\n", 2, "priors must be numbers"),
-            ("inner 0 1 0.5 0\n", 1, "'n' must come before 'inner'"),
-            ("n 2\ninner 0 1 0.5\n", 2, "expected 'inner i j re im'"),
-            ("n 2\ninner 0 1 x 0\n", 2, "bad 'inner' line"),
-            ("n 2\nblocks\n", 2, "expected at least one index group"),
-            ("n 2\nblocks 0,x\n", 2, "block indices must be integers"),
-            ("# no directives\n", None, "missing 'n' line"),
-            ("n 2\n", None, "missing 'priors' line"),
-            (
-                "n 2\npriors 0.5 0.5\ninner 0 1 0.1 0\n\ninner 0 1 0.2 0\n",
-                5,
-                "duplicate inner product for pair (0, 1), first given on line 3",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("text, lineno, message", MALFORMED_FILES)
     def test_malformed_file_names_its_line(self, text, lineno, message, tmp_path, capsys):
         bad = tmp_path / "bad.gram"
         bad.write_text(text)
@@ -330,13 +350,7 @@ class TestCheck:
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
     @pytest.mark.parametrize(
-        "key, text, lineno, first",
-        [
-            ("n", "n 3\npriors 0.2 0.3 0.5\ninner 0 2 0.1 0.0\nn 2\n", 4, 1),
-            ("priors", "n 2\npriors 0.5 0.5\npriors 0.4 0.6\n", 3, 2),
-            ("blocks", "n 2\npriors 0.5 0.5\nblocks 0 1\n# again\nblocks 0,1\n", 5, 3),
-        ],
-        ids=["n", "priors", "blocks"],
+        "key, text, lineno, first", REPEATED_DIRECTIVES, ids=[case[0] for case in REPEATED_DIRECTIVES]
     )
     def test_repeated_directive_is_refused(self, key, text, lineno, first, tmp_path, capsys):
         bad = tmp_path / "bad.gram"
@@ -345,6 +359,171 @@ class TestCheck:
         assert capsys.readouterr().err == (
             f"error: {bad}:{lineno}: duplicate {key!r} line, first given on line {first}\n"
         )
+
+
+def gram_lines(rng, n, blocks) -> list[str]:
+    """A certify-style Gram file: one or two circulant blocks, skewed or equal priors."""
+    parts = 2 if blocks else 1
+    size = n // parts
+    overlaps = np.zeros((n, n), dtype=complex)
+    for b in range(parts):
+        overlaps[b * size : (b + 1) * size, b * size : (b + 1) * size] = (
+            size * random_circulant_gram(rng, size)
+        )
+    priors = rng.uniform(0.5, 1.5, n) if rng.integers(2) else np.ones(n)
+    priors /= priors.sum()
+    lines = [f"n {n}", "priors " + " ".join(repr(float(p)) for p in priors)]
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if overlaps[i, j] != 0:
+            value = overlaps[i, j]
+            lines.append(f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}")
+    if blocks:
+        groups = (",".join(map(str, range(b * size, (b + 1) * size))) for b in range(parts))
+        lines.append("blocks " + " ".join(groups))
+    return lines
+
+
+def mutated(lines, seed, mutation) -> tuple[list[str], int]:
+    """Put one fault of the given kind on an 'inner' line near the 500th; return its index."""
+    rng = np.random.default_rng(seed)
+    first = next(k for k, line in enumerate(lines) if line.startswith("inner "))
+    at = first + 480 + int(rng.integers(40))
+    lines = list(lines)
+    parts = lines[at].split()
+    if mutation == "token":
+        parts[1 + int(rng.integers(4))] = str(rng.choice(["x", "0x1", "1..0", "--1", "", "i"]))
+    elif mutation == "four":
+        del parts[1 + int(rng.integers(4))]
+    elif mutation == "six":
+        parts.insert(1 + int(rng.integers(5)), "0")
+    elif mutation == "order":
+        parts[1], parts[2] = parts[2], parts[1 + int(rng.integers(2))]
+    elif mutation == "range":
+        parts[2] = str(int(lines[0].split()[1]) + int(rng.integers(3)))
+    elif mutation == "repeat":
+        earlier = lines[first + int(rng.integers(at - first))].split()
+        parts[1:3] = earlier[1:3]
+    lines[at] = " ".join(parts)
+    return lines, at
+
+
+def parse_outcome(parse, path):
+    """The parsed bits of a Gram file, or the text of the error it raises."""
+    try:
+        constellation, blocks = parse(str(path))
+    except errors.GramFileError as exc:
+        return str(exc)
+    priors, overlaps = constellation.priors, constellation.overlaps
+    return priors.dtype, priors.tobytes(), overlaps.dtype, overlaps.shape, overlaps.tobytes(), blocks
+
+
+class TestGramFileParser:
+    """``load_gram_file`` gives the same bits or error text as the line-by-line reference."""
+
+    def assert_same(self, path):
+        outcome = parse_outcome(cli.load_gram_file, path)
+        assert outcome == parse_outcome(load_gram_file_reference, path)
+        return outcome
+
+    def assert_same_text(self, text, tmp_path, name="case.gram"):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        return self.assert_same(path)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GRAMFILES.glob("*.gram")))
+    def test_gramfiles(self, name):
+        assert not isinstance(self.assert_same(GRAMFILES / name), str)
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_certify_style_files(self, n, blocks, tmp_path):
+        lines = gram_lines(np.random.default_rng(n + blocks), n, blocks)
+        outcome = self.assert_same_text("\n".join(lines) + "\n", tmp_path)
+        assert not isinstance(outcome, str)
+
+    @pytest.mark.parametrize(
+        "text", [case[0] for case in MALFORMED_FILES] + [case[1] for case in REPEATED_DIRECTIVES]
+    )
+    def test_malformed_texts(self, text, tmp_path):
+        assert isinstance(self.assert_same_text(text, tmp_path), str)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mutation", ["token", "four", "six", "order", "range", "repeat"])
+    def test_one_deep_fault(self, mutation, seed, tmp_path):
+        lines, at = mutated(gram_lines(np.random.default_rng(seed), 64, seed == 1), seed, mutation)
+        message = self.assert_same_text("\n".join(lines) + "\n", tmp_path)
+        assert message.startswith(f"{tmp_path / 'case.gram'}:{at + 1}: ")
+
+    @pytest.mark.parametrize("inner_first", [True, False])
+    @pytest.mark.parametrize("other", ["wat 1 2", "priors 0.5 x"])
+    @pytest.mark.parametrize("mutation", ["token", "six", "range"])
+    def test_inner_fault_and_another_fault(self, mutation, other, inner_first, tmp_path):
+        lines, at = mutated(gram_lines(np.random.default_rng(7), 64, False), 7, mutation)
+        del lines[1]  # the priors line, so that "priors 0.5 x" is not a repeat
+        other_at = len(lines) if inner_first else 1
+        lines.insert(other_at, other)
+        at += -1 if inner_first else 0
+        message = self.assert_same_text("\n".join(lines) + "\n", tmp_path)
+        assert message.startswith(f"{tmp_path / 'case.gram'}:{min(at, other_at) + 1}: ")
+
+    def test_repeated_pair_before_unknown_directive(self, tmp_path):
+        lines, _ = mutated(gram_lines(np.random.default_rng(8), 64, False), 8, "repeat")
+        lines.append("wat")
+        message = self.assert_same_text("\n".join(lines) + "\n", tmp_path)
+        assert message.endswith(f":{len(lines)}: unknown directive 'wat'")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n 1_2\npriors" + " 1_0" * 12 + "\ninner ٣ +4 0.0_1 -0.0\ninner 1_0 1_1 0.25 1e-400\n",
+            "n 5\npriors 1 2 3 4 5\ninner 0 4 nan 0\n",
+            "n 5\npriors 1 2 3 4 5\ninner 0 4 0.1 inf\n",
+            "n 5\npriors 1 2 3 4 5\ninner 0 4 1e400 -Infinity\n",
+            "n 5\npriors 1 2 nan 4 5\ninner 0 4 0.1 0\n",
+            "n 3\npriors 1 1 1\ninner 0 99999999999999999999 0.1 0\n",
+            "n 3\npriors 1 1 1\ninner -99999999999999999999 1 0.1 0\n",
+            "n 100000000000000000000\ninner 9223372036854775807 9223372036854775808 0.1 0\n",
+            "n 3\npriors 1 1 1\ninner 0 1 0.5 0\ninner 1 2 0.1 0 inner 0 2 0.1 0\n",
+            "n 3\npriors 1 1 1\ninner 0 1 0.5\ninner 1 2 0.1 0 0\n",
+            "n 3\npriors 1 1 1\ninner 0 1 0.5 0 inner 1 2 0.1 0\ninner\ninner 0 2 0.1\n",
+            "n 3\npriors 1 1 1\ninner 0 1 0.5 0\ninner 1 2 inner 0\n",
+            "n 3\npriors 1 1 1\ninner 0 1 0.5 0\ninnerx 1 2 0.1 0\n",
+            "n 3\npriors 1 1 1\ninner 0 1 0.5 0\ninner\n",
+        ],
+    )
+    def test_number_syntax_and_odd_lines(self, text, tmp_path):
+        self.assert_same_text(text, tmp_path)
+
+    def test_python_number_syntax_is_read(self, tmp_path):
+        text = "n 0_4\npriors 0.2_5 +0.25 2.5e-1 ٠.٢٥\ninner ٠ +3 0.0_1 -0.0\ninner ١ 0_2 -.25 1e-400\n"
+        assert not isinstance(self.assert_same_text(text, tmp_path), str)
+        constellation, _ = cli.load_gram_file(str(tmp_path / "case.gram"))
+        assert constellation.overlaps[0, 3] == 0.01
+        assert constellation.overlaps[1, 2] == -0.25
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# head\nn 3 # count\n\npriors 0.2 0.3 0.5#p\n  # own line\ninner 0 1 0.5 0 # c\n"
+            "inner 0 2 0.1 -0.2#c\n\n\t inner\t1 2 0.3 0.1\nblocks 0,1,2 # one\n",
+            "n 3\r\npriors 0.2 0.3 0.5\r\ninner 0 1 0.5 0\r\n\r\ninner 1 2 0.1 0\r\n",
+            "n 3\rpriors 0.2 0.3 0.5\rinner 0 1 0.5 0\rinner 1 2 0.1 0",
+            "n 3\npriors 0.2 0.3 0.5\ninner 0 1 0.5 0\ninner 0 1 0.5 0 # again\n",
+            "n 2\npriors 0.5 0.5\n",
+            "",
+        ],
+        ids=["comments", "crlf", "cr", "repeat-commented", "no-inner", "empty"],
+    )
+    def test_comments_and_line_endings(self, text, tmp_path):
+        self.assert_same_text(text, tmp_path)
+
+    @pytest.mark.parametrize("space", ["\x0c", "\x1c", "\u2028", "\x85", "\x0b", " "])
+    def test_split_whitespace_is_not_a_line_break(self, space, tmp_path):
+        inside = f"n 2\npriors 0.5 0.5\ninner{space}0 1{space}0.5 0\n"
+        assert not isinstance(self.assert_same_text(inside, tmp_path), str)
+        two = f"n 2\npriors 0.5 0.5\ninner 0 1 0.5 0{space}inner 0 1 0.2 0\n"
+        message = self.assert_same_text(two, tmp_path)
+        assert message == f"{tmp_path / 'case.gram'}:3: expected 'inner i j re im'"
 
 
 class TestDeterminismAndFormats:
