@@ -61,11 +61,10 @@ from .srm import (
     ChannelStats,
     OptimalityVerdict,
     SrmResult,
+    certify,
     channel_stats,
-    check_theorem2,
     check_theorem3,
     srm,
-    verify_theorem1,
 )
 
 __version__ = "0.1.0"
@@ -98,8 +97,8 @@ __all__ = [
     "TOL_PSD",
     "TOL_RECON",
     "block_diagonalize",
+    "certify",
     "channel_stats",
-    "check_theorem2",
     "check_theorem3",
     "circulant_eigenvalues",
     "coherent_inner",
@@ -121,6 +120,5 @@ __all__ = [
     "principal_sqrt",
     "srm",
     "trace_criterion",
-    "verify_theorem1",
     "weighted_gram",
 ]

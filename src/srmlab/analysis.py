@@ -27,7 +27,7 @@ from .constellations import (
 from .errors import DomainError, NumericalError
 from .gus import fast_srm
 from .linalg import TOL_PSD, principal_sqrt
-from .srm import channel_stats, verify_theorem1
+from .srm import certify, channel_stats
 
 TOL_ROOT = 1e-12
 _BRACKET_MARGIN = 1e-6
@@ -160,7 +160,7 @@ def optimize_prior_4pam(alpha: float) -> float:
     overlaps = [[1, eta_a, chi, xi], [eta_a, 1, xi, chi], [chi, xi, 1, eta_b], [xi, chi, eta_b, 1]]
     q = 0.5 - p_star
     gram = weighted_gram(Constellation((p_star, p_star, q, q), overlaps))
-    verdict = verify_theorem1(gram, principal_sqrt(gram))
+    _, verdict = certify(gram, principal_sqrt(gram))
     if not verdict.optimal:
         raise NumericalError(
             f"optimized prior failed the optimality certificate: {verdict.witness}"

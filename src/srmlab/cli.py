@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gus import fast_srm
 from .linalg import TOL_PSD, TOL_RECON
-from .srm import TOL_COND, check_theorem2, check_theorem3, srm, verify_theorem1
+from .srm import TOL_COND, certify, check_theorem3, srm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -446,17 +446,18 @@ def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
     return None
 
 
-def _verdict_line(name: str, verdict) -> str:
+def _verdict_line(verdict) -> str:
     word = "optimal" if verdict.optimal else "suboptimal"
     if verdict.witness:
-        return f"{name} {word} ({verdict.witness})"
-    return f"{name} {word}"
+        return f"{verdict.method} {word} ({verdict.witness})"
+    return f"{verdict.method} {word}"
 
 
 def cmd_check(args) -> int:
     constellation, blocks = load_gram_file(args.gramfile)
     gram = weighted_gram(constellation)
     result = srm(gram, tol_psd=args.tol_psd)
+    factor = result.factor
 
     lines = [
         f"states {constellation.n}",
@@ -467,26 +468,12 @@ def cmd_check(args) -> int:
         lines.append(f"correct {i} state{i} {fmt(correct)}")
     if blocks is not None:
         try:
-            verdict3 = check_theorem3(
-                gram, blocks, tol_cond=args.tol_cond, tol_psd=args.tol_psd
-            )
-            lines.append(_verdict_line("theorem3", verdict3))
+            verdict3 = check_theorem3(gram, blocks, factor, tol_cond=args.tol_cond)
+            lines.append(_verdict_line(verdict3))
         except (NotBlockDiagonal, ReducibleBlock, ValueError) as exc:
             lines.append(f"theorem3 error ({exc})")
-    lines.append(
-        _verdict_line(
-            "theorem2",
-            check_theorem2(result.factor, tol_cond=args.tol_cond, tol_psd=args.tol_psd),
-        )
-    )
-    lines.append(
-        _verdict_line(
-            "theorem1_oracle",
-            verify_theorem1(
-                gram, result.factor, tol_cond=args.tol_cond, tol_psd=args.tol_psd
-            ),
-        )
-    )
+    verdicts = certify(gram, factor, tol_cond=args.tol_cond, tol_psd=args.tol_psd)
+    lines.extend(_verdict_line(verdict) for verdict in verdicts)
     emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -46,8 +46,9 @@ class Constellation:
             raise InvalidPrior("a constellation needs at least one state")
         if not np.all(priors > 0):
             raise InvalidPrior("priors must be strictly positive")
-        if abs(priors.sum() - 1.0) > PRIOR_TOL:
-            raise InvalidPrior(f"priors must sum to 1, got {priors.sum()!r}")
+        total = float(priors.sum())
+        if abs(total - 1.0) > PRIOR_TOL:
+            raise InvalidPrior(f"priors must sum to 1, got {total!r}")
 
         overlaps = np.array(self.overlaps, dtype=complex)
         if overlaps.shape != (n, n):
@@ -106,10 +107,9 @@ class GusEnsemble:
             raise InvalidPrior(f"expected {s} constellation priors, got {len(q)}")
         if not np.all(q > 0):
             raise InvalidPrior("constellation priors must be strictly positive")
-        if abs(m * q.sum() - 1.0) > PRIOR_TOL:
-            raise InvalidPrior(
-                f"per-state priors must satisfy m * sum(q) = 1, got {m * q.sum()!r}"
-            )
+        total = float(m * q.sum())
+        if abs(total - 1.0) > PRIOR_TOL:
+            raise InvalidPrior(f"per-state priors must satisfy m * sum(q) = 1, got {total!r}")
 
         mirror = _mirror(rows)
         defect = np.abs(rows - mirror).max(axis=2)

@@ -40,7 +40,7 @@ class GramSingular(NumericalError):
 
 
 class SingularFactor(NumericalError):
-    """A candidate measurement factor is singular or has a vanishing diagonal entry."""
+    """A candidate measurement factor has a vanishing diagonal entry."""
 
 
 class NotBlockDiagonal(NumericalError):

@@ -10,17 +10,18 @@ m = 1) of the block-circulant path: it and ``gus.fast_srm`` hand the
 eigenpairs of an (m, s, s) coupling stack to one private tail, which tests
 for singularity, takes the clamped root and returns its first rows. Three
 certificates decide whether this measurement is globally optimal for the
-given ensemble:
+given ensemble. ``srmlab check`` runs them on the matrices ``srm`` already
+holds: one more eigendecomposition, of Y = X X_d† with X_d = diag(X),
+decides the first two, and the third reads the root itself.
 
-* ``check_theorem2``: necessary and sufficient conditions on any candidate
-  factor X, a diagonal-balance identity per state pair plus positive
-  definiteness of Y = X X_d†.
+* Theorem 1, the ground truth: in the measurement basis Y - W_r must be
+  positive semidefinite for every weighted state projector W_r, all r
+  decided from the eigendecomposition of Y.
+* Theorem 2, its specialisation to the factor: a diagonal-balance identity
+  per state pair (Y Hermitian) plus positive definiteness of Y. ``certify``
+  returns the verdicts of both.
 * ``check_theorem3``: for block-diagonal Gram matrices, optimality is
   equivalent to each block's square root having a flat diagonal.
-* ``verify_theorem1``: the ground-truth certificate. In the measurement
-  basis it builds Y and the weighted state projectors W_r and demands
-  Y - W_r be positive semidefinite for every r, all r from one
-  eigendecomposition of Y. The other two checks specialize it.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .linalg import (
     _mirror,
     _sqrt_from_eig,
     as_matrix,
-    hermiticity_defect,
-    principal_sqrt,
 )
 
 TOL_COND = 1e-9
@@ -148,55 +147,6 @@ def _min_eig(hermitian: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def check_theorem2(factor, *, tol_cond: float = TOL_COND, tol_psd: float = TOL_PSD) -> OptimalityVerdict:
-    """Decide optimality of a candidate factor X of the Gram matrix.
-
-    Condition (i) demands ``X[i,i] conj(X[j,i]) == X[i,j] conj(X[j,j])``
-    for every pair, which is exactly Hermiticity of Y = X X_d† with
-    X_d = diag(X); condition (ii) demands Y positive definite. A minimum
-    eigenvalue of Y inside ``[-tol_psd, tol_psd]`` is reported as optimal
-    with a boundary note, since the strict/non-strict distinction is not
-    resolvable numerically.
-    """
-    x = as_matrix(factor)
-    diag = np.diagonal(x)
-    weakest = float(np.abs(diag).min())
-    if weakest <= tol_cond:
-        raise SingularFactor(
-            f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
-            "optimal factors have nonzero diagonals"
-        )
-    smallest_sv = float(np.linalg.svd(x, compute_uv=False)[-1])
-    if smallest_sv <= tol_psd:
-        raise SingularFactor(f"factor is singular (min singular value {smallest_sv:.3e})")
-
-    y = x * diag.conj()[None, :]
-    balance = np.abs(y - y.conj().T)
-    worst = float(balance.max())
-    if worst > tol_cond:
-        i, j = np.unravel_index(int(balance.argmax()), balance.shape)
-        return OptimalityVerdict(
-            optimal=False,
-            method="theorem2",
-            witness=f"condition (i) fails at state pair ({i}, {j}): residual {worst:.6e}",
-        )
-
-    lowest = _min_eig(y)
-    if lowest < -tol_psd:
-        return OptimalityVerdict(
-            optimal=False,
-            method="theorem2",
-            witness=f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}",
-        )
-    if lowest <= tol_psd:
-        return OptimalityVerdict(
-            optimal=True,
-            method="theorem2",
-            witness=f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band",
-        )
-    return OptimalityVerdict(optimal=True, method="theorem2")
-
-
 def _connected(adjacency: np.ndarray) -> bool:
     n = len(adjacency)
     seen = np.zeros(n, dtype=bool)
@@ -211,13 +161,7 @@ def _connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def check_theorem3(
-    gram,
-    blocks,
-    *,
-    tol_cond: float = TOL_COND,
-    tol_psd: float = TOL_PSD,
-) -> OptimalityVerdict:
+def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> OptimalityVerdict:
     """Optimality test for a Gram matrix that is block diagonal.
 
     ``blocks`` partitions the state indices. Entries coupling different
@@ -226,8 +170,16 @@ def check_theorem3(
     ``ReducibleBlock``; refine the partition and retry). The measurement
     is optimal iff the square root of every block has equal diagonal
     entries within ``tol_cond``.
+
+    ``factor`` is the principal square root of ``gram``, as ``srm`` takes
+    it. A block-diagonal matrix has a block-diagonal principal root, so
+    each block's root diagonal is read off ``factor``'s diagonal and no
+    block is factored again. A tolerated cross-block entry of size ε moves
+    that diagonal only by O(ε²): to first order the root changes off the
+    blocks alone.
     """
     g = as_matrix(gram)
+    x = _factor_of(g, factor)
     n = len(g)
     partition = [tuple(int(i) for i in block) for block in blocks]
     indices = sorted(i for block in partition for i in block)
@@ -246,23 +198,15 @@ def check_theorem3(
                 f"cross-block entry magnitude {leak:.3e} exceeds {tol_cond:g}"
             )
 
-    submatrices = []
     for b, block in enumerate(partition):
-        sub = g[np.ix_(block, block)]
-        support = np.abs(sub) > tol_cond
+        support = np.abs(g[np.ix_(block, block)]) > tol_cond
         if not _connected(support):
             raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
-        submatrices.append(sub)
 
-    worst_spread = -1.0
-    worst_block = -1
-    for b, sub in enumerate(submatrices):
-        root = principal_sqrt(sub, tol_psd=tol_psd)
-        diag = np.diagonal(root).real
-        spread = float(diag.max() - diag.min())
-        if spread > worst_spread:
-            worst_spread = spread
-            worst_block = b
+    diag = np.diagonal(x).real
+    spreads = [float(np.ptp(diag[list(block)])) for block in partition]
+    worst_block = int(np.argmax(spreads))
+    worst_spread = spreads[worst_block]
     if worst_spread > tol_cond:
         return OptimalityVerdict(
             optimal=False,
@@ -275,40 +219,86 @@ def check_theorem3(
     return OptimalityVerdict(optimal=True, method="theorem3")
 
 
-def verify_theorem1(
+def _factor_of(gram: np.ndarray, factor) -> np.ndarray:
+    x = as_matrix(factor)
+    if x.shape != gram.shape:
+        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {gram.shape}")
+    return x
+
+
+def certify(
     gram,
     factor,
     *,
     tol_cond: float = TOL_COND,
     tol_psd: float = TOL_PSD,
-) -> OptimalityVerdict:
-    """Ground-truth optimality certificate for any factorization of the Gram.
+) -> tuple[OptimalityVerdict, OptimalityVerdict]:
+    """Theorem-2 and Theorem-1 verdicts on any factorization X of the Gram, from one ``eigh``.
 
     Requires ``X† X`` to reproduce the Gram matrix within ``TOL_RECON``
-    (else ``InvalidFactorization``). Forms ``Y[j, k] = X[j, k] conj(X[k, k])``
-    and demands Y Hermitian and ``Y - x_r x_r†`` PSD for every column x_r.
-    One ``eigh`` of the symmetrised Y = U Λ U† decides every r in O(n³): the
-    downdate dips below ``-tol_psd`` iff ``λ_1 + tol_psd <= 0`` or
-    ``Σ_i |(U† X)[i, r]|² / (λ_i + tol_psd) > 1``. Such r are confirmed by an
-    exact eigensolve in increasing order; the first is the witness. Otherwise
-    each downdate's r-th column vanishes, and the optimal verdict's boundary
-    note reports that structural zero.
+    (else ``InvalidFactorization``) and every ``|X[i, i]|`` to exceed
+    ``tol_cond`` (else ``SingularFactor``). Both verdicts read
+    ``Y[j, k] = X[j, k] conj(X[k, k])`` and one ``eigh`` of the symmetrised
+    Y = U Λ U†.
+
+    Theorem 2, returned first: condition (i), Y Hermitian, fails at the
+    state pair of the largest ``|Y - Y†|`` beyond ``tol_cond``; condition
+    (ii), Y positive definite, reads λ_1. A λ_1 inside
+    ``[-tol_psd, tol_psd]`` is optimal with a boundary note, since the
+    strict/non-strict distinction is not resolvable numerically. A singular
+    factor is not refused: its Y is singular too, so Theorem 2 reports a
+    failed condition or the boundary note with λ_1 in the zero band.
+
+    Theorem 1, the ground truth: Y Hermitian and ``Y - x_r x_r†`` PSD for
+    every column x_r. That downdate dips below ``-tol_psd`` iff
+    ``λ_1 + tol_psd <= 0`` or ``Σ_i |(U† X)[i, r]|² / (λ_i + tol_psd) > 1``,
+    which decides every r in O(n³). Such r are confirmed by an exact
+    eigensolve in increasing order; the first is the witness. Otherwise
+    each downdate's r-th column vanishes, and the optimal verdict's
+    boundary note reports that structural zero.
     """
     g = as_matrix(gram)
-    x = as_matrix(factor)
-    if x.shape != g.shape:
-        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {g.shape}")
+    x = _factor_of(g, factor)
     residual = float(np.abs(x.conj().T @ x - g).max())
     if residual > TOL_RECON:
         raise InvalidFactorization(
             f"X†X differs from the Gram matrix by {residual:.3e} (tolerance {TOL_RECON:g})"
         )
+    diag = np.diagonal(x)
+    weakest = float(np.abs(diag).min())
+    if weakest <= tol_cond:
+        raise SingularFactor(
+            f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
+            "optimal factors have nonzero diagonals"
+        )
 
-    y = x * np.diagonal(x).conj()[None, :]
-    defect = hermiticity_defect(y)
+    y = x * diag.conj()[None, :]
+    balance = np.abs(y - y.conj().T)
+    asymmetry = float(balance.max())
     y = (y + y.conj().T) / 2.0
-
     w, u = _eigh(y)
+    lowest = float(w[0])
+
+    if asymmetry > tol_cond:
+        i, j = np.unravel_index(int(balance.argmax()), balance.shape)
+        optimal2, witness2 = False, (
+            f"condition (i) fails at state pair ({i}, {j}): residual {asymmetry:.6e}"
+        )
+    elif lowest < -tol_psd:
+        optimal2, witness2 = False, f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}"
+    elif lowest <= tol_psd:
+        optimal2, witness2 = True, (
+            f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
+        )
+    else:
+        optimal2, witness2 = True, None
+
+    if asymmetry > tol_cond:
+        optimal1, witness1 = False, f"Y is not Hermitian: max asymmetry {asymmetry:.6e}"
+    else:
+        optimal1, witness1 = True, (
+            "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
+        )
     candidates = range(len(x))
     if w[0] + tol_psd > 0.0:
         # the 1e-12 slack keeps a downdate within rounding of the threshold a candidate
@@ -317,21 +307,11 @@ def verify_theorem1(
     for r in candidates:
         low = _min_eig(y - np.outer(x[:, r], x[:, r].conj()))
         if low < -tol_psd:
-            return OptimalityVerdict(
-                optimal=False,
-                method="theorem1_oracle",
-                witness=f"Y - W_{r} has min eigenvalue {low:.6e}",
-            )
-    if defect > tol_cond:
-        return OptimalityVerdict(
-            optimal=False,
-            method="theorem1_oracle",
-            witness=f"Y is not Hermitian: max asymmetry {defect:.6e}",
-        )
-    return OptimalityVerdict(
-        optimal=True,
-        method="theorem1_oracle",
-        witness="boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band",
+            optimal1, witness1 = False, f"Y - W_{r} has min eigenvalue {low:.6e}"
+            break
+    return (
+        OptimalityVerdict(optimal2, "theorem2", witness2),
+        OptimalityVerdict(optimal1, "theorem1_oracle", witness1),
     )
 
 

@@ -3,8 +3,12 @@
 Also the test references that the library does not need: the unitary
 Fourier matrix, dense circulants from a first row or a spectrum, a PSD
 test, the eigendecomposition record, the spectral square root and the
-dense assembly of a coupling stack, the O(n⁴) Theorem-1 oracle that
-runs one eigensolve per downdate, and the line-by-line Gram-file parser.
+dense assembly of a coupling stack, the certificate references (the
+O(n⁴) Theorem-1 oracle that runs one eigensolve per downdate, Theorem 2
+with its own eigensolve and SVD, and Theorem 3 with one root per block),
+the line-by-line Gram-file parser, and the documented ``check`` reports
+of the files in ``gramfiles/``. ``counted_factorizations`` logs the
+LAPACK factorizations a call makes.
 """
 
 from dataclasses import dataclass
@@ -12,7 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from srmlab.constellations import Constellation, GusEnsemble, weighted_gram
-from srmlab.errors import GramFileError, InvalidFactorization, InvalidPrior
+from srmlab.errors import (
+    GramFileError,
+    InvalidFactorization,
+    InvalidPrior,
+    NotBlockDiagonal,
+    ReducibleBlock,
+    SingularFactor,
+)
 from srmlab.linalg import (
     TOL_PSD,
     TOL_RECON,
@@ -22,8 +33,45 @@ from srmlab.linalg import (
     as_matrix,
     circulant_eigenvalues,
     hermiticity_defect,
+    principal_sqrt,
 )
-from srmlab.srm import TOL_COND, OptimalityVerdict, _min_eig
+from srmlab.srm import TOL_COND, OptimalityVerdict, _connected, _min_eig
+
+
+# the full `srmlab check` report of each documented file in gramfiles/
+GRAMFILE_REPORTS = {
+    "binary_equal": (
+        "states 2\n"
+        "pc 0.933012701892\n"
+        "pe 0.0669872981078\n"
+        "correct 0 state0 0.466506350946\n"
+        "correct 1 state1 0.466506350946\n"
+        "theorem3 optimal\n"
+        "theorem2 optimal\n"
+        "theorem1_oracle optimal (boundary: min eigenvalue over Y - W_r is 0.000000e+00, "
+        "inside the zero band)\n"
+    ),
+    "binary_biased": (
+        "states 2\n"
+        "pc 0.941462611618\n"
+        "pe 0.0585373883823\n"
+        "correct 0 state0 0.270731305809\n"
+        "correct 1 state1 0.670731305809\n"
+        "theorem2 suboptimal (condition (i) fails at state pair (0, 1): residual 5.109562e-02)\n"
+        "theorem1_oracle suboptimal (Y - W_0 has min eigenvalue -1.015895e-03)\n"
+    ),
+    "identity3": (
+        "states 3\n"
+        "pc 1\n"
+        "pe 0\n"
+        "correct 0 state0 0.333333333333\n"
+        "correct 1 state1 0.333333333333\n"
+        "correct 2 state2 0.333333333333\n"
+        "theorem2 optimal\n"
+        "theorem1_oracle optimal (boundary: min eigenvalue over Y - W_r is 0.000000e+00, "
+        "inside the zero band)\n"
+    ),
+}
 
 
 def fourier_matrix(m: int) -> np.ndarray:
@@ -161,6 +209,42 @@ def circulant_from_row(first_row) -> np.ndarray:
     return CirculantSpec(np.asarray(first_row)).matrix()
 
 
+def gram_lines(rng, n, blocks) -> list[str]:
+    """A certify-style Gram file: one or two circulant blocks, skewed or equal priors."""
+    parts = 2 if blocks else 1
+    size = n // parts
+    overlaps = np.zeros((n, n), dtype=complex)
+    for b in range(parts):
+        overlaps[b * size : (b + 1) * size, b * size : (b + 1) * size] = (
+            size * random_circulant_gram(rng, size)
+        )
+    priors = rng.uniform(0.5, 1.5, n) if rng.integers(2) else np.ones(n)
+    priors /= priors.sum()
+    lines = [f"n {n}", "priors " + " ".join(repr(float(p)) for p in priors)]
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if overlaps[i, j] != 0:
+            value = overlaps[i, j]
+            lines.append(f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}")
+    if blocks:
+        groups = (",".join(map(str, range(b * size, (b + 1) * size))) for b in range(parts))
+        lines.append("blocks " + " ".join(groups))
+    return lines
+
+
+def counted_factorizations(monkeypatch) -> dict:
+    """Log the shape of every ``eigh``, ``eigvalsh`` and ``svd`` argument, per solver."""
+    calls = {"eigh": [], "eigvalsh": [], "svd": []}
+    for name, log in calls.items():
+        solver = getattr(np.linalg, name)
+
+        def counted(mat, *args, _solver=solver, _log=log, **kwargs):
+            _log.append(np.shape(mat))
+            return _solver(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 def verify_theorem1_reference(
     gram,
     factor,
@@ -170,9 +254,10 @@ def verify_theorem1_reference(
 ) -> OptimalityVerdict:
     """Theorem-1 oracle by one eigensolve of ``Y - W_r`` per state r, in O(n⁴).
 
-    Same inputs, errors and verdicts as ``srm.verify_theorem1``. Its
-    optimal boundary note prints the minimum over all r as the eigensolver
-    returns it, where the library prints the structural zero.
+    Same inputs, errors and verdicts as the Theorem-1 half of
+    ``srm.certify``. Its optimal boundary note prints the minimum over all
+    r as the eigensolver returns it, where the library prints the
+    structural zero.
     """
     g = as_matrix(gram)
     x = as_matrix(factor)
@@ -214,6 +299,125 @@ def verify_theorem1_reference(
             witness=f"boundary: min eigenvalue over Y - W_r is {lowest:.6e}, inside the zero band",
         )
     return OptimalityVerdict(optimal=True, method="theorem1_oracle")
+
+
+def check_theorem2_reference(
+    factor, *, tol_cond: float = TOL_COND, tol_psd: float = TOL_PSD
+) -> OptimalityVerdict:
+    """Theorem 2 by its own ``eigvalsh`` of Y and an SVD of X: ``srm.certify``'s reference.
+
+    Decides optimality of a candidate factor X of the Gram matrix.
+
+    Condition (i) demands ``X[i,i] conj(X[j,i]) == X[i,j] conj(X[j,j])``
+    for every pair, which is exactly Hermiticity of Y = X X_d† with
+    X_d = diag(X); condition (ii) demands Y positive definite. A minimum
+    eigenvalue of Y inside ``[-tol_psd, tol_psd]`` is reported as optimal
+    with a boundary note, since the strict/non-strict distinction is not
+    resolvable numerically.
+    """
+    x = as_matrix(factor)
+    diag = np.diagonal(x)
+    weakest = float(np.abs(diag).min())
+    if weakest <= tol_cond:
+        raise SingularFactor(
+            f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
+            "optimal factors have nonzero diagonals"
+        )
+    smallest_sv = float(np.linalg.svd(x, compute_uv=False)[-1])
+    if smallest_sv <= tol_psd:
+        raise SingularFactor(f"factor is singular (min singular value {smallest_sv:.3e})")
+
+    y = x * diag.conj()[None, :]
+    balance = np.abs(y - y.conj().T)
+    worst = float(balance.max())
+    if worst > tol_cond:
+        i, j = np.unravel_index(int(balance.argmax()), balance.shape)
+        return OptimalityVerdict(
+            optimal=False,
+            method="theorem2",
+            witness=f"condition (i) fails at state pair ({i}, {j}): residual {worst:.6e}",
+        )
+
+    lowest = _min_eig(y)
+    if lowest < -tol_psd:
+        return OptimalityVerdict(
+            optimal=False,
+            method="theorem2",
+            witness=f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}",
+        )
+    if lowest <= tol_psd:
+        return OptimalityVerdict(
+            optimal=True,
+            method="theorem2",
+            witness=f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band",
+        )
+    return OptimalityVerdict(optimal=True, method="theorem2")
+
+
+def check_theorem3_reference(
+    gram,
+    blocks,
+    *,
+    tol_cond: float = TOL_COND,
+    tol_psd: float = TOL_PSD,
+) -> OptimalityVerdict:
+    """Theorem 3 by one principal root per block: ``srm.check_theorem3``'s reference.
+
+    Optimality test for a Gram matrix that is block diagonal.
+
+    ``blocks`` partitions the state indices. Entries coupling different
+    blocks must vanish within ``tol_cond`` (else ``NotBlockDiagonal``),
+    and each block's support graph must be connected (else
+    ``ReducibleBlock``; refine the partition and retry). The measurement
+    is optimal iff the square root of every block has equal diagonal
+    entries within ``tol_cond``.
+    """
+    g = as_matrix(gram)
+    n = len(g)
+    partition = [tuple(int(i) for i in block) for block in blocks]
+    indices = sorted(i for block in partition for i in block)
+    if indices != list(range(n)):
+        raise ValueError("blocks must partition the state indices exactly once each")
+    if not all(partition):
+        raise ValueError("every block must hold at least one state index")
+
+    inside = np.zeros((n, n), dtype=bool)
+    for block in partition:
+        inside[np.ix_(block, block)] = True
+    if not inside.all():
+        leak = float(np.abs(g[~inside]).max())
+        if leak > tol_cond:
+            raise NotBlockDiagonal(
+                f"cross-block entry magnitude {leak:.3e} exceeds {tol_cond:g}"
+            )
+
+    submatrices = []
+    for b, block in enumerate(partition):
+        sub = g[np.ix_(block, block)]
+        support = np.abs(sub) > tol_cond
+        if not _connected(support):
+            raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
+        submatrices.append(sub)
+
+    worst_spread = -1.0
+    worst_block = -1
+    for b, sub in enumerate(submatrices):
+        root = principal_sqrt(sub, tol_psd=tol_psd)
+        diag = np.diagonal(root).real
+        spread = float(diag.max() - diag.min())
+        if spread > worst_spread:
+            worst_spread = spread
+            worst_block = b
+    if worst_spread > tol_cond:
+        return OptimalityVerdict(
+            optimal=False,
+            method="theorem3",
+            witness=(
+                f"block {worst_block}: square-root diagonal entries spread by "
+                f"{worst_spread:.6e}"
+            ),
+        )
+    return OptimalityVerdict(optimal=True, method="theorem3")
 
 
 def load_gram_file_reference(path: str) -> tuple[Constellation, list[tuple[int, ...]] | None]:

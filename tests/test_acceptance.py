@@ -20,7 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import block_sqrt, random_gus_ensemble, random_unit_trace_gram, single_gus_pc
+from helpers import (
+    GRAMFILE_REPORTS,
+    block_sqrt,
+    check_theorem2_reference,
+    check_theorem3_reference,
+    random_gus_ensemble,
+    random_unit_trace_gram,
+    single_gus_pc,
+    verify_theorem1_reference,
+)
 from srmlab import analysis
 from srmlab.cli import main
 from srmlab.constellations import (
@@ -34,7 +43,7 @@ from srmlab.constellations import (
 from srmlab.errors import ReducibleBlock
 from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
 from srmlab.linalg import TOL_PSD, principal_sqrt
-from srmlab.srm import channel_stats, check_theorem2, check_theorem3, srm, verify_theorem1
+from srmlab.srm import certify, channel_stats, check_theorem3, srm
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -79,7 +88,7 @@ def test_criterion_02_four_phase_optimality():
         gram = weighted_gram(ensemble.base)
         result = srm(gram)
         _record(result, gram)
-        verdict = verify_theorem1(gram, result.factor)
+        _, verdict = certify(gram, result.factor)
         all_optimal = all_optimal and verdict.optimal
         worst = max(worst, abs(result.pc - single_gus_pc(gram[0])))
     ok = all_optimal and worst <= 1e-10
@@ -119,6 +128,9 @@ def _y_at_psd_edge(root) -> bool:
 
 
 def test_criterion_04_verdict_concordance():
+    # Theorems 1 and 2 share one eigendecomposition of Y in ``certify``, so
+    # each verdict is also held to an independent reference: Theorem 2 with
+    # its own eigensolve and SVD, the O(n^4) oracle and per-block roots
     rng = np.random.default_rng(103)
     disagreements = 0
     compared = 0
@@ -131,29 +143,35 @@ def test_criterion_04_verdict_concordance():
         else:
             gram = weighted_gram(random_gus_ensemble(rng, 1, n).base)
         root = principal_sqrt(gram)
-        oracle = verify_theorem1(gram, root)
-        pairwise = check_theorem2(root)
+        pairwise, oracle = certify(gram, root)
         compared += 1
         if pairwise.optimal != oracle.optimal:
             if _y_at_psd_edge(root):
                 boundary += 1
             else:
                 disagreements += 1
+        if pairwise.optimal != check_theorem2_reference(root).optimal:
+            disagreements += 1
+        if oracle.optimal != verify_theorem1_reference(gram, root).optimal:
+            disagreements += 1
         try:
-            blockwise = check_theorem3(gram, [range(n)])
+            blockwise = check_theorem3(gram, [range(n)], root)
         except ReducibleBlock:
             blockwise = None
         if blockwise is not None:
             theorem3_compared += 1
             if blockwise.optimal != oracle.optimal:
                 disagreements += 1
+            if blockwise.optimal != check_theorem3_reference(gram, [range(n)]).optimal:
+                disagreements += 1
     ok = disagreements == 0
     assert _report(
         4,
         "verdict concordance",
         ok,
-        f"{compared} theorem2 and {theorem3_compared} theorem3 comparisons, "
-        f"{disagreements} disagreements, {boundary} theorem2 boundary cases",
+        f"{compared} theorem2 and {theorem3_compared} theorem3 comparisons, each also "
+        f"against its reference, {disagreements} disagreements, "
+        f"{boundary} theorem2 boundary cases",
     )
 
 
@@ -199,7 +217,7 @@ def test_criterion_06_optimized_prior():
         gram = weighted_gram(ensemble.base)
         result, _ = fast_srm(ensemble)
         _record(result, gram)
-        all_certified = all_certified and verify_theorem1(gram, result.factor).optimal
+        all_certified = all_certified and certify(gram, result.factor)[1].optimal
     bright = analysis.optimize_prior_4pam(math.sqrt(10.0))
     bright_ok = abs(bright - 0.25) < 0.01
     alpha = 1.0
@@ -285,7 +303,7 @@ def test_criterion_08_double_ppm():
             _, balanced = trace_criterion(root_spectrum)
             result, _ = fast_srm(ensemble)
             _record(result, gram)
-            verdict = verify_theorem1(gram, result.factor)
+            _, verdict = certify(gram, result.factor)
             all_optimal = all_optimal and balanced and verdict.optimal
             form = analysis.double_ppm_closed_form(m, alpha)
             factor = result.factor
@@ -386,36 +404,16 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
         assert main([name, *extra, "--out", str(second)]) == 0
         identical = identical and first.read_bytes() == second.read_bytes()
 
-    reports = {}
-    for stem in ("binary_equal", "binary_biased", "identity3"):
+    documented = True
+    for stem, report in GRAMFILE_REPORTS.items():
         out = tmp_path / f"{stem}.txt"
         assert main(["check", str(GRAMFILES / f"{stem}.gram"), "--out", str(out)]) == 0
-        reports[stem] = out.read_text().splitlines()
-
-    equal_ok = (
-        "pc 0.933012701892" in reports["binary_equal"]
-        and "theorem3 optimal" in reports["binary_equal"]
-        and "theorem2 optimal" in reports["binary_equal"]
-        and any(l.startswith("theorem1_oracle optimal") for l in reports["binary_equal"])
-    )
-    biased_ok = (
-        "pc 0.941462611618" in reports["binary_biased"]
-        and any(l.startswith("theorem2 suboptimal") for l in reports["binary_biased"])
-        and any(
-            l.startswith("theorem1_oracle suboptimal") for l in reports["binary_biased"]
-        )
-    )
-    identity_ok = (
-        "pc 1" in reports["identity3"]
-        and "theorem2 optimal" in reports["identity3"]
-        and any(l.startswith("theorem1_oracle optimal") for l in reports["identity3"])
-    )
-    ok = identical and equal_ok and biased_ok and identity_ok
+        documented = documented and out.read_text() == report
+    ok = identical and documented
     capsys.readouterr()  # swallow dataset notes so the verdict line stands out
     assert _report(
         11,
         "cli determinism and documented checks",
         ok,
-        f"byte-identical {identical}, documented verdicts "
-        f"{equal_ok and biased_ok and identity_ok}",
+        f"byte-identical {identical}, documented reports {documented}",
     )

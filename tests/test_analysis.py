@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import block_sqrt, single_gus_pc
+from helpers import block_sqrt, single_gus_pc, verify_theorem1_reference
 from srmlab import analysis
 from srmlab.analysis import (
     SweepPoint,
@@ -29,7 +29,7 @@ from srmlab.constellations import (
 from srmlab.errors import DomainError, GramSingular
 from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
 from srmlab.linalg import principal_sqrt
-from srmlab.srm import channel_stats, srm, verify_theorem1
+from srmlab.srm import channel_stats, srm
 
 PHOTON_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 DELTA_GRID = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
@@ -114,7 +114,7 @@ class TestPriorOptimization:
         _, balanced = trace_criterion(block_sqrt(block_diagonalize(ens)))
         assert balanced
         gram = weighted_gram(ens.base)
-        assert verify_theorem1(gram, principal_sqrt(gram)).optimal
+        assert verify_theorem1_reference(gram, principal_sqrt(gram)).optimal
 
     def test_closed_form_traces_match_pipeline(self):
         alpha, p = 1.0, 0.3

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import srmlab
-from helpers import load_gram_file_reference, random_circulant_gram, single_gus_pc
+from helpers import (
+    GRAMFILE_REPORTS,
+    counted_factorizations,
+    gram_lines,
+    load_gram_file_reference,
+    single_gus_pc,
+)
 from srmlab import analysis, cli, errors
 from srmlab.cli import (
     EXIT_CONFIG,
@@ -258,30 +264,47 @@ class TestCheck:
         code = main(["check", str(GRAMFILES / name), "--out", str(out)])
         return code, out.read_text()
 
-    def test_binary_equal(self, tmp_path):
-        code, report = self.run_check("binary_equal.gram", tmp_path)
+    @pytest.mark.parametrize("stem", sorted(GRAMFILE_REPORTS))
+    def test_documented_report(self, stem, tmp_path):
+        code, report = self.run_check(f"{stem}.gram", tmp_path)
         assert code == EXIT_OK
-        lines = report.splitlines()
-        assert "pc 0.933012701892" in lines
-        assert "theorem3 optimal" in lines
-        assert "theorem2 optimal" in lines
-        assert any(line.startswith("theorem1_oracle optimal") for line in lines)
+        assert report == GRAMFILE_REPORTS[stem]
 
-    def test_binary_biased(self, tmp_path):
-        code, report = self.run_check("binary_biased.gram", tmp_path)
-        assert code == EXIT_OK
-        lines = report.splitlines()
-        assert "pc 0.941462611618" in lines
-        assert any(line.startswith("theorem2 suboptimal") for line in lines)
-        assert any(line.startswith("theorem1_oracle suboptimal") for line in lines)
+    def test_prior_sum_error_prints_a_plain_float(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gram"
+        bad.write_text("n 2\npriors 1 1\n")
+        assert main(["check", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {bad}: invalid constellation: priors must sum to 1, got 2.0\n"
+        )
 
-    def test_identity(self, tmp_path):
-        code, report = self.run_check("identity3.gram", tmp_path)
-        assert code == EXIT_OK
-        lines = report.splitlines()
-        assert "pc 1" in lines
-        assert "theorem2 optimal" in lines
-        assert any(line.startswith("theorem1_oracle optimal") for line in lines)
+    def test_single_state_at_unit_psd_tolerance(self, tmp_path):
+        # srm accepts lambda_min(G) = 1 at --tol-psd 1, and no second test of
+        # the factor refuses it: sigma_min(X)^2 is that same eigenvalue
+        one = tmp_path / "one.gram"
+        one.write_text("n 1\npriors 1\n")
+        out = tmp_path / "report.txt"
+        assert main(["check", str(one), "--tol-psd", "1", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[:3] == ["states 1", "pc 1", "pe 0"]
+
+    def test_one_decomposition_per_matrix(self, monkeypatch, tmp_path):
+        # one eigh of G (the one-bin stack), one of Y, one eigvalsh per
+        # confirmed Theorem-1 candidate, no SVD and no per-block root
+        calls = counted_factorizations(monkeypatch)
+        for stem, confirmed in (("binary_equal", []), ("binary_biased", [(2, 2)])):
+            for log in calls.values():
+                log.clear()
+            assert self.run_check(f"{stem}.gram", tmp_path)[0] == EXIT_OK
+            assert calls == {"eigh": [(1, 2, 2), (2, 2)], "eigvalsh": confirmed, "svd": []}
+        # seed 1 draws equal priors (optimal), seed 5 skewed ones (suboptimal)
+        for seed, blocks in ((1, False), (1, True), (5, False), (5, True)):
+            path = tmp_path / "certify.gram"
+            path.write_text("\n".join(gram_lines(np.random.default_rng(seed), 64, blocks)) + "\n")
+            for log in calls.values():
+                log.clear()
+            assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
+            confirmed = [(64, 64)] if seed == 5 else []
+            assert calls == {"eigh": [(1, 64, 64), (64, 64)], "eigvalsh": confirmed, "svd": []}
 
     def test_parse_error_has_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.gram"
@@ -359,28 +382,6 @@ class TestCheck:
         assert capsys.readouterr().err == (
             f"error: {bad}:{lineno}: duplicate {key!r} line, first given on line {first}\n"
         )
-
-
-def gram_lines(rng, n, blocks) -> list[str]:
-    """A certify-style Gram file: one or two circulant blocks, skewed or equal priors."""
-    parts = 2 if blocks else 1
-    size = n // parts
-    overlaps = np.zeros((n, n), dtype=complex)
-    for b in range(parts):
-        overlaps[b * size : (b + 1) * size, b * size : (b + 1) * size] = (
-            size * random_circulant_gram(rng, size)
-        )
-    priors = rng.uniform(0.5, 1.5, n) if rng.integers(2) else np.ones(n)
-    priors /= priors.sum()
-    lines = [f"n {n}", "priors " + " ".join(repr(float(p)) for p in priors)]
-    for i, j in zip(*np.triu_indices(n, 1)):
-        if overlaps[i, j] != 0:
-            value = overlaps[i, j]
-            lines.append(f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}")
-    if blocks:
-        groups = (",".join(map(str, range(b * size, (b + 1) * size))) for b in range(parts))
-        lines.append("blocks " + " ".join(groups))
-    return lines
 
 
 def mutated(lines, seed, mutation) -> tuple[list[str], int]:

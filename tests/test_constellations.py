@@ -50,6 +50,11 @@ class TestConstellation:
         with pytest.raises(InvalidPrior):
             Constellation(priors=np.array([0.5, 0.4]), overlaps=np.eye(2))
 
+    def test_prior_sum_error_prints_a_plain_float(self):
+        with pytest.raises(InvalidPrior) as caught:
+            Constellation(priors=np.array([1.0, 1.0]), overlaps=np.eye(2))
+        assert str(caught.value) == "priors must sum to 1, got 2.0"
+
     def test_rejects_nonpositive_prior(self):
         for priors in ([1.0, 0.0], [np.nan, 0.5], [0.5, np.nan]):
             with pytest.raises(InvalidPrior):
@@ -296,6 +301,11 @@ class TestGusFromBase:
         for priors in ((np.nan, 0.25), (0.25, np.nan)):
             with pytest.raises(InvalidPrior):
                 GusEnsemble(rows=rows, constellation_priors=priors)
+
+    def test_prior_normalization_error_prints_a_plain_float(self):
+        with pytest.raises(InvalidPrior) as caught:
+            GusEnsemble(rows=[[[1, 0.5, 0.5]]], constellation_priors=(0.5,))
+        assert str(caught.value) == "per-state priors must satisfy m * sum(q) = 1, got 1.5"
 
     def test_rejects_inconsistent_rule(self):
         # the (1, 0) row is not the conjugate mirror of the (0, 1) row

@@ -27,7 +27,7 @@ from srmlab.constellations import (
 from srmlab.errors import GramSingular
 from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
 from srmlab.linalg import TOL_PSD, TOL_RECON, circulant_eigenvalues, principal_sqrt
-from srmlab.srm import srm, verify_theorem1
+from srmlab.srm import certify, srm
 
 
 class TestBlockDiagonalize:
@@ -153,9 +153,7 @@ class TestTraceCriterion:
         ens = make_double_bpsk(1.0, 3.0, 0.25)
         g, optimal = trace_criterion(block_sqrt(block_diagonalize(ens)))
         assert not optimal
-        oracle = verify_theorem1(
-            weighted_gram(ens.base), principal_sqrt(weighted_gram(ens.base))
-        )
+        _, oracle = certify(weighted_gram(ens.base), principal_sqrt(weighted_gram(ens.base)))
         assert not oracle.optimal
 
 

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_theorem2_reference,
+    check_theorem3_reference,
+    counted_factorizations,
+    gram_lines,
     random_circulant_gram,
     random_gus_ensemble,
     random_unit_trace_gram,
@@ -22,13 +26,7 @@ from srmlab.errors import (
     SingularFactor,
 )
 from srmlab.linalg import TOL_PSD, principal_sqrt
-from srmlab.srm import (
-    channel_stats,
-    check_theorem2,
-    check_theorem3,
-    srm,
-    verify_theorem1,
-)
+from srmlab.srm import TOL_COND, certify, channel_stats, check_theorem3, srm
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
@@ -106,108 +104,142 @@ class TestSrm:
             assert calls == [(1, n, n)]
 
 
-class TestCheckTheorem2:
+def factor_gram(x) -> np.ndarray:
+    """The Gram matrix X†X that a candidate factor X factorizes."""
+    x = np.asarray(x, dtype=complex)
+    return x.conj().T @ x
+
+
+class TestCertifyTheorem2:
     def test_circulant_root_is_optimal(self):
         g = weighted_gram(make_psk(4, 1.0).base)
-        verdict = check_theorem2(principal_sqrt(g))
+        verdict, _ = certify(g, principal_sqrt(g))
         assert verdict.optimal
         assert verdict.method == "theorem2"
 
     def test_identity_factor_is_optimal(self):
-        verdict = check_theorem2(np.eye(3) / math.sqrt(3))
+        x = np.eye(3) / math.sqrt(3)
+        verdict, _ = certify(factor_gram(x), x)
         assert verdict.optimal
 
     def test_biased_binary_root_fails_balance_condition(self):
         result = srm(binary_gram(0.3, 0.5))
-        verdict = check_theorem2(result.factor)
+        verdict, oracle = certify(binary_gram(0.3, 0.5), result.factor)
         assert not verdict.optimal
         assert "condition (i)" in verdict.witness
         # ground truth agrees
-        oracle = verify_theorem1(binary_gram(0.3, 0.5), result.factor)
         assert not oracle.optimal
 
     def test_boundary_positivity_reports_optimal_with_note(self):
         # Y = diag(1, 1e-12) sits inside the numerical zero band
-        verdict = check_theorem2(np.diag([1.0, 1e-6]))
+        x = np.diag([1.0, 1e-6])
+        verdict, _ = certify(factor_gram(x), x)
         assert verdict.optimal
         assert "boundary" in verdict.witness
 
     def test_rejects_zero_diagonal(self):
-        with pytest.raises(SingularFactor):
-            check_theorem2(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SingularFactor, match="vanishing diagonal"):
+            certify(factor_gram(x), x)
 
-    def test_rejects_singular_factor(self):
-        with pytest.raises(SingularFactor):
-            check_theorem2(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    def test_singular_factor_reports_the_boundary(self):
+        # no SVD refuses a singular factor; its Y = X X_d† is singular too,
+        # so Theorem 2 reports lambda_min(Y) inside the zero band
+        x = np.array([[1.0, 1.0], [1.0, 1.0]])
+        verdict, oracle = certify(factor_gram(x), x)
+        assert verdict.optimal
+        lowest = float(verdict.witness.split()[6].rstrip(","))
+        assert verdict.witness == (
+            f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
+        )
+        assert abs(lowest) <= TOL_PSD
+        assert oracle.optimal
+        with pytest.raises(SingularFactor, match="min singular value"):
+            check_theorem2_reference(x)
 
 
 class TestCheckTheorem3:
     def test_single_gus_block(self):
         g = weighted_gram(make_psk(4, 1.0).base)
-        verdict = check_theorem3(g, [range(4)])
+        verdict = check_theorem3(g, [range(4)], principal_sqrt(g))
         assert verdict.optimal
 
     def test_binary_equiprobable_common_diagonal(self):
         chi = 0.5
         g = binary_gram(0.5, chi)
-        verdict = check_theorem3(g, [(0, 1)])
+        root = principal_sqrt(g)
+        verdict = check_theorem3(g, [(0, 1)], root)
         assert verdict.optimal
         # the common diagonal value is a / sqrt(2)
         a = math.sqrt((1 + math.sqrt(1 - chi**2)) / 2)
-        root = principal_sqrt(g)
         assert root[0, 0].real == pytest.approx(a / math.sqrt(2), abs=1e-12)
         assert root[1, 1].real == pytest.approx(a / math.sqrt(2), abs=1e-12)
 
     def test_singleton_blocks(self):
-        verdict = check_theorem3(np.diag([0.4, 0.6]), [(0,), (1,)])
+        g = np.diag([0.4, 0.6])
+        verdict = check_theorem3(g, [(0,), (1,)], principal_sqrt(g))
         assert verdict.optimal
 
     def test_unbalanced_block_is_suboptimal(self):
         g = binary_gram(0.3, 0.5)
-        verdict = check_theorem3(g, [(0, 1)])
+        verdict = check_theorem3(g, [(0, 1)], principal_sqrt(g))
         assert not verdict.optimal
         assert "spread" in verdict.witness
 
     def test_rejects_false_partition(self):
         g = binary_gram(0.5, 0.5)
         with pytest.raises(NotBlockDiagonal):
-            check_theorem3(g, [(0,), (1,)])
+            check_theorem3(g, [(0,), (1,)], principal_sqrt(g))
 
     def test_rejects_reducible_block(self):
+        g = np.diag([0.4, 0.6])
         with pytest.raises(ReducibleBlock):
-            check_theorem3(np.diag([0.4, 0.6]), [(0, 1)])
+            check_theorem3(g, [(0, 1)], principal_sqrt(g))
 
     def test_rejects_non_partition(self):
         with pytest.raises(ValueError):
-            check_theorem3(np.eye(2) / 2, [(0,)])
+            check_theorem3(np.eye(2) / 2, [(0,)], np.eye(2) / math.sqrt(2))
         with pytest.raises(ValueError, match="at least one state"):
-            check_theorem3(np.eye(3) / 3, [(0, 1), (), (2,)])
+            check_theorem3(np.eye(3) / 3, [(0, 1), (), (2,)], np.eye(3) / math.sqrt(3))
+
+    def test_rejects_a_factor_of_another_size(self):
+        with pytest.raises(InvalidFactorization, match="factor shape"):
+            check_theorem3(np.eye(2) / 2, [(0, 1)], np.eye(3))
+
+    def test_reads_the_root_it_is_given(self, monkeypatch):
+        # the per-block spreads come from the factor's diagonal: no block is
+        # factored again, and a factor with a flat diagonal per block passes
+        g = binary_gram(0.3, 0.5)
+        calls = counted_factorizations(monkeypatch)
+        verdict = check_theorem3(g, [(0, 1)], np.diag([0.6, 0.6]))
+        assert verdict.optimal
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": []}
 
 
-class TestVerifyTheorem1:
+class TestCertifyTheorem1:
     def test_four_phase_root_is_optimal(self):
         g = weighted_gram(make_psk(4, 1.0).base)
-        verdict = verify_theorem1(g, principal_sqrt(g))
+        _, verdict = certify(g, principal_sqrt(g))
         assert verdict.optimal
         assert verdict.method == "theorem1_oracle"
 
     def test_identity(self):
         g = np.eye(3) / 3
-        verdict = verify_theorem1(g, principal_sqrt(g))
+        _, verdict = certify(g, principal_sqrt(g))
         assert verdict.optimal
 
     def test_biased_binary_root_is_suboptimal(self):
         g = binary_gram(0.3, 0.5)
-        verdict = verify_theorem1(g, principal_sqrt(g))
+        _, verdict = certify(g, principal_sqrt(g))
         assert not verdict.optimal
         assert "min eigenvalue" in verdict.witness
 
     def test_rejects_invalid_factorization(self):
         g = binary_gram(0.5, 0.5)
         with pytest.raises(InvalidFactorization):
-            verify_theorem1(g, np.eye(2))
+            certify(g, np.eye(2))
         with pytest.raises(InvalidFactorization, match="factor shape"):
-            verify_theorem1(g, np.eye(3))
+            certify(g, np.eye(3))
 
     def test_accepts_any_valid_factor(self):
         # a unitary rotation of the root is still a factorization; the
@@ -217,7 +249,7 @@ class TestVerifyTheorem1:
         root = principal_sqrt(g)
         z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         u, _ = np.linalg.qr(z)
-        verdict = verify_theorem1(g, u @ root)
+        _, verdict = certify(g, u @ root)
         assert verdict.method == "theorem1_oracle"
 
     def test_agrees_with_theorem2_on_random_grams(self):
@@ -225,23 +257,21 @@ class TestVerifyTheorem1:
         for _ in range(25):
             n = int(rng.integers(2, 8))
             g = random_unit_trace_gram(rng, n)
-            root = principal_sqrt(g)
-            assert check_theorem2(root).optimal == verify_theorem1(g, root).optimal
+            pairwise, oracle = certify(g, principal_sqrt(g))
+            assert pairwise.optimal == oracle.optimal
 
     def test_agrees_with_theorem2_on_circulant_grams(self):
         rng = np.random.default_rng(47)
         for _ in range(25):
             m = int(rng.integers(2, 9))
             g = random_circulant_gram(rng, m)
-            root = principal_sqrt(g)
-            v2 = check_theorem2(root)
-            v1 = verify_theorem1(g, root)
-            assert v2.optimal and v1.optimal
+            pairwise, oracle = certify(g, principal_sqrt(g))
+            assert pairwise.optimal and oracle.optimal
 
 
 def assert_matches_reference(gram, factor) -> bool:
     """Same verdict as the O(n⁴) reference, and for suboptimal factors the same witness."""
-    fast = verify_theorem1(gram, factor)
+    _, fast = certify(gram, factor)
     slow = verify_theorem1_reference(gram, factor)
     assert fast.optimal == slow.optimal
     if fast.optimal:
@@ -250,19 +280,6 @@ def assert_matches_reference(gram, factor) -> bool:
     else:
         assert fast.witness == slow.witness
     return fast.optimal
-
-
-def counted_eigensolvers(monkeypatch) -> dict:
-    calls = {"eigh": [], "eigvalsh": []}
-    for name, log in calls.items():
-        solver = getattr(np.linalg, name)
-
-        def counted(mat, *args, _solver=solver, _log=log, **kwargs):
-            _log.append(np.shape(mat))
-            return _solver(mat, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 def certify_gram(rng, n: int, skewed: bool) -> np.ndarray:
@@ -313,7 +330,7 @@ class TestTheorem1Reduction:
         w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
         factor = (v * np.exp(1e-7j * w)) @ v.conj().T @ principal_sqrt(gram)
         assert not assert_matches_reference(gram, factor)
-        assert verify_theorem1(gram, factor).witness == "Y is not Hermitian: max asymmetry 3.099467e-08"
+        assert certify(gram, factor)[1].witness == "Y is not Hermitian: max asymmetry 3.099467e-08"
 
     def test_indefinite_hermitian_y_fails_at_the_first_state(self):
         # X[j, k] = Y[j, k] / sqrt(Y[k, k]) gives back exactly this Y, so
@@ -324,8 +341,8 @@ class TestTheorem1Reduction:
         assert lowest < -TOL_PSD
         x = y / np.sqrt(np.diagonal(y).real)[None, :]
         gram = x.conj().T @ x
-        assert check_theorem2(x).witness.startswith("condition (ii) fails")
-        fast = verify_theorem1(gram, x)
+        pairwise, fast = certify(gram, x)
+        assert pairwise.witness.startswith("condition (ii) fails")
         slow = verify_theorem1_reference(gram, x)
         assert not fast.optimal
         assert fast.witness == slow.witness
@@ -335,17 +352,126 @@ class TestTheorem1Reduction:
     def test_one_eigendecomposition_of_an_optimal_factor(self, monkeypatch):
         gram = weighted_gram(make_ppm(64, 1.0).base)
         factor = srm(gram).factor
-        calls = counted_eigensolvers(monkeypatch)
-        assert verify_theorem1(gram, factor).optimal
-        assert calls == {"eigh": [(64, 64)], "eigvalsh": []}
+        calls = counted_factorizations(monkeypatch)
+        assert all(verdict.optimal for verdict in certify(gram, factor))
+        assert calls == {"eigh": [(64, 64)], "eigvalsh": [], "svd": []}
 
     def test_one_confirming_eigensolve_of_a_suboptimal_factor(self, monkeypatch):
         constellation, _ = load_gram_file(str(GRAMFILES / "binary_biased.gram"))
         gram = weighted_gram(constellation)
         factor = srm(gram).factor
-        calls = counted_eigensolvers(monkeypatch)
-        assert verify_theorem1(gram, factor).witness == "Y - W_0 has min eigenvalue -1.015895e-03"
-        assert calls == {"eigh": [(2, 2)], "eigvalsh": [(2, 2)]}
+        calls = counted_factorizations(monkeypatch)
+        assert certify(gram, factor)[1].witness == "Y - W_0 has min eigenvalue -1.015895e-03"
+        assert calls == {"eigh": [(2, 2)], "eigvalsh": [(2, 2)], "svd": []}
+
+
+def outcome(certificate, *args, **kwargs):
+    """What a certificate returns, or the type and text of the error it raises."""
+    try:
+        return certificate(*args, **kwargs)
+    except (NotBlockDiagonal, ReducibleBlock, SingularFactor, InvalidFactorization, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_certificates_match_references(gram, blocks, *, tol_cond, tol_psd) -> bool | None:
+    """``certify`` and ``check_theorem3`` on the SRM root against the independent references.
+
+    Verdicts, witness texts and errors must be equal; an optimal Theorem-1
+    verdict prints the structural zero where the reference prints its
+    eigensolver's minimum. Returns the Theorem-1 verdict, or None when
+    ``srm`` refuses the Gram matrix, as ``srmlab check`` would.
+    """
+    try:
+        factor = srm(gram, tol_psd=tol_psd).factor
+    except GramSingular:
+        return None
+    tols = {"tol_cond": tol_cond, "tol_psd": tol_psd}
+    if blocks is not None:
+        assert outcome(check_theorem3, gram, blocks, factor, tol_cond=tol_cond) == outcome(
+            check_theorem3_reference, gram, blocks, **tols
+        )
+    verdicts = outcome(certify, gram, factor, **tols)
+    pairwise = outcome(check_theorem2_reference, factor, **tols)
+    if isinstance(verdicts[0], str):  # an error's name and text
+        assert verdicts == pairwise
+        return None
+    assert verdicts[0] == pairwise
+    fast, slow = verdicts[1], verify_theorem1_reference(gram, factor, **tols)
+    assert fast.optimal == slow.optimal
+    if fast.optimal:
+        assert fast.witness == STRUCTURAL_ZERO
+        assert slow.witness.startswith("boundary: ")
+    else:
+        assert fast.witness == slow.witness
+    return fast.optimal
+
+
+def read_gram(lines, tmp_path):
+    path = tmp_path / "case.gram"
+    path.write_text("\n".join(lines) + "\n")
+    constellation, blocks = load_gram_file(str(path))
+    return weighted_gram(constellation), blocks
+
+
+def leak_lines(rng, n, leak) -> list[str]:
+    """A two-block certify-style file with one cross-block entry of magnitude ``leak``."""
+    lines = gram_lines(rng, n, True)
+    i, j = int(rng.integers(n // 2)), n // 2 + int(rng.integers(n // 2))
+    value = leak * np.exp(2j * np.pi * rng.uniform())
+    return lines[:-1] + [f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}", lines[-1]]
+
+
+def dense_gram(rng, n) -> np.ndarray:
+    """Random unit-norm states with skewed priors (squared uniforms on [0.05, 1.5])."""
+    b = rng.normal(size=(n, n + 2)) + 1j * rng.normal(size=(n, n + 2))
+    states = b / np.linalg.norm(b, axis=1, keepdims=True)
+    priors = rng.uniform(0.05, 1.5, n) ** 2
+    return weighted_gram(Constellation(priors / priors.sum(), states.conj() @ states.T))
+
+
+TOLERANCES = [(TOL_PSD, TOL_COND)] + [
+    (tol_psd, tol_cond) for tol_psd in (1e-12, 1e-3, 0.25) for tol_cond in (1e-15, 1e-3, 0.5)
+]
+LEAKS = (0.0, 1e-12, 1e-10, 5e-10, 9e-10)
+
+
+class TestCertificatesMatchReferences:
+    """The one-pass certificates give the verdicts and witnesses of the separate references."""
+
+    @pytest.mark.parametrize("tol_psd, tol_cond", TOLERANCES)
+    def test_gram_files_leaks_and_dense_grams(self, tol_psd, tol_cond, tmp_path):
+        tols = {"tol_cond": tol_cond, "tol_psd": tol_psd}
+        verdicts = []
+        for stem in ("binary_equal", "binary_biased", "identity3"):
+            constellation, blocks = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
+            verdicts.append(
+                assert_certificates_match_references(weighted_gram(constellation), blocks, **tols)
+            )
+        rng = np.random.default_rng(211)
+        for leak in LEAKS:
+            for n in (8, 16):
+                gram, blocks = read_gram(leak_lines(rng, n, leak), tmp_path)
+                verdicts.append(assert_certificates_match_references(gram, blocks, **tols))
+        for index in range(24):
+            n = 1 + index % 12
+            partition = [range(n)] if index % 2 else [range(n // 2), range(n // 2, n)]
+            gram = dense_gram(rng, n)
+            verdicts.append(assert_certificates_match_references(gram, partition, **tols))
+        # the large tolerances refuse most Grams or pass every factor
+        assert True in verdicts
+        if tol_psd < 0.25 and tol_cond < 0.5:
+            assert False in verdicts
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("blocks", [False, True])
+    def test_certify_style_files(self, n, blocks, tmp_path):
+        for seed in range(2):
+            rng = np.random.default_rng(4 * n + 2 * blocks + seed)
+            gram, partition = read_gram(gram_lines(rng, n, blocks), tmp_path)
+            verdict = assert_certificates_match_references(
+                gram, partition, tol_cond=TOL_COND, tol_psd=TOL_PSD
+            )
+            assert verdict is not None
 
 
 class TestChannelStats:
