@@ -42,26 +42,20 @@ from .errors import (
     InvalidPrior,
     NotBlockDiagonal,
     NotHermitian,
-    NotPSD,
     NumericalError,
     ReducibleBlock,
     SingularFactor,
     SrmLabError,
 )
-from .gus import block_diagonalize, fast_srm, trace_criterion
-from .linalg import (
-    TOL_HERM,
-    TOL_PSD,
-    TOL_RECON,
-    circulant_eigenvalues,
-    principal_sqrt,
-)
+from .gus import block_diagonalize, fast_srm
+from .linalg import TOL_HERM, TOL_PSD, TOL_RECON, circulant_eigenvalues
 from .srm import (
     TOL_COND,
     ChannelStats,
     OptimalityVerdict,
     SrmResult,
     certify,
+    certify_srm,
     channel_stats,
     check_theorem3,
     srm,
@@ -83,7 +77,6 @@ __all__ = [
     "InvalidPrior",
     "NotBlockDiagonal",
     "NotHermitian",
-    "NotPSD",
     "NumericalError",
     "OptimalityVerdict",
     "PpmClosedForm",
@@ -98,6 +91,7 @@ __all__ = [
     "TOL_RECON",
     "block_diagonalize",
     "certify",
+    "certify_srm",
     "channel_stats",
     "check_theorem3",
     "circulant_eigenvalues",
@@ -117,8 +111,6 @@ __all__ = [
     "pam4_overlaps",
     "pc_double_bpsk_equal_amp",
     "ppm_closed_form",
-    "principal_sqrt",
     "srm",
-    "trace_criterion",
     "weighted_gram",
 ]

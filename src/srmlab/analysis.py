@@ -16,18 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .constellations import (
-    Constellation,
-    make_double_bpsk,
-    make_double_ppm,
-    make_ppm,
-    make_psk,
-    weighted_gram,
-)
-from .errors import DomainError, NumericalError
+from .constellations import make_double_bpsk, make_double_ppm, make_ppm, make_psk
+from .errors import DomainError
 from .gus import fast_srm
-from .linalg import TOL_PSD, principal_sqrt
-from .srm import certify, channel_stats
+from .linalg import TOL_PSD
+from .srm import channel_stats
 
 TOL_ROOT = 1e-12
 _BRACKET_MARGIN = 1e-6
@@ -130,10 +123,9 @@ def optimize_prior_4pam(alpha: float) -> float:
     Solves g_1(p) = g_2(p) by bisection of the gap on (0, 1/2); there is
     no closed form. The margins always bracket a root: g_h -> 0 as
     constellation h's prior -> 0, so the gap is near -1/2 at one end and
-    near +1/2 at the other. The returned prior is certified by the
-    ground-truth optimality oracle on the resulting Gram matrix, built from
-    the closed-form overlaps of ``pam4_overlaps``; a failed certificate
-    raises ``NumericalError``.
+    near +1/2 at the other. The prior is not certified here: the caller
+    takes the measurement at p*, whose singularity test depends on its own
+    ``tol_psd``, and certifies that with ``srm.certify_srm``.
     """
     a = float(alpha)
     _check_amplitude(a)
@@ -154,18 +146,7 @@ def optimize_prior_4pam(alpha: float) -> float:
             lo, gap_lo = mid, gap_mid
         else:
             hi = mid
-    p_star = 0.5 * (lo + hi)
-
-    eta_a, eta_b, chi, xi = pam4_overlaps(a)
-    overlaps = [[1, eta_a, chi, xi], [eta_a, 1, xi, chi], [chi, xi, 1, eta_b], [xi, chi, eta_b, 1]]
-    q = 0.5 - p_star
-    gram = weighted_gram(Constellation((p_star, p_star, q, q), overlaps))
-    _, verdict = certify(gram, principal_sqrt(gram))
-    if not verdict.optimal:
-        raise NumericalError(
-            f"optimized prior failed the optimality certificate: {verdict.witness}"
-        )
-    return p_star
+    return 0.5 * (lo + hi)
 
 
 class PpmClosedForm(NamedTuple):
@@ -366,6 +347,6 @@ def evaluate_scheme(
         raise DomainError(f"scheme {scheme!r} needs a finite phase offset delta, got {delta}")
 
     ensemble, params = build(math.sqrt(photon_number), m, delta, prior)
-    result, _ = fast_srm(ensemble, tol_psd=tol_psd)
+    result = fast_srm(ensemble, tol_psd=tol_psd)
     info = channel_stats(result).mutual_information
     return SweepPoint(photon_number, result.pc, max(1.0 - result.pc, 0.0), info, **params)

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gus import fast_srm
 from .linalg import TOL_PSD, TOL_RECON
-from .srm import TOL_COND, certify, check_theorem3, srm
+from .srm import TOL_COND, certify, certify_srm, check_theorem3, srm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -161,7 +161,7 @@ def rows_fig1(grid, deltas, tol_psd: float) -> list[dict]:
             pc = analysis.pc_double_bpsk_equal_amp(alpha, delta)
             if delta > 0.0:
                 beta = alpha * cmath.exp(1j * delta)
-                result, _ = fast_srm(make_double_bpsk(alpha, beta, 0.25), tol_psd=tol_psd)
+                result = fast_srm(make_double_bpsk(alpha, beta, 0.25), tol_psd=tol_psd)
                 if abs(result.pc - pc) > TOL_RECON:
                     raise ArithmeticError(
                         f"closed form and pipeline disagree at |alpha|^2={photon_number}, "
@@ -186,7 +186,12 @@ def rows_fig23(grid, tol_psd: float) -> list[dict]:
     for photon_number in grid:
         alpha = math.sqrt(photon_number)
         p_star = analysis.optimize_prior_4pam(alpha)
-        result, _ = fast_srm(make_double_bpsk(alpha, 3.0 * alpha, p_star), tol_psd=tol_psd)
+        result = fast_srm(make_double_bpsk(alpha, 3.0 * alpha, p_star), tol_psd=tol_psd)
+        verdict = certify_srm(result)
+        if not verdict.optimal:
+            raise NumericalError(
+                f"optimized prior failed the optimality certificate: {verdict.witness}"
+            )
         rows.append(
             {
                 "alpha_sq": photon_number,

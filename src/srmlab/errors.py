@@ -23,10 +23,6 @@ class NotHermitian(NumericalError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class NotPSD(NumericalError):
-    """A matrix required to be positive semidefinite has a negative eigenvalue."""
-
-
 class ConvergenceFailure(NumericalError):
     """The iterative eigensolver failed to converge."""
 

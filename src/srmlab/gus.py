@@ -10,10 +10,12 @@ root kernel as the dense ``srm`` (whose Gram is the one-bin stack): one
 eigendecomposition yields both the singularity test and the square roots,
 and one inverse FFT turns those into the first rows of the full Gram root;
 the dense (s m) x (s m) factor is formed only if a caller reads it.
-The per-constellation diagonal value g_h of the root is the mean over bins
-of the (h, h) entry of its spectral stack; the measurement is optimal
-exactly when all g_h agree, in which case the correct-decision probability
-is m * s * g^2.
+The root's diagonal is flat on each constellation: its value g_h on
+constellation h is the seed ``rows[h, h, 0]``, and the correct-decision
+probability is m * sum_h g_h^2. ``srm.certify_srm`` decides optimality from
+the same rows: the measurement is optimal exactly when g_h = g_k for every
+pair of constellations (h, k) that the root couples, so mutually orthogonal
+constellations may carry different g_h.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .constellations import GusEnsemble
 from .linalg import TOL_PSD, _eigh, circulant_eigenvalues
-from .srm import TOL_COND, SrmResult, _srm_from_eig
+from .srm import SrmResult, _srm_from_eig
 
 
 def block_diagonalize(ensemble: GusEnsemble) -> np.ndarray:
@@ -36,29 +38,12 @@ def block_diagonalize(ensemble: GusEnsemble) -> np.ndarray:
     return circulant_eigenvalues(weighted).transpose(2, 0, 1)
 
 
-def trace_criterion(sqrt_spectrum: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Per-constellation diagonal values of the Gram square root.
-
-    Returns ``(g, optimal)`` where ``g[h]`` is the mean over bins of
-    ``sqrt_spectrum[:, h, h]``. The measurement is optimal exactly when the
-    g values agree within ``TOL_COND``; the correct decision probability is
-    then m * s * g^2.
-    """
-    # contiguous along the bins, so numpy sums them pairwise (error O(log m))
-    g = np.ascontiguousarray(sqrt_spectrum.diagonal(axis1=1, axis2=2).real.T).mean(axis=1)
-    optimal = bool(g.max() - g.min() <= TOL_COND)
-    return g, optimal
-
-
-def fast_srm(
-    ensemble: GusEnsemble, *, tol_psd: float = TOL_PSD
-) -> tuple[SrmResult, np.ndarray]:
+def fast_srm(ensemble: GusEnsemble, *, tol_psd: float = TOL_PSD) -> SrmResult:
     """Square-root measurement through the block-circulant fast path.
 
     Returns the same measurement as dense ``srm`` on the assembled Gram matrix,
-    held as the root's first rows, plus the per-constellation diagonal values
-    g_h; the states of constellation h are each detected correctly with probability g_h^2.
+    held as the root's first rows. The seed ``rows[h, h, 0]`` is the diagonal
+    value g_h of constellation h: each of its states is detected correctly
+    with probability g_h^2.
     """
-    result, root = _srm_from_eig(*_eigh(block_diagonalize(ensemble)), tol_psd)
-    g, _ = trace_criterion(root)
-    return result, g
+    return _srm_from_eig(*_eigh(block_diagonalize(ensemble)), tol_psd)

@@ -1,19 +1,18 @@
 """Dense complex linear algebra for Gram-matrix pipelines.
 
 Hermitian eigendecomposition of a matrix or of a stack of them, the one
-square-root kernel on its eigenpairs, principal square roots of positive
-semidefinite matrices, and the circulant transforms: first rows to
-spectra and back (``np.fft``, batched along the last axis), their mirror
-and, when a caller asks for it, the dense block-circulant matrix. Matrices
-are square numpy arrays of complex128, indexed (row, column) from 0. All
-functions are pure and never mutate their inputs.
+square-root kernel on its eigenpairs, and the circulant transforms: first
+rows to spectra and back (``np.fft``, batched along the last axis), their
+mirror and, when a caller asks for it, the dense block-circulant matrix.
+Matrices are square numpy arrays of complex128, indexed (row, column)
+from 0. All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotHermitian, NotPSD
+from .errors import ConvergenceFailure, NotHermitian
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-10
@@ -56,18 +55,6 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh((mat + _adjoint(mat)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-
-
-def principal_sqrt(mat, *, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Principal square root of a Hermitian positive semidefinite matrix.
-
-    Eigenvalues in ``[-tol_psd, 0)`` are treated as roundoff and clamped
-    to zero before the square root; anything lower raises ``NotPSD``.
-    """
-    w, v = _eigh(as_matrix(mat))
-    if w[0] < -tol_psd:
-        raise NotPSD(f"min eigenvalue {w[0]:.3e} is below -{tol_psd:g}")
-    return _sqrt_from_eig(w, v)
 
 
 def _sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:

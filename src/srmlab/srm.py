@@ -8,18 +8,21 @@ role), and the correct-decision probability is the sum of squared diagonal
 entries. ``srm`` treats a dense Gram matrix as the one-bin case (s = n,
 m = 1) of the block-circulant path: it and ``gus.fast_srm`` hand the
 eigenpairs of an (m, s, s) coupling stack to one private tail, which tests
-for singularity, takes the clamped root and returns its first rows. Three
-certificates decide whether this measurement is globally optimal for the
-given ensemble. ``srmlab check`` runs them on the matrices ``srm`` already
-holds: one more eigendecomposition, of Y = X X_d† with X_d = diag(X),
-decides the first two, and the third reads the root itself.
+for singularity, takes the clamped root and returns its first rows.
+Certificates decide whether a measurement is globally optimal for the
+given ensemble:
 
 * Theorem 1, the ground truth: in the measurement basis Y - W_r must be
-  positive semidefinite for every weighted state projector W_r, all r
-  decided from the eigendecomposition of Y.
+  positive semidefinite for every weighted state projector W_r, with
+  Y = X X_d† and X_d = diag(X).
 * Theorem 2, its specialisation to the factor: a diagonal-balance identity
   per state pair (Y Hermitian) plus positive definiteness of Y. ``certify``
-  returns the verdicts of both.
+  returns the verdicts of both on any factor, from one eigendecomposition
+  of Y; ``srmlab check`` runs it on the root ``srm`` holds.
+* ``certify_srm``: on the square-root measurement itself Theorem 1 reduces
+  to Y Hermitian, which reads the root's first rows with no eigensolve.
+  This is the paper's condition: the root's diagonal values g_h must agree
+  across every pair of constellations that the root couples.
 * ``check_theorem3``: for block-diagonal Gram matrices, optimality is
   equivalent to each block's square root having a flat diagonal.
 """
@@ -108,8 +111,8 @@ class ChannelStats:
     mutual_information: float
 
 
-def _srm_from_eig(w: np.ndarray, v: np.ndarray, tol_psd: float) -> tuple[SrmResult, np.ndarray]:
-    """The measurement from the eigenpairs of an (m, s, s) coupling stack, and the stack's root.
+def _srm_from_eig(w: np.ndarray, v: np.ndarray, tol_psd: float) -> SrmResult:
+    """The measurement from the eigenpairs of an (m, s, s) coupling stack.
 
     Raises ``GramSingular`` when the smallest eigenvalue over all bins falls
     below ``tol_psd``. The root's first rows are averaged with their mirror,
@@ -121,9 +124,8 @@ def _srm_from_eig(w: np.ndarray, v: np.ndarray, tol_psd: float) -> tuple[SrmResu
             f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
             "the weighted states are not linearly independent"
         )
-    root = _sqrt_from_eig(w, v)
-    rows = _first_rows(root)
-    return SrmResult((rows + _mirror(rows)) / 2.0), root
+    rows = _first_rows(_sqrt_from_eig(w, v))
+    return SrmResult((rows + _mirror(rows)) / 2.0)
 
 
 def srm(gram, *, tol_psd: float = TOL_PSD) -> SrmResult:
@@ -139,7 +141,7 @@ def srm(gram, *, tol_psd: float = TOL_PSD) -> SrmResult:
     trace = float(np.trace(g).real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"weighted Gram matrix must have unit trace, got {trace!r}")
-    return _srm_from_eig(w, v, tol_psd)[0]
+    return _srm_from_eig(w, v, tol_psd)
 
 
 def _min_eig(hermitian: np.ndarray) -> float:
@@ -313,6 +315,36 @@ def certify(
         OptimalityVerdict(optimal2, "theorem2", witness2),
         OptimalityVerdict(optimal1, "theorem1_oracle", witness1),
     )
+
+
+def certify_srm(result: SrmResult) -> OptimalityVerdict:
+    """Theorem-1 verdict on a square-root measurement, read from its first rows in O(s² m).
+
+    X = G^{1/2} is positive definite, so D = diag(X) > 0. If Y = X D is
+    Hermitian, X commutes with D, so Y = D^{1/2} X D^{1/2} is positive definite
+    and x_r† Y⁻¹ x_r = X_rr / D_rr = 1: every downdate Y - x_r x_r† is PSD.
+
+    So only condition (i) can fail. X is Hermitian and D holds g_h =
+    ``rows[h, h, 0]`` on constellation h, so at (h, k, r) the entry of
+    Y - Y† is ``rows[h, k, r] (g_k - g_h)``; the measurement is optimal iff
+    its largest magnitude is at most ``TOL_COND``. The witness names the
+    worst constellation pair (h, k), the shift r and that residual. A dense
+    root is the case m = 1, where h and k are states.
+    """
+    g = result.rows[:, :, 0].diagonal().real
+    residual = np.abs(result.rows) * np.abs(g[None, :] - g[:, None])[:, :, None]
+    worst = float(residual.max())
+    if worst > TOL_COND:
+        h, k, r = np.unravel_index(int(residual.argmax()), residual.shape)
+        return OptimalityVerdict(
+            optimal=False,
+            method="theorem1_srm",
+            witness=(
+                f"Y is not Hermitian at constellations ({h}, {k}), shift {r}: "
+                f"residual {worst:.6e}"
+            ),
+        )
+    return OptimalityVerdict(optimal=True, method="theorem1_srm")
 
 
 def channel_stats(result: SrmResult) -> ChannelStats:

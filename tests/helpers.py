@@ -2,12 +2,14 @@
 
 Also the test references that the library does not need: the unitary
 Fourier matrix, dense circulants from a first row or a spectrum, a PSD
-test, the eigendecomposition record, the spectral square root and the
-dense assembly of a coupling stack, the certificate references (the
-O(n⁴) Theorem-1 oracle that runs one eigensolve per downdate, Theorem 2
-with its own eigensolve and SVD, and Theorem 3 with one root per block),
-the line-by-line Gram-file parser, and the documented ``check`` reports
-of the files in ``gramfiles/``. ``counted_factorizations`` logs the
+test, the eigendecomposition record, the principal square root of a
+dense matrix, the spectral square root and the dense assembly of a
+coupling stack, the certificate references (the O(n⁴) Theorem-1 oracle
+that runs one eigensolve per downdate, Theorem 2 with its own eigensolve
+and SVD, Theorem 3 with one root per block, and the trace criterion that
+demands equal g_h, which is wrong for reducible coupling), the
+line-by-line Gram-file parser, and the documented ``check`` reports of
+the files in ``gramfiles/``. ``counted_factorizations`` logs the
 LAPACK factorizations a call makes.
 """
 
@@ -21,6 +23,7 @@ from srmlab.errors import (
     InvalidFactorization,
     InvalidPrior,
     NotBlockDiagonal,
+    NumericalError,
     ReducibleBlock,
     SingularFactor,
 )
@@ -30,10 +33,10 @@ from srmlab.linalg import (
     _circulant_blocks,
     _eigh,
     _first_rows,
+    _sqrt_from_eig,
     as_matrix,
     circulant_eigenvalues,
     hermiticity_defect,
-    principal_sqrt,
 )
 from srmlab.srm import TOL_COND, OptimalityVerdict, _connected, _min_eig
 
@@ -129,12 +132,39 @@ def is_psd(mat, tol: float) -> tuple[bool, float]:
     return lowest >= -tol, lowest
 
 
+def principal_sqrt(mat, *, tol_psd: float = TOL_PSD) -> np.ndarray:
+    """Principal square root of a Hermitian positive semidefinite matrix.
+
+    Eigenvalues in ``[-tol_psd, 0)`` are treated as roundoff and clamped
+    to zero before the square root; anything lower raises ``NumericalError``.
+    """
+    w, v = _eigh(as_matrix(mat))
+    if w[0] < -tol_psd:
+        raise NumericalError(f"min eigenvalue {w[0]:.3e} is below -{tol_psd:g}")
+    return _sqrt_from_eig(w, v)
+
+
 def block_sqrt(spectrum: np.ndarray) -> np.ndarray:
     """Principal root of every coupling matrix of an (m, s, s) stack, small negatives clamped."""
     w, v = _eigh(spectrum)
     adjoint = v.conj().swapaxes(-1, -2)
     root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ adjoint
     return (root + root.conj().swapaxes(-1, -2)) / 2.0
+
+
+def trace_criterion(sqrt_spectrum: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Per-constellation diagonal values of the Gram square root, and whether all agree.
+
+    Returns ``(g, optimal)`` where ``g[h]`` is the mean over bins of
+    ``sqrt_spectrum[:, h, h]``, and ``optimal`` says the g values agree
+    within ``TOL_COND``. That flag is the optimality condition only when
+    the root couples every pair of constellations; ``srm.certify_srm``
+    needs g_h = g_k only for the pairs it couples.
+    """
+    # contiguous along the bins, so numpy sums them pairwise (error O(log m))
+    g = np.ascontiguousarray(sqrt_spectrum.diagonal(axis1=1, axis2=2).real.T).mean(axis=1)
+    optimal = bool(g.max() - g.min() <= TOL_COND)
+    return g, optimal
 
 
 def spectrum_to_matrix(spectrum: np.ndarray) -> np.ndarray:

@@ -25,9 +25,11 @@ from helpers import (
     block_sqrt,
     check_theorem2_reference,
     check_theorem3_reference,
+    principal_sqrt,
     random_gus_ensemble,
     random_unit_trace_gram,
     single_gus_pc,
+    trace_criterion,
     verify_theorem1_reference,
 )
 from srmlab import analysis
@@ -41,9 +43,9 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import ReducibleBlock
-from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
-from srmlab.linalg import TOL_PSD, principal_sqrt
-from srmlab.srm import certify, channel_stats, check_theorem3, srm
+from srmlab.gus import block_diagonalize, fast_srm
+from srmlab.linalg import TOL_PSD
+from srmlab.srm import certify, certify_srm, channel_stats, check_theorem3, srm
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -106,7 +108,7 @@ def test_criterion_03_path_equivalence():
         m = int(rng.integers(2, 9))
         ensemble = random_gus_ensemble(rng, s, m)
         gram = weighted_gram(ensemble.base)
-        fast_result, _ = fast_srm(ensemble)
+        fast_result = fast_srm(ensemble)
         dense_result = srm(gram)
         _record(fast_result, gram)
         _record(dense_result, gram)
@@ -130,18 +132,21 @@ def _y_at_psd_edge(root) -> bool:
 def test_criterion_04_verdict_concordance():
     # Theorems 1 and 2 share one eigendecomposition of Y in ``certify``, so
     # each verdict is also held to an independent reference: Theorem 2 with
-    # its own eigensolve and SVD, the O(n^4) oracle and per-block roots
+    # its own eigensolve and SVD, the O(n^4) oracle and per-block roots; on
+    # the GUS half, ``certify_srm`` on the fast path's rows is held to the oracle
     rng = np.random.default_rng(103)
     disagreements = 0
     compared = 0
     boundary = 0
     theorem3_compared = 0
+    srm_compared = 0
     for index in range(100):
         n = int(rng.integers(2, 9))
         if index % 2 == 0:
             gram = random_unit_trace_gram(rng, n)
         else:
-            gram = weighted_gram(random_gus_ensemble(rng, 1, n).base)
+            ensemble = random_gus_ensemble(rng, 1, n)
+            gram = weighted_gram(ensemble.base)
         root = principal_sqrt(gram)
         pairwise, oracle = certify(gram, root)
         compared += 1
@@ -154,6 +159,10 @@ def test_criterion_04_verdict_concordance():
             disagreements += 1
         if oracle.optimal != verify_theorem1_reference(gram, root).optimal:
             disagreements += 1
+        if index % 2 == 1:
+            srm_compared += 1
+            if certify_srm(fast_srm(ensemble)).optimal != oracle.optimal:
+                disagreements += 1
         try:
             blockwise = check_theorem3(gram, [range(n)], root)
         except ReducibleBlock:
@@ -170,7 +179,8 @@ def test_criterion_04_verdict_concordance():
         "verdict concordance",
         ok,
         f"{compared} theorem2 and {theorem3_compared} theorem3 comparisons, each also "
-        f"against its reference, {disagreements} disagreements, "
+        f"against its reference, {srm_compared} theorem1_srm against the oracle, "
+        f"{disagreements} disagreements, "
         f"{boundary} theorem2 boundary cases",
     )
 
@@ -184,7 +194,7 @@ def test_criterion_05_equal_amplitude_pairs():
             ensemble = make_double_bpsk(alpha, alpha * cmath.exp(1j * delta), 0.25)
             g, _ = trace_criterion(block_sqrt(block_diagonalize(ensemble)))
             worst_gap = max(worst_gap, abs(float(g[0] - g[1])))
-            result, _ = fast_srm(ensemble)
+            result = fast_srm(ensemble)
             _record(result, weighted_gram(ensemble.base))
             closed = analysis.pc_double_bpsk_equal_amp(alpha, delta)
             worst_match = max(worst_match, abs(closed - result.pc))
@@ -215,7 +225,7 @@ def test_criterion_06_optimized_prior():
         worst_balance = max(worst_balance, abs(g1 - g2))
         ensemble = make_double_bpsk(alpha, 3 * alpha, p_star)
         gram = weighted_gram(ensemble.base)
-        result, _ = fast_srm(ensemble)
+        result = fast_srm(ensemble)
         _record(result, gram)
         all_certified = all_certified and certify(gram, result.factor)[1].optimal
     bright = analysis.optimize_prior_4pam(math.sqrt(10.0))
@@ -301,7 +311,7 @@ def test_criterion_08_double_ppm():
             gram = weighted_gram(ensemble.base)
             root_spectrum = block_sqrt(block_diagonalize(ensemble))
             _, balanced = trace_criterion(root_spectrum)
-            result, _ = fast_srm(ensemble)
+            result = fast_srm(ensemble)
             _record(result, gram)
             _, verdict = certify(gram, result.factor)
             all_optimal = all_optimal and balanced and verdict.optimal
@@ -340,7 +350,7 @@ def test_criterion_09_mutual_information():
                 ),
             )
             double_ensemble = make_double_ppm(m, alpha)
-            double_result, _ = fast_srm(double_ensemble)
+            double_result = fast_srm(double_ensemble)
             _record(double_result, weighted_gram(double_ensemble.base))
             worst = max(
                 worst,

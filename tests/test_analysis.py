@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import block_sqrt, single_gus_pc, verify_theorem1_reference
+from helpers import (
+    block_sqrt,
+    principal_sqrt,
+    single_gus_pc,
+    trace_criterion,
+    verify_theorem1_reference,
+)
 from srmlab import analysis
 from srmlab.analysis import (
     SweepPoint,
@@ -27,9 +33,8 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import DomainError, GramSingular
-from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
-from srmlab.linalg import principal_sqrt
-from srmlab.srm import channel_stats, srm
+from srmlab.gus import block_diagonalize, fast_srm
+from srmlab.srm import certify_srm, channel_stats, srm
 
 PHOTON_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 DELTA_GRID = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
@@ -46,7 +51,7 @@ class TestEqualAmplitudePairs:
             alpha = math.sqrt(photon_number)
             for delta in DELTA_GRID:
                 closed = pc_double_bpsk_equal_amp(alpha, delta)
-                result, _ = fast_srm(
+                result = fast_srm(
                     make_double_bpsk(alpha, alpha * cmath.exp(1j * delta), 0.25)
                 )
                 assert closed == pytest.approx(result.pc, abs=1e-10)
@@ -115,6 +120,7 @@ class TestPriorOptimization:
         assert balanced
         gram = weighted_gram(ens.base)
         assert verify_theorem1_reference(gram, principal_sqrt(gram)).optimal
+        assert certify_srm(fast_srm(ens)).optimal
 
     def test_closed_form_traces_match_pipeline(self):
         alpha, p = 1.0, 0.3
@@ -188,7 +194,7 @@ class TestDoublePpmClosedForm:
             for photon_number in (0.5, 1.0, 2.0):
                 alpha = math.sqrt(photon_number)
                 form = double_ppm_closed_form(m, alpha)
-                result, _ = fast_srm(make_double_ppm(m, alpha))
+                result = fast_srm(make_double_ppm(m, alpha))
                 assert form.pc == pytest.approx(result.pc, abs=1e-10)
                 factor = result.factor
                 assert form.correct == pytest.approx(factor[0, 0].real, abs=1e-10)
@@ -242,7 +248,7 @@ class TestMutualInformation:
         assert mutual_info_ppm(m, alpha) == pytest.approx(
             single.mutual_information, abs=1e-8
         )
-        double_result, _ = fast_srm(make_double_ppm(m, alpha))
+        double_result = fast_srm(make_double_ppm(m, alpha))
         double = channel_stats(double_result)
         assert mutual_info_double_ppm(m, alpha) == pytest.approx(
             double.mutual_information, abs=1e-8

@@ -159,13 +159,30 @@ class TestFig2Fig3:
         assert out2.read_bytes() == out3.read_bytes()
 
     @pytest.mark.parametrize("photon_number", ["1e-15", "1e-12", "1e-9", "2e-7", "3e-6"])
-    def test_failed_certificate_is_numeric_failure(self, photon_number, tmp_path, capsys):
+    def test_low_energy_root_is_refused_as_singular(self, photon_number, tmp_path, capsys):
+        # the root at p* is refused by the default tol_psd before any certificate
         out = tmp_path / "fig2.csv"
         grid = f"{photon_number}:{photon_number}:1"
         assert main(["fig2", "--grid", grid, "--out", str(out)]) == EXIT_NUMERIC
         (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: Gram matrix is singular (min eigenvalue ")
+        assert not out.exists()
+
+    def test_failed_certificate_is_numeric_failure(self, monkeypatch, tmp_path, capsys):
+        # equal priors are not p* for 4-PAM, so the measurement there is suboptimal
+        monkeypatch.setattr(analysis, "optimize_prior_4pam", lambda alpha: 0.25)
+        out = tmp_path / "fig2.csv"
+        assert main(["fig2", "--grid", "1:1:1", "--out", str(out)]) == EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: optimized prior failed the optimality certificate: ")
         assert not out.exists()
+
+    def test_tiny_psd_tolerance_answers_where_the_root_is_positive(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        argv = ["fig2", "--grid", "3e-6:3e-6:1", "--tol-psd", "1e-300", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        (row,) = read_csv(out)
+        assert row["p_star"] == fmt(analysis.optimize_prior_4pam(math.sqrt(3e-6)))
 
 
 class TestFig4Fig5:
@@ -631,7 +648,7 @@ def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
         classes.append(cls)
     bases = (errors.SrmLabError, errors.InputError, errors.NumericalError)
     leaves = [cls for cls in classes if cls not in bases]
-    assert len(leaves) == 11
+    assert len(leaves) == 10
     assert srmlab.InputError is errors.InputError
     assert srmlab.NumericalError is errors.NumericalError
     for cls in leaves:

@@ -6,7 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import block_sqrt, random_gus_ensemble, single_gus_pc, spectrum_to_matrix
+from helpers import (
+    block_sqrt,
+    principal_sqrt,
+    random_gus_ensemble,
+    single_gus_pc,
+    spectrum_to_matrix,
+    trace_criterion,
+)
 from srmlab.analysis import (
     double_ppm_closed_form,
     evaluate_scheme,
@@ -25,8 +32,8 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import GramSingular
-from srmlab.gus import block_diagonalize, fast_srm, trace_criterion
-from srmlab.linalg import TOL_PSD, TOL_RECON, circulant_eigenvalues, principal_sqrt
+from srmlab.gus import block_diagonalize, fast_srm
+from srmlab.linalg import TOL_PSD, TOL_RECON, circulant_eigenvalues
 from srmlab.srm import certify, srm
 
 
@@ -160,10 +167,10 @@ class TestTraceCriterion:
 class TestFastSrm:
     def test_single_constellation_matches_spectral_formula(self):
         ens = make_psk(6, 1.2)
-        result, g = fast_srm(ens)
+        result = fast_srm(ens)
         expected = single_gus_pc(weighted_gram(ens.base)[0])
         assert result.pc == pytest.approx(expected, abs=1e-12)
-        assert len(g) == 1
+        assert result.rows.shape == (1, 1, 6)
 
     def test_matches_dense_route_on_named_ensembles(self):
         cases = [
@@ -173,7 +180,7 @@ class TestFastSrm:
             make_psk(8, 0.6),
         ]
         for ens in cases:
-            fast_result, _ = fast_srm(ens)
+            fast_result = fast_srm(ens)
             dense_result = srm(weighted_gram(ens.base))
             assert fast_result.pc == pytest.approx(dense_result.pc, abs=TOL_RECON)
             np.testing.assert_allclose(
@@ -186,18 +193,19 @@ class TestFastSrm:
             s = int(rng.integers(1, 4))
             m = int(rng.integers(2, 9))
             ens = random_gus_ensemble(rng, s, m)
-            fast_result, g = fast_srm(ens)
+            fast_result = fast_srm(ens)
             dense_result = srm(weighted_gram(ens.base))
             assert fast_result.pc == pytest.approx(dense_result.pc, abs=TOL_RECON)
             np.testing.assert_allclose(
                 fast_result.joint, dense_result.joint, atol=TOL_RECON
             )
-            assert len(g) == s
+            assert fast_result.rows.shape == (s, s, m)
 
     def test_per_state_correct_probability_is_g_squared(self):
         rng = np.random.default_rng(71)
         ens = random_gus_ensemble(rng, 2, 5)
-        result, g = fast_srm(ens)
+        result = fast_srm(ens)
+        g, _ = trace_criterion(block_sqrt(block_diagonalize(ens)))
         for h in range(2):
             block = result.per_state_correct[h * 5 : (h + 1) * 5]
             np.testing.assert_allclose(block, np.full(5, g[h] ** 2), atol=1e-12)
@@ -205,22 +213,25 @@ class TestFastSrm:
     def test_root_diagonal_blocks_are_flat(self):
         rng = np.random.default_rng(73)
         ens = random_gus_ensemble(rng, 3, 4)
-        result, g = fast_srm(ens)
+        result = fast_srm(ens)
+        g, _ = trace_criterion(block_sqrt(block_diagonalize(ens)))
         for h in range(3):
             diag = np.diagonal(result.factor)[h * 4 : (h + 1) * 4].real
             assert diag.max() - diag.min() <= TOL_RECON
             assert diag[0] == pytest.approx(g[h], abs=1e-12)
 
     def test_quarter_turn_pair_matches_four_phase_value(self):
-        result, _ = fast_srm(make_double_bpsk(1.0, 1j, 0.25))
+        result = fast_srm(make_double_bpsk(1.0, 1j, 0.25))
         expected = single_gus_pc(weighted_gram(make_psk(4, 1.0).base)[0])
         assert result.pc == pytest.approx(expected, abs=1e-12)
         assert result.pc == pytest.approx(pc_double_bpsk_equal_amp(1.0, math.pi / 2), abs=1e-12)
 
     def test_double_ppm_pc_from_diagonal_amplitude(self):
         m = 2
-        result, g = fast_srm(make_double_ppm(m, 1.0))
-        assert result.pc == pytest.approx(2 * m * g[0] ** 2, abs=1e-12)
+        result = fast_srm(make_double_ppm(m, 1.0))
+        g = result.rows[0, 0, 0].real
+        assert result.pc == pytest.approx(2 * m * g**2, abs=1e-12)
+        assert g == pytest.approx(double_ppm_closed_form(m, 1.0).correct, abs=1e-12)
 
     def test_double_ppm_at_two_to_the_sixteen_matches_closed_form(self):
         # 2^17 double PPM and 2^16 PPM states: the dense Gram matrices would

@@ -9,10 +9,11 @@ from helpers import (
     fourier_matrix,
     hermitian_eig,
     is_psd,
+    principal_sqrt,
     random_circulant_gram,
 )
-from srmlab.errors import NotHermitian, NotPSD
-from srmlab.linalg import TOL_RECON, circulant_eigenvalues, principal_sqrt
+from srmlab.errors import NotHermitian, NumericalError
+from srmlab.linalg import TOL_RECON, circulant_eigenvalues
 
 
 def random_hermitian(rng, n):
@@ -102,7 +103,7 @@ class TestPrincipalSqrt:
         np.testing.assert_allclose(root, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(NumericalError, match="below"):
             principal_sqrt(np.diag([1.0, -1.0]))
 
 

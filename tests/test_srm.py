@@ -1,5 +1,6 @@
 """Tests for the square-root measurement and the optimality certificates."""
 
+import cmath
 import math
 from pathlib import Path
 
@@ -7,17 +8,29 @@ import numpy as np
 import pytest
 
 from helpers import (
+    block_sqrt,
     check_theorem2_reference,
     check_theorem3_reference,
     counted_factorizations,
     gram_lines,
+    principal_sqrt,
     random_circulant_gram,
     random_gus_ensemble,
     random_unit_trace_gram,
+    trace_criterion,
     verify_theorem1_reference,
 )
-from srmlab.cli import load_gram_file
-from srmlab.constellations import Constellation, make_ppm, make_psk, weighted_gram
+from srmlab.analysis import optimize_prior_4pam
+from srmlab.cli import load_gram_file, rows_fig23
+from srmlab.constellations import (
+    Constellation,
+    GusEnsemble,
+    make_double_bpsk,
+    make_double_ppm,
+    make_ppm,
+    make_psk,
+    weighted_gram,
+)
 from srmlab.errors import (
     GramSingular,
     InvalidFactorization,
@@ -25,8 +38,9 @@ from srmlab.errors import (
     ReducibleBlock,
     SingularFactor,
 )
-from srmlab.linalg import TOL_PSD, principal_sqrt
-from srmlab.srm import TOL_COND, certify, channel_stats, check_theorem3, srm
+from srmlab.linalg import TOL_PSD
+from srmlab.gus import block_diagonalize, fast_srm
+from srmlab.srm import TOL_COND, certify, certify_srm, channel_stats, check_theorem3, srm
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
@@ -472,6 +486,89 @@ class TestCertificatesMatchReferences:
                 gram, partition, tol_cond=TOL_COND, tol_psd=TOL_PSD
             )
             assert verdict is not None
+
+
+def orthogonal_pair(m: int) -> GusEnsemble:
+    """Two PSK constellations on orthogonal modes, with unequal priors: reducible coupling."""
+    rows = np.zeros((2, 2, m), dtype=complex)
+    rows[0, 0] = make_psk(m, 0.8).rows[0, 0]
+    rows[1, 1] = make_psk(m, 1.3).rows[0, 0]
+    return GusEnsemble(rows, np.array([0.3, 0.7]) / m)
+
+
+def certify_srm_ensembles() -> list[GusEnsemble]:
+    """Double BPSK, 4-PAM, PSK, PPM, double PPM, random and reducible ensembles."""
+    priors = (0.05, 0.1, 0.2, 0.25, 0.3, 0.45)
+    ensembles = [
+        make_double_bpsk(1.0, cmath.exp(1j * delta), p)
+        for delta in (math.pi / 3, math.pi / 2)
+        for p in priors
+    ]
+    ensembles += [make_double_bpsk(1.0, 3.0, p) for p in priors]
+    for photon_number in (0.5, 1.0, 2.0, 10.0):
+        alpha = math.sqrt(photon_number)
+        ensembles.append(make_double_bpsk(alpha, 3.0 * alpha, optimize_prior_4pam(alpha)))
+    for build in (make_psk, make_ppm, make_double_ppm):
+        for m in (2, 8, 32):
+            ensemble = build(m, 1.0)
+            try:
+                fast_srm(ensemble)
+            except GramSingular:
+                continue
+            ensembles.append(ensemble)
+    rng = np.random.default_rng(107)
+    ensembles += [random_gus_ensemble(rng, 2 + i % 2, 2 + (i // 2) % 3) for i in range(60)]
+    return ensembles + [orthogonal_pair(2), orthogonal_pair(4)]
+
+
+def dense_asymmetry(factor) -> float:
+    y = factor * np.diagonal(factor).conj()[None, :]
+    return float(np.abs(y - y.conj().T).max())
+
+
+class TestCertifySrm:
+    def test_verdicts_match_the_dense_certificates(self):
+        ensembles = certify_srm_ensembles()
+        optimal = 0
+        for ensemble in ensembles:
+            result = fast_srm(ensemble)
+            gram = weighted_gram(ensemble.base)
+            verdict = certify_srm(result)
+            assert verdict.optimal == certify(gram, result.factor)[1].optimal
+            assert verdict.optimal == verify_theorem1_reference(gram, result.factor).optimal
+            # a dense root is the case m = 1
+            assert certify_srm(srm(gram)).optimal == verdict.optimal
+            asymmetry = dense_asymmetry(result.factor)
+            if verdict.optimal:
+                assert verdict.witness is None
+                assert asymmetry <= TOL_COND
+            else:
+                residual = float(verdict.witness.rsplit("residual ", 1)[1])
+                assert residual == pytest.approx(asymmetry, rel=1e-6)
+            optimal += verdict.optimal
+        # PSK at m = 32 is singular at unit amplitude
+        assert (len(ensembles), optimal) == (92, 16)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_reducible_coupling_with_unequal_priors_is_optimal(self, m):
+        ensemble = orthogonal_pair(m)
+        result = fast_srm(ensemble)
+        assert certify_srm(result).optimal
+        assert certify(weighted_gram(ensemble.base), result.factor)[1].optimal
+        g, equal = trace_criterion(block_sqrt(block_diagonalize(ensemble)))
+        assert not equal and abs(g[0] - g[1]) > 0.1
+
+    def test_witness_names_the_pair_and_the_shift(self):
+        verdict = certify_srm(fast_srm(make_double_bpsk(1.0, 3.0, 0.25)))
+        assert not verdict.optimal
+        assert verdict.method == "theorem1_srm"
+        assert verdict.witness.startswith("Y is not Hermitian at constellations (0, 1), shift ")
+
+    def test_fig23_point_takes_one_batched_eigh(self, monkeypatch):
+        calls = counted_factorizations(monkeypatch)
+        (row,) = rows_fig23([1.0], TOL_PSD)
+        assert calls == {"eigh": [(2, 2, 2)], "eigvalsh": [], "svd": []}
+        assert row["p_star"] == optimize_prior_4pam(1.0)
 
 
 class TestChannelStats:
