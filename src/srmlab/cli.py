@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -484,6 +485,12 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``srmlab`` command line.
+
+    Each subcommand names its handler by the name of a module function, and
+    ``main`` looks that name up when it runs, so a parser never holds on to
+    a handler.
+    """
     parser = argparse.ArgumentParser(
         prog="srmlab",
         description=(
@@ -515,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p1.add_argument("--delta", default=DEFAULT_DELTAS, help="comma list of phase offsets")
     add_output(p1)
     add_tol_psd(p1)
-    p1.set_defaults(func=cmd_fig1)
+    p1.set_defaults(handler="cmd_fig1")
 
     for name, help_text in (
         ("fig2", "4-level amplitude keying: optimized prior over energy"),
@@ -525,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_grid(p)
         add_output(p)
         add_tol_psd(p)
-        p.set_defaults(func=cmd_fig23)
+        p.set_defaults(handler="cmd_fig23")
 
     for name, help_text in (
         ("fig4", "pulse position keying, plain and phase-doubled: error probability"),
@@ -535,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_grid(p)
         p.add_argument("--m", default=DEFAULT_MS, help="comma list of slot counts")
         add_output(p)
-        p.set_defaults(func=cmd_fig45)
+        p.set_defaults(handler="cmd_fig45")
 
     ps = sub.add_parser("sweep", help="evaluate one scheme over an energy grid")
     ps.add_argument("--scheme", required=True, choices=analysis.SCHEMES)
@@ -545,27 +552,32 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p", type=float, default=None, help="per-state prior of the first pair")
     add_output(ps)
     add_tol_psd(ps)
-    ps.set_defaults(func=cmd_sweep)
+    ps.set_defaults(handler="cmd_sweep")
 
     pc = sub.add_parser("check", help="report measurement performance for a Gram file")
     pc.add_argument("gramfile", help="path to a Gram description file")
     pc.add_argument("--out", help="output path (default: stdout)")
     add_tol_psd(pc)
     pc.add_argument("--tol-cond", dest="tol_cond", type=float, default=TOL_COND)
-    pc.set_defaults(func=cmd_check)
+    pc.set_defaults(handler="cmd_check")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     tolerances = (getattr(args, "tol_psd", TOL_PSD), getattr(args, "tol_cond", TOL_COND))
     if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
         print("error: tolerance overrides must be positive", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,8 +17,10 @@ given ensemble:
   Y = X X_d† and X_d = diag(X).
 * Theorem 2, its specialisation to the factor: a diagonal-balance identity
   per state pair (Y Hermitian) plus positive definiteness of Y. ``certify``
-  returns the verdicts of both on any factor, from one eigendecomposition
-  of Y; ``srmlab check`` runs it on the root ``srm`` holds.
+  returns the verdicts of both on any factor with no eigendecomposition of
+  Y: Cholesky factorizations of Y ± tol_psd·I test its positivity, and the
+  Theorem-1 screen reads x_r† (Y + tol_psd·I)⁻¹ x_r as the column norms of
+  L⁻¹X; ``srmlab check`` runs it on the root ``srm`` holds.
 * ``certify_srm``: on the square-root measurement itself Theorem 1 reduces
   to Y Hermitian, which reads the root's first rows with no eigensolve.
   This is the paper's condition: the root's diagonal values g_h must agree
@@ -235,29 +237,35 @@ def certify(
     tol_cond: float = TOL_COND,
     tol_psd: float = TOL_PSD,
 ) -> tuple[OptimalityVerdict, OptimalityVerdict]:
-    """Theorem-2 and Theorem-1 verdicts on any factorization X of the Gram, from one ``eigh``.
+    """Theorem-2 and Theorem-1 verdicts on any factorization X of the Gram, by Cholesky tests of Y.
 
     Requires ``X† X`` to reproduce the Gram matrix within ``TOL_RECON``
     (else ``InvalidFactorization``) and every ``|X[i, i]|`` to exceed
-    ``tol_cond`` (else ``SingularFactor``). Both verdicts read
-    ``Y[j, k] = X[j, k] conj(X[k, k])`` and one ``eigh`` of the symmetrised
-    Y = U Λ U†.
+    ``TOL_COND`` (else ``SingularFactor``); ``tol_cond`` sets only the
+    Hermiticity residual. Both verdicts read ``Y[j, k] = X[j, k]
+    conj(X[k, k])``, symmetrised. A Cholesky factorization succeeds exactly
+    when its matrix is positive definite up to backward error, so no
+    eigenvectors of Y are needed.
 
     Theorem 2, returned first: condition (i), Y Hermitian, fails at the
-    state pair of the largest ``|Y - Y†|`` beyond ``tol_cond``; condition
-    (ii), Y positive definite, reads λ_1. A λ_1 inside
-    ``[-tol_psd, tol_psd]`` is optimal with a boundary note, since the
-    strict/non-strict distinction is not resolvable numerically. A singular
-    factor is not refused: its Y is singular too, so Theorem 2 reports a
-    failed condition or the boundary note with λ_1 in the zero band.
+    state pair of the largest ``|Y - Y†|`` beyond ``tol_cond``. Only then is
+    condition (ii), Y positive definite, tested: a Cholesky of
+    ``Y - tol_psd I`` that succeeds means optimal. If it fails, one
+    ``eigvalsh`` reads λ_1: below ``-tol_psd`` condition (ii) fails, and a
+    λ_1 inside ``[-tol_psd, tol_psd]`` is optimal with a boundary note,
+    since the strict/non-strict distinction is not resolvable numerically.
+    A singular factor is not refused: its Y is singular too, so Theorem 2
+    reports a failed condition or the boundary note with λ_1 in the zero band.
 
     Theorem 1, the ground truth: Y Hermitian and ``Y - x_r x_r†`` PSD for
     every column x_r. That downdate dips below ``-tol_psd`` iff
-    ``λ_1 + tol_psd <= 0`` or ``Σ_i |(U† X)[i, r]|² / (λ_i + tol_psd) > 1``,
-    which decides every r in O(n³). Such r are confirmed by an exact
-    eigensolve in increasing order; the first is the witness. Otherwise
-    each downdate's r-th column vanishes, and the optimal verdict's
-    boundary note reports that structural zero.
+    ``Y + tol_psd I`` is not positive definite or
+    ``x_r† (Y + tol_psd I)⁻¹ x_r > 1``. With ``Y + tol_psd I = L L†`` the
+    second is the squared norm of column r of ``L⁻¹ X``, which screens every
+    r in O(n³); if the Cholesky fails, every r is a candidate. Candidates
+    are confirmed by an exact eigensolve in increasing order; the first is
+    the witness. Otherwise each downdate's r-th column vanishes, and the
+    optimal verdict's boundary note reports that structural zero.
     """
     g = as_matrix(gram)
     x = _factor_of(g, factor)
@@ -268,7 +276,7 @@ def certify(
         )
     diag = np.diagonal(x)
     weakest = float(np.abs(diag).min())
-    if weakest <= tol_cond:
+    if weakest <= TOL_COND:
         raise SingularFactor(
             f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
             "optimal factors have nonzero diagonals"
@@ -278,33 +286,25 @@ def certify(
     balance = np.abs(y - y.conj().T)
     asymmetry = float(balance.max())
     y = (y + y.conj().T) / 2.0
-    w, u = _eigh(y)
-    lowest = float(w[0])
 
     if asymmetry > tol_cond:
         i, j = np.unravel_index(int(balance.argmax()), balance.shape)
         optimal2, witness2 = False, (
             f"condition (i) fails at state pair ({i}, {j}): residual {asymmetry:.6e}"
         )
-    elif lowest < -tol_psd:
-        optimal2, witness2 = False, f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}"
-    elif lowest <= tol_psd:
-        optimal2, witness2 = True, (
-            f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
-        )
-    else:
-        optimal2, witness2 = True, None
-
-    if asymmetry > tol_cond:
         optimal1, witness1 = False, f"Y is not Hermitian: max asymmetry {asymmetry:.6e}"
     else:
+        optimal2, witness2 = _positivity(y, tol_psd)
         optimal1, witness1 = True, (
             "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
         )
-    candidates = range(len(x))
-    if w[0] + tol_psd > 0.0:
+    try:
+        lower = np.linalg.cholesky(y + tol_psd * np.eye(len(y)))
+    except np.linalg.LinAlgError:
+        candidates = range(len(x))
+    else:
         # the 1e-12 slack keeps a downdate within rounding of the threshold a candidate
-        weights = (np.abs(u.conj().T @ x) ** 2 / (w + tol_psd)[:, None]).sum(axis=0)
+        weights = (np.abs(np.linalg.solve(lower, x)) ** 2).sum(axis=0)
         candidates = np.flatnonzero(weights > 1.0 - 1e-12)
     for r in candidates:
         low = _min_eig(y - np.outer(x[:, r], x[:, r].conj()))
@@ -315,6 +315,21 @@ def certify(
         OptimalityVerdict(optimal2, "theorem2", witness2),
         OptimalityVerdict(optimal1, "theorem1_oracle", witness1),
     )
+
+
+def _positivity(y: np.ndarray, tol_psd: float) -> tuple[bool, str | None]:
+    """Condition (ii) on a Hermitian Y: a Cholesky of ``Y - tol_psd I``, then λ_1 only if it fails."""
+    try:
+        np.linalg.cholesky(y - tol_psd * np.eye(len(y)))
+        return True, None
+    except np.linalg.LinAlgError:
+        pass
+    lowest = _min_eig(y)
+    if lowest < -tol_psd:
+        return False, f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}"
+    if lowest <= tol_psd:
+        return True, f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
+    return True, None
 
 
 def certify_srm(result: SrmResult) -> OptimalityVerdict:

@@ -6,7 +6,8 @@ test, the eigendecomposition record, the principal square root of a
 dense matrix, the spectral square root and the dense assembly of a
 coupling stack, the certificate references (the O(n⁴) Theorem-1 oracle
 that runs one eigensolve per downdate, Theorem 2 with its own eigensolve
-and SVD, Theorem 3 with one root per block, and the trace criterion that
+and SVD, both theorems from one ``eigh`` of Y as ``srm.certify`` once
+took them, Theorem 3 with one root per block, and the trace criterion that
 demands equal g_h, which is wrong for reducible coupling), the
 line-by-line Gram-file parser, and the documented ``check`` reports of
 the files in ``gramfiles/``. ``counted_factorizations`` logs the
@@ -262,8 +263,8 @@ def gram_lines(rng, n, blocks) -> list[str]:
 
 
 def counted_factorizations(monkeypatch) -> dict:
-    """Log the shape of every ``eigh``, ``eigvalsh`` and ``svd`` argument, per solver."""
-    calls = {"eigh": [], "eigvalsh": [], "svd": []}
+    """Log the shape of every ``eigh``, ``eigvalsh``, ``svd`` and ``cholesky`` argument, per solver."""
+    calls = {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": []}
     for name, log in calls.items():
         solver = getattr(np.linalg, name)
 
@@ -331,6 +332,81 @@ def verify_theorem1_reference(
     return OptimalityVerdict(optimal=True, method="theorem1_oracle")
 
 
+def certify_eigh_reference(
+    gram,
+    factor,
+    *,
+    tol_cond: float = TOL_COND,
+    tol_psd: float = TOL_PSD,
+) -> tuple[OptimalityVerdict, OptimalityVerdict]:
+    """Theorem-2 and Theorem-1 verdicts from one ``eigh`` of Y = U Λ U†: ``srm.certify``'s reference.
+
+    Same inputs, errors, verdicts and witness texts as ``srm.certify``,
+    which tests positivity by Cholesky factorizations instead. Condition
+    (ii) reads λ_1 from the ``eigh``. The Theorem-1 screen takes
+    ``Σ_i |(U† X)[i, r]|² / (λ_i + tol_psd)`` for ``x_r† (Y + tol_psd I)⁻¹
+    x_r`` when ``λ_1 + tol_psd > 0`` and makes every r a candidate
+    otherwise; candidates are confirmed in increasing order.
+    """
+    g = as_matrix(gram)
+    x = as_matrix(factor)
+    if x.shape != g.shape:
+        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {g.shape}")
+    residual = float(np.abs(x.conj().T @ x - g).max())
+    if residual > TOL_RECON:
+        raise InvalidFactorization(
+            f"X†X differs from the Gram matrix by {residual:.3e} (tolerance {TOL_RECON:g})"
+        )
+    diag = np.diagonal(x)
+    weakest = float(np.abs(diag).min())
+    if weakest <= TOL_COND:
+        raise SingularFactor(
+            f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
+            "optimal factors have nonzero diagonals"
+        )
+
+    y = x * diag.conj()[None, :]
+    balance = np.abs(y - y.conj().T)
+    asymmetry = float(balance.max())
+    y = (y + y.conj().T) / 2.0
+    w, u = _eigh(y)
+    lowest = float(w[0])
+
+    if asymmetry > tol_cond:
+        i, j = np.unravel_index(int(balance.argmax()), balance.shape)
+        optimal2, witness2 = False, (
+            f"condition (i) fails at state pair ({i}, {j}): residual {asymmetry:.6e}"
+        )
+    elif lowest < -tol_psd:
+        optimal2, witness2 = False, f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}"
+    elif lowest <= tol_psd:
+        optimal2, witness2 = True, (
+            f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
+        )
+    else:
+        optimal2, witness2 = True, None
+
+    if asymmetry > tol_cond:
+        optimal1, witness1 = False, f"Y is not Hermitian: max asymmetry {asymmetry:.6e}"
+    else:
+        optimal1, witness1 = True, (
+            "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
+        )
+    candidates = range(len(x))
+    if w[0] + tol_psd > 0.0:
+        weights = (np.abs(u.conj().T @ x) ** 2 / (w + tol_psd)[:, None]).sum(axis=0)
+        candidates = np.flatnonzero(weights > 1.0 - 1e-12)
+    for r in candidates:
+        low = _min_eig(y - np.outer(x[:, r], x[:, r].conj()))
+        if low < -tol_psd:
+            optimal1, witness1 = False, f"Y - W_{r} has min eigenvalue {low:.6e}"
+            break
+    return (
+        OptimalityVerdict(optimal2, "theorem2", witness2),
+        OptimalityVerdict(optimal1, "theorem1_oracle", witness1),
+    )
+
+
 def check_theorem2_reference(
     factor, *, tol_cond: float = TOL_COND, tol_psd: float = TOL_PSD
 ) -> OptimalityVerdict:
@@ -348,7 +424,7 @@ def check_theorem2_reference(
     x = as_matrix(factor)
     diag = np.diagonal(x)
     weakest = float(np.abs(diag).min())
-    if weakest <= tol_cond:
+    if weakest <= TOL_COND:
         raise SingularFactor(
             f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
             "optimal factors have nonzero diagonals"

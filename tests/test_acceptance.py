@@ -130,7 +130,7 @@ def _y_at_psd_edge(root) -> bool:
 
 
 def test_criterion_04_verdict_concordance():
-    # Theorems 1 and 2 share one eigendecomposition of Y in ``certify``, so
+    # Theorems 1 and 2 share the Cholesky tests of Y in ``certify``, so
     # each verdict is also held to an independent reference: Theorem 2 with
     # its own eigensolve and SVD, the O(n^4) oracle and per-block roots; on
     # the GUS half, ``certify_srm`` on the fast path's rows is held to the oracle

@@ -304,15 +304,38 @@ class TestCheck:
         assert main(["check", str(one), "--tol-psd", "1", "--out", str(out)]) == EXIT_OK
         assert out.read_text().splitlines()[:3] == ["states 1", "pc 1", "pe 0"]
 
+    def test_condition_tolerance_leaves_the_diagonal_guard_alone(self, tmp_path):
+        # --tol-cond sets only the Hermiticity residual: the smallest |X[i, i]|
+        # of this 16-state root is 0.19, below the 0.5 given, and the
+        # vanishing-diagonal guard keeps its fixed scale
+        psk = make_psk(16, 2.0).base
+        lines = [f"n {psk.n}", "priors " + " ".join(repr(float(p)) for p in psk.priors)]
+        for i, j in zip(*np.triu_indices(psk.n, 1)):
+            value = psk.overlaps[i, j]
+            lines.append(f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}")
+        path = tmp_path / "psk16.gram"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.txt"
+        assert main(["check", str(path), "--tol-cond", "0.5", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[-2:] == [
+            "theorem2 optimal",
+            "theorem1_oracle optimal (boundary: min eigenvalue over Y - W_r is 0.000000e+00, "
+            "inside the zero band)",
+        ]
+
     def test_one_decomposition_per_matrix(self, monkeypatch, tmp_path):
-        # one eigh of G (the one-bin stack), one of Y, one eigvalsh per
-        # confirmed Theorem-1 candidate, no SVD and no per-block root
+        # one eigh of G (the one-bin stack) and none of Y: a Cholesky of
+        # Y - tol I when Y is Hermitian, one of Y + tol I for the Theorem-1
+        # screen, one eigvalsh per confirmed candidate, no SVD and no
+        # per-block root
         calls = counted_factorizations(monkeypatch)
-        for stem, confirmed in (("binary_equal", []), ("binary_biased", [(2, 2)])):
+        optimal = {"eigvalsh": [], "cholesky": [(2, 2), (2, 2)]}
+        suboptimal = {"eigvalsh": [(2, 2)], "cholesky": [(2, 2)]}
+        for stem, counts in (("binary_equal", optimal), ("binary_biased", suboptimal)):
             for log in calls.values():
                 log.clear()
             assert self.run_check(f"{stem}.gram", tmp_path)[0] == EXIT_OK
-            assert calls == {"eigh": [(1, 2, 2), (2, 2)], "eigvalsh": confirmed, "svd": []}
+            assert calls == {"eigh": [(1, 2, 2)], "svd": [], **counts}
         # seed 1 draws equal priors (optimal), seed 5 skewed ones (suboptimal)
         for seed, blocks in ((1, False), (1, True), (5, False), (5, True)):
             path = tmp_path / "certify.gram"
@@ -320,8 +343,11 @@ class TestCheck:
             for log in calls.values():
                 log.clear()
             assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
-            confirmed = [(64, 64)] if seed == 5 else []
-            assert calls == {"eigh": [(1, 64, 64), (64, 64)], "eigvalsh": confirmed, "svd": []}
+            if seed == 5:
+                counts = {"eigvalsh": [(64, 64)], "cholesky": [(64, 64)]}
+            else:
+                counts = {"eigvalsh": [], "cholesky": [(64, 64), (64, 64)]}
+            assert calls == {"eigh": [(1, 64, 64)], "svd": [], **counts}
 
     def test_parse_error_has_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.gram"
@@ -662,3 +688,17 @@ def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
         expected = EXIT_CONFIG if kinds[0] else EXIT_NUMERIC
         assert main(["check", "unused.gram"]) == expected, cls.__name__
         assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_cached_parser_runs_the_handler_of_the_call(monkeypatch, tmp_path):
+    # the first call builds the parser while cmd_check is patched; the
+    # parser must not keep that handler for the calls after it
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
+    assert main(["check", "unused.gram"]) == 42
+    monkeypatch.undo()
+    out = tmp_path / "report.txt"
+    assert main(["check", str(GRAMFILES / "binary_equal.gram"), "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == GRAMFILE_REPORTS["binary_equal"]
+    assert cli._parser.cache_info().currsize == 1
+    assert cli.build_parser() is not cli.build_parser()

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     block_sqrt,
+    certify_eigh_reference,
     check_theorem2_reference,
     check_theorem3_reference,
     counted_factorizations,
@@ -227,7 +228,7 @@ class TestCheckTheorem3:
         calls = counted_factorizations(monkeypatch)
         verdict = check_theorem3(g, [(0, 1)], np.diag([0.6, 0.6]))
         assert verdict.optimal
-        assert calls == {"eigh": [], "eigvalsh": [], "svd": []}
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": []}
 
 
 class TestCertifyTheorem1:
@@ -305,8 +306,34 @@ def certify_gram(rng, n: int, skewed: bool) -> np.ndarray:
     return weighted_gram(Constellation(priors=priors / priors.sum(), overlaps=overlaps))
 
 
+EIGH_TOLERANCES = [
+    {},
+    {"tol_psd": 1e-6},
+    {"tol_cond": 1e-4},
+    {"tol_psd": 1e-14, "tol_cond": 1e-12},
+]
+
+
+def rotated_factor() -> tuple[np.ndarray, np.ndarray]:
+    """A four-phase root rotated by exp(i eps H): X†X = G still holds, but Y is not Hermitian."""
+    gram = weighted_gram(make_psk(4, 1.0).base)
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
+    return gram, (v * np.exp(1e-7j * w)) @ v.conj().T @ principal_sqrt(gram)
+
+
+def factor_of_y(y) -> tuple[np.ndarray, np.ndarray]:
+    """The factor X[j, k] = Y[j, k] / sqrt(Y[k, k]), whose Y is exactly ``y``, and its Gram."""
+    x = np.asarray(y, dtype=complex) / np.sqrt(np.diagonal(y).real)[None, :]
+    return factor_gram(x), x
+
+
+INDEFINITE_Y = np.array([[1.0, 2.0j, 0.5], [-2.0j, 1.0, 0.3], [0.5, 0.3, 2.0]])
+
+
 class TestTheorem1Reduction:
-    """The one-eigendecomposition oracle against the per-state reference loop."""
+    """The O(n³) Theorem-1 oracle of ``certify`` against the per-state reference loop."""
 
     def test_matches_reference_on_random_ensembles(self):
         rng = np.random.default_rng(107)
@@ -337,12 +364,7 @@ class TestTheorem1Reduction:
         assert assert_matches_reference(gram, srm(gram).factor) == (stem != "binary_biased")
 
     def test_non_hermitian_y_matches_reference(self):
-        # rotating the root by exp(i eps H) keeps X†X = G but breaks condition (i)
-        gram = weighted_gram(make_psk(4, 1.0).base)
-        rng = np.random.default_rng(5)
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
-        factor = (v * np.exp(1e-7j * w)) @ v.conj().T @ principal_sqrt(gram)
+        gram, factor = rotated_factor()
         assert not assert_matches_reference(gram, factor)
         assert certify(gram, factor)[1].witness == "Y is not Hermitian: max asymmetry 3.099467e-08"
 
@@ -350,11 +372,9 @@ class TestTheorem1Reduction:
         # X[j, k] = Y[j, k] / sqrt(Y[k, k]) gives back exactly this Y, so
         # condition (i) holds and condition (ii) fails; by interlacing the
         # first downdate already dips below Y's lowest eigenvalue
-        y = np.array([[1.0, 2.0j, 0.5], [-2.0j, 1.0, 0.3], [0.5, 0.3, 2.0]])
-        lowest = np.linalg.eigvalsh(y)[0]
+        lowest = np.linalg.eigvalsh(INDEFINITE_Y)[0]
         assert lowest < -TOL_PSD
-        x = y / np.sqrt(np.diagonal(y).real)[None, :]
-        gram = x.conj().T @ x
+        gram, x = factor_of_y(INDEFINITE_Y)
         pairwise, fast = certify(gram, x)
         assert pairwise.witness.startswith("condition (ii) fails")
         slow = verify_theorem1_reference(gram, x)
@@ -363,12 +383,12 @@ class TestTheorem1Reduction:
         assert fast.witness.startswith("Y - W_0 has min eigenvalue ")
         assert float(fast.witness.rsplit(" ", 1)[1]) <= lowest
 
-    def test_one_eigendecomposition_of_an_optimal_factor(self, monkeypatch):
+    def test_two_choleskys_and_no_eigensolve_of_an_optimal_factor(self, monkeypatch):
         gram = weighted_gram(make_ppm(64, 1.0).base)
         factor = srm(gram).factor
         calls = counted_factorizations(monkeypatch)
         assert all(verdict.optimal for verdict in certify(gram, factor))
-        assert calls == {"eigh": [(64, 64)], "eigvalsh": [], "svd": []}
+        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": [(64, 64), (64, 64)]}
 
     def test_one_confirming_eigensolve_of_a_suboptimal_factor(self, monkeypatch):
         constellation, _ = load_gram_file(str(GRAMFILES / "binary_biased.gram"))
@@ -376,7 +396,81 @@ class TestTheorem1Reduction:
         factor = srm(gram).factor
         calls = counted_factorizations(monkeypatch)
         assert certify(gram, factor)[1].witness == "Y - W_0 has min eigenvalue -1.015895e-03"
-        assert calls == {"eigh": [(2, 2)], "eigvalsh": [(2, 2)], "svd": []}
+        assert calls == {"eigh": [], "eigvalsh": [(2, 2)], "svd": [], "cholesky": [(2, 2)]}
+
+
+class TestCertifyMatchesEighReference:
+    """The Cholesky tests of ``certify`` give the verdicts and witnesses of one ``eigh`` of Y."""
+
+    @staticmethod
+    def assert_same(gram, factor, tols):
+        verdicts = certify(gram, factor, **tols)
+        assert verdicts == certify_eigh_reference(gram, factor, **tols)
+        return verdicts
+
+    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
+    def test_criterion_04_generators(self, tols):
+        rng = np.random.default_rng(103)
+        verdicts = set()
+        for index in range(100):
+            n = int(rng.integers(2, 9))
+            if index % 2 == 0:
+                gram = random_unit_trace_gram(rng, n)
+            else:
+                gram = weighted_gram(random_gus_ensemble(rng, 1, n).base)
+            verdicts.add(self.assert_same(gram, principal_sqrt(gram), tols)[1].optimal)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_circulant_grams(self, n, tols):
+        rng = np.random.default_rng(n)
+        for skewed in (False, True):
+            gram = certify_gram(rng, n, skewed)
+            verdicts = self.assert_same(gram, srm(gram).factor, tols)
+            assert [verdict.optimal for verdict in verdicts] == [not skewed] * 2
+
+    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
+    def test_gram_files_and_special_factors(self, tols):
+        for stem in ("binary_equal", "binary_biased", "identity3"):
+            constellation, _ = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
+            gram = weighted_gram(constellation)
+            self.assert_same(gram, srm(gram).factor, tols)
+        witnesses = [self.assert_same(*rotated_factor(), tols)[0].witness]
+        for x in (np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 1e-6])):
+            witnesses.append(self.assert_same(factor_gram(x), x, tols)[0].witness)
+        if not tols:
+            assert witnesses[0].startswith("condition (i) fails")
+            assert all(witness.startswith("boundary: ") for witness in witnesses[1:])
+
+    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
+    def test_every_state_is_a_candidate_when_y_plus_tol_is_indefinite(self, tols):
+        # the screen's Cholesky fails, so every r is confirmed in order
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(INDEFINITE_Y + tols.get("tol_psd", TOL_PSD) * np.eye(3))
+        pairwise, oracle = self.assert_same(*factor_of_y(INDEFINITE_Y), tols)
+        assert pairwise.witness.startswith("condition (ii) fails")
+        assert oracle.witness.startswith("Y - W_0 has min eigenvalue ")
+
+    def test_rank_deficient_y_prints_its_rounding_noise(self):
+        # a singular PSD Y has lambda_1 at rounding level, and eigvalsh and
+        # eigh return different noise there: the boundary notes agree in
+        # every word but that value, which both keep inside the zero band
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(2, 9))
+            a = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
+            gram, x = factor_of_y(a @ a.conj().T)
+            pairwise, oracle = certify(gram, x)
+            pairwise_ref, oracle_ref = certify_eigh_reference(gram, x)
+            assert oracle == oracle_ref
+            for verdict in (pairwise, pairwise_ref):
+                assert verdict.optimal
+                lowest = float(verdict.witness.split()[6].rstrip(","))
+                assert verdict.witness == (
+                    f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
+                )
+                assert abs(lowest) <= TOL_PSD
 
 
 def outcome(certificate, *args, **kwargs):
@@ -567,7 +661,7 @@ class TestCertifySrm:
     def test_fig23_point_takes_one_batched_eigh(self, monkeypatch):
         calls = counted_factorizations(monkeypatch)
         (row,) = rows_fig23([1.0], TOL_PSD)
-        assert calls == {"eigh": [(2, 2, 2)], "eigvalsh": [], "svd": []}
+        assert calls == {"eigh": [(2, 2, 2)], "eigvalsh": [], "svd": [], "cholesky": []}
         assert row["p_star"] == optimize_prior_4pam(1.0)
 
 
