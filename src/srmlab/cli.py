@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import json
 import math
 import re
@@ -484,12 +483,12 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the ``srmlab`` command line.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``srmlab`` parser; given a ``command``, only that subcommand gets its arguments.
 
-    Each subcommand names its handler by the name of a module function, and
-    ``main`` looks that name up when it runs, so a parser never holds on to
-    a handler.
+    Every subcommand keeps its name and help either way, so the top-level
+    usage, help and errors read the same. ``main`` passes the subcommand it
+    is about to run, so a run builds the arguments of that one only.
     """
     parser = argparse.ArgumentParser(
         prog="srmlab",
@@ -515,69 +514,75 @@ def build_parser() -> argparse.ArgumentParser:
             f"(default {DEFAULT_GRID})",
         )
 
+    def wanted(name):
+        return command is None or command == name
+
     p1 = sub.add_parser(
         "fig1", help="two equal-amplitude binary pairs: pc over energy and phase offset"
     )
-    add_grid(p1)
-    p1.add_argument("--delta", default=DEFAULT_DELTAS, help="comma list of phase offsets")
-    add_output(p1)
-    add_tol_psd(p1)
-    p1.set_defaults(handler="cmd_fig1")
+    if wanted("fig1"):
+        add_grid(p1)
+        p1.add_argument("--delta", default=DEFAULT_DELTAS, help="comma list of phase offsets")
+        add_output(p1)
+        add_tol_psd(p1)
+        p1.set_defaults(func=cmd_fig1)
 
     for name, help_text in (
         ("fig2", "4-level amplitude keying: optimized prior over energy"),
         ("fig3", "4-level amplitude keying: error probability at the optimized prior"),
     ):
         p = sub.add_parser(name, help=help_text)
-        add_grid(p)
-        add_output(p)
-        add_tol_psd(p)
-        p.set_defaults(handler="cmd_fig23")
+        if wanted(name):
+            add_grid(p)
+            add_output(p)
+            add_tol_psd(p)
+            p.set_defaults(func=cmd_fig23)
 
     for name, help_text in (
         ("fig4", "pulse position keying, plain and phase-doubled: error probability"),
         ("fig5", "pulse position keying, plain and phase-doubled: mutual information"),
     ):
         p = sub.add_parser(name, help=help_text)
-        add_grid(p)
-        p.add_argument("--m", default=DEFAULT_MS, help="comma list of slot counts")
-        add_output(p)
-        p.set_defaults(handler="cmd_fig45")
+        if wanted(name):
+            add_grid(p)
+            p.add_argument("--m", default=DEFAULT_MS, help="comma list of slot counts")
+            add_output(p)
+            p.set_defaults(func=cmd_fig45)
 
     ps = sub.add_parser("sweep", help="evaluate one scheme over an energy grid")
-    ps.add_argument("--scheme", required=True, choices=analysis.SCHEMES)
-    add_grid(ps)
-    ps.add_argument("--m", default=DEFAULT_MS, help="comma list of sizes m")
-    ps.add_argument("--delta", default="pi/2", help="comma list of phase offsets delta")
-    ps.add_argument("--p", type=float, default=None, help="per-state prior of the first pair")
-    add_output(ps)
-    add_tol_psd(ps)
-    ps.set_defaults(handler="cmd_sweep")
+    if wanted("sweep"):
+        ps.add_argument("--scheme", required=True, choices=analysis.SCHEMES)
+        add_grid(ps)
+        ps.add_argument("--m", default=DEFAULT_MS, help="comma list of sizes m")
+        ps.add_argument("--delta", default="pi/2", help="comma list of phase offsets delta")
+        ps.add_argument("--p", type=float, default=None, help="per-state prior of the first pair")
+        add_output(ps)
+        add_tol_psd(ps)
+        ps.set_defaults(func=cmd_sweep)
 
     pc = sub.add_parser("check", help="report measurement performance for a Gram file")
-    pc.add_argument("gramfile", help="path to a Gram description file")
-    pc.add_argument("--out", help="output path (default: stdout)")
-    add_tol_psd(pc)
-    pc.add_argument("--tol-cond", dest="tol_cond", type=float, default=TOL_COND)
-    pc.set_defaults(handler="cmd_check")
+    if wanted("check"):
+        pc.add_argument("gramfile", help="path to a Gram description file")
+        pc.add_argument("--out", help="output path (default: stdout)")
+        add_tol_psd(pc)
+        pc.add_argument("--tol-cond", dest="tol_cond", type=float, default=TOL_COND)
+        pc.set_defaults(func=cmd_check)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: built on the first call, not at import."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option values, so its first non-option
+    # token is the subcommand (or an invalid choice, which it reports)
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     tolerances = (getattr(args, "tol_psd", TOL_PSD), getattr(args, "tol_cond", TOL_COND))
     if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
         print("error: tolerance overrides must be positive", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return globals()[args.handler](args)
+        return args.func(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -152,16 +152,14 @@ def _min_eig(hermitian: np.ndarray) -> float:
 
 
 def _connected(adjacency: np.ndarray) -> bool:
-    n = len(adjacency)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    """Whether every node is reached from node 0, one breadth-first level per step."""
+    seen = np.zeros(len(adjacency), dtype=bool)
     seen[0] = True
-    while stack:
-        node = stack.pop()
-        for other in np.flatnonzero(adjacency[node]):
-            if not seen[other]:
-                seen[other] = True
-                stack.append(int(other))
+    frontier = seen.copy()
+    while frontier.any():
+        reached = adjacency[frontier].any(axis=0)
+        frontier = reached & ~seen
+        seen |= reached
     return bool(seen.all())
 
 

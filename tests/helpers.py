@@ -7,7 +7,8 @@ dense matrix, the spectral square root and the dense assembly of a
 coupling stack, the certificate references (the O(n⁴) Theorem-1 oracle
 that runs one eigensolve per downdate, Theorem 2 with its own eigensolve
 and SVD, both theorems from one ``eigh`` of Y as ``srm.certify`` once
-took them, Theorem 3 with one root per block, and the trace criterion that
+took them, Theorem 3 with one root per block and a node-by-node search of
+each block's support graph, and the trace criterion that
 demands equal g_h, which is wrong for reducible coupling), the
 line-by-line Gram-file parser, and the documented ``check`` reports of
 the files in ``gramfiles/``. ``counted_factorizations`` logs the
@@ -39,7 +40,7 @@ from srmlab.linalg import (
     circulant_eigenvalues,
     hermiticity_defect,
 )
-from srmlab.srm import TOL_COND, OptimalityVerdict, _connected, _min_eig
+from srmlab.srm import TOL_COND, OptimalityVerdict, _min_eig
 
 
 # the full `srmlab check` report of each documented file in gramfiles/
@@ -460,6 +461,21 @@ def check_theorem2_reference(
     return OptimalityVerdict(optimal=True, method="theorem2")
 
 
+def connected_reference(adjacency) -> bool:
+    """Whether a depth-first search from node 0 along the rows of ``adjacency`` reaches every node."""
+    n = len(adjacency)
+    seen = np.zeros(n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        node = stack.pop()
+        for other in np.flatnonzero(adjacency[node]):
+            if not seen[other]:
+                seen[other] = True
+                stack.append(int(other))
+    return bool(seen.all())
+
+
 def check_theorem3_reference(
     gram,
     blocks,
@@ -501,7 +517,7 @@ def check_theorem3_reference(
     for b, block in enumerate(partition):
         sub = g[np.ix_(block, block)]
         support = np.abs(sub) > tol_cond
-        if not _connected(support):
+        if not connected_reference(support):
             raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
         submatrices.append(sub)
 

@@ -690,15 +690,46 @@ def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
         assert capsys.readouterr().err == "error: boom\n"
 
 
-def test_cached_parser_runs_the_handler_of_the_call(monkeypatch, tmp_path):
-    # the first call builds the parser while cmd_check is patched; the
-    # parser must not keep that handler for the calls after it
-    cli._parser.cache_clear()
-    monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
-    assert main(["check", "unused.gram"]) == 42
-    monkeypatch.undo()
-    out = tmp_path / "report.txt"
-    assert main(["check", str(GRAMFILES / "binary_equal.gram"), "--out", str(out)]) == EXIT_OK
-    assert out.read_text() == GRAMFILE_REPORTS["binary_equal"]
-    assert cli._parser.cache_info().currsize == 1
-    assert cli.build_parser() is not cli.build_parser()
+SUBCOMMAND_ARGVS = [
+    ["fig1", "--grid", "1:2:3", "--delta", "0,pi/2", "--tol-psd", "1e-6"],
+    ["fig2", "--format", "json"],
+    ["fig3", "--out", "fig3.csv"],
+    ["fig4", "--m", "2,4"],
+    ["fig5", "--grid", "1:1:1", "--format", "csv"],
+    ["sweep", "--scheme", "ppm", "--p", "0.2", "--m", "2"],
+    ["check", "a.gram", "--tol-cond", "1e-4", "--out", "report.txt"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["--", "check", "a.gram"],
+        ["--bogus", "check", "a.gram"],
+        ["check"],
+        ["check", "a.gram", "--bogus"],
+        ["sweep", "--scheme", "nope"],
+        ["fig4", "--tol-psd", "1e-3"],
+        *([argv[0], "--help"] for argv in SUBCOMMAND_ARGVS),
+    ],
+    ids=" ".join,
+)
+def test_a_run_exits_as_the_full_parser_does(argv, capsys):
+    # main builds the arguments of its own subcommand only; the usage, help
+    # and error texts must still be those of the full parser
+    with pytest.raises(SystemExit) as full:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as run:
+        main(argv)
+    assert run.value.code == full.value.code
+    assert capsys.readouterr() == expected
+
+
+def test_a_subcommand_parses_as_in_the_full_parser():
+    full = cli.build_parser()
+    for argv in SUBCOMMAND_ARGVS:
+        assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)

@@ -12,6 +12,7 @@ from helpers import (
     certify_eigh_reference,
     check_theorem2_reference,
     check_theorem3_reference,
+    connected_reference,
     counted_factorizations,
     gram_lines,
     principal_sqrt,
@@ -41,7 +42,15 @@ from srmlab.errors import (
 )
 from srmlab.linalg import TOL_PSD
 from srmlab.gus import block_diagonalize, fast_srm
-from srmlab.srm import TOL_COND, certify, certify_srm, channel_stats, check_theorem3, srm
+from srmlab.srm import (
+    TOL_COND,
+    _connected,
+    certify,
+    certify_srm,
+    channel_stats,
+    check_theorem3,
+    srm,
+)
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
@@ -205,6 +214,26 @@ class TestCheckTheorem3:
         g = binary_gram(0.5, 0.5)
         with pytest.raises(NotBlockDiagonal):
             check_theorem3(g, [(0,), (1,)], principal_sqrt(g))
+
+    def test_support_graph_search_matches_a_node_by_node_search(self):
+        # random graphs from nearly empty to complete, paths (the longest
+        # search) and two disjoint cliques
+        rng = np.random.default_rng(11)
+        graphs = []
+        for n in (1, 2, 5, 17, 40):
+            for density in (0.0, 0.05, 0.2, 1.0):
+                upper = np.triu(rng.uniform(size=(n, n)) < density, 1)
+                graphs.append(upper | upper.T)
+            path = np.eye(n, k=1, dtype=bool)
+            graphs.append(path | path.T)
+            order = rng.permutation(n)
+            graphs.append((path | path.T)[np.ix_(order, order)])
+            halves = np.zeros((n, n), dtype=bool)
+            halves[: n // 2, : n // 2] = halves[n // 2 :, n // 2 :] = True
+            graphs.append(halves)
+        answers = [_connected(graph) for graph in graphs]
+        assert answers == [connected_reference(graph) for graph in graphs]
+        assert set(answers) == {True, False}
 
     def test_rejects_reducible_block(self):
         g = np.diag([0.4, 0.6])
@@ -471,6 +500,32 @@ class TestCertifyMatchesEighReference:
                     f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
                 )
                 assert abs(lowest) <= TOL_PSD
+
+    @pytest.mark.parametrize("n, tol_psd", [(16, TOL_PSD), (128, 1e-14)])
+    @pytest.mark.parametrize("edge", [1.0, -1.0])
+    def test_lambda_1_at_the_band_edge_differs_only_by_rounding(self, n, tol_psd, edge):
+        # with lambda_1 of Y placed on +tol_psd or -tol_psd, the Cholesky of
+        # Y - tol_psd I and eigvalsh answer on either side of that edge as
+        # rounding falls, and eigh may answer on the other: a missing or
+        # extra boundary note at +tol_psd, optimal against a condition (ii)
+        # failure at -tol_psd. Elsewhere the verdicts and notes agree, and a
+        # printed lambda_1 differs from eigh's by rounding only
+        rng = np.random.default_rng(n)
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        noise = 8 * n * np.finfo(float).eps * 1.5
+        for lam in (edge * tol_psd, edge * tol_psd + 4 * noise, edge * tol_psd - 4 * noise):
+            spectrum = np.concatenate([[lam], rng.uniform(0.5, 1.5, n - 1)])
+            y = (q * spectrum) @ q.conj().T
+            gram, x = factor_of_y((y + y.conj().T) / 2.0)
+            pairwise = certify(gram, x, tol_psd=tol_psd)[0]
+            reference = certify_eigh_reference(gram, x, tol_psd=tol_psd)[0]
+            if lam != edge * tol_psd:
+                assert pairwise.optimal == reference.optimal
+                assert (pairwise.witness is None) == (reference.witness is None)
+            for verdict in (pairwise, reference):
+                if verdict.witness:
+                    printed = float(verdict.witness.split(" is ")[1].split(",")[0])
+                    assert abs(printed - lam) <= noise
 
 
 def outcome(certificate, *args, **kwargs):
