@@ -488,7 +488,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     Every subcommand keeps its name and help either way, so the top-level
     usage, help and errors read the same. ``main`` passes the subcommand it
-    is about to run, so a run builds the arguments of that one only.
+    is about to run, so a run builds the arguments of that one only: the
+    others can only be listed, never parse.
     """
     parser = argparse.ArgumentParser(
         prog="srmlab",
@@ -514,13 +515,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             f"(default {DEFAULT_GRID})",
         )
 
-    def wanted(name):
-        return command is None or command == name
+    def subcommand(name, help_text):
+        # a subcommand that will not run is only listed: no arguments, no -h
+        runs = command is None or command == name
+        p = sub.add_parser(name, help=help_text, add_help=runs)
+        return p if runs else None
 
-    p1 = sub.add_parser(
-        "fig1", help="two equal-amplitude binary pairs: pc over energy and phase offset"
-    )
-    if wanted("fig1"):
+    p1 = subcommand("fig1", "two equal-amplitude binary pairs: pc over energy and phase offset")
+    if p1:
         add_grid(p1)
         p1.add_argument("--delta", default=DEFAULT_DELTAS, help="comma list of phase offsets")
         add_output(p1)
@@ -531,8 +533,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ("fig2", "4-level amplitude keying: optimized prior over energy"),
         ("fig3", "4-level amplitude keying: error probability at the optimized prior"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        if wanted(name):
+        p = subcommand(name, help_text)
+        if p:
             add_grid(p)
             add_output(p)
             add_tol_psd(p)
@@ -542,15 +544,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ("fig4", "pulse position keying, plain and phase-doubled: error probability"),
         ("fig5", "pulse position keying, plain and phase-doubled: mutual information"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        if wanted(name):
+        p = subcommand(name, help_text)
+        if p:
             add_grid(p)
             p.add_argument("--m", default=DEFAULT_MS, help="comma list of slot counts")
             add_output(p)
             p.set_defaults(func=cmd_fig45)
 
-    ps = sub.add_parser("sweep", help="evaluate one scheme over an energy grid")
-    if wanted("sweep"):
+    ps = subcommand("sweep", "evaluate one scheme over an energy grid")
+    if ps:
         ps.add_argument("--scheme", required=True, choices=analysis.SCHEMES)
         add_grid(ps)
         ps.add_argument("--m", default=DEFAULT_MS, help="comma list of sizes m")
@@ -560,8 +562,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         add_tol_psd(ps)
         ps.set_defaults(func=cmd_sweep)
 
-    pc = sub.add_parser("check", help="report measurement performance for a Gram file")
-    if wanted("check"):
+    pc = subcommand("check", "report measurement performance for a Gram file")
+    if pc:
         pc.add_argument("gramfile", help="path to a Gram description file")
         pc.add_argument("--out", help="output path (default: stdout)")
         add_tol_psd(pc)
