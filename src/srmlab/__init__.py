@@ -1,10 +1,11 @@
 """Discrimination of pure quantum states with the square-root measurement.
 
-Everything is computed in Gram coordinates: a constellation is its priors
-plus pairwise inner products, the measurement is the principal square root
-of the weighted Gram matrix, and optimality is decided by matrix
-certificates. Ensembles built from several constellations sharing one
-cyclic symmetry additionally get a block-circulant fast path.
+Everything is computed in Gram coordinates: an ensemble is its priors plus
+pairwise inner products, the measurement is the principal square root of
+the weighted Gram matrix, and optimality is decided by matrix certificates.
+``GusEnsemble`` holds s constellations of m states sharing one cyclic
+symmetry as the first rows of their Gram blocks; any set of n states is the
+case m = 1. Ensembles with m > 1 get a block-circulant fast path.
 """
 
 from .analysis import (
@@ -23,7 +24,6 @@ from .analysis import (
     ppm_closed_form,
 )
 from .constellations import (
-    Constellation,
     GusEnsemble,
     coherent_inner,
     make_double_bpsk,
@@ -65,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelStats",
-    "Constellation",
     "ConvergenceFailure",
     "DomainError",
     "DoublePpmClosedForm",

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .constellations import Constellation, make_double_bpsk, weighted_gram
+from .constellations import GusEnsemble, make_double_bpsk, weighted_gram
 from .errors import (
     GramFileError,
     InputError,
@@ -281,8 +281,8 @@ def cmd_sweep(args) -> int:
     return write_dataset(columns, rows, args)
 
 
-def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | None]:
-    """Parse a Gram description file into a constellation and optional blocks.
+def load_gram_file(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None]:
+    """Parse a Gram description file into a one-bin ensemble and optional blocks.
 
     Line-oriented format: ``n <count>``, ``priors <q0> ... <q_{n-1}>``,
     then one ``inner i j re im`` per pair with i < j (unlisted pairs are
@@ -301,7 +301,9 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
     Every error names the file and, where there is one, the line, and a
     file with several faults reports the one a line-by-line reading meets
     first: faults in line order, then a missing ``n`` or ``priors``, then
-    a repeated pair, then an invalid constellation.
+    a repeated pair, then an invalid constellation. The n states are the
+    ``GusEnsemble`` of n constellations of one state each: its (n, n, 1)
+    first rows are the overlap matrix.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -403,10 +405,10 @@ def load_gram_file(path: str) -> tuple[Constellation, list[tuple[int, ...]] | No
     overlaps[j, i] = values.conj()
 
     try:
-        constellation = Constellation(priors=np.array(priors), overlaps=overlaps)
+        ensemble = GusEnsemble(rows=overlaps[:, :, None], constellation_priors=np.array(priors))
     except (InvalidPrior, ValueError) as exc:
         raise GramFileError(f"{path}: invalid constellation: {exc}") from exc
-    return constellation, blocks
+    return ensemble, blocks
 
 
 def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
@@ -459,13 +461,13 @@ def _verdict_line(verdict) -> str:
 
 
 def cmd_check(args) -> int:
-    constellation, blocks = load_gram_file(args.gramfile)
-    gram = weighted_gram(constellation)
+    ensemble, blocks = load_gram_file(args.gramfile)
+    gram = weighted_gram(ensemble)
     result = srm(gram, tol_psd=args.tol_psd)
     factor = result.factor
 
     lines = [
-        f"states {constellation.n}",
+        f"states {len(gram)}",
         f"pc {fmt(result.pc)}",
         f"pe {fmt(max(1.0 - result.pc, 0.0))}",
     ]

@@ -1,14 +1,15 @@
-"""Weighted pure-state constellations described by priors and inner products.
+"""Weighted pure-state ensembles described by priors and inner products.
 
-States are never stored as amplitude vectors. A constellation records the
-prior probability of each state and the full matrix of pairwise inner
-products; the weighted Gram matrix assembled from those two ingredients is
-the complete input to everything downstream. Builders cover coherent-state
-binary phase keying in two constellations, m-ary phase keying, pulse
-position modulation and its two-phase variant; each writes the first rows
-of its Gram blocks as an array and hands them to ``GusEnsemble``, the
-general constructor for any family of constellations sharing one cyclic
-symmetry.
+States are never stored as amplitude vectors. An ensemble is s
+constellations of m states sharing one cyclic symmetry, held as the first
+rows of its Gram blocks and one prior per constellation; the weighted Gram
+matrix assembled from those two ingredients is the complete input to
+everything downstream. Any set of n pure states is the one-bin case: n
+constellations of one state each, whose (n, n, 1) first rows are the
+overlap matrix. Builders cover coherent-state binary phase keying in two
+constellations, m-ary phase keying, pulse position modulation and its
+two-phase variant; each writes its first rows as an array and hands them
+to ``GusEnsemble``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,53 +28,6 @@ RULE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Constellation:
-    """A family of weighted pure states.
-
-    ``priors`` are the positive state probabilities (summing to one) and
-    ``overlaps[i, j]`` is the inner product of unit-norm states i and j,
-    so the matrix is Hermitian with unit diagonal.
-    """
-
-    priors: np.ndarray
-    overlaps: np.ndarray
-
-    def __post_init__(self):
-        priors = np.array(self.priors, dtype=float).reshape(-1)
-        n = len(priors)
-        if n == 0:
-            raise InvalidPrior("a constellation needs at least one state")
-        if not np.all(priors > 0):
-            raise InvalidPrior("priors must be strictly positive")
-        total = float(priors.sum())
-        if abs(total - 1.0) > PRIOR_TOL:
-            raise InvalidPrior(f"priors must sum to 1, got {total!r}")
-
-        overlaps = np.array(self.overlaps, dtype=complex)
-        if overlaps.shape != (n, n):
-            raise ValueError(f"overlaps must be {n}x{n}, got {overlaps.shape}")
-        if not np.all(np.isfinite(overlaps)):
-            raise ValueError("overlaps must be finite")
-        diag_err = np.abs(np.diagonal(overlaps) - 1.0).max()
-        if diag_err > PRIOR_TOL:
-            raise ValueError(f"states must be unit norm: diagonal deviates by {diag_err:.3e}")
-        herm_err = np.abs(overlaps - overlaps.conj().T).max()
-        if herm_err > RULE_TOL:
-            raise ValueError(f"overlaps must be Hermitian: asymmetry {herm_err:.3e}")
-        overlaps = (overlaps + overlaps.conj().T) / 2.0
-        np.fill_diagonal(overlaps, 1.0)
-
-        priors.setflags(write=False)
-        overlaps.setflags(write=False)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "overlaps", overlaps)
-
-    @property
-    def n(self) -> int:
-        return len(self.priors)
-
-
-@dataclass(frozen=True)
 class GusEnsemble:
     """``s`` constellations of ``m`` states sharing one cyclic symmetry.
 
@@ -83,13 +36,14 @@ class GusEnsemble:
     shift of the seed state of constellation k, and block (h, k) of the
     overlap matrix is the circulant with that first row. States are
     ordered constellation-major; every state of constellation k carries
-    the prior ``constellation_priors[k]``.
+    the prior ``constellation_priors[k]``. A dense overlap matrix O of n
+    states is the ensemble with ``rows = O[:, :, None]``.
 
-    Construction checks, in O(s^2 m), finite entries, the Hermitian mirror
+    Construction checks, in O(s^2 m), positive priors whose s * m per-state
+    copies sum to one, finite entries, the Hermitian mirror
     ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])`` and unit seeds. It
     keeps the upper blocks as supplied, derives the lower ones from them,
-    symmetrises the diagonal rows and sets their seed entry to one. The
-    dense ``base`` constellation is assembled only when read.
+    symmetrises the diagonal rows and sets their seed entry to one.
     """
 
     rows: np.ndarray
@@ -100,16 +54,16 @@ class GusEnsemble:
         if rows.ndim != 3 or rows.shape[0] != rows.shape[1] or 0 in rows.shape:
             raise ValueError(f"rows must have shape (s, s, m) with s, m >= 1, got {rows.shape}")
         s, _, m = rows.shape
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("rows must be finite")
         q = np.array(self.constellation_priors, dtype=float).reshape(-1)
         if len(q) != s:
             raise InvalidPrior(f"expected {s} constellation priors, got {len(q)}")
         if not np.all(q > 0):
-            raise InvalidPrior("constellation priors must be strictly positive")
+            raise InvalidPrior("priors must be strictly positive")
         total = float(m * q.sum())
         if abs(total - 1.0) > PRIOR_TOL:
-            raise InvalidPrior(f"per-state priors must satisfy m * sum(q) = 1, got {total!r}")
+            raise InvalidPrior(f"priors must sum to 1, got {total!r}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("overlaps must be finite")
 
         mirror = _mirror(rows)
         defect = np.abs(rows - mirror).max(axis=2)
@@ -142,14 +96,6 @@ class GusEnsemble:
     def m(self) -> int:
         return self.rows.shape[2]
 
-    @cached_property
-    def base(self) -> Constellation:
-        """The dense constellation of all s * m states, built on first read."""
-        return Constellation(
-            priors=np.repeat(self.constellation_priors, self.m),
-            overlaps=_circulant_blocks(self.rows),
-        )
-
 
 def coherent_inner(alpha, beta) -> complex:
     """Overlap of two coherent states with complex amplitudes alpha, beta.
@@ -162,14 +108,19 @@ def coherent_inner(alpha, beta) -> complex:
     return cmath.exp(-(abs(a) ** 2 + abs(b) ** 2) / 2.0 + a.conjugate() * b)
 
 
-def weighted_gram(constellation: Constellation) -> np.ndarray:
-    """Weighted Gram matrix G[i, j] = sqrt(q_i q_j) <i|j>.
+def _weighted_rows(ensemble: GusEnsemble) -> np.ndarray:
+    """First rows of the weighted Gram blocks: ``sqrt(q_h q_k) rows[h, k]``."""
+    w = np.sqrt(ensemble.constellation_priors)
+    return np.outer(w, w)[:, :, None] * ensemble.rows
+
+
+def weighted_gram(ensemble: GusEnsemble) -> np.ndarray:
+    """Dense (s m) x (s m) weighted Gram matrix G[i, j] = sqrt(q_i q_j) <i|j>.
 
     Hermitian with unit trace; positive semidefinite whenever the overlap
     matrix describes actual states.
     """
-    w = np.sqrt(constellation.priors)
-    return np.outer(w, w) * constellation.overlaps
+    return _circulant_blocks(_weighted_rows(ensemble))
 
 
 def _cyclic_order(m, what: str) -> int:
@@ -228,8 +179,8 @@ def make_ppm(m: int, alpha: float) -> GusEnsemble:
 def make_double_ppm(m: int, alpha: float) -> GusEnsemble:
     """Pulse position modulation doubled by pulse phase.
 
-    Constellation 0 places a pulse of amplitude +alpha in one of m slots,
-    constellation 1 a pulse of amplitude -alpha; all 2m states are
+    The first constellation places a pulse of amplitude +alpha in one of m
+    slots, the second a pulse of amplitude -alpha; all 2m states are
     equiprobable. Same-slot opposite-phase states overlap with chi^2,
     everything else with chi = exp(-alpha^2).
     """

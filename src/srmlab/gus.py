@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constellations import GusEnsemble
+from .constellations import GusEnsemble, _weighted_rows
 from .linalg import TOL_PSD, _eigh, circulant_eigenvalues
 from .srm import SrmResult, _srm_from_eig
 
@@ -33,9 +33,7 @@ def block_diagonalize(ensemble: GusEnsemble) -> np.ndarray:
     Computed from the first rows; every coupling matrix is Hermitian, and
     positive definite when the weighted Gram matrix is.
     """
-    w = np.sqrt(ensemble.constellation_priors)
-    weighted = np.outer(w, w)[:, :, None] * ensemble.rows
-    return circulant_eigenvalues(weighted).transpose(2, 0, 1)
+    return circulant_eigenvalues(_weighted_rows(ensemble)).transpose(2, 0, 1)
 
 
 def fast_srm(ensemble: GusEnsemble, *, tol_psd: float = TOL_PSD) -> SrmResult:

@@ -5,7 +5,8 @@ The measurement itself is the principal square root X of the Gram matrix:
 weighted state i, so ``|X[i, j]|^2`` is the joint probability of sending i
 and deciding j (the factor is Hermitian, so either index may play either
 role), and the correct-decision probability is the sum of squared diagonal
-entries. ``srm`` treats a dense Gram matrix as the one-bin case (s = n,
+entries. ``srm`` treats a dense Gram matrix, such as
+``weighted_gram`` of a one-bin ``GusEnsemble``, as the one-bin case (s = n,
 m = 1) of the block-circulant path: it and ``gus.fast_srm`` hand the
 eigenpairs of an (m, s, s) coupling stack to one private tail, which tests
 for singularity, takes the clamped root and returns its first rows.
@@ -65,7 +66,8 @@ class SrmResult:
     ``rows`` are the (s, s, m) first rows of the Gram square root X: block
     (h, k) of X is the circulant with first row ``rows[h, k]`` (a dense root
     has s = n, m = 1). ``per_state_correct`` and ``pc`` come from the seeds
-    ``rows[h, h, 0]``; ``factor`` and ``joint[i, j] = |X[i, j]|^2`` are built when read.
+    ``rows[h, h, 0]``; the dense ``factor`` is built when read, and
+    ``abs(factor) ** 2`` is the joint probability of sending i and deciding j.
     """
 
     rows: np.ndarray
@@ -73,10 +75,6 @@ class SrmResult:
     @cached_property
     def factor(self) -> np.ndarray:
         return _circulant_blocks(self.rows)
-
-    @cached_property
-    def joint(self) -> np.ndarray:
-        return (self.factor * self.factor.conj()).real
 
     @cached_property
     def per_state_correct(self) -> np.ndarray:
@@ -168,17 +166,18 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
 
     ``blocks`` partitions the state indices. Entries coupling different
     blocks must vanish within ``tol_cond`` (else ``NotBlockDiagonal``),
-    and each block's support graph must be connected (else
-    ``ReducibleBlock``; refine the partition and retry). The measurement
-    is optimal iff the square root of every block has equal diagonal
-    entries within ``tol_cond``.
+    and each block's support graph, its entries above the fixed
+    ``TOL_COND``, must be connected (else ``ReducibleBlock``; refine the
+    partition and retry). The measurement is optimal iff the square root
+    of every block has equal diagonal entries within ``tol_cond``.
 
     ``factor`` is the principal square root of ``gram``, as ``srm`` takes
     it. A block-diagonal matrix has a block-diagonal principal root, so
     each block's root diagonal is read off ``factor``'s diagonal and no
     block is factored again. A tolerated cross-block entry of size ε moves
-    that diagonal only by O(ε²): to first order the root changes off the
-    blocks alone.
+    that diagonal by O(ε²): to first order the root changes off the blocks
+    alone. Only when ``tol_cond`` lets an entry above ``TOL_COND`` through
+    is each block rooted on its own instead.
     """
     g = as_matrix(gram)
     x = _factor_of(g, factor)
@@ -193,6 +192,7 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
     inside = np.zeros((n, n), dtype=bool)
     for block in partition:
         inside[np.ix_(block, block)] = True
+    leak = 0.0
     if not inside.all():
         leak = float(np.abs(g[~inside]).max())
         if leak > tol_cond:
@@ -201,12 +201,16 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
             )
 
     for b, block in enumerate(partition):
-        support = np.abs(g[np.ix_(block, block)]) > tol_cond
+        support = np.abs(g[np.ix_(block, block)]) > TOL_COND
         if not _connected(support):
             raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
 
     diag = np.diagonal(x).real
-    spreads = [float(np.ptp(diag[list(block)])) for block in partition]
+    if leak > TOL_COND:
+        diagonals = [_sqrt_from_eig(*_eigh(g[np.ix_(b, b)])).diagonal().real for b in partition]
+    else:
+        diagonals = [diag[list(block)] for block in partition]
+    spreads = [float(np.ptp(values)) for values in diagonals]
     worst_block = int(np.argmax(spreads))
     worst_spread = spreads[worst_block]
     if worst_spread > tol_cond:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from srmlab.constellations import Constellation, GusEnsemble, weighted_gram
+from srmlab.constellations import GusEnsemble, weighted_gram
 from srmlab.errors import (
     GramFileError,
     InvalidFactorization,
@@ -184,6 +184,11 @@ def random_unit_trace_gram(rng: np.random.Generator, n: int, min_eig: float = 1e
             return g
 
 
+def dense_ensemble(priors, overlaps) -> GusEnsemble:
+    """The one-bin ensemble of n states: n constellations of one state each."""
+    return GusEnsemble(rows=np.asarray(overlaps)[:, :, None], constellation_priors=priors)
+
+
 def random_circulant_gram(rng: np.random.Generator, m: int) -> np.ndarray:
     """Random positive definite circulant matrix with unit trace."""
     lam = rng.uniform(0.2, 1.0, size=m)
@@ -220,7 +225,7 @@ def random_gus_ensemble(
         raw = rng.uniform(0.2, 1.0, size=s)
         priors = raw / raw.sum() / m
         ensemble = GusEnsemble(rows=rows, constellation_priors=priors)
-        gram = weighted_gram(ensemble.base)
+        gram = weighted_gram(ensemble)
         if np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0] > min_eig:
             return ensemble
 
@@ -489,10 +494,10 @@ def check_theorem3_reference(
 
     ``blocks`` partitions the state indices. Entries coupling different
     blocks must vanish within ``tol_cond`` (else ``NotBlockDiagonal``),
-    and each block's support graph must be connected (else
-    ``ReducibleBlock``; refine the partition and retry). The measurement
-    is optimal iff the square root of every block has equal diagonal
-    entries within ``tol_cond``.
+    and each block's support graph, its entries above the fixed
+    ``TOL_COND``, must be connected (else ``ReducibleBlock``; refine the
+    partition and retry). The measurement is optimal iff the square root
+    of every block has equal diagonal entries within ``tol_cond``.
     """
     g = as_matrix(gram)
     n = len(g)
@@ -516,7 +521,7 @@ def check_theorem3_reference(
     submatrices = []
     for b, block in enumerate(partition):
         sub = g[np.ix_(block, block)]
-        support = np.abs(sub) > tol_cond
+        support = np.abs(sub) > TOL_COND
         if not connected_reference(support):
             raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
         submatrices.append(sub)
@@ -542,7 +547,7 @@ def check_theorem3_reference(
     return OptimalityVerdict(optimal=True, method="theorem3")
 
 
-def load_gram_file_reference(path: str) -> tuple[Constellation, list[tuple[int, ...]] | None]:
+def load_gram_file_reference(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None]:
     """Parse a Gram description file one line at a time: ``cli.load_gram_file``'s reference.
 
     Line-oriented format: ``n <count>``, ``priors <q0> ... <q_{n-1}>``,
@@ -645,7 +650,7 @@ def load_gram_file_reference(path: str) -> tuple[Constellation, list[tuple[int, 
         overlaps[j, i] = value.conjugate()
 
     try:
-        constellation = Constellation(priors=np.array(priors), overlaps=overlaps)
+        ensemble = dense_ensemble(np.array(priors), overlaps)
     except (InvalidPrior, ValueError) as exc:
         raise GramFileError(f"{path}: invalid constellation: {exc}") from exc
-    return constellation, blocks
+    return ensemble, blocks

@@ -25,6 +25,7 @@ from helpers import (
     block_sqrt,
     check_theorem2_reference,
     check_theorem3_reference,
+    dense_ensemble,
     principal_sqrt,
     random_gus_ensemble,
     random_unit_trace_gram,
@@ -35,7 +36,6 @@ from helpers import (
 from srmlab import analysis
 from srmlab.cli import main
 from srmlab.constellations import (
-    Constellation,
     make_double_bpsk,
     make_double_ppm,
     make_ppm,
@@ -54,7 +54,7 @@ _RESULTS: list[tuple[np.ndarray, np.ndarray]] = []
 
 def _record(result, gram) -> None:
     """Remember (joint matrix, priors) for the normalization audit."""
-    _RESULTS.append((result.joint, np.diagonal(np.asarray(gram)).real.copy()))
+    _RESULTS.append((np.abs(result.factor) ** 2, np.diagonal(np.asarray(gram)).real.copy()))
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -65,9 +65,7 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
 
 
 def _binary_gram(chi: float) -> np.ndarray:
-    overlaps = np.array([[1.0, chi], [chi, 1.0]], dtype=complex)
-    c = Constellation(priors=np.array([0.5, 0.5]), overlaps=overlaps)
-    return weighted_gram(c)
+    return weighted_gram(dense_ensemble([0.5, 0.5], [[1.0, chi], [chi, 1.0]]))
 
 
 def test_criterion_01_two_state_bound():
@@ -87,7 +85,7 @@ def test_criterion_02_four_phase_optimality():
     all_optimal = True
     for photon_number in (0.5, 1.0, 2.0):
         ensemble = make_psk(4, math.sqrt(photon_number))
-        gram = weighted_gram(ensemble.base)
+        gram = weighted_gram(ensemble)
         result = srm(gram)
         _record(result, gram)
         _, verdict = certify(gram, result.factor)
@@ -107,13 +105,14 @@ def test_criterion_03_path_equivalence():
         s = int(rng.integers(1, 4))
         m = int(rng.integers(2, 9))
         ensemble = random_gus_ensemble(rng, s, m)
-        gram = weighted_gram(ensemble.base)
+        gram = weighted_gram(ensemble)
         fast_result = fast_srm(ensemble)
         dense_result = srm(gram)
         _record(fast_result, gram)
         _record(dense_result, gram)
         worst_pc = max(worst_pc, abs(fast_result.pc - dense_result.pc))
-        worst_joint = max(worst_joint, float(np.abs(fast_result.joint - dense_result.joint).max()))
+        joint_gap = np.abs(fast_result.factor) ** 2 - np.abs(dense_result.factor) ** 2
+        worst_joint = max(worst_joint, float(np.abs(joint_gap).max()))
     ok = worst_pc <= 1e-8 and worst_joint <= 1e-8
     assert _report(
         3,
@@ -146,7 +145,7 @@ def test_criterion_04_verdict_concordance():
             gram = random_unit_trace_gram(rng, n)
         else:
             ensemble = random_gus_ensemble(rng, 1, n)
-            gram = weighted_gram(ensemble.base)
+            gram = weighted_gram(ensemble)
         root = principal_sqrt(gram)
         pairwise, oracle = certify(gram, root)
         compared += 1
@@ -195,7 +194,7 @@ def test_criterion_05_equal_amplitude_pairs():
             g, _ = trace_criterion(block_sqrt(block_diagonalize(ensemble)))
             worst_gap = max(worst_gap, abs(float(g[0] - g[1])))
             result = fast_srm(ensemble)
-            _record(result, weighted_gram(ensemble.base))
+            _record(result, weighted_gram(ensemble))
             closed = analysis.pc_double_bpsk_equal_amp(alpha, delta)
             worst_match = max(worst_match, abs(closed - result.pc))
     deltas = [0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
@@ -224,7 +223,7 @@ def test_criterion_06_optimized_prior():
         g1, g2 = analysis.pam4_block_traces(alpha, p_star)
         worst_balance = max(worst_balance, abs(g1 - g2))
         ensemble = make_double_bpsk(alpha, 3 * alpha, p_star)
-        gram = weighted_gram(ensemble.base)
+        gram = weighted_gram(ensemble)
         result = fast_srm(ensemble)
         _record(result, gram)
         all_certified = all_certified and certify(gram, result.factor)[1].optimal
@@ -252,7 +251,7 @@ def test_criterion_07_ppm_closed_forms():
         for photon_number in (0.5, 1.0, 2.0, 5.0):
             alpha = math.sqrt(photon_number)
             form = analysis.ppm_closed_form(m, alpha)
-            gram = weighted_gram(make_ppm(m, alpha).base)
+            gram = weighted_gram(make_ppm(m, alpha))
             result = srm(gram)
             _record(result, gram)
             worst = max(
@@ -308,7 +307,7 @@ def test_criterion_08_double_ppm():
         for photon_number in (0.5, 1.0, 2.0, 5.0):
             alpha = math.sqrt(photon_number)
             ensemble = make_double_ppm(m, alpha)
-            gram = weighted_gram(ensemble.base)
+            gram = weighted_gram(ensemble)
             root_spectrum = block_sqrt(block_diagonalize(ensemble))
             _, balanced = trace_criterion(root_spectrum)
             result = fast_srm(ensemble)
@@ -339,7 +338,7 @@ def test_criterion_09_mutual_information():
     for m in (2, 16):
         for photon_number in (0.5, 2.0, 20.0):
             alpha = math.sqrt(photon_number)
-            single_gram = weighted_gram(make_ppm(m, alpha).base)
+            single_gram = weighted_gram(make_ppm(m, alpha))
             single_result = srm(single_gram)
             _record(single_result, single_gram)
             worst = max(
@@ -351,7 +350,7 @@ def test_criterion_09_mutual_information():
             )
             double_ensemble = make_double_ppm(m, alpha)
             double_result = fast_srm(double_ensemble)
-            _record(double_result, weighted_gram(double_ensemble.base))
+            _record(double_result, weighted_gram(double_ensemble))
             worst = max(
                 worst,
                 abs(

@@ -43,7 +43,7 @@ DELTA_GRID = (math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 class TestEqualAmplitudePairs:
     def test_matches_four_phase_constellation_at_quarter_turn(self):
         pc = pc_double_bpsk_equal_amp(1.0, math.pi / 2)
-        expected = single_gus_pc(weighted_gram(make_psk(4, 1.0).base)[0])
+        expected = single_gus_pc(weighted_gram(make_psk(4, 1.0))[0])
         assert pc == pytest.approx(expected, abs=1e-12)
 
     def test_matches_pipeline_on_grid(self):
@@ -118,7 +118,7 @@ class TestPriorOptimization:
         ens = make_double_bpsk(alpha, 3 * alpha, p_star)
         _, balanced = trace_criterion(block_sqrt(block_diagonalize(ens)))
         assert balanced
-        gram = weighted_gram(ens.base)
+        gram = weighted_gram(ens)
         assert verify_theorem1_reference(gram, principal_sqrt(gram)).optimal
         assert certify_srm(fast_srm(ens)).optimal
 
@@ -142,7 +142,7 @@ class TestPpmClosedForm:
             for photon_number in (0.5, 1.0, 2.0, 5.0):
                 alpha = math.sqrt(photon_number)
                 form = ppm_closed_form(m, alpha)
-                result = srm(weighted_gram(make_ppm(m, alpha).base))
+                result = srm(weighted_gram(make_ppm(m, alpha)))
                 assert form.pc == pytest.approx(result.pc, abs=1e-10)
                 assert form.correct == pytest.approx(
                     result.factor[0, 0].real, abs=1e-10
@@ -244,7 +244,7 @@ class TestMutualInformation:
     @pytest.mark.parametrize("photon_number", [0.5, 2.0, 20.0])
     def test_matches_channel_stats(self, m, photon_number):
         alpha = math.sqrt(photon_number)
-        single = channel_stats(srm(weighted_gram(make_ppm(m, alpha).base)))
+        single = channel_stats(srm(weighted_gram(make_ppm(m, alpha))))
         assert mutual_info_ppm(m, alpha) == pytest.approx(
             single.mutual_information, abs=1e-8
         )
@@ -275,7 +275,7 @@ class TestMutualInformation:
 class TestEvaluateScheme:
     def test_ppm_point(self):
         point = evaluate_scheme("ppm", 1.0, m=3)
-        assert point.pc == pytest.approx(srm(weighted_gram(make_ppm(3, 1.0).base)).pc)
+        assert point.pc == pytest.approx(srm(weighted_gram(make_ppm(3, 1.0))).pc)
         assert point.pe == pytest.approx(1 - point.pc)
         assert point.mutual_info == pytest.approx(mutual_info_ppm(3, 1.0), abs=1e-10)
         # an integral float slot count is the same point, held as an int
@@ -290,7 +290,7 @@ class TestEvaluateScheme:
     def test_psk_point(self):
         point = evaluate_scheme("psk", 1.0, m=4)
         assert point.pc == pytest.approx(
-            single_gus_pc(weighted_gram(make_psk(4, 1.0).base)[0]), abs=1e-12
+            single_gus_pc(weighted_gram(make_psk(4, 1.0))[0]), abs=1e-12
         )
 
     def test_rejects_unknown_scheme(self):

@@ -12,6 +12,7 @@ import pytest
 import srmlab
 from helpers import (
     GRAMFILE_REPORTS,
+    circulant_from_row,
     counted_factorizations,
     gram_lines,
     load_gram_file_reference,
@@ -47,6 +48,9 @@ MALFORMED_FILES = [
     ("n 2\nblocks 0,x\n", 2, "block indices must be integers"),
     ("# no directives\n", None, "missing 'n' line"),
     ("n 2\n", None, "missing 'priors' line"),
+    ("n 2\npriors 0 1\n", None, "invalid constellation: priors must be strictly positive"),
+    ("n 2\npriors 0.5 0.5\ninner 0 1 nan 0\n", None, "invalid constellation: overlaps must be finite"),
+    ("n 2\npriors 0.5 0.5\ninner 0 1 inf 0\n", None, "invalid constellation: overlaps must be finite"),
     (
         "n 2\npriors 0.5 0.5\ninner 0 1 0.1 0\n\ninner 0 1 0.2 0\n",
         5,
@@ -134,7 +138,7 @@ class TestFig1:
         out = tmp_path / "fig1.csv"
         assert main(["fig1", "--grid", "1:1:1", "--delta", "pi/2", "--out", str(out)]) == EXIT_OK
         (row,) = read_csv(out)
-        expected = single_gus_pc(weighted_gram(make_psk(4, 1.0).base)[0])
+        expected = single_gus_pc(weighted_gram(make_psk(4, 1.0))[0])
         assert float(row["pc"]) == pytest.approx(expected, abs=1e-10)
 
     def test_rejects_zero_energy(self, tmp_path, capsys):
@@ -235,7 +239,7 @@ class TestSweep:
         )
         assert code == EXIT_OK
         (row,) = read_csv(out)
-        expected = single_gus_pc(weighted_gram(make_psk(4, 1.0).base)[0])
+        expected = single_gus_pc(weighted_gram(make_psk(4, 1.0))[0])
         assert float(row["pc"]) == pytest.approx(expected, abs=1e-10)
         assert float(row["prior"]) == 0.25
 
@@ -308,16 +312,42 @@ class TestCheck:
         # --tol-cond sets only the Hermiticity residual: the smallest |X[i, i]|
         # of this 16-state root is 0.19, below the 0.5 given, and the
         # vanishing-diagonal guard keeps its fixed scale
-        psk = make_psk(16, 2.0).base
-        lines = [f"n {psk.n}", "priors " + " ".join(repr(float(p)) for p in psk.priors)]
-        for i, j in zip(*np.triu_indices(psk.n, 1)):
-            value = psk.overlaps[i, j]
+        overlaps = circulant_from_row(make_psk(16, 2.0).rows[0, 0])
+        lines = ["n 16", "priors " + " ".join([repr(1 / 16)] * 16)]
+        for i, j in zip(*np.triu_indices(16, 1)):
+            value = overlaps[i, j]
             lines.append(f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}")
         path = tmp_path / "psk16.gram"
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "report.txt"
         assert main(["check", str(path), "--tol-cond", "0.5", "--out", str(out)]) == EXIT_OK
         assert out.read_text().splitlines()[-2:] == [
+            "theorem2 optimal",
+            "theorem1_oracle optimal (boundary: min eigenvalue over Y - W_r is 0.000000e+00, "
+            "inside the zero band)",
+        ]
+
+    @pytest.mark.parametrize("tol_cond", [None, "0.05", "0.5"])
+    def test_condition_tolerance_leaves_the_support_graph_alone(self, tol_cond, tmp_path):
+        # two PSK(8) blocks at priors 1/16: every weighted entry off the
+        # diagonal is below 0.047, so a support graph cut at --tol-cond would
+        # split both blocks; it keeps the fixed TOL_COND scale
+        row = make_psk(8, 1.0).rows[0, 0]
+        lines = ["n 16", "priors " + " ".join([repr(1 / 16)] * 16)]
+        for start in (0, 8):
+            for i, j in zip(*np.triu_indices(8, 1)):
+                value = row[j - i]
+                lines.append(
+                    f"inner {start + i} {start + j} {float(value.real)!r} {float(value.imag)!r}"
+                )
+        lines.append("blocks 0,1,2,3,4,5,6,7 8,9,10,11,12,13,14,15")
+        path = tmp_path / "two_psk8.gram"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "report.txt"
+        flags = [] if tol_cond is None else ["--tol-cond", tol_cond]
+        assert main(["check", str(path), *flags, "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[-3:] == [
+            "theorem3 optimal",
             "theorem2 optimal",
             "theorem1_oracle optimal (boundary: min eigenvalue over Y - W_r is 0.000000e+00, "
             "inside the zero band)",
@@ -454,11 +484,11 @@ def mutated(lines, seed, mutation) -> tuple[list[str], int]:
 def parse_outcome(parse, path):
     """The parsed bits of a Gram file, or the text of the error it raises."""
     try:
-        constellation, blocks = parse(str(path))
+        ensemble, blocks = parse(str(path))
     except errors.GramFileError as exc:
         return str(exc)
-    priors, overlaps = constellation.priors, constellation.overlaps
-    return priors.dtype, priors.tobytes(), overlaps.dtype, overlaps.shape, overlaps.tobytes(), blocks
+    priors, rows = ensemble.constellation_priors, ensemble.rows
+    return priors.dtype, priors.tobytes(), rows.dtype, rows.shape, rows.tobytes(), blocks
 
 
 class TestGramFileParser:
@@ -541,9 +571,9 @@ class TestGramFileParser:
     def test_python_number_syntax_is_read(self, tmp_path):
         text = "n 0_4\npriors 0.2_5 +0.25 2.5e-1 ٠.٢٥\ninner ٠ +3 0.0_1 -0.0\ninner ١ 0_2 -.25 1e-400\n"
         assert not isinstance(self.assert_same_text(text, tmp_path), str)
-        constellation, _ = cli.load_gram_file(str(tmp_path / "case.gram"))
-        assert constellation.overlaps[0, 3] == 0.01
-        assert constellation.overlaps[1, 2] == -0.25
+        ensemble, _ = cli.load_gram_file(str(tmp_path / "case.gram"))
+        assert ensemble.rows[0, 3, 0] == 0.01
+        assert ensemble.rows[1, 2, 0] == -0.25
 
     @pytest.mark.parametrize(
         "text",

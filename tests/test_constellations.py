@@ -6,9 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_gus_ensemble
+from helpers import dense_ensemble, random_gus_ensemble
 from srmlab.constellations import (
-    Constellation,
     GusEnsemble,
     coherent_inner,
     make_double_bpsk,
@@ -18,6 +17,15 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import InvalidPrior
+from srmlab.linalg import _circulant_blocks
+
+# two orthogonal states as the one-bin ensemble: rows[h, k, 0] = <h|k>
+ONE_BIN = np.eye(2)[:, :, None]
+
+
+def overlaps(ens: GusEnsemble) -> np.ndarray:
+    """The dense overlap matrix of all s * m states."""
+    return _circulant_blocks(ens.rows)
 
 
 class TestCoherentInner:
@@ -45,63 +53,40 @@ class TestCoherentInner:
             assert abs(coherent_inner(a, b)) <= 1.0 + 1e-12
 
 
-class TestConstellation:
-    def test_rejects_bad_prior_sum(self):
-        with pytest.raises(InvalidPrior):
-            Constellation(priors=np.array([0.5, 0.4]), overlaps=np.eye(2))
-
-    def test_prior_sum_error_prints_a_plain_float(self):
-        with pytest.raises(InvalidPrior) as caught:
-            Constellation(priors=np.array([1.0, 1.0]), overlaps=np.eye(2))
-        assert str(caught.value) == "priors must sum to 1, got 2.0"
-
-    def test_rejects_nonpositive_prior(self):
-        for priors in ([1.0, 0.0], [np.nan, 0.5], [0.5, np.nan]):
-            with pytest.raises(InvalidPrior):
-                Constellation(priors=np.array(priors), overlaps=np.eye(2))
-
-    def test_rejects_non_unit_diagonal(self):
-        overlaps = np.array([[1.0, 0.0], [0.0, 0.9]])
-        with pytest.raises(ValueError):
-            Constellation(priors=np.array([0.5, 0.5]), overlaps=overlaps)
-
-    def test_rejects_non_hermitian_overlaps(self):
-        overlaps = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError):
-            Constellation(priors=np.array([0.5, 0.5]), overlaps=overlaps)
-
-
 class TestWeightedGram:
     def test_binary_equiprobable(self):
         chi = 0.5
-        c = Constellation(
-            priors=np.array([0.5, 0.5]),
-            overlaps=np.array([[1, chi], [chi, 1]], dtype=complex),
-        )
+        ens = dense_ensemble([0.5, 0.5], [[1, chi], [chi, 1]])
         np.testing.assert_allclose(
-            weighted_gram(c), 0.5 * np.array([[1, chi], [chi, 1]]), atol=1e-15
+            weighted_gram(ens), 0.5 * np.array([[1, chi], [chi, 1]]), atol=1e-15
         )
 
     def test_single_state(self):
-        c = Constellation(priors=np.array([1.0]), overlaps=np.eye(1))
-        np.testing.assert_allclose(weighted_gram(c), [[1.0]])
+        np.testing.assert_allclose(weighted_gram(dense_ensemble([1.0], np.eye(1))), [[1.0]])
 
     def test_orthogonal_states(self):
-        c = Constellation(priors=np.full(4, 0.25), overlaps=np.eye(4))
-        np.testing.assert_allclose(weighted_gram(c), np.eye(4) / 4)
+        ens = dense_ensemble(np.full(4, 0.25), np.eye(4))
+        np.testing.assert_allclose(weighted_gram(ens), np.eye(4) / 4)
+
+    def test_weights_every_state_by_its_own_prior(self):
+        # bit for bit sqrt(p_i) sqrt(p_j) <i|j> with p the s * m per-state priors
+        rng = np.random.default_rng(29)
+        for ens in (make_double_bpsk(0.8, 2.4, 0.31), random_gus_ensemble(rng, 3, 4)):
+            w = np.sqrt(np.repeat(ens.constellation_priors, ens.m))
+            np.testing.assert_array_equal(weighted_gram(ens), np.outer(w, w) * overlaps(ens))
 
     @pytest.mark.parametrize(
-        "constellation",
+        "ensemble",
         [
-            make_ppm(3, 1.0).base,
-            make_double_bpsk(1.0, 1j, 0.25).base,
-            make_double_bpsk(0.8, 2.4, 0.31).base,
-            make_double_ppm(4, 0.9).base,
-            make_psk(5, 1.1).base,
+            make_ppm(3, 1.0),
+            make_double_bpsk(1.0, 1j, 0.25),
+            make_double_bpsk(0.8, 2.4, 0.31),
+            make_double_ppm(4, 0.9),
+            make_psk(5, 1.1),
         ],
     )
-    def test_unit_trace_and_psd(self, constellation):
-        g = weighted_gram(constellation)
+    def test_unit_trace_and_psd(self, ensemble):
+        g = weighted_gram(ensemble)
         assert abs(np.trace(g).real - 1.0) <= 1e-12
         assert np.abs(g - g.conj().T).max() == 0.0
         assert np.linalg.eigvalsh(g)[0] >= -1e-10
@@ -112,7 +97,7 @@ class TestDoubleBpsk:
         ens = make_double_bpsk(1.0, 1j, 0.25)
         chi = coherent_inner(1.0, 1j)
         xi = coherent_inner(1.0, -1j)
-        block = ens.base.overlaps[0:2, 2:4]
+        block = overlaps(ens)[0:2, 2:4]
         np.testing.assert_allclose(block, [[chi, xi], [xi, chi]], atol=1e-15)
         assert chi == pytest.approx(cmath.exp(-(1 - 1j)), abs=1e-15)
         assert xi == pytest.approx(cmath.exp(-(1 + 1j)), abs=1e-15)
@@ -129,13 +114,13 @@ class TestDoubleBpsk:
         g22 = q * np.array([[1, eta_b], [eta_b, 1]])
         g12 = math.sqrt(p * q) * np.array([[chi, xi], [xi, chi]])
         expected = np.block([[g11, g12], [g12.conj().T, g22]])
-        np.testing.assert_allclose(weighted_gram(ens.base), expected, atol=1e-14)
+        np.testing.assert_allclose(weighted_gram(ens), expected, atol=1e-14)
 
     def test_coincident_constellations(self):
         ens = make_double_bpsk(1.0, 1.0, 0.25)
         eta = math.exp(-2)
         pair = np.array([[1, eta], [eta, 1]])
-        o = ens.base.overlaps
+        o = overlaps(ens)
         for h in range(2):
             for k in range(2):
                 np.testing.assert_allclose(o[2 * h : 2 * h + 2, 2 * k : 2 * k + 2], pair, atol=1e-14)
@@ -145,7 +130,7 @@ class TestDoubleBpsk:
         alpha = 1.0
         ens = make_double_bpsk(alpha, 3 * alpha, 0.25)
         eta = math.exp(-2)
-        o = ens.base.overlaps
+        o = overlaps(ens)
         assert o[0, 2] == pytest.approx(eta, abs=1e-14)
         assert o[2, 3] == pytest.approx(eta**9, abs=1e-14)
         assert o[0, 3] == pytest.approx(eta**4, abs=1e-14)
@@ -158,17 +143,16 @@ class TestDoubleBpsk:
 
 class TestPpm:
     def test_gram_is_uniform_circulant(self):
-        c = make_ppm(3, 1.0).base
         chi = math.exp(-1)
         expected = np.array([[1, chi, chi], [chi, 1, chi], [chi, chi, 1]]) / 3
-        np.testing.assert_allclose(weighted_gram(c), expected, atol=1e-15)
+        np.testing.assert_allclose(weighted_gram(make_ppm(3, 1.0)), expected, atol=1e-15)
 
     def test_two_slot_off_diagonal(self):
-        g = weighted_gram(make_ppm(2, 1.0).base)
+        g = weighted_gram(make_ppm(2, 1.0))
         assert g[0, 1].real == pytest.approx(math.exp(-1) / 2, abs=1e-15)
 
     def test_bright_pulse_limit(self):
-        g = weighted_gram(make_ppm(3, 30.0).base)
+        g = weighted_gram(make_ppm(3, 30.0))
         np.testing.assert_allclose(g, np.eye(3) / 3, atol=1e-12)
 
     def test_rejects_bad_args(self):
@@ -192,27 +176,27 @@ class TestDoublePpm:
         np.fill_diagonal(h_block, 1.0)
         k_block = np.full((m, m), chi)
         np.fill_diagonal(k_block, chi * chi)
-        g = weighted_gram(ens.base)
+        g = weighted_gram(ens)
         np.testing.assert_allclose(g[:m, :m], h_block / (2 * m), atol=1e-15)
         np.testing.assert_allclose(g[:m, m:], k_block / (2 * m), atol=1e-15)
         np.testing.assert_allclose(g[m:, :m], k_block / (2 * m), atol=1e-15)
         np.testing.assert_allclose(g[m:, m:], h_block / (2 * m), atol=1e-15)
 
     def test_same_slot_opposite_phase_overlap(self):
-        g = weighted_gram(make_double_ppm(2, 1.0).base)
+        g = weighted_gram(make_double_ppm(2, 1.0))
         assert g[0, 2].real == pytest.approx(math.exp(-2) / 4, abs=1e-15)
 
     def test_h_minus_k_first_row(self):
         m, alpha = 4, 0.8
         chi = math.exp(-(alpha**2))
-        g = weighted_gram(make_double_ppm(m, alpha).base)
+        g = weighted_gram(make_double_ppm(m, alpha))
         diff = g[:m, :m] - g[:m, m:]
         expected = np.zeros(m)
         expected[0] = (1 - chi * chi) / (2 * m)
         np.testing.assert_allclose(diff[0], expected, atol=1e-15)
 
     def test_bright_pulse_limit(self):
-        g = weighted_gram(make_double_ppm(2, 30.0).base)
+        g = weighted_gram(make_double_ppm(2, 30.0))
         np.testing.assert_allclose(g, np.eye(4) / 4, atol=1e-12)
 
 
@@ -238,7 +222,7 @@ class TestGusFromBase:
     def test_single_constellation_is_circulant(self):
         ens = make_psk(4, 1.0)
         assert ens.s == 1 and ens.m == 4
-        row = ens.base.overlaps[0]
+        row = overlaps(ens)[0]
         expected = [coherent_inner(1.0, cmath.exp(2j * cmath.pi * r / 4)) for r in range(4)]
         np.testing.assert_allclose(row, expected, atol=1e-14)
 
@@ -254,8 +238,7 @@ class TestGusFromBase:
         alpha, beta, p = 1.0, 1j, 0.25
         named = make_double_bpsk(alpha, beta, p)
         built = self.assert_builds(self.bpsk_rows(alpha, beta), (p, 0.5 - p), named)
-        np.testing.assert_array_equal(built.base.overlaps, named.base.overlaps)
-        np.testing.assert_array_equal(built.base.priors, named.base.priors)
+        np.testing.assert_array_equal(overlaps(built), overlaps(named))
 
         for alpha, beta, p in ((0.7, 2.1, 0.4), (1.0, 3.0, 0.1), (0.5, 0.3 - 0.8j, 0.3), (1.2, -0.4, 0.2)):
             named = make_double_bpsk(alpha, beta, p)
@@ -268,12 +251,12 @@ class TestGusFromBase:
             rows = [[[seeds[h][k] if r == 0 else chi for r in range(m)] for k in range(2)] for h in range(2)]
             named = make_double_ppm(m, alpha)
             built = self.assert_builds(rows, (0.5 / m, 0.5 / m), named)
-            np.testing.assert_array_equal(built.base.overlaps, named.base.overlaps)
+            np.testing.assert_array_equal(overlaps(built), overlaps(named))
 
     def test_blocks_are_exactly_circulant(self):
         rng = np.random.default_rng(23)
         ens = random_gus_ensemble(rng, 3, 4)
-        o = ens.base.overlaps
+        o = overlaps(ens)
         m = ens.m
         for h in range(ens.s):
             for k in range(ens.s):
@@ -288,34 +271,66 @@ class TestGusFromBase:
         double = make_double_bpsk(alpha, alpha * 1j, 0.25)
         single = make_psk(4, alpha)
         perm = [0, 2, 1, 3]
-        g_double = weighted_gram(double.base)
-        g_single = weighted_gram(single.base)
+        g_double = weighted_gram(double)
+        g_single = weighted_gram(single)
         np.testing.assert_allclose(
             g_single, g_double[np.ix_(perm, perm)], atol=1e-14
         )
 
-    def test_rejects_bad_prior_normalization(self):
-        rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    @pytest.mark.parametrize(
+        "rows, total",
+        [([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], 0.5), (ONE_BIN, 1.0)],
+        ids=["m2", "m1"],
+    )
+    def test_rejects_bad_prior_normalization(self, rows, total):
+        # the s * m per-state priors are total / 2 each and must sum to one
         with pytest.raises(InvalidPrior):
-            GusEnsemble(rows=rows, constellation_priors=(0.25, 0.35))
-        for priors in ((np.nan, 0.25), (0.25, np.nan)):
-            with pytest.raises(InvalidPrior):
+            GusEnsemble(rows=rows, constellation_priors=(0.5 * total, 0.7 * total))
+        for priors in ((np.nan, 0.5 * total), (0.5 * total, np.nan), (total, 0.0)):
+            with pytest.raises(InvalidPrior) as caught:
                 GusEnsemble(rows=rows, constellation_priors=priors)
+            assert str(caught.value) == "priors must be strictly positive"
 
-    def test_prior_normalization_error_prints_a_plain_float(self):
+    @pytest.mark.parametrize(
+        "rows, priors, total",
+        [([[[1, 0.5, 0.5]]], (0.5,), "1.5"), (ONE_BIN, (1.0, 1.0), "2.0")],
+        ids=["m3", "m1"],
+    )
+    def test_prior_normalization_error_prints_a_plain_float(self, rows, priors, total):
         with pytest.raises(InvalidPrior) as caught:
-            GusEnsemble(rows=[[[1, 0.5, 0.5]]], constellation_priors=(0.5,))
-        assert str(caught.value) == "per-state priors must satisfy m * sum(q) = 1, got 1.5"
+            GusEnsemble(rows=rows, constellation_priors=priors)
+        assert str(caught.value) == f"priors must sum to 1, got {total}"
 
-    def test_rejects_inconsistent_rule(self):
-        # the (1, 0) row is not the conjugate mirror of the (0, 1) row
-        rows = [[[1.0, 0.1], [0.2, 0.2]], [[0.9, 0.9], [1.0, 0.1]]]
-        with pytest.raises(ValueError):
-            GusEnsemble(rows=rows, constellation_priors=(0.25, 0.25))
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # the (1, 0) row is not the conjugate mirror of the (0, 1) row
+            [[[1.0, 0.1], [0.2, 0.2]], [[0.9, 0.9], [1.0, 0.1]]],
+            # a dense overlap matrix that is not Hermitian
+            np.array([[1.0, 0.5], [0.2, 1.0]])[:, :, None],
+        ],
+        ids=["m2", "m1"],
+    )
+    def test_rejects_inconsistent_rule(self, rows):
+        with pytest.raises(ValueError, match="not Hermitian-consistent"):
+            GusEnsemble(rows=rows, constellation_priors=np.full(2, 0.5 / np.shape(rows)[2]))
 
-    def test_rejects_non_unit_seed(self):
-        with pytest.raises(ValueError):
-            GusEnsemble(rows=[[[0.9, 0.0]]], constellation_priors=(0.5,))
+    @pytest.mark.parametrize(
+        "rows, priors",
+        [([[[0.9, 0.0]]], (0.5,)), (np.array([[1.0, 0.0], [0.0, 0.9]])[:, :, None], (0.5, 0.5))],
+        ids=["m2", "m1"],
+    )
+    def test_rejects_non_unit_seed(self, rows, priors):
+        with pytest.raises(ValueError, match="is not unit norm"):
+            GusEnsemble(rows=rows, constellation_priors=priors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_overlaps(self, bad):
+        one_bin = np.array([[1.0, bad], [bad, 1.0]])[:, :, None]
+        for rows, priors in (([[[1.0, bad]]], (0.5,)), (one_bin, (0.5, 0.5))):
+            with pytest.raises(ValueError) as caught:
+                GusEnsemble(rows=rows, constellation_priors=priors)
+            assert str(caught.value) == "overlaps must be finite"
 
 
 class TestGusEnsembleInvariants:
@@ -338,6 +353,6 @@ class TestGusEnsembleInvariants:
             GusEnsemble(rows=rows, constellation_priors=np.array([0.25, 0.25]))
 
     def test_identical_rules_give_identical_grams(self):
-        a = weighted_gram(make_double_ppm(3, 1.1).base)
-        b = weighted_gram(make_double_ppm(3, 1.1).base)
+        a = weighted_gram(make_double_ppm(3, 1.1))
+        b = weighted_gram(make_double_ppm(3, 1.1))
         np.testing.assert_array_equal(a, b)

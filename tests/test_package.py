@@ -4,14 +4,17 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import srmlab
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
+README = ROOT / "README.md"
 
 # changing the public surface means changing this list on purpose
 EXPORTED = [
     "ChannelStats",
-    "Constellation",
     "ConvergenceFailure",
     "DomainError",
     "DoublePpmClosedForm",
@@ -83,3 +86,21 @@ def test_every_traced_layer_is_a_module():
     assert len(layers) == 6
     for layer in layers:
         assert importlib.import_module(f"srmlab.{layer}").__name__ == f"srmlab.{layer}"
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    # every print line of the quick start ends in a comment that starts with
+    # what it prints; the text after a comma explains it
+    section = README.read_text(encoding="utf-8").split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    assert prints and all("#" in line for line in prints)
+    expected = [line.split("#", 1)[1].split(",")[0].split() for line in prints]
+    exec(compile(code, str(README), "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [len(tokens) for tokens in printed] == [len(tokens) for tokens in expected]
+    for got, want in zip(sum(printed, []), sum(expected, [])):
+        if want in ("True", "False"):
+            assert got == want
+        else:
+            assert float(got) == pytest.approx(float(want), rel=1e-12)

@@ -14,6 +14,7 @@ from helpers import (
     check_theorem3_reference,
     connected_reference,
     counted_factorizations,
+    dense_ensemble,
     gram_lines,
     principal_sqrt,
     random_circulant_gram,
@@ -25,7 +26,6 @@ from helpers import (
 from srmlab.analysis import optimize_prior_4pam
 from srmlab.cli import load_gram_file, rows_fig23
 from srmlab.constellations import (
-    Constellation,
     GusEnsemble,
     make_double_bpsk,
     make_double_ppm,
@@ -57,11 +57,7 @@ STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside
 
 
 def binary_gram(p0: float, chi: float) -> np.ndarray:
-    c = Constellation(
-        priors=np.array([p0, 1 - p0]),
-        overlaps=np.array([[1, chi], [chi, 1]], dtype=complex),
-    )
-    return weighted_gram(c)
+    return weighted_gram(dense_ensemble([p0, 1 - p0], [[1, chi], [chi, 1]]))
 
 
 class TestSrm:
@@ -77,7 +73,7 @@ class TestSrm:
 
     def test_three_slot_ppm_value(self):
         # frozen from the closed form and confirmed by this dense route
-        result = srm(weighted_gram(make_ppm(3, 1.0).base))
+        result = srm(weighted_gram(make_ppm(3, 1.0)))
         chi = math.exp(-1)
         formula = (math.sqrt(1 + 2 * chi) + 2 * math.sqrt(1 - chi)) ** 2 / 9
         assert result.pc == pytest.approx(formula, abs=1e-12)
@@ -94,16 +90,16 @@ class TestSrm:
         for n in (2, 3, 6, 8):
             g = random_unit_trace_gram(rng, n)
             result = srm(g)
-            assert abs(result.joint.sum() - 1.0) <= 1e-10
-            np.testing.assert_allclose(
-                result.joint.sum(axis=1), np.diagonal(g).real, atol=1e-10
-            )
+            joint = np.abs(result.factor) ** 2
+            assert abs(joint.sum() - 1.0) <= 1e-10
+            np.testing.assert_allclose(joint.sum(axis=1), np.diagonal(g).real, atol=1e-10)
             assert result.pc == pytest.approx(result.per_state_correct.sum())
 
     def test_joint_symmetric_for_real_gram(self):
         g = binary_gram(0.3, 0.5)
         result = srm(g)
-        np.testing.assert_allclose(result.joint, result.joint.T, atol=1e-14)
+        joint = np.abs(result.factor) ** 2
+        np.testing.assert_allclose(joint, joint.T, atol=1e-14)
 
     def test_rejects_singular_gram(self):
         with pytest.raises(GramSingular):
@@ -136,7 +132,7 @@ def factor_gram(x) -> np.ndarray:
 
 class TestCertifyTheorem2:
     def test_circulant_root_is_optimal(self):
-        g = weighted_gram(make_psk(4, 1.0).base)
+        g = weighted_gram(make_psk(4, 1.0))
         verdict, _ = certify(g, principal_sqrt(g))
         assert verdict.optimal
         assert verdict.method == "theorem2"
@@ -184,7 +180,7 @@ class TestCertifyTheorem2:
 
 class TestCheckTheorem3:
     def test_single_gus_block(self):
-        g = weighted_gram(make_psk(4, 1.0).base)
+        g = weighted_gram(make_psk(4, 1.0))
         verdict = check_theorem3(g, [range(4)], principal_sqrt(g))
         assert verdict.optimal
 
@@ -250,6 +246,35 @@ class TestCheckTheorem3:
         with pytest.raises(InvalidFactorization, match="factor shape"):
             check_theorem3(np.eye(2) / 2, [(0, 1)], np.eye(3))
 
+    def test_support_graph_is_cut_at_the_fixed_scale(self):
+        # every weighted off-diagonal entry of PSK(4) at priors 1/4 lies
+        # between TOL_COND and 0.5: the block stays connected at any tol_cond
+        g = weighted_gram(make_psk(4, 1.0))
+        assert TOL_COND < np.abs(g - np.diag(np.diag(g))).max() < 0.5
+        for tol_cond in (1e-12, TOL_COND, 1e-4, 0.5):
+            assert check_theorem3(g, [range(4)], principal_sqrt(g), tol_cond=tol_cond).optimal
+            assert check_theorem3_reference(g, [range(4)], tol_cond=tol_cond).optimal
+
+    def test_tolerated_leak_roots_each_block_on_its_own(self, monkeypatch):
+        # a weighted cross-block entry of 0.022 moves the full root's diagonal
+        # by O(0.022^2); with tol_cond above it, the spreads come from the
+        # blocks' own roots, as in the reference, and not from the factor
+        g = weighted_gram(dense_ensemble([0.2, 0.3, 0.25, 0.25], [
+            [1.0, 0.4, 0.1, 0.0],
+            [0.4, 1.0, 0.0, 0.0],
+            [0.1, 0.0, 1.0, 0.3],
+            [0.0, 0.0, 0.3, 1.0],
+        ]))
+        blocks = [(0, 1), (2, 3)]
+        factor = principal_sqrt(g)
+        calls = counted_factorizations(monkeypatch)
+        verdict = check_theorem3(g, blocks, factor, tol_cond=0.05)
+        assert calls["eigh"] == [(2, 2), (2, 2)]
+        assert verdict == check_theorem3_reference(g, blocks, tol_cond=0.05)
+        spread = np.ptp(np.diagonal(principal_sqrt(g[:2, :2])).real)
+        assert verdict.witness == f"block 0: square-root diagonal entries spread by {spread:.6e}"
+        assert abs(spread - np.ptp(np.diagonal(factor)[:2].real)) > 1e-6
+
     def test_reads_the_root_it_is_given(self, monkeypatch):
         # the per-block spreads come from the factor's diagonal: no block is
         # factored again, and a factor with a flat diagonal per block passes
@@ -262,7 +287,7 @@ class TestCheckTheorem3:
 
 class TestCertifyTheorem1:
     def test_four_phase_root_is_optimal(self):
-        g = weighted_gram(make_psk(4, 1.0).base)
+        g = weighted_gram(make_psk(4, 1.0))
         _, verdict = certify(g, principal_sqrt(g))
         assert verdict.optimal
         assert verdict.method == "theorem1_oracle"
@@ -332,7 +357,7 @@ def certify_gram(rng, n: int, skewed: bool) -> np.ndarray:
     row = np.fft.ifft(spectrum / spectrum.mean())
     overlaps = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
     priors = rng.uniform(0.5, 1.5, n) if skewed else np.ones(n)
-    return weighted_gram(Constellation(priors=priors / priors.sum(), overlaps=overlaps))
+    return weighted_gram(dense_ensemble(priors / priors.sum(), overlaps))
 
 
 EIGH_TOLERANCES = [
@@ -345,7 +370,7 @@ EIGH_TOLERANCES = [
 
 def rotated_factor() -> tuple[np.ndarray, np.ndarray]:
     """A four-phase root rotated by exp(i eps H): X†X = G still holds, but Y is not Hermitian."""
-    gram = weighted_gram(make_psk(4, 1.0).base)
+    gram = weighted_gram(make_psk(4, 1.0))
     rng = np.random.default_rng(5)
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
@@ -372,7 +397,7 @@ class TestTheorem1Reduction:
             if index % 4 == 0:
                 gram = random_unit_trace_gram(rng, n)
             else:
-                gram = weighted_gram(random_gus_ensemble(rng, index % 4, n).base)
+                gram = weighted_gram(random_gus_ensemble(rng, index % 4, n))
             root = principal_sqrt(gram)
             verdicts.add(assert_matches_reference(gram, root))
             u, _ = np.linalg.qr(rng.normal(size=gram.shape) + 1j * rng.normal(size=gram.shape))
@@ -413,7 +438,7 @@ class TestTheorem1Reduction:
         assert float(fast.witness.rsplit(" ", 1)[1]) <= lowest
 
     def test_two_choleskys_and_no_eigensolve_of_an_optimal_factor(self, monkeypatch):
-        gram = weighted_gram(make_ppm(64, 1.0).base)
+        gram = weighted_gram(make_ppm(64, 1.0))
         factor = srm(gram).factor
         calls = counted_factorizations(monkeypatch)
         assert all(verdict.optimal for verdict in certify(gram, factor))
@@ -446,7 +471,7 @@ class TestCertifyMatchesEighReference:
             if index % 2 == 0:
                 gram = random_unit_trace_gram(rng, n)
             else:
-                gram = weighted_gram(random_gus_ensemble(rng, 1, n).base)
+                gram = weighted_gram(random_gus_ensemble(rng, 1, n))
             verdicts.add(self.assert_same(gram, principal_sqrt(gram), tols)[1].optimal)
         assert verdicts == {True, False}
 
@@ -589,7 +614,7 @@ def dense_gram(rng, n) -> np.ndarray:
     b = rng.normal(size=(n, n + 2)) + 1j * rng.normal(size=(n, n + 2))
     states = b / np.linalg.norm(b, axis=1, keepdims=True)
     priors = rng.uniform(0.05, 1.5, n) ** 2
-    return weighted_gram(Constellation(priors / priors.sum(), states.conj() @ states.T))
+    return weighted_gram(dense_ensemble(priors / priors.sum(), states.conj() @ states.T))
 
 
 TOLERANCES = [(TOL_PSD, TOL_COND)] + [
@@ -681,7 +706,7 @@ class TestCertifySrm:
         optimal = 0
         for ensemble in ensembles:
             result = fast_srm(ensemble)
-            gram = weighted_gram(ensemble.base)
+            gram = weighted_gram(ensemble)
             verdict = certify_srm(result)
             assert verdict.optimal == certify(gram, result.factor)[1].optimal
             assert verdict.optimal == verify_theorem1_reference(gram, result.factor).optimal
@@ -703,7 +728,7 @@ class TestCertifySrm:
         ensemble = orthogonal_pair(m)
         result = fast_srm(ensemble)
         assert certify_srm(result).optimal
-        assert certify(weighted_gram(ensemble.base), result.factor)[1].optimal
+        assert certify(weighted_gram(ensemble), result.factor)[1].optimal
         g, equal = trace_criterion(block_sqrt(block_diagonalize(ensemble)))
         assert not equal and abs(g[0] - g[1]) > 0.1
 
