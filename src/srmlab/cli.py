@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .constellations import GusEnsemble, make_double_bpsk, weighted_gram
+from .constellations import RULE_TOL, GusEnsemble, make_double_bpsk, weighted_gram
 from .errors import (
     GramFileError,
     InputError,
@@ -169,9 +169,7 @@ def rows_fig1(grid, deltas, tol_psd: float) -> list[dict]:
                     )
             else:
                 degenerate = True
-            rows.append(
-                {"alpha_sq": photon_number, "delta": delta, "pc": pc, "pe": 1.0 - pc}
-            )
+            rows.append({"alpha_sq": photon_number, "delta": delta, "pc": pc, "pe": 1.0 - pc})
     if degenerate:
         print(
             "note: delta=0 rows describe coincident constellations (singular ensemble); "
@@ -192,42 +190,30 @@ def rows_fig23(grid, tol_psd: float) -> list[dict]:
             raise NumericalError(
                 f"optimized prior failed the optimality certificate: {verdict.witness}"
             )
-        rows.append(
-            {
-                "alpha_sq": photon_number,
-                "p_star": p_star,
-                "pc": result.pc,
-                "pe": max(1.0 - result.pc, 0.0),
-            }
-        )
+        pe = max(1.0 - result.pc, 0.0)
+        rows.append({"alpha_sq": photon_number, "p_star": p_star, "pc": result.pc, "pe": pe})
     return rows
 
 
 def rows_fig45(grid, ms) -> list[dict]:
+    schemes = (
+        ("ppm", analysis.ppm_closed_form, analysis.mutual_info_ppm),
+        ("double_ppm", analysis.double_ppm_closed_form, analysis.mutual_info_double_ppm),
+    )
     rows = []
     for photon_number in grid:
         alpha = math.sqrt(photon_number)
         for m in ms:
-            single = analysis.ppm_closed_form(m, alpha)
-            rows.append(
-                {
-                    "alpha_sq": photon_number,
-                    "m": m,
-                    "scheme": "ppm",
-                    "pe": 1.0 - single.pc,
-                    "mutual_info_bits": analysis.mutual_info_ppm(m, alpha),
-                }
-            )
-            double = analysis.double_ppm_closed_form(m, alpha)
-            rows.append(
-                {
-                    "alpha_sq": photon_number,
-                    "m": m,
-                    "scheme": "double_ppm",
-                    "pe": 1.0 - double.pc,
-                    "mutual_info_bits": analysis.mutual_info_double_ppm(m, alpha),
-                }
-            )
+            for scheme, closed_form, mutual_info in schemes:
+                rows.append(
+                    {
+                        "alpha_sq": photon_number,
+                        "m": m,
+                        "scheme": scheme,
+                        "pe": 1.0 - closed_form(m, alpha).pc,
+                        "mutual_info_bits": mutual_info(m, alpha),
+                    }
+                )
     return rows
 
 
@@ -416,14 +402,15 @@ def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
 
     The lines are split as one text, and every fifth token from the second
     to the fifth on forms the ``i``, ``j``, ``re`` and ``im`` column; the
-    columns are converted and range-checked in bulk. This keeps the lines
-    apart: no column accepts the word "inner" that starts every line, so
-    when there are five tokens a line and the columns convert, each line
-    holds exactly five. Only if a bulk step fails are the lines checked one
-    by one, to raise the error of the first faulty line. That check finds
-    no fault only when an index does not fit in int64, which needs ``n``
-    not to either; ``None`` is returned then, and the ``priors`` check
-    refuses the file.
+    columns are converted and checked in bulk: indices in range and, as
+    for unit states, every finite overlap of modulus at most 1 (to
+    ``RULE_TOL``). This keeps the lines apart: no column accepts the word
+    "inner" that starts every line, so when there are five tokens a line and
+    the columns convert, each line holds exactly five. Only if a bulk step
+    fails are the lines checked one by one, to raise the error of the first
+    faulty line. That check finds no fault only when an index does not fit
+    in int64, which needs ``n`` not to either; ``None`` is returned then,
+    and the ``priors`` check refuses the file.
     """
     count = len(lines)
     tokens = " ".join(lines).split()
@@ -435,7 +422,8 @@ def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
                 values = np.empty(count, dtype=complex)
                 values.real = np.fromiter(map(float, tokens[3::5]), dtype=float, count=count)
                 values.imag = np.fromiter(map(float, tokens[4::5]), dtype=float, count=count)
-                return i, j, values
+                if not (np.isfinite(values) & (np.abs(values) > 1.0 + RULE_TOL)).any():
+                    return i, j, values
     except (ValueError, OverflowError):
         pass
     for line, lineno in zip(lines, linenos):
@@ -445,11 +433,14 @@ def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
             raise GramFileError(f"{where}: expected 'inner i j re im'")
         try:
             i, j = int(parts[1]), int(parts[2])
-            float(parts[3]), float(parts[4])
+            value = complex(float(parts[3]), float(parts[4]))
         except ValueError:
             raise GramFileError(f"{where}: bad 'inner' line") from None
         if not (0 <= i < j < n):
             raise GramFileError(f"{where}: need 0 <= i < j < {n}, got i={i}, j={j}")
+        modulus = float(np.abs(value))
+        if cmath.isfinite(value) and modulus > 1.0 + RULE_TOL:
+            raise GramFileError(f"{where}: overlap of states {i} and {j} has modulus {modulus!r} > 1")
     return None
 
 

@@ -41,16 +41,18 @@ class GusEnsemble:
 
     Construction checks, in O(s^2 m), positive priors whose s * m per-state
     copies sum to one, finite entries, the Hermitian mirror
-    ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])`` and unit seeds. It
-    keeps the upper blocks as supplied, derives the lower ones from them,
-    symmetrises the diagonal rows and sets their seed entry to one.
+    ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])`` and unit seeds, each
+    to ``RULE_TOL``. It then averages every block with its mirror, so the
+    rows are exactly Hermitian-consistent, and sets the seeds to one. Rows
+    that already are mirror-consistent come back equal, up to the sign of
+    a zero imaginary part.
     """
 
     rows: np.ndarray
     constellation_priors: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=complex)
+        rows = np.array(self.rows, dtype=complex, order="C")
         if rows.ndim != 3 or rows.shape[0] != rows.shape[1] or 0 in rows.shape:
             raise ValueError(f"rows must have shape (s, s, m) with s, m >= 1, got {rows.shape}")
         s, _, m = rows.shape
@@ -62,26 +64,27 @@ class GusEnsemble:
         total = float(m * q.sum())
         if abs(total - 1.0) > PRIOR_TOL:
             raise InvalidPrior(f"priors must sum to 1, got {total!r}")
-        if not np.all(np.isfinite(rows)):
+        if not np.isfinite(rows).all():
             raise ValueError("overlaps must be finite")
 
         mirror = _mirror(rows)
-        defect = np.abs(rows - mirror).max(axis=2)
+        defect = np.abs(rows - mirror)
         if defect.max() > RULE_TOL:
-            h, k = np.unravel_index(int(defect.argmax()), defect.shape)
+            # the first worst entry lies in the first worst block
+            h, k, _ = np.unravel_index(int(defect.argmax()), defect.shape)
             raise ValueError(
                 f"rows are not Hermitian-consistent on blocks ({h}, {k}) / ({k}, {h}): "
-                f"defect {defect[h, k]:.3e}"
+                f"defect {defect.max():.3e}"
             )
-        diag = np.arange(s)
-        seed_err = np.abs(rows[diag, diag, 0] - 1.0)
+        # rows is a C-contiguous copy, so this view holds the seeds rows[h, h, 0]
+        seeds = rows.reshape(-1)[:: (s + 1) * m]
+        seed_err = np.abs(seeds - 1.0)
         if seed_err.max() > RULE_TOL:
             h = int(seed_err.argmax())
             raise ValueError(f"seed state {h} is not unit norm: <0|0> = {rows[h, h, 0]}")
-        lower = np.tril(np.ones((s, s), dtype=bool), -1)[:, :, None]
-        rows = np.where(lower, mirror, rows)
-        rows[diag, diag] = (rows[diag, diag] + mirror[diag, diag]) / 2.0
-        rows[diag, diag, 0] = 1.0
+        rows += mirror
+        rows /= 2.0
+        seeds[:] = 1.0
 
         rows.setflags(write=False)
         q.setflags(write=False)

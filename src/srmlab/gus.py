@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
-from .linalg import TOL_PSD, _eigh, circulant_eigenvalues
+from .linalg import TOL_PSD, _bins, _eigh
 from .srm import SrmResult, _srm_from_eig
 
 
@@ -33,7 +33,7 @@ def block_diagonalize(ensemble: GusEnsemble) -> np.ndarray:
     Computed from the first rows; every coupling matrix is Hermitian, and
     positive definite when the weighted Gram matrix is.
     """
-    return circulant_eigenvalues(_weighted_rows(ensemble)).transpose(2, 0, 1)
+    return _bins(_weighted_rows(ensemble)).transpose(2, 0, 1)
 
 
 def fast_srm(ensemble: GusEnsemble, *, tol_psd: float = TOL_PSD) -> SrmResult:

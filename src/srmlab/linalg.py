@@ -4,8 +4,9 @@ Hermitian eigendecomposition of a matrix or of a stack of them, the one
 square-root kernel on its eigenpairs, and the circulant transforms: first
 rows to spectra and back (``np.fft``, batched along the last axis), their
 mirror and, when a caller asks for it, the dense block-circulant matrix.
-Matrices are square numpy arrays of complex128, indexed (row, column)
-from 0. All functions are pure and never mutate their inputs.
+Only ``circulant_eigenvalues`` checks its rows; the private transforms take
+rows already checked. Matrices are square complex128 arrays, indexed (row,
+column) from 0. All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -31,11 +32,6 @@ def as_matrix(values) -> np.ndarray:
     return mat
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Max-norm distance from a matrix, or a stack of them, to its conjugate transpose."""
-    return float(np.abs(mat - _adjoint(mat)).max())
-
-
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     return np.swapaxes(mat.conj(), -1, -2)
 
@@ -46,13 +42,14 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues come back ascending along the last axis; ``NotHermitian``
     when the input is asymmetric beyond ``TOL_HERM``.
     """
-    defect = hermiticity_defect(mat)
+    adjoint = _adjoint(mat)
+    defect = float(np.abs(mat - adjoint).max())
     if defect > TOL_HERM:
         raise NotHermitian(
             f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {TOL_HERM:g}"
         )
     try:
-        return np.linalg.eigh((mat + _adjoint(mat)) / 2.0)
+        return np.linalg.eigh((mat + adjoint) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
@@ -69,13 +66,16 @@ def _sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _mirror(rows: np.ndarray) -> np.ndarray:
     """First rows of the adjoint block-circulant matrix: ``conj(rows[k, h, -r mod m])`` at (h, k, r)."""
-    return rows.transpose(1, 0, 2)[:, :, -np.arange(rows.shape[2]) % rows.shape[2]].conj()
+    # the conjugated transpose keeps the input's memory layout
+    mirror = rows.transpose(1, 0, 2).conj()
+    mirror[:, :, 1:] = mirror[:, :, :0:-1]
+    return mirror
 
 
 def _first_rows(spectrum: np.ndarray) -> np.ndarray:
     """(s, s, m) first rows of the block-circulant matrix with (m, s, s) coupling stack ``spectrum``.
 
-    The inverse of ``circulant_eigenvalues``, taken for all blocks in one FFT.
+    The inverse of ``_bins``, taken for all blocks in one FFT.
     """
     return np.fft.fft(spectrum.transpose(1, 2, 0), norm="forward")
 
@@ -103,4 +103,9 @@ def circulant_eigenvalues(rows) -> np.ndarray:
     c = np.asarray(rows, dtype=complex)
     if c.size == 0 or not np.all(np.isfinite(c)):
         raise ValueError("first rows must be non-empty and finite")
-    return np.fft.ifft(c, norm="forward")
+    return _bins(c)
+
+
+def _bins(rows: np.ndarray) -> np.ndarray:
+    """``circulant_eigenvalues`` of complex first rows, unchecked; ``_first_rows`` is the inverse."""
+    return np.fft.ifft(rows, norm="forward")

@@ -2,24 +2,25 @@
 
 Also the test references that the library does not need: the unitary
 Fourier matrix, dense circulants from a first row or a spectrum, a PSD
-test, the eigendecomposition record, the principal square root of a
-dense matrix, the spectral square root and the dense assembly of a
-coupling stack, the certificate references (the O(n⁴) Theorem-1 oracle
-that runs one eigensolve per downdate, Theorem 2 with its own eigensolve
-and SVD, both theorems from one ``eigh`` of Y as ``srm.certify`` once
-took them, Theorem 3 with one root per block and a node-by-node search of
-each block's support graph, and the trace criterion that
-demands equal g_h, which is wrong for reducible coupling), the
-line-by-line Gram-file parser, and the documented ``check`` reports of
-the files in ``gramfiles/``. ``counted_factorizations`` logs the
-LAPACK factorizations a call makes.
+test, the Hermiticity defect of a matrix, the eigendecomposition record,
+the principal square root of a dense matrix, the spectral square root
+and the dense assembly of a coupling stack, the certificate references
+(the O(n⁴) Theorem-1 oracle that runs one eigensolve per downdate,
+Theorem 2 with its own eigensolve and SVD, both theorems from one
+``eigh`` of Y as ``srm.certify`` once took them, Theorem 3 with one root
+per block and a node-by-node search of each block's support graph, and
+the trace criterion that demands equal g_h, which is wrong for reducible
+coupling), the line-by-line Gram-file parser, and the documented
+``check`` reports of the files in ``gramfiles/``.
+``counted_factorizations`` logs the LAPACK factorizations a call makes.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from srmlab.constellations import GusEnsemble, weighted_gram
+from srmlab.constellations import RULE_TOL, GusEnsemble, weighted_gram
 from srmlab.errors import (
     GramFileError,
     InvalidFactorization,
@@ -38,7 +39,6 @@ from srmlab.linalg import (
     _sqrt_from_eig,
     as_matrix,
     circulant_eigenvalues,
-    hermiticity_defect,
 )
 from srmlab.srm import TOL_COND, OptimalityVerdict, _min_eig
 
@@ -121,6 +121,11 @@ class HermitianEig:
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
+
+
+def hermiticity_defect(mat: np.ndarray) -> float:
+    """Max-norm distance from a matrix, or a stack of them, to its conjugate transpose."""
+    return float(np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max())
 
 
 def hermitian_eig(mat) -> HermitianEig:
@@ -616,6 +621,11 @@ def load_gram_file_reference(path: str) -> tuple[GusEnsemble, list[tuple[int, ..
             if not (0 <= i < j < n):
                 raise GramFileError(
                     f"{where}: need 0 <= i < j < {n}, got i={i}, j={j}"
+                )
+            modulus = float(np.abs(value))
+            if cmath.isfinite(value) and modulus > 1.0 + RULE_TOL:
+                raise GramFileError(
+                    f"{where}: overlap of states {i} and {j} has modulus {modulus!r} > 1"
                 )
             entries.append((i, j, value, lineno))
         elif key == "blocks":

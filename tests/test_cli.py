@@ -56,6 +56,22 @@ MALFORMED_FILES = [
         5,
         "duplicate inner product for pair (0, 1), first given on line 3",
     ),
+    ("n 2\npriors 0.5 0.5\ninner 0 1 2 0\n", 3, "overlap of states 0 and 1 has modulus 2.0 > 1"),
+    (
+        "n 2\npriors 0.5 0.5\ninner 0 1 1e308 0\n",
+        3,
+        "overlap of states 0 and 1 has modulus 1e+308 > 1",
+    ),
+    (
+        "n 3\npriors 0.2 0.3 0.5\ninner 0 2 0.1 0\ninner 1 2 0 -1.5\ninner 0 3 0.1 0\n",
+        4,
+        "overlap of states 1 and 2 has modulus 1.5 > 1",
+    ),
+    (
+        "n 3\npriors 0.2 0.3 0.5\ninner 0 3 0.1 0\ninner 1 2 0 -1.5\n",
+        3,
+        "need 0 <= i < j < 3, got i=0, j=3",
+    ),
 ]
 
 REPEATED_DIRECTIVES = [
@@ -391,6 +407,15 @@ class TestCheck:
         singular.write_text("n 2\npriors 0.5 0.5\ninner 0 1 1.0 0.0\n")
         assert main(["check", str(singular)]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("values", ["0.6 -0.8", "1.00000000005 0"])
+    def test_unit_overlap_within_tolerance_is_singular(self, values, tmp_path, capsys):
+        # an overlap of modulus 1, to RULE_TOL, is two identical states: a
+        # valid file whose Gram matrix is singular
+        singular = tmp_path / "singular.gram"
+        singular.write_text(f"n 2\npriors 0.5 0.5\ninner 0 1 {values}\n")
+        assert main(["check", str(singular)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("error: Gram matrix is singular")
+
     def test_missing_file(self, capsys):
         assert main(["check", "/does/not/exist.gram"]) == EXIT_CONFIG
 
@@ -474,6 +499,8 @@ def mutated(lines, seed, mutation) -> tuple[list[str], int]:
         parts[1], parts[2] = parts[2], parts[1 + int(rng.integers(2))]
     elif mutation == "range":
         parts[2] = str(int(lines[0].split()[1]) + int(rng.integers(3)))
+    elif mutation == "modulus":
+        parts[3] = repr(1.0 + float(rng.uniform(1e-9, 1.0)))
     elif mutation == "repeat":
         earlier = lines[first + int(rng.integers(at - first))].split()
         parts[1:3] = earlier[1:3]
@@ -522,7 +549,9 @@ class TestGramFileParser:
         assert isinstance(self.assert_same_text(text, tmp_path), str)
 
     @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("mutation", ["token", "four", "six", "order", "range", "repeat"])
+    @pytest.mark.parametrize(
+        "mutation", ["token", "four", "six", "order", "range", "modulus", "repeat"]
+    )
     def test_one_deep_fault(self, mutation, seed, tmp_path):
         lines, at = mutated(gram_lines(np.random.default_rng(seed), 64, seed == 1), seed, mutation)
         message = self.assert_same_text("\n".join(lines) + "\n", tmp_path)
@@ -530,7 +559,7 @@ class TestGramFileParser:
 
     @pytest.mark.parametrize("inner_first", [True, False])
     @pytest.mark.parametrize("other", ["wat 1 2", "priors 0.5 x"])
-    @pytest.mark.parametrize("mutation", ["token", "six", "range"])
+    @pytest.mark.parametrize("mutation", ["token", "six", "range", "modulus"])
     def test_inner_fault_and_another_fault(self, mutation, other, inner_first, tmp_path):
         lines, at = mutated(gram_lines(np.random.default_rng(7), 64, False), 7, mutation)
         del lines[1]  # the priors line, so that "priors 0.5 x" is not a repeat

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import dense_ensemble, random_gus_ensemble
+from srmlab import constellations
 from srmlab.constellations import (
+    RULE_TOL,
     GusEnsemble,
     coherent_inner,
     make_double_bpsk,
@@ -17,7 +19,7 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import InvalidPrior
-from srmlab.linalg import _circulant_blocks
+from srmlab.linalg import _circulant_blocks, _mirror
 
 # two orthogonal states as the one-bin ensemble: rows[h, k, 0] = <h|k>
 ONE_BIN = np.eye(2)[:, :, None]
@@ -356,3 +358,89 @@ class TestGusEnsembleInvariants:
         a = weighted_gram(make_double_ppm(3, 1.1))
         b = weighted_gram(make_double_ppm(3, 1.1))
         np.testing.assert_array_equal(a, b)
+
+
+# builders whose rows are exactly mirror-consistent as written
+EXACT_BUILDERS = [
+    *[(make_ppm, m) for m in (2, 3, 16)],
+    *[(make_double_ppm, m) for m in (2, 3, 16)],
+]
+
+
+class TestValidatorContract:
+    """The validator returns exactly mirror-consistent rows, and names the worst fault."""
+
+    @staticmethod
+    def supplied_rows(monkeypatch, build):
+        """The rows a builder hands to ``GusEnsemble``, and the ensemble it returns."""
+        supplied = []
+
+        def recording(rows, constellation_priors):
+            supplied.append(np.array(rows, dtype=complex))
+            return GusEnsemble(rows, constellation_priors)
+
+        monkeypatch.setattr(constellations, "GusEnsemble", recording)
+        ensemble = build()
+        (rows,) = supplied
+        return rows, ensemble
+
+    @pytest.mark.parametrize("energy", [1e-3, 0.1, 1.0, 25.0])
+    @pytest.mark.parametrize(
+        "builder, m", EXACT_BUILDERS, ids=lambda v: getattr(v, "__name__", v)
+    )
+    def test_builder_rows_pass_unchanged(self, builder, m, energy, monkeypatch):
+        rows, ensemble = self.supplied_rows(monkeypatch, lambda: builder(m, math.sqrt(energy)))
+        assert np.array_equal(ensemble.rows, rows)
+
+    @pytest.mark.parametrize("energy", [1e-3, 0.1, 1.0, 25.0])
+    @pytest.mark.parametrize("m", [2, 3, 16])
+    def test_psk_rows_are_averaged_with_their_mirror(self, m, energy, monkeypatch):
+        # exp(2i pi r / m) and conj(exp(2i pi (m - r) / m)) differ in the last
+        # bits, so the PSK row is symmetrised, moving by rounding only
+        rows, ensemble = self.supplied_rows(monkeypatch, lambda: make_psk(m, math.sqrt(energy)))
+        expected = (rows + _mirror(rows)) / 2.0
+        expected[0, 0, 0] = 1.0
+        assert np.array_equal(ensemble.rows, expected)
+        assert np.abs(ensemble.rows - rows).max() <= 1e-14
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("delta", [0.3, math.pi / 2])
+    def test_double_bpsk_rows_pass_unchanged(self, p, delta, monkeypatch):
+        beta = cmath.rect(0.8, delta)
+        rows, ensemble = self.supplied_rows(monkeypatch, lambda: make_double_bpsk(0.8, beta, p))
+        assert np.array_equal(ensemble.rows, rows)
+
+    @pytest.mark.parametrize("s, m", [(1, 5), (2, 4), (3, 3), (4, 1)])
+    def test_rows_within_tolerance_come_out_consistent(self, s, m):
+        rng = np.random.default_rng(10 * s + m)
+        exact = random_gus_ensemble(rng, s, m)
+        noise = rng.uniform(-1, 1, size=(2, s, s, m)) * (0.2 * RULE_TOL)
+        rows = exact.rows + noise[0] + 1j * noise[1]
+        ensemble = GusEnsemble(rows=rows, constellation_priors=exact.constellation_priors)
+        assert np.array_equal(ensemble.rows, _mirror(ensemble.rows))
+        seeds = ensemble.rows[:, :, 0].diagonal()
+        assert np.array_equal(seeds, np.ones(s)) and not seeds.imag.any()
+        assert np.abs(ensemble.rows - exact.rows).max() <= 0.2 * RULE_TOL
+
+    @staticmethod
+    def three_constellations():
+        ensemble = random_gus_ensemble(np.random.default_rng(33), 3, 4)
+        return np.array(ensemble.rows), ensemble.constellation_priors
+
+    def test_mirror_error_names_the_worst_block(self):
+        rows, priors = self.three_constellations()
+        rows[0, 1, 1] += 2e-10
+        rows[2, 1, 3] += 5e-10j
+        with pytest.raises(ValueError) as caught:
+            GusEnsemble(rows=rows, constellation_priors=priors)
+        assert str(caught.value) == (
+            "rows are not Hermitian-consistent on blocks (1, 2) / (2, 1): defect 5.000e-10"
+        )
+
+    def test_seed_error_names_the_worst_seed(self):
+        rows, priors = self.three_constellations()
+        rows[0, 0, 0] = 1.0 + 2e-10
+        rows[2, 2, 0] = 1.0 - 7e-10
+        with pytest.raises(ValueError) as caught:
+            GusEnsemble(rows=rows, constellation_priors=priors)
+        assert str(caught.value) == f"seed state 2 is not unit norm: <0|0> = {rows[2, 2, 0]}"

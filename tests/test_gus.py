@@ -1,5 +1,6 @@
 """Tests for the block-circulant fast path."""
 
+import collections
 import math
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import (
     block_sqrt,
+    dense_ensemble,
     principal_sqrt,
     random_gus_ensemble,
     single_gus_pc,
@@ -24,6 +26,7 @@ from srmlab.analysis import (
 )
 from srmlab.cli import rows_fig1, rows_fig23
 from srmlab.constellations import (
+    GusEnsemble,
     coherent_inner,
     make_double_bpsk,
     make_double_ppm,
@@ -295,6 +298,36 @@ class TestFastSrm:
         assert row["pc"] == pytest.approx(pc_double_bpsk_equal_amp(1.0, math.pi / 4))
         (row,) = rows_fig23([1.0], TOL_PSD)
         assert 0.0 < row["p_star"] < 0.5 and 0.0 < row["pc"] < 1.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_psk(8, 1.5),
+            lambda: make_ppm(2, 1.0),
+            lambda: make_double_ppm(16, 1.0),
+            lambda: make_double_bpsk(1.0, 1j, 0.3),
+            lambda: random_gus_ensemble(np.random.default_rng(5), 3, 5),
+            lambda: dense_ensemble([0.5, 0.5], [[1.0, 0.3j], [-0.3j, 1.0]]),
+        ],
+        ids=["psk", "ppm", "double_ppm", "double_bpsk", "random_s3", "one_bin"],
+    )
+    def test_call_budget(self, build, monkeypatch):
+        # building validates without a transform or an eigensolve, and the
+        # root takes one transform each way and one batched eigh
+        calls = collections.Counter()
+        for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.linalg, "eigh")):
+
+            def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        ensemble = build()
+        calls.clear()
+        ensemble = GusEnsemble(ensemble.rows, ensemble.constellation_priors)
+        assert calls == {}
+        fast_srm(ensemble)
+        assert calls == {"fft": 1, "ifft": 1, "eigh": 1}
 
     def test_rejects_coincident_constellations(self):
         with pytest.raises(GramSingular):
