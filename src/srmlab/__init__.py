@@ -44,7 +44,6 @@ from .errors import (
     NotHermitian,
     NumericalError,
     ReducibleBlock,
-    SingularFactor,
     SrmLabError,
 )
 from .gus import block_diagonalize, fast_srm
@@ -54,7 +53,6 @@ from .srm import (
     ChannelStats,
     OptimalityVerdict,
     SrmResult,
-    certify,
     certify_srm,
     channel_stats,
     check_theorem3,
@@ -80,7 +78,6 @@ __all__ = [
     "OptimalityVerdict",
     "PpmClosedForm",
     "ReducibleBlock",
-    "SingularFactor",
     "SrmLabError",
     "SrmResult",
     "SweepPoint",
@@ -89,7 +86,6 @@ __all__ = [
     "TOL_PSD",
     "TOL_RECON",
     "block_diagonalize",
-    "certify",
     "certify_srm",
     "channel_stats",
     "check_theorem3",

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gus import fast_srm
 from .linalg import TOL_PSD, TOL_RECON
-from .srm import TOL_COND, certify, certify_srm, check_theorem3, srm
+from .srm import TOL_COND, _check_verdicts, certify_srm, check_theorem3, srm
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -455,7 +455,6 @@ def cmd_check(args) -> int:
     ensemble, blocks = load_gram_file(args.gramfile)
     gram = weighted_gram(ensemble)
     result = srm(gram, tol_psd=args.tol_psd)
-    factor = result.factor
 
     lines = [
         f"states {len(gram)}",
@@ -466,11 +465,11 @@ def cmd_check(args) -> int:
         lines.append(f"correct {i} state{i} {fmt(correct)}")
     if blocks is not None:
         try:
-            verdict3 = check_theorem3(gram, blocks, factor, tol_cond=args.tol_cond)
+            verdict3 = check_theorem3(gram, blocks, result.rows[:, :, 0], tol_cond=args.tol_cond)
             lines.append(_verdict_line(verdict3))
         except (NotBlockDiagonal, ReducibleBlock, ValueError) as exc:
             lines.append(f"theorem3 error ({exc})")
-    verdicts = certify(gram, factor, tol_cond=args.tol_cond, tol_psd=args.tol_psd)
+    verdicts = _check_verdicts(result, tol_cond=args.tol_cond)
     lines.extend(_verdict_line(verdict) for verdict in verdicts)
     emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

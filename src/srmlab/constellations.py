@@ -39,13 +39,14 @@ class GusEnsemble:
     the prior ``constellation_priors[k]``. A dense overlap matrix O of n
     states is the ensemble with ``rows = O[:, :, None]``.
 
-    Construction checks, in O(s^2 m), positive priors whose s * m per-state
-    copies sum to one, finite entries, the Hermitian mirror
-    ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])`` and unit seeds, each
-    to ``RULE_TOL``. It then averages every block with its mirror, so the
-    rows are exactly Hermitian-consistent, and sets the seeds to one. Rows
-    that already are mirror-consistent come back equal, up to the sign of
-    a zero imaginary part.
+    Construction checks, in O(s^2 m) and in this order, positive priors
+    whose s * m per-state copies sum to one, finite entries, unit seeds,
+    entries of modulus at most one, and the Hermitian mirror
+    ``rows[k, h, (m - r) % m] == conj(rows[h, k, r])``, each to ``RULE_TOL``.
+    It then averages every block with its mirror, so the rows are exactly
+    Hermitian-consistent, and sets the seeds to one. Rows that already are
+    mirror-consistent come back equal, up to the sign of a zero imaginary
+    part.
     """
 
     rows: np.ndarray
@@ -64,8 +65,21 @@ class GusEnsemble:
         total = float(m * q.sum())
         if abs(total - 1.0) > PRIOR_TOL:
             raise InvalidPrior(f"priors must sum to 1, got {total!r}")
-        if not np.isfinite(rows).all():
+        modulus = np.abs(rows)
+        largest = float(modulus.max())
+        # a finite entry near the float maximum may still have an infinite modulus
+        if not np.isfinite(largest) and not np.isfinite(rows).all():
             raise ValueError("overlaps must be finite")
+        # rows is a C-contiguous copy, so this view holds the seeds rows[h, h, 0]
+        seeds = rows.reshape(-1)[:: (s + 1) * m]
+        seed_err = np.abs(seeds - 1.0)
+        if seed_err.max() > RULE_TOL:
+            h = int(seed_err.argmax())
+            raise ValueError(f"seed state {h} is not unit norm: <0|0> = {rows[h, h, 0]}")
+        # checked before the mirror, whose sums would overflow near the float maximum
+        if largest > 1.0 + RULE_TOL:
+            h, k, _ = np.unravel_index(int(modulus.argmax()), modulus.shape)
+            raise ValueError(f"overlap modulus {largest!r} > 1 in block ({h}, {k})")
 
         mirror = _mirror(rows)
         defect = np.abs(rows - mirror)
@@ -76,12 +90,6 @@ class GusEnsemble:
                 f"rows are not Hermitian-consistent on blocks ({h}, {k}) / ({k}, {h}): "
                 f"defect {defect.max():.3e}"
             )
-        # rows is a C-contiguous copy, so this view holds the seeds rows[h, h, 0]
-        seeds = rows.reshape(-1)[:: (s + 1) * m]
-        seed_err = np.abs(seeds - 1.0)
-        if seed_err.max() > RULE_TOL:
-            h = int(seed_err.argmax())
-            raise ValueError(f"seed state {h} is not unit norm: <0|0> = {rows[h, h, 0]}")
         rows += mirror
         rows /= 2.0
         seeds[:] = 1.0

@@ -35,10 +35,6 @@ class GramSingular(NumericalError):
     """The weighted Gram matrix is singular; the states are not linearly independent."""
 
 
-class SingularFactor(NumericalError):
-    """A candidate measurement factor has a vanishing diagonal entry."""
-
-
 class NotBlockDiagonal(NumericalError):
     """A Gram matrix is not block diagonal with respect to the declared partition."""
 
@@ -48,7 +44,7 @@ class ReducibleBlock(NumericalError):
 
 
 class InvalidFactorization(NumericalError):
-    """A candidate factor does not reproduce the Gram matrix."""
+    """A candidate factor does not match the Gram matrix."""
 
 
 class DomainError(InputError):

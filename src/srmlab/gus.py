@@ -15,7 +15,9 @@ constellation h is the seed ``rows[h, h, 0]``, and the correct-decision
 probability is m * sum_h g_h^2. ``srm.certify_srm`` decides optimality from
 the same rows: the measurement is optimal exactly when g_h = g_k for every
 pair of constellations (h, k) that the root couples, so mutually orthogonal
-constellations may carry different g_h.
+constellations may carry different g_h. Its residual, |rows[h, k, r]| times
+|g_k - g_h|, is the one that every verdict of ``srmlab check`` reads on a
+dense root (m = 1).
 """
 
 from __future__ import annotations

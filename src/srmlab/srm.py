@@ -10,24 +10,18 @@ entries. ``srm`` treats a dense Gram matrix, such as
 m = 1) of the block-circulant path: it and ``gus.fast_srm`` hand the
 eigenpairs of an (m, s, s) coupling stack to one private tail, which tests
 for singularity, takes the clamped root and returns its first rows.
-Certificates decide whether a measurement is globally optimal for the
-given ensemble:
 
-* Theorem 1, the ground truth: in the measurement basis Y - W_r must be
-  positive semidefinite for every weighted state projector W_r, with
-  Y = X X_d† and X_d = diag(X).
-* Theorem 2, its specialisation to the factor: a diagonal-balance identity
-  per state pair (Y Hermitian) plus positive definiteness of Y. ``certify``
-  returns the verdicts of both on any factor with no eigendecomposition of
-  Y: Cholesky factorizations of Y ± tol_psd·I test its positivity, and the
-  Theorem-1 screen reads x_r† (Y + tol_psd·I)⁻¹ x_r as the column norms of
-  L⁻¹X; ``srmlab check`` runs it on the root ``srm`` holds.
-* ``certify_srm``: on the square-root measurement itself Theorem 1 reduces
-  to Y Hermitian, which reads the root's first rows with no eigensolve.
-  This is the paper's condition: the root's diagonal values g_h must agree
-  across every pair of constellations that the root couples.
-* ``check_theorem3``: for block-diagonal Gram matrices, optimality is
-  equivalent to each block's square root having a flat diagonal.
+Theorem 1, the ground truth, calls a measurement optimal when Y = X X_d†
+(X_d = diag(X)) is Hermitian and every downdate Y - W_r is positive
+semidefinite, W_r the weighted state projector in the measurement basis;
+Theorem 2 when Y is Hermitian and positive definite. On the square-root
+measurement both follow from Y Hermitian, so every verdict here reads one
+residual, max |X_ij| |d_j - d_i| with d = diag(X), with no eigensolve:
+``certify_srm`` from the root's first rows (the paper's condition: the
+root's diagonal values g_h agree across every pair of constellations that
+the root couples), ``check_theorem3`` on the pairs inside each block of a
+block-diagonal Gram matrix, and the Theorem-2 and Theorem-1 lines of
+``srmlab check`` on the dense root.
 """
 
 from __future__ import annotations
@@ -37,16 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    GramSingular,
-    InvalidFactorization,
-    NotBlockDiagonal,
-    ReducibleBlock,
-    SingularFactor,
-)
+from .errors import GramSingular, InvalidFactorization, NotBlockDiagonal, ReducibleBlock
 from .linalg import (
     TOL_PSD,
-    TOL_RECON,
     _circulant_blocks,
     _eigh,
     _first_rows,
@@ -144,11 +131,6 @@ def srm(gram, *, tol_psd: float = TOL_PSD) -> SrmResult:
     return _srm_from_eig(w, v, tol_psd)
 
 
-def _min_eig(hermitian: np.ndarray) -> float:
-    sym = (hermitian + hermitian.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(sym)[0])
-
-
 def _connected(adjacency: np.ndarray) -> bool:
     """Whether every node is reached from node 0, one breadth-first level per step."""
     seen = np.zeros(len(adjacency), dtype=bool)
@@ -161,6 +143,17 @@ def _connected(adjacency: np.ndarray) -> bool:
     return bool(seen.all())
 
 
+def _asymmetry(rows: np.ndarray) -> np.ndarray:
+    """``|Y - Y†|`` of a square-root measurement, per entry of its (s, s, m) first rows.
+
+    X is Hermitian with the real value g_h = ``rows[h, h, 0]`` on the
+    diagonal of constellation h, so entry (h, k, r) of Y - Y† = X D - D X is
+    ``rows[h, k, r] (g_k - g_h)``.
+    """
+    g = rows[:, :, 0].diagonal().real
+    return np.abs(rows) * np.abs(g[None, :] - g[:, None])[:, :, None]
+
+
 def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> OptimalityVerdict:
     """Optimality test for a Gram matrix that is block diagonal.
 
@@ -168,19 +161,25 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
     blocks must vanish within ``tol_cond`` (else ``NotBlockDiagonal``),
     and each block's support graph, its entries above the fixed
     ``TOL_COND``, must be connected (else ``ReducibleBlock``; refine the
-    partition and retry). The measurement is optimal iff the square root
-    of every block has equal diagonal entries within ``tol_cond``.
+    partition and retry). The measurement is optimal iff every block's
+    root has a flat diagonal. An irreducible block has an irreducible root
+    (were the root reducible, so would be its square), so that is Y
+    Hermitian on every block: the verdict fails when the residual of a pair
+    inside a block exceeds ``tol_cond``, and the witness names the block
+    whose root diagonal spreads the most, with that spread.
 
     ``factor`` is the principal square root of ``gram``, as ``srm`` takes
     it. A block-diagonal matrix has a block-diagonal principal root, so
-    each block's root diagonal is read off ``factor``'s diagonal and no
-    block is factored again. A tolerated cross-block entry of size ε moves
-    that diagonal by O(ε²): to first order the root changes off the blocks
-    alone. Only when ``tol_cond`` lets an entry above ``TOL_COND`` through
-    is each block rooted on its own instead.
+    each block's root is read off ``factor`` and no block is factored
+    again. A tolerated cross-block entry of size ε moves that root by
+    O(ε²): to first order the root changes off the blocks alone. Only when
+    ``tol_cond`` lets an entry above ``TOL_COND`` through is each block
+    rooted on its own instead.
     """
     g = as_matrix(gram)
-    x = _factor_of(g, factor)
+    x = as_matrix(factor)
+    if x.shape != g.shape:
+        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {g.shape}")
     n = len(g)
     partition = [tuple(int(i) for i in block) for block in blocks]
     indices = sorted(i for block in partition for i in block)
@@ -205,133 +204,18 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
         if not _connected(support):
             raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
 
-    diag = np.diagonal(x).real
     if leak > TOL_COND:
-        diagonals = [_sqrt_from_eig(*_eigh(g[np.ix_(b, b)])).diagonal().real for b in partition]
-    else:
-        diagonals = [diag[list(block)] for block in partition]
-    spreads = [float(np.ptp(values)) for values in diagonals]
-    worst_block = int(np.argmax(spreads))
-    worst_spread = spreads[worst_block]
-    if worst_spread > tol_cond:
-        return OptimalityVerdict(
-            optimal=False,
-            method="theorem3",
-            witness=(
-                f"block {worst_block}: square-root diagonal entries spread by "
-                f"{worst_spread:.6e}"
-            ),
-        )
-    return OptimalityVerdict(optimal=True, method="theorem3")
-
-
-def _factor_of(gram: np.ndarray, factor) -> np.ndarray:
-    x = as_matrix(factor)
-    if x.shape != gram.shape:
-        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {gram.shape}")
-    return x
-
-
-def certify(
-    gram,
-    factor,
-    *,
-    tol_cond: float = TOL_COND,
-    tol_psd: float = TOL_PSD,
-) -> tuple[OptimalityVerdict, OptimalityVerdict]:
-    """Theorem-2 and Theorem-1 verdicts on any factorization X of the Gram, by Cholesky tests of Y.
-
-    Requires ``X† X`` to reproduce the Gram matrix within ``TOL_RECON``
-    (else ``InvalidFactorization``) and every ``|X[i, i]|`` to exceed
-    ``TOL_COND`` (else ``SingularFactor``); ``tol_cond`` sets only the
-    Hermiticity residual. Both verdicts read ``Y[j, k] = X[j, k]
-    conj(X[k, k])``, symmetrised. A Cholesky factorization succeeds exactly
-    when its matrix is positive definite up to backward error, so no
-    eigenvectors of Y are needed.
-
-    Theorem 2, returned first: condition (i), Y Hermitian, fails at the
-    state pair of the largest ``|Y - Y†|`` beyond ``tol_cond``. Only then is
-    condition (ii), Y positive definite, tested: a Cholesky of
-    ``Y - tol_psd I`` that succeeds means optimal. If it fails, one
-    ``eigvalsh`` reads λ_1: below ``-tol_psd`` condition (ii) fails, and a
-    λ_1 inside ``[-tol_psd, tol_psd]`` is optimal with a boundary note,
-    since the strict/non-strict distinction is not resolvable numerically.
-    A singular factor is not refused: its Y is singular too, so Theorem 2
-    reports a failed condition or the boundary note with λ_1 in the zero band.
-
-    Theorem 1, the ground truth: Y Hermitian and ``Y - x_r x_r†`` PSD for
-    every column x_r. That downdate dips below ``-tol_psd`` iff
-    ``Y + tol_psd I`` is not positive definite or
-    ``x_r† (Y + tol_psd I)⁻¹ x_r > 1``. With ``Y + tol_psd I = L L†`` the
-    second is the squared norm of column r of ``L⁻¹ X``, which screens every
-    r in O(n³); if the Cholesky fails, every r is a candidate. Candidates
-    are confirmed by an exact eigensolve in increasing order; the first is
-    the witness. Otherwise each downdate's r-th column vanishes, and the
-    optimal verdict's boundary note reports that structural zero.
-    """
-    g = as_matrix(gram)
-    x = _factor_of(g, factor)
-    residual = float(np.abs(x.conj().T @ x - g).max())
-    if residual > TOL_RECON:
-        raise InvalidFactorization(
-            f"X†X differs from the Gram matrix by {residual:.3e} (tolerance {TOL_RECON:g})"
-        )
-    diag = np.diagonal(x)
-    weakest = float(np.abs(diag).min())
-    if weakest <= TOL_COND:
-        raise SingularFactor(
-            f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
-            "optimal factors have nonzero diagonals"
-        )
-
-    y = x * diag.conj()[None, :]
-    balance = np.abs(y - y.conj().T)
-    asymmetry = float(balance.max())
-    y = (y + y.conj().T) / 2.0
-
-    if asymmetry > tol_cond:
-        i, j = np.unravel_index(int(balance.argmax()), balance.shape)
-        optimal2, witness2 = False, (
-            f"condition (i) fails at state pair ({i}, {j}): residual {asymmetry:.6e}"
-        )
-        optimal1, witness1 = False, f"Y is not Hermitian: max asymmetry {asymmetry:.6e}"
-    else:
-        optimal2, witness2 = _positivity(y, tol_psd)
-        optimal1, witness1 = True, (
-            "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
-        )
-    try:
-        lower = np.linalg.cholesky(y + tol_psd * np.eye(len(y)))
-    except np.linalg.LinAlgError:
-        candidates = range(len(x))
-    else:
-        # the 1e-12 slack keeps a downdate within rounding of the threshold a candidate
-        weights = (np.abs(np.linalg.solve(lower, x)) ** 2).sum(axis=0)
-        candidates = np.flatnonzero(weights > 1.0 - 1e-12)
-    for r in candidates:
-        low = _min_eig(y - np.outer(x[:, r], x[:, r].conj()))
-        if low < -tol_psd:
-            optimal1, witness1 = False, f"Y - W_{r} has min eigenvalue {low:.6e}"
-            break
-    return (
-        OptimalityVerdict(optimal2, "theorem2", witness2),
-        OptimalityVerdict(optimal1, "theorem1_oracle", witness1),
-    )
-
-
-def _positivity(y: np.ndarray, tol_psd: float) -> tuple[bool, str | None]:
-    """Condition (ii) on a Hermitian Y: a Cholesky of ``Y - tol_psd I``, then λ_1 only if it fails."""
-    try:
-        np.linalg.cholesky(y - tol_psd * np.eye(len(y)))
-        return True, None
-    except np.linalg.LinAlgError:
-        pass
-    lowest = _min_eig(y)
-    if lowest < -tol_psd:
-        return False, f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}"
-    if lowest <= tol_psd:
-        return True, f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
-    return True, None
+        x = np.zeros_like(g)
+        for block in partition:
+            index = np.ix_(block, block)
+            x[index] = _sqrt_from_eig(*_eigh(g[index]))
+    diag = np.diagonal(x).real
+    spreads = [float(np.ptp(diag[list(block)])) for block in partition]
+    if _asymmetry(x[:, :, None])[inside].max() > tol_cond:
+        b = int(np.argmax(spreads))
+        witness = f"block {b}: square-root diagonal entries spread by {spreads[b]:.6e}"
+        return OptimalityVerdict(False, "theorem3", witness)
+    return OptimalityVerdict(True, "theorem3")
 
 
 def certify_srm(result: SrmResult) -> OptimalityVerdict:
@@ -341,27 +225,48 @@ def certify_srm(result: SrmResult) -> OptimalityVerdict:
     Hermitian, X commutes with D, so Y = D^{1/2} X D^{1/2} is positive definite
     and x_r† Y⁻¹ x_r = X_rr / D_rr = 1: every downdate Y - x_r x_r† is PSD.
 
-    So only condition (i) can fail. X is Hermitian and D holds g_h =
-    ``rows[h, h, 0]`` on constellation h, so at (h, k, r) the entry of
-    Y - Y† is ``rows[h, k, r] (g_k - g_h)``; the measurement is optimal iff
-    its largest magnitude is at most ``TOL_COND``. The witness names the
-    worst constellation pair (h, k), the shift r and that residual. A dense
-    root is the case m = 1, where h and k are states.
+    So only condition (i) can fail: the measurement is optimal iff the
+    largest entry of ``_asymmetry`` is at most ``TOL_COND``. The witness
+    names the worst constellation pair (h, k), the shift r and that
+    residual. A dense root is the case m = 1, where h and k are states.
     """
-    g = result.rows[:, :, 0].diagonal().real
-    residual = np.abs(result.rows) * np.abs(g[None, :] - g[:, None])[:, :, None]
+    residual = _asymmetry(result.rows)
     worst = float(residual.max())
     if worst > TOL_COND:
         h, k, r = np.unravel_index(int(residual.argmax()), residual.shape)
-        return OptimalityVerdict(
-            optimal=False,
-            method="theorem1_srm",
-            witness=(
-                f"Y is not Hermitian at constellations ({h}, {k}), shift {r}: "
-                f"residual {worst:.6e}"
-            ),
+        witness = f"Y is not Hermitian at constellations ({h}, {k}), shift {r}: "
+        return OptimalityVerdict(False, "theorem1_srm", f"{witness}residual {worst:.6e}")
+    return OptimalityVerdict(True, "theorem1_srm")
+
+
+def _check_verdicts(
+    result: SrmResult, *, tol_cond: float = TOL_COND
+) -> tuple[OptimalityVerdict, OptimalityVerdict]:
+    """The Theorem-2 and Theorem-1 lines of ``srmlab check`` on a dense root (m = 1).
+
+    Both fail exactly when the residual of ``certify_srm`` exceeds
+    ``tol_cond``, so they cannot disagree; Theorem 2 names the state pair
+    where it is largest. An optimal Theorem-1 verdict notes the structural
+    zero of every downdate Y - x_r x_r†, whose r-th column vanishes.
+    """
+    residual = _asymmetry(result.rows)
+    worst = float(residual.max())
+    if worst > tol_cond:
+        i, j, _ = np.unravel_index(int(residual.argmax()), residual.shape)
+        pair = f"condition (i) fails at state pair ({i}, {j}): residual {worst:.6e}"
+        asymmetry = f"Y is not Hermitian: max asymmetry {worst:.6e}"
+        return (
+            OptimalityVerdict(False, "theorem2", pair),
+            OptimalityVerdict(False, "theorem1_oracle", asymmetry),
         )
-    return OptimalityVerdict(optimal=True, method="theorem1_srm")
+    return (
+        OptimalityVerdict(True, "theorem2"),
+        OptimalityVerdict(
+            True,
+            "theorem1_oracle",
+            "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band",
+        ),
+    )
 
 
 def channel_stats(result: SrmResult) -> ChannelStats:

@@ -2,16 +2,18 @@
 
 Also the test references that the library does not need: the unitary
 Fourier matrix, dense circulants from a first row or a spectrum, a PSD
-test, the Hermiticity defect of a matrix, the eigendecomposition record,
-the principal square root of a dense matrix, the spectral square root
-and the dense assembly of a coupling stack, the certificate references
-(the O(n⁴) Theorem-1 oracle that runs one eigensolve per downdate,
-Theorem 2 with its own eigensolve and SVD, both theorems from one
-``eigh`` of Y as ``srm.certify`` once took them, Theorem 3 with one root
-per block and a node-by-node search of each block's support graph, and
-the trace criterion that demands equal g_h, which is wrong for reducible
-coupling), the line-by-line Gram-file parser, and the documented
-``check`` reports of the files in ``gramfiles/``.
+test, the Hermiticity defect of a matrix, the least eigenvalue of a
+Hermitian part, the eigendecomposition record, the principal square root
+of a dense matrix, the spectral square root and the dense assembly of a
+coupling stack, the certificate references, the line-by-line Gram-file
+parser, and the documented ``check`` reports of the files in
+``gramfiles/``. The library decides every verdict from one residual of
+the square-root measurement; the references decide on any factor X of
+the Gram matrix by the theorems' own conditions: the O(n⁴) Theorem-1
+oracle that runs one eigensolve per downdate, Theorem 2 with its own
+eigensolve and SVD, Theorem 3 with one root per block and a node-by-node
+search of each block's support graph, and the trace criterion that
+demands equal g_h, which is wrong for reducible coupling.
 ``counted_factorizations`` logs the LAPACK factorizations a call makes.
 """
 
@@ -28,7 +30,6 @@ from srmlab.errors import (
     NotBlockDiagonal,
     NumericalError,
     ReducibleBlock,
-    SingularFactor,
 )
 from srmlab.linalg import (
     TOL_PSD,
@@ -40,7 +41,7 @@ from srmlab.linalg import (
     as_matrix,
     circulant_eigenvalues,
 )
-from srmlab.srm import TOL_COND, OptimalityVerdict, _min_eig
+from srmlab.srm import TOL_COND, OptimalityVerdict
 
 
 # the full `srmlab check` report of each documented file in gramfiles/
@@ -63,7 +64,7 @@ GRAMFILE_REPORTS = {
         "correct 0 state0 0.270731305809\n"
         "correct 1 state1 0.670731305809\n"
         "theorem2 suboptimal (condition (i) fails at state pair (0, 1): residual 5.109562e-02)\n"
-        "theorem1_oracle suboptimal (Y - W_0 has min eigenvalue -1.015895e-03)\n"
+        "theorem1_oracle suboptimal (Y is not Hermitian: max asymmetry 5.109562e-02)\n"
     ),
     "identity3": (
         "states 3\n"
@@ -274,8 +275,11 @@ def gram_lines(rng, n, blocks) -> list[str]:
 
 
 def counted_factorizations(monkeypatch) -> dict:
-    """Log the shape of every ``eigh``, ``eigvalsh``, ``svd`` and ``cholesky`` argument, per solver."""
-    calls = {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": []}
+    """Log the shape of every ``eigh``, ``eigvalsh``, ``svd``, ``cholesky`` and ``solve`` argument.
+
+    One log per solver; ``solve`` logs its first argument, the matrix.
+    """
+    calls = {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": [], "solve": []}
     for name, log in calls.items():
         solver = getattr(np.linalg, name)
 
@@ -287,6 +291,12 @@ def counted_factorizations(monkeypatch) -> dict:
     return calls
 
 
+def _min_eig(hermitian: np.ndarray) -> float:
+    """The least eigenvalue of the Hermitian part of a matrix, by ``eigvalsh``."""
+    sym = (hermitian + hermitian.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(sym)[0])
+
+
 def verify_theorem1_reference(
     gram,
     factor,
@@ -296,10 +306,12 @@ def verify_theorem1_reference(
 ) -> OptimalityVerdict:
     """Theorem-1 oracle by one eigensolve of ``Y - W_r`` per state r, in O(n⁴).
 
-    Same inputs, errors and verdicts as the Theorem-1 half of
-    ``srm.certify``. Its optimal boundary note prints the minimum over all
-    r as the eigensolver returns it, where the library prints the
-    structural zero.
+    Takes any factor X with X†X = G. Y is Hermitian within ``tol_cond`` and
+    every downdate ``Y - x_r x_r†`` of its Hermitian part is PSD within
+    ``tol_psd``; a failed downdate is the witness before a failed
+    Hermiticity test. Its optimal boundary note prints the minimum over all
+    r as the eigensolver returns it, where ``srmlab check`` prints the
+    structural zero of a square-root measurement.
     """
     g = as_matrix(gram)
     x = as_matrix(factor)
@@ -343,87 +355,10 @@ def verify_theorem1_reference(
     return OptimalityVerdict(optimal=True, method="theorem1_oracle")
 
 
-def certify_eigh_reference(
-    gram,
-    factor,
-    *,
-    tol_cond: float = TOL_COND,
-    tol_psd: float = TOL_PSD,
-) -> tuple[OptimalityVerdict, OptimalityVerdict]:
-    """Theorem-2 and Theorem-1 verdicts from one ``eigh`` of Y = U Λ U†: ``srm.certify``'s reference.
-
-    Same inputs, errors, verdicts and witness texts as ``srm.certify``,
-    which tests positivity by Cholesky factorizations instead. Condition
-    (ii) reads λ_1 from the ``eigh``. The Theorem-1 screen takes
-    ``Σ_i |(U† X)[i, r]|² / (λ_i + tol_psd)`` for ``x_r† (Y + tol_psd I)⁻¹
-    x_r`` when ``λ_1 + tol_psd > 0`` and makes every r a candidate
-    otherwise; candidates are confirmed in increasing order.
-    """
-    g = as_matrix(gram)
-    x = as_matrix(factor)
-    if x.shape != g.shape:
-        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {g.shape}")
-    residual = float(np.abs(x.conj().T @ x - g).max())
-    if residual > TOL_RECON:
-        raise InvalidFactorization(
-            f"X†X differs from the Gram matrix by {residual:.3e} (tolerance {TOL_RECON:g})"
-        )
-    diag = np.diagonal(x)
-    weakest = float(np.abs(diag).min())
-    if weakest <= TOL_COND:
-        raise SingularFactor(
-            f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
-            "optimal factors have nonzero diagonals"
-        )
-
-    y = x * diag.conj()[None, :]
-    balance = np.abs(y - y.conj().T)
-    asymmetry = float(balance.max())
-    y = (y + y.conj().T) / 2.0
-    w, u = _eigh(y)
-    lowest = float(w[0])
-
-    if asymmetry > tol_cond:
-        i, j = np.unravel_index(int(balance.argmax()), balance.shape)
-        optimal2, witness2 = False, (
-            f"condition (i) fails at state pair ({i}, {j}): residual {asymmetry:.6e}"
-        )
-    elif lowest < -tol_psd:
-        optimal2, witness2 = False, f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}"
-    elif lowest <= tol_psd:
-        optimal2, witness2 = True, (
-            f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
-        )
-    else:
-        optimal2, witness2 = True, None
-
-    if asymmetry > tol_cond:
-        optimal1, witness1 = False, f"Y is not Hermitian: max asymmetry {asymmetry:.6e}"
-    else:
-        optimal1, witness1 = True, (
-            "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
-        )
-    candidates = range(len(x))
-    if w[0] + tol_psd > 0.0:
-        weights = (np.abs(u.conj().T @ x) ** 2 / (w + tol_psd)[:, None]).sum(axis=0)
-        candidates = np.flatnonzero(weights > 1.0 - 1e-12)
-    for r in candidates:
-        low = _min_eig(y - np.outer(x[:, r], x[:, r].conj()))
-        if low < -tol_psd:
-            optimal1, witness1 = False, f"Y - W_{r} has min eigenvalue {low:.6e}"
-            break
-    return (
-        OptimalityVerdict(optimal2, "theorem2", witness2),
-        OptimalityVerdict(optimal1, "theorem1_oracle", witness1),
-    )
-
-
 def check_theorem2_reference(
     factor, *, tol_cond: float = TOL_COND, tol_psd: float = TOL_PSD
 ) -> OptimalityVerdict:
-    """Theorem 2 by its own ``eigvalsh`` of Y and an SVD of X: ``srm.certify``'s reference.
-
-    Decides optimality of a candidate factor X of the Gram matrix.
+    """Theorem 2 on any factor X of the Gram, by its own ``eigvalsh`` of Y and an SVD of X.
 
     Condition (i) demands ``X[i,i] conj(X[j,i]) == X[i,j] conj(X[j,j])``
     for every pair, which is exactly Hermiticity of Y = X X_d† with
@@ -436,13 +371,13 @@ def check_theorem2_reference(
     diag = np.diagonal(x)
     weakest = float(np.abs(diag).min())
     if weakest <= TOL_COND:
-        raise SingularFactor(
+        raise NumericalError(
             f"factor has a vanishing diagonal entry (min |X[i,i]| = {weakest:.3e}); "
             "optimal factors have nonzero diagonals"
         )
     smallest_sv = float(np.linalg.svd(x, compute_uv=False)[-1])
     if smallest_sv <= tol_psd:
-        raise SingularFactor(f"factor is singular (min singular value {smallest_sv:.3e})")
+        raise NumericalError(f"factor is singular (min singular value {smallest_sv:.3e})")
 
     y = x * diag.conj()[None, :]
     balance = np.abs(y - y.conj().T)

@@ -44,8 +44,7 @@ from srmlab.constellations import (
 )
 from srmlab.errors import ReducibleBlock
 from srmlab.gus import block_diagonalize, fast_srm
-from srmlab.linalg import TOL_PSD
-from srmlab.srm import certify, certify_srm, channel_stats, check_theorem3, srm
+from srmlab.srm import _check_verdicts, certify_srm, channel_stats, check_theorem3, srm
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -88,7 +87,7 @@ def test_criterion_02_four_phase_optimality():
         gram = weighted_gram(ensemble)
         result = srm(gram)
         _record(result, gram)
-        _, verdict = certify(gram, result.factor)
+        _, verdict = _check_verdicts(result)
         all_optimal = all_optimal and verdict.optimal
         worst = max(worst, abs(result.pc - single_gus_pc(gram[0])))
     ok = all_optimal and worst <= 1e-10
@@ -122,21 +121,15 @@ def test_criterion_03_path_equivalence():
     )
 
 
-def _y_at_psd_edge(root) -> bool:
-    """Whether the lowest eigenvalue of the symmetrised Y = X X_d† lies within ±TOL_PSD of zero."""
-    y = root * np.diagonal(root).conj()[None, :]
-    return abs(float(np.linalg.eigvalsh((y + y.conj().T) / 2.0)[0])) <= TOL_PSD
-
-
 def test_criterion_04_verdict_concordance():
-    # Theorems 1 and 2 share the Cholesky tests of Y in ``certify``, so
-    # each verdict is also held to an independent reference: Theorem 2 with
-    # its own eigensolve and SVD, the O(n^4) oracle and per-block roots; on
-    # the GUS half, ``certify_srm`` on the fast path's rows is held to the oracle
+    # every verdict of ``srmlab check`` reads the one residual of the SRM,
+    # so each is held to an independent reference on an independent root:
+    # Theorem 2 with its own eigensolve and SVD, the O(n^4) Theorem-1 oracle
+    # and per-block roots; on the GUS half, ``certify_srm`` on the fast
+    # path's rows is held to the oracle too
     rng = np.random.default_rng(103)
     disagreements = 0
     compared = 0
-    boundary = 0
     theorem3_compared = 0
     srm_compared = 0
     for index in range(100):
@@ -146,14 +139,10 @@ def test_criterion_04_verdict_concordance():
         else:
             ensemble = random_gus_ensemble(rng, 1, n)
             gram = weighted_gram(ensemble)
+        result = srm(gram)
         root = principal_sqrt(gram)
-        pairwise, oracle = certify(gram, root)
+        pairwise, oracle = _check_verdicts(result)
         compared += 1
-        if pairwise.optimal != oracle.optimal:
-            if _y_at_psd_edge(root):
-                boundary += 1
-            else:
-                disagreements += 1
         if pairwise.optimal != check_theorem2_reference(root).optimal:
             disagreements += 1
         if oracle.optimal != verify_theorem1_reference(gram, root).optimal:
@@ -163,7 +152,7 @@ def test_criterion_04_verdict_concordance():
             if certify_srm(fast_srm(ensemble)).optimal != oracle.optimal:
                 disagreements += 1
         try:
-            blockwise = check_theorem3(gram, [range(n)], root)
+            blockwise = check_theorem3(gram, [range(n)], result.rows[:, :, 0])
         except ReducibleBlock:
             blockwise = None
         if blockwise is not None:
@@ -177,10 +166,9 @@ def test_criterion_04_verdict_concordance():
         4,
         "verdict concordance",
         ok,
-        f"{compared} theorem2 and {theorem3_compared} theorem3 comparisons, each also "
-        f"against its reference, {srm_compared} theorem1_srm against the oracle, "
-        f"{disagreements} disagreements, "
-        f"{boundary} theorem2 boundary cases",
+        f"{compared} theorem2 and theorem1_oracle and {theorem3_compared} theorem3 "
+        f"comparisons, each against its reference, {srm_compared} theorem1_srm against "
+        f"the oracle, {disagreements} disagreements",
     )
 
 
@@ -226,7 +214,9 @@ def test_criterion_06_optimized_prior():
         gram = weighted_gram(ensemble)
         result = fast_srm(ensemble)
         _record(result, gram)
-        all_certified = all_certified and certify(gram, result.factor)[1].optimal
+        all_certified = (
+            all_certified and verify_theorem1_reference(gram, result.factor).optimal
+        )
     bright = analysis.optimize_prior_4pam(math.sqrt(10.0))
     bright_ok = abs(bright - 0.25) < 0.01
     alpha = 1.0
@@ -312,7 +302,7 @@ def test_criterion_08_double_ppm():
             _, balanced = trace_criterion(root_spectrum)
             result = fast_srm(ensemble)
             _record(result, gram)
-            _, verdict = certify(gram, result.factor)
+            verdict = verify_theorem1_reference(gram, result.factor)
             all_optimal = all_optimal and balanced and verdict.optimal
             form = analysis.double_ppm_closed_form(m, alpha)
             factor = result.factor

@@ -324,10 +324,10 @@ class TestCheck:
         assert main(["check", str(one), "--tol-psd", "1", "--out", str(out)]) == EXIT_OK
         assert out.read_text().splitlines()[:3] == ["states 1", "pc 1", "pe 0"]
 
-    def test_condition_tolerance_leaves_the_diagonal_guard_alone(self, tmp_path):
-        # --tol-cond sets only the Hermiticity residual: the smallest |X[i, i]|
-        # of this 16-state root is 0.19, below the 0.5 given, and the
-        # vanishing-diagonal guard keeps its fixed scale
+    def test_condition_tolerance_bounds_only_the_residual(self, tmp_path):
+        # --tol-cond bounds the one residual: the smallest |X[i, i]| of this
+        # 16-state root is 0.19, below the 0.5 given, and that does not
+        # enter any verdict
         overlaps = circulant_from_row(make_psk(16, 2.0).rows[0, 0])
         lines = ["n 16", "priors " + " ".join([repr(1 / 16)] * 16)]
         for i, j in zip(*np.triu_indices(16, 1)):
@@ -370,30 +370,45 @@ class TestCheck:
         ]
 
     def test_one_decomposition_per_matrix(self, monkeypatch, tmp_path):
-        # one eigh of G (the one-bin stack) and none of Y: a Cholesky of
-        # Y - tol I when Y is Hermitian, one of Y + tol I for the Theorem-1
-        # screen, one eigvalsh per confirmed candidate, no SVD and no
+        # one eigh of G (the one-bin stack) and nothing else: every verdict
+        # reads the root's residual, so no Cholesky, solve, eigvalsh, SVD or
         # per-block root
         calls = counted_factorizations(monkeypatch)
-        optimal = {"eigvalsh": [], "cholesky": [(2, 2), (2, 2)]}
-        suboptimal = {"eigvalsh": [(2, 2)], "cholesky": [(2, 2)]}
-        for stem, counts in (("binary_equal", optimal), ("binary_biased", suboptimal)):
-            for log in calls.values():
-                log.clear()
-            assert self.run_check(f"{stem}.gram", tmp_path)[0] == EXIT_OK
-            assert calls == {"eigh": [(1, 2, 2)], "svd": [], **counts}
+        paths = [GRAMFILES / f"{stem}.gram" for stem in ("binary_equal", "binary_biased")]
         # seed 1 draws equal priors (optimal), seed 5 skewed ones (suboptimal)
         for seed, blocks in ((1, False), (1, True), (5, False), (5, True)):
-            path = tmp_path / "certify.gram"
+            path = tmp_path / f"certify{seed}{blocks:d}.gram"
             path.write_text("\n".join(gram_lines(np.random.default_rng(seed), 64, blocks)) + "\n")
+            paths.append(path)
+        for path in paths:
             for log in calls.values():
                 log.clear()
             assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
-            if seed == 5:
-                counts = {"eigvalsh": [(64, 64)], "cholesky": [(64, 64)]}
-            else:
-                counts = {"eigvalsh": [], "cholesky": [(64, 64), (64, 64)]}
-            assert calls == {"eigh": [(1, 64, 64)], "svd": [], **counts}
+            n = 2 if path.parent == GRAMFILES else 64
+            assert {name: log for name, log in calls.items() if log} == {"eigh": [(1, n, n)]}
+
+    @pytest.mark.parametrize("tol_cond", [None, "1e-9", "1e-6", "1e-3", "0.5"])
+    def test_no_report_pairs_an_optimal_line_with_a_suboptimal_one(self, tol_cond, tmp_path):
+        # every verdict reads the one residual under the one --tol-cond
+        paths = sorted(GRAMFILES.glob("*.gram"))
+        for n in (16, 64):
+            for blocks in (False, True):
+                for seed in range(4):
+                    rng = np.random.default_rng(8 * n + 2 * seed + blocks)
+                    path = tmp_path / f"case{n}_{blocks:d}_{seed}.gram"
+                    path.write_text("\n".join(gram_lines(rng, n, blocks)) + "\n")
+                    paths.append(path)
+        flags = [] if tol_cond is None else ["--tol-cond", tol_cond]
+        out = tmp_path / "report.txt"
+        seen = set()
+        for path in paths:
+            assert main(["check", str(path), *flags, "--out", str(out)]) == EXIT_OK
+            lines = out.read_text().splitlines()
+            words = {line.split()[1] for line in lines if line.startswith("theorem")}
+            assert words in ({"optimal"}, {"suboptimal"}), path.name
+            seen |= words
+        if tol_cond in (None, "1e-9"):
+            assert seen == {"optimal", "suboptimal"}
 
     def test_parse_error_has_line_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.gram"
@@ -733,7 +748,7 @@ def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
         classes.append(cls)
     bases = (errors.SrmLabError, errors.InputError, errors.NumericalError)
     leaves = [cls for cls in classes if cls not in bases]
-    assert len(leaves) == 10
+    assert len(leaves) == 9
     assert srmlab.InputError is errors.InputError
     assert srmlab.NumericalError is errors.NumericalError
     for cls in leaves:

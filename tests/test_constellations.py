@@ -334,6 +334,24 @@ class TestGusFromBase:
                 GusEnsemble(rows=rows, constellation_priors=priors)
             assert str(caught.value) == "overlaps must be finite"
 
+    @pytest.mark.parametrize("big", [3.0, 1e308, -1e308j, 1.5e308 + 1.5e308j])
+    def test_rejects_an_overlap_above_one(self, big):
+        # unit states overlap by at most 1; near the float maximum the
+        # mirror average would overflow, so the entry is refused before it,
+        # and a finite entry whose modulus overflows is named as such
+        rows = np.zeros((2, 2, 3), dtype=complex)
+        rows[0, 0, 0] = rows[1, 1, 0] = 1.0
+        rows[1, 0, 2] = big
+        rows[0, 1, 1] = np.conj(big)
+        with pytest.raises(ValueError) as caught:
+            GusEnsemble(rows=rows, constellation_priors=(1 / 6, 1 / 6))
+        assert str(caught.value) == f"overlap modulus {float(np.abs(big))!r} > 1 in block (0, 1)"
+
+    def test_accepts_a_unit_overlap_within_tolerance(self):
+        rows = np.array([[1.0, 1.0 + 0.5 * RULE_TOL], [1.0 + 0.5 * RULE_TOL, 1.0]])[:, :, None]
+        ensemble = GusEnsemble(rows=rows, constellation_priors=(0.5, 0.5))
+        assert ensemble.rows[0, 1, 0] == 1.0 + 0.5 * RULE_TOL
+
 
 class TestGusEnsembleInvariants:
     def test_rejects_wrong_base_size(self):

@@ -15,6 +15,7 @@ from helpers import (
     single_gus_pc,
     spectrum_to_matrix,
     trace_criterion,
+    verify_theorem1_reference,
 )
 from srmlab.analysis import (
     double_ppm_closed_form,
@@ -37,7 +38,7 @@ from srmlab.constellations import (
 from srmlab.errors import GramSingular
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.linalg import TOL_PSD, TOL_RECON, circulant_eigenvalues
-from srmlab.srm import certify, srm
+from srmlab.srm import srm
 
 
 class TestBlockDiagonalize:
@@ -163,8 +164,8 @@ class TestTraceCriterion:
         ens = make_double_bpsk(1.0, 3.0, 0.25)
         g, optimal = trace_criterion(block_sqrt(block_diagonalize(ens)))
         assert not optimal
-        _, oracle = certify(weighted_gram(ens), principal_sqrt(weighted_gram(ens)))
-        assert not oracle.optimal
+        gram = weighted_gram(ens)
+        assert not verify_theorem1_reference(gram, principal_sqrt(gram)).optimal
 
 
 class TestFastSrm:

@@ -30,7 +30,6 @@ EXPORTED = [
     "OptimalityVerdict",
     "PpmClosedForm",
     "ReducibleBlock",
-    "SingularFactor",
     "SrmLabError",
     "SrmResult",
     "SweepPoint",
@@ -39,7 +38,6 @@ EXPORTED = [
     "TOL_PSD",
     "TOL_RECON",
     "block_diagonalize",
-    "certify",
     "certify_srm",
     "channel_stats",
     "check_theorem3",

@@ -9,7 +9,6 @@ import pytest
 
 from helpers import (
     block_sqrt,
-    certify_eigh_reference,
     check_theorem2_reference,
     check_theorem3_reference,
     connected_reference,
@@ -17,7 +16,6 @@ from helpers import (
     dense_ensemble,
     gram_lines,
     principal_sqrt,
-    random_circulant_gram,
     random_gus_ensemble,
     random_unit_trace_gram,
     trace_criterion,
@@ -33,19 +31,15 @@ from srmlab.constellations import (
     make_psk,
     weighted_gram,
 )
-from srmlab.errors import (
-    GramSingular,
-    InvalidFactorization,
-    NotBlockDiagonal,
-    ReducibleBlock,
-    SingularFactor,
-)
+from srmlab.errors import GramSingular, InvalidFactorization, NotBlockDiagonal, ReducibleBlock
 from srmlab.linalg import TOL_PSD
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import (
     TOL_COND,
+    OptimalityVerdict,
+    _asymmetry,
+    _check_verdicts,
     _connected,
-    certify,
     certify_srm,
     channel_stats,
     check_theorem3,
@@ -124,58 +118,41 @@ class TestSrm:
             assert calls == [(1, n, n)]
 
 
-def factor_gram(x) -> np.ndarray:
-    """The Gram matrix X†X that a candidate factor X factorizes."""
-    x = np.asarray(x, dtype=complex)
-    return x.conj().T @ x
+def residual(result) -> float:
+    """The one residual of a square-root measurement, max |X_ij| |d_j - d_i|."""
+    return float(_asymmetry(result.rows).max())
 
 
-class TestCertifyTheorem2:
+class TestCheckVerdicts:
     def test_circulant_root_is_optimal(self):
-        g = weighted_gram(make_psk(4, 1.0))
-        verdict, _ = certify(g, principal_sqrt(g))
-        assert verdict.optimal
-        assert verdict.method == "theorem2"
+        pairwise, oracle = _check_verdicts(srm(weighted_gram(make_psk(4, 1.0))))
+        assert pairwise == OptimalityVerdict(True, "theorem2")
+        assert oracle == OptimalityVerdict(True, "theorem1_oracle", STRUCTURAL_ZERO)
 
-    def test_identity_factor_is_optimal(self):
-        x = np.eye(3) / math.sqrt(3)
-        verdict, _ = certify(factor_gram(x), x)
-        assert verdict.optimal
+    def test_orthogonal_states_are_optimal(self):
+        assert all(verdict.optimal for verdict in _check_verdicts(srm(np.eye(3) / 3)))
 
-    def test_biased_binary_root_fails_balance_condition(self):
+    def test_biased_binary_root_fails_both_at_the_one_residual(self):
         result = srm(binary_gram(0.3, 0.5))
-        verdict, oracle = certify(binary_gram(0.3, 0.5), result.factor)
-        assert not verdict.optimal
-        assert "condition (i)" in verdict.witness
-        # ground truth agrees
-        assert not oracle.optimal
-
-    def test_boundary_positivity_reports_optimal_with_note(self):
-        # Y = diag(1, 1e-12) sits inside the numerical zero band
-        x = np.diag([1.0, 1e-6])
-        verdict, _ = certify(factor_gram(x), x)
-        assert verdict.optimal
-        assert "boundary" in verdict.witness
-
-    def test_rejects_zero_diagonal(self):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(SingularFactor, match="vanishing diagonal"):
-            certify(factor_gram(x), x)
-
-    def test_singular_factor_reports_the_boundary(self):
-        # no SVD refuses a singular factor; its Y = X X_d† is singular too,
-        # so Theorem 2 reports lambda_min(Y) inside the zero band
-        x = np.array([[1.0, 1.0], [1.0, 1.0]])
-        verdict, oracle = certify(factor_gram(x), x)
-        assert verdict.optimal
-        lowest = float(verdict.witness.split()[6].rstrip(","))
-        assert verdict.witness == (
-            f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
+        pairwise, oracle = _check_verdicts(result)
+        worst = residual(result)
+        assert pairwise.witness == (
+            f"condition (i) fails at state pair (0, 1): residual {worst:.6e}"
         )
-        assert abs(lowest) <= TOL_PSD
-        assert oracle.optimal
-        with pytest.raises(SingularFactor, match="min singular value"):
-            check_theorem2_reference(x)
+        assert oracle.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
+        # the independent references agree
+        assert not check_theorem2_reference(result.factor).optimal
+        assert not verify_theorem1_reference(binary_gram(0.3, 0.5), result.factor).optimal
+
+    def test_tolerance_bounds_the_one_residual(self):
+        # the residual of the biased pair is 5.109562e-02: both verdicts
+        # flip together as tol_cond crosses it
+        result = srm(binary_gram(0.3, 0.5))
+        worst = residual(result)
+        assert f"{worst:.6e}" == "5.109562e-02"
+        for tol_cond, optimal in ((0.9 * worst, False), (worst, True), (0.06, True)):
+            verdicts = _check_verdicts(result, tol_cond=tol_cond)
+            assert [verdict.optimal for verdict in verdicts] == [optimal, optimal]
 
 
 class TestCheckTheorem3:
@@ -256,98 +233,70 @@ class TestCheckTheorem3:
             assert check_theorem3_reference(g, [range(4)], tol_cond=tol_cond).optimal
 
     def test_tolerated_leak_roots_each_block_on_its_own(self, monkeypatch):
-        # a weighted cross-block entry of 0.022 moves the full root's diagonal
-        # by O(0.022^2); with tol_cond above it, the spreads come from the
-        # blocks' own roots, as in the reference, and not from the factor
+        # a weighted cross-block entry of 0.0045 moves the full root's
+        # diagonal by O(0.0045^2); with tol_cond above it, the residual and
+        # the spreads come from the blocks' own roots, as in the reference,
+        # and not from the factor
         g = weighted_gram(dense_ensemble([0.2, 0.3, 0.25, 0.25], [
-            [1.0, 0.4, 0.1, 0.0],
+            [1.0, 0.4, 0.02, 0.0],
             [0.4, 1.0, 0.0, 0.0],
-            [0.1, 0.0, 1.0, 0.3],
+            [0.02, 0.0, 1.0, 0.3],
             [0.0, 0.0, 0.3, 1.0],
         ]))
         blocks = [(0, 1), (2, 3)]
         factor = principal_sqrt(g)
         calls = counted_factorizations(monkeypatch)
-        verdict = check_theorem3(g, blocks, factor, tol_cond=0.05)
+        verdict = check_theorem3(g, blocks, factor, tol_cond=0.005)
         assert calls["eigh"] == [(2, 2), (2, 2)]
-        assert verdict == check_theorem3_reference(g, blocks, tol_cond=0.05)
+        assert verdict == check_theorem3_reference(g, blocks, tol_cond=0.005)
         spread = np.ptp(np.diagonal(principal_sqrt(g[:2, :2])).real)
         assert verdict.witness == f"block 0: square-root diagonal entries spread by {spread:.6e}"
-        assert abs(spread - np.ptp(np.diagonal(factor)[:2].real)) > 1e-6
+        assert abs(spread - np.ptp(np.diagonal(factor)[:2].real)) > 1e-5
 
     def test_reads_the_root_it_is_given(self, monkeypatch):
-        # the per-block spreads come from the factor's diagonal: no block is
-        # factored again, and a factor with a flat diagonal per block passes
+        # the residual comes from the factor: no block is factored again,
+        # and a factor with a flat diagonal per block passes
         g = binary_gram(0.3, 0.5)
         calls = counted_factorizations(monkeypatch)
         verdict = check_theorem3(g, [(0, 1)], np.diag([0.6, 0.6]))
         assert verdict.optimal
-        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": []}
+        assert not any(calls.values())
 
-
-class TestCertifyTheorem1:
-    def test_four_phase_root_is_optimal(self):
-        g = weighted_gram(make_psk(4, 1.0))
-        _, verdict = certify(g, principal_sqrt(g))
-        assert verdict.optimal
-        assert verdict.method == "theorem1_oracle"
-
-    def test_identity(self):
-        g = np.eye(3) / 3
-        _, verdict = certify(g, principal_sqrt(g))
-        assert verdict.optimal
-
-    def test_biased_binary_root_is_suboptimal(self):
+    def test_tolerance_bounds_the_residual_not_the_spread(self):
+        # the biased pair's root diagonal spreads by 0.30, and its residual
+        # is |X_01| = 0.17 times that: a tol_cond between the two passes
+        # Theorem 3 with Theorem 2, where the reference still fails the spread
         g = binary_gram(0.3, 0.5)
-        _, verdict = certify(g, principal_sqrt(g))
-        assert not verdict.optimal
-        assert "min eigenvalue" in verdict.witness
-
-    def test_rejects_invalid_factorization(self):
-        g = binary_gram(0.5, 0.5)
-        with pytest.raises(InvalidFactorization):
-            certify(g, np.eye(2))
-        with pytest.raises(InvalidFactorization, match="factor shape"):
-            certify(g, np.eye(3))
-
-    def test_accepts_any_valid_factor(self):
-        # a unitary rotation of the root is still a factorization; the
-        # oracle must accept the input and judge it on its own merits
-        rng = np.random.default_rng(41)
-        g = random_unit_trace_gram(rng, 4)
-        root = principal_sqrt(g)
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u, _ = np.linalg.qr(z)
-        _, verdict = certify(g, u @ root)
-        assert verdict.method == "theorem1_oracle"
-
-    def test_agrees_with_theorem2_on_random_grams(self):
-        rng = np.random.default_rng(43)
-        for _ in range(25):
-            n = int(rng.integers(2, 8))
-            g = random_unit_trace_gram(rng, n)
-            pairwise, oracle = certify(g, principal_sqrt(g))
-            assert pairwise.optimal == oracle.optimal
-
-    def test_agrees_with_theorem2_on_circulant_grams(self):
-        rng = np.random.default_rng(47)
-        for _ in range(25):
-            m = int(rng.integers(2, 9))
-            g = random_circulant_gram(rng, m)
-            pairwise, oracle = certify(g, principal_sqrt(g))
-            assert pairwise.optimal and oracle.optimal
+        result = srm(g)
+        root = result.rows[:, :, 0]
+        spread = float(np.ptp(root.diagonal().real))
+        worst = residual(result)
+        assert 2 * worst < spread
+        assert check_theorem3(g, [(0, 1)], root, tol_cond=0.9 * worst).witness == (
+            f"block 0: square-root diagonal entries spread by {spread:.6e}"
+        )
+        assert check_theorem3(g, [(0, 1)], root, tol_cond=2 * worst).optimal
+        assert _check_verdicts(result, tol_cond=2 * worst)[0].optimal
+        assert not check_theorem3_reference(g, [(0, 1)], tol_cond=2 * worst).optimal
 
 
-def assert_matches_reference(gram, factor) -> bool:
-    """Same verdict as the O(n⁴) reference, and for suboptimal factors the same witness."""
-    _, fast = certify(gram, factor)
-    slow = verify_theorem1_reference(gram, factor)
+def assert_matches_reference(gram) -> bool:
+    """The residual verdict on ``srm(gram)`` against the O(n⁴) reference on the same root.
+
+    A suboptimal verdict's residual is the Hermiticity defect of Y up to
+    rounding; the reference may name a failed downdate instead.
+    """
+    result = srm(gram)
+    _, fast = _check_verdicts(result)
+    slow = verify_theorem1_reference(gram, result.factor)
     assert fast.optimal == slow.optimal
     if fast.optimal:
         assert fast.witness == STRUCTURAL_ZERO
         assert slow.witness.startswith("boundary: ")
     else:
-        assert fast.witness == slow.witness
+        worst = residual(result)
+        assert fast.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
+        assert worst == pytest.approx(dense_asymmetry(result.factor), rel=1e-6)
     return fast.optimal
 
 
@@ -360,34 +309,8 @@ def certify_gram(rng, n: int, skewed: bool) -> np.ndarray:
     return weighted_gram(dense_ensemble(priors / priors.sum(), overlaps))
 
 
-EIGH_TOLERANCES = [
-    {},
-    {"tol_psd": 1e-6},
-    {"tol_cond": 1e-4},
-    {"tol_psd": 1e-14, "tol_cond": 1e-12},
-]
-
-
-def rotated_factor() -> tuple[np.ndarray, np.ndarray]:
-    """A four-phase root rotated by exp(i eps H): X†X = G still holds, but Y is not Hermitian."""
-    gram = weighted_gram(make_psk(4, 1.0))
-    rng = np.random.default_rng(5)
-    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
-    return gram, (v * np.exp(1e-7j * w)) @ v.conj().T @ principal_sqrt(gram)
-
-
-def factor_of_y(y) -> tuple[np.ndarray, np.ndarray]:
-    """The factor X[j, k] = Y[j, k] / sqrt(Y[k, k]), whose Y is exactly ``y``, and its Gram."""
-    x = np.asarray(y, dtype=complex) / np.sqrt(np.diagonal(y).real)[None, :]
-    return factor_gram(x), x
-
-
-INDEFINITE_Y = np.array([[1.0, 2.0j, 0.5], [-2.0j, 1.0, 0.3], [0.5, 0.3, 2.0]])
-
-
 class TestTheorem1Reduction:
-    """The O(n³) Theorem-1 oracle of ``certify`` against the per-state reference loop."""
+    """On the square-root measurement, Y Hermitian decides Theorem 1: the per-state loop agrees."""
 
     def test_matches_reference_on_random_ensembles(self):
         rng = np.random.default_rng(107)
@@ -398,200 +321,82 @@ class TestTheorem1Reduction:
                 gram = random_unit_trace_gram(rng, n)
             else:
                 gram = weighted_gram(random_gus_ensemble(rng, index % 4, n))
-            root = principal_sqrt(gram)
-            verdicts.add(assert_matches_reference(gram, root))
-            u, _ = np.linalg.qr(rng.normal(size=gram.shape) + 1j * rng.normal(size=gram.shape))
-            verdicts.add(assert_matches_reference(gram, u @ root))
+            verdicts.add(assert_matches_reference(gram))
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_matches_reference_on_circulant_grams(self, n):
         rng = np.random.default_rng(n)
         for skewed in (False, True):
-            gram = certify_gram(rng, n, skewed)
-            assert assert_matches_reference(gram, srm(gram).factor) == (not skewed)
+            assert assert_matches_reference(certify_gram(rng, n, skewed)) == (not skewed)
 
     @pytest.mark.parametrize("stem", ["binary_equal", "binary_biased", "identity3"])
     def test_matches_reference_on_gram_files(self, stem):
         constellation, _ = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
         gram = weighted_gram(constellation)
-        assert assert_matches_reference(gram, srm(gram).factor) == (stem != "binary_biased")
+        assert assert_matches_reference(gram) == (stem != "binary_biased")
 
-    def test_non_hermitian_y_matches_reference(self):
-        gram, factor = rotated_factor()
-        assert not assert_matches_reference(gram, factor)
-        assert certify(gram, factor)[1].witness == "Y is not Hermitian: max asymmetry 3.099467e-08"
-
-    def test_indefinite_hermitian_y_fails_at_the_first_state(self):
-        # X[j, k] = Y[j, k] / sqrt(Y[k, k]) gives back exactly this Y, so
-        # condition (i) holds and condition (ii) fails; by interlacing the
-        # first downdate already dips below Y's lowest eigenvalue
-        lowest = np.linalg.eigvalsh(INDEFINITE_Y)[0]
-        assert lowest < -TOL_PSD
-        gram, x = factor_of_y(INDEFINITE_Y)
-        pairwise, fast = certify(gram, x)
-        assert pairwise.witness.startswith("condition (ii) fails")
-        slow = verify_theorem1_reference(gram, x)
-        assert not fast.optimal
-        assert fast.witness == slow.witness
-        assert fast.witness.startswith("Y - W_0 has min eigenvalue ")
-        assert float(fast.witness.rsplit(" ", 1)[1]) <= lowest
-
-    def test_two_choleskys_and_no_eigensolve_of_an_optimal_factor(self, monkeypatch):
-        gram = weighted_gram(make_ppm(64, 1.0))
-        factor = srm(gram).factor
+    def test_no_factorization_after_the_root(self, monkeypatch):
+        optimal = srm(weighted_gram(make_ppm(64, 1.0)))
+        biased = srm(weighted_gram(load_gram_file(str(GRAMFILES / "binary_biased.gram"))[0]))
         calls = counted_factorizations(monkeypatch)
-        assert all(verdict.optimal for verdict in certify(gram, factor))
-        assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "cholesky": [(64, 64), (64, 64)]}
-
-    def test_one_confirming_eigensolve_of_a_suboptimal_factor(self, monkeypatch):
-        constellation, _ = load_gram_file(str(GRAMFILES / "binary_biased.gram"))
-        gram = weighted_gram(constellation)
-        factor = srm(gram).factor
-        calls = counted_factorizations(monkeypatch)
-        assert certify(gram, factor)[1].witness == "Y - W_0 has min eigenvalue -1.015895e-03"
-        assert calls == {"eigh": [], "eigvalsh": [(2, 2)], "svd": [], "cholesky": [(2, 2)]}
-
-
-class TestCertifyMatchesEighReference:
-    """The Cholesky tests of ``certify`` give the verdicts and witnesses of one ``eigh`` of Y."""
-
-    @staticmethod
-    def assert_same(gram, factor, tols):
-        verdicts = certify(gram, factor, **tols)
-        assert verdicts == certify_eigh_reference(gram, factor, **tols)
-        return verdicts
-
-    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
-    def test_criterion_04_generators(self, tols):
-        rng = np.random.default_rng(103)
-        verdicts = set()
-        for index in range(100):
-            n = int(rng.integers(2, 9))
-            if index % 2 == 0:
-                gram = random_unit_trace_gram(rng, n)
-            else:
-                gram = weighted_gram(random_gus_ensemble(rng, 1, n))
-            verdicts.add(self.assert_same(gram, principal_sqrt(gram), tols)[1].optimal)
-        assert verdicts == {True, False}
-
-    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
-    @pytest.mark.parametrize("n", [16, 64, 128])
-    def test_circulant_grams(self, n, tols):
-        rng = np.random.default_rng(n)
-        for skewed in (False, True):
-            gram = certify_gram(rng, n, skewed)
-            verdicts = self.assert_same(gram, srm(gram).factor, tols)
-            assert [verdict.optimal for verdict in verdicts] == [not skewed] * 2
-
-    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
-    def test_gram_files_and_special_factors(self, tols):
-        for stem in ("binary_equal", "binary_biased", "identity3"):
-            constellation, _ = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
-            gram = weighted_gram(constellation)
-            self.assert_same(gram, srm(gram).factor, tols)
-        witnesses = [self.assert_same(*rotated_factor(), tols)[0].witness]
-        for x in (np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, 1e-6])):
-            witnesses.append(self.assert_same(factor_gram(x), x, tols)[0].witness)
-        if not tols:
-            assert witnesses[0].startswith("condition (i) fails")
-            assert all(witness.startswith("boundary: ") for witness in witnesses[1:])
-
-    @pytest.mark.parametrize("tols", EIGH_TOLERANCES)
-    def test_every_state_is_a_candidate_when_y_plus_tol_is_indefinite(self, tols):
-        # the screen's Cholesky fails, so every r is confirmed in order
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(INDEFINITE_Y + tols.get("tol_psd", TOL_PSD) * np.eye(3))
-        pairwise, oracle = self.assert_same(*factor_of_y(INDEFINITE_Y), tols)
-        assert pairwise.witness.startswith("condition (ii) fails")
-        assert oracle.witness.startswith("Y - W_0 has min eigenvalue ")
-
-    def test_rank_deficient_y_prints_its_rounding_noise(self):
-        # a singular PSD Y has lambda_1 at rounding level, and eigvalsh and
-        # eigh return different noise there: the boundary notes agree in
-        # every word but that value, which both keep inside the zero band
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            a = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
-            gram, x = factor_of_y(a @ a.conj().T)
-            pairwise, oracle = certify(gram, x)
-            pairwise_ref, oracle_ref = certify_eigh_reference(gram, x)
-            assert oracle == oracle_ref
-            for verdict in (pairwise, pairwise_ref):
-                assert verdict.optimal
-                lowest = float(verdict.witness.split()[6].rstrip(","))
-                assert verdict.witness == (
-                    f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band"
-                )
-                assert abs(lowest) <= TOL_PSD
-
-    @pytest.mark.parametrize("n, tol_psd", [(16, TOL_PSD), (128, 1e-14)])
-    @pytest.mark.parametrize("edge", [1.0, -1.0])
-    def test_lambda_1_at_the_band_edge_differs_only_by_rounding(self, n, tol_psd, edge):
-        # with lambda_1 of Y placed on +tol_psd or -tol_psd, the Cholesky of
-        # Y - tol_psd I and eigvalsh answer on either side of that edge as
-        # rounding falls, and eigh may answer on the other: a missing or
-        # extra boundary note at +tol_psd, optimal against a condition (ii)
-        # failure at -tol_psd. Elsewhere the verdicts and notes agree, and a
-        # printed lambda_1 differs from eigh's by rounding only
-        rng = np.random.default_rng(n)
-        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-        noise = 8 * n * np.finfo(float).eps * 1.5
-        for lam in (edge * tol_psd, edge * tol_psd + 4 * noise, edge * tol_psd - 4 * noise):
-            spectrum = np.concatenate([[lam], rng.uniform(0.5, 1.5, n - 1)])
-            y = (q * spectrum) @ q.conj().T
-            gram, x = factor_of_y((y + y.conj().T) / 2.0)
-            pairwise = certify(gram, x, tol_psd=tol_psd)[0]
-            reference = certify_eigh_reference(gram, x, tol_psd=tol_psd)[0]
-            if lam != edge * tol_psd:
-                assert pairwise.optimal == reference.optimal
-                assert (pairwise.witness is None) == (reference.witness is None)
-            for verdict in (pairwise, reference):
-                if verdict.witness:
-                    printed = float(verdict.witness.split(" is ")[1].split(",")[0])
-                    assert abs(printed - lam) <= noise
+        assert _check_verdicts(optimal)[1].witness == STRUCTURAL_ZERO
+        assert _check_verdicts(biased)[1].witness == "Y is not Hermitian: max asymmetry 5.109562e-02"
+        assert not any(calls.values())
 
 
 def outcome(certificate, *args, **kwargs):
     """What a certificate returns, or the type and text of the error it raises."""
     try:
         return certificate(*args, **kwargs)
-    except (NotBlockDiagonal, ReducibleBlock, SingularFactor, InvalidFactorization, ValueError) as exc:
+    except (NotBlockDiagonal, ReducibleBlock, InvalidFactorization, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
 def assert_certificates_match_references(gram, blocks, *, tol_cond, tol_psd) -> bool | None:
-    """``certify`` and ``check_theorem3`` on the SRM root against the independent references.
+    """The residual verdicts on the SRM root against the independent references.
 
-    Verdicts, witness texts and errors must be equal; an optimal Theorem-1
-    verdict prints the structural zero where the reference prints its
-    eigensolver's minimum. Returns the Theorem-1 verdict, or None when
-    ``srm`` refuses the Gram matrix, as ``srmlab check`` would.
+    A residual above ``tol_cond`` fails every verdict, with the references'
+    Theorem-2 and Theorem-3 witnesses. Below it every verdict passes, and a
+    reference may fail only if the residual exceeds the default ``TOL_COND``:
+    the tolerance then accepted a Y that is not Hermitian, on which the
+    references' further tests (Y positive definite, every downdate PSD, a
+    flat diagonal per block) can fail. ``check_theorem3`` raises the
+    reference's errors. Returns the Theorem-1 verdict, or None when ``srm``
+    refuses the Gram matrix, as ``srmlab check`` would.
     """
     try:
-        factor = srm(gram, tol_psd=tol_psd).factor
+        result = srm(gram, tol_psd=tol_psd)
     except GramSingular:
         return None
+    factor = result.factor
     tols = {"tol_cond": tol_cond, "tol_psd": tol_psd}
+    worst = residual(result)
+    pairwise, oracle = _check_verdicts(result, tol_cond=tol_cond)
+    verdicts = [
+        (pairwise, check_theorem2_reference(factor, **tols)),
+        (oracle, verify_theorem1_reference(gram, factor, **tols)),
+    ]
     if blocks is not None:
-        assert outcome(check_theorem3, gram, blocks, factor, tol_cond=tol_cond) == outcome(
-            check_theorem3_reference, gram, blocks, **tols
-        )
-    verdicts = outcome(certify, gram, factor, **tols)
-    pairwise = outcome(check_theorem2_reference, factor, **tols)
-    if isinstance(verdicts[0], str):  # an error's name and text
-        assert verdicts == pairwise
-        return None
-    assert verdicts[0] == pairwise
-    fast, slow = verdicts[1], verify_theorem1_reference(gram, factor, **tols)
-    assert fast.optimal == slow.optimal
-    if fast.optimal:
-        assert fast.witness == STRUCTURAL_ZERO
-        assert slow.witness.startswith("boundary: ")
+        blockwise = outcome(check_theorem3, gram, blocks, result.rows[:, :, 0], tol_cond=tol_cond)
+        reference = outcome(check_theorem3_reference, gram, blocks, **tols)
+        if isinstance(blockwise, tuple):  # an error's name and text
+            assert blockwise == reference
+        else:
+            verdicts.append((blockwise, reference))
+    assert pairwise.optimal == oracle.optimal == (worst <= tol_cond)
+    for verdict, reference in verdicts:
+        if not verdict.optimal:
+            assert not reference.optimal
+            if verdict.method != "theorem1_oracle":
+                assert verdict == reference
+        elif not reference.optimal:
+            assert worst > TOL_COND
+    if pairwise.optimal:
+        assert oracle.witness == STRUCTURAL_ZERO
     else:
-        assert fast.witness == slow.witness
-    return fast.optimal
+        assert oracle.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
+    return oracle.optimal
 
 
 def read_gram(lines, tmp_path):
@@ -650,14 +455,15 @@ class TestCertificatesMatchReferences:
         if tol_psd < 0.25 and tol_cond < 0.5:
             assert False in verdicts
 
+    @pytest.mark.parametrize("tol_psd, tol_cond", [(TOL_PSD, TOL_COND), (1e-12, 1e-3), (1e-3, 0.5)])
     @pytest.mark.parametrize("n", [16, 64, 128])
     @pytest.mark.parametrize("blocks", [False, True])
-    def test_certify_style_files(self, n, blocks, tmp_path):
+    def test_certify_style_files(self, n, blocks, tol_psd, tol_cond, tmp_path):
         for seed in range(2):
             rng = np.random.default_rng(4 * n + 2 * blocks + seed)
             gram, partition = read_gram(gram_lines(rng, n, blocks), tmp_path)
             verdict = assert_certificates_match_references(
-                gram, partition, tol_cond=TOL_COND, tol_psd=TOL_PSD
+                gram, partition, tol_cond=tol_cond, tol_psd=tol_psd
             )
             assert verdict is not None
 
@@ -708,10 +514,11 @@ class TestCertifySrm:
             result = fast_srm(ensemble)
             gram = weighted_gram(ensemble)
             verdict = certify_srm(result)
-            assert verdict.optimal == certify(gram, result.factor)[1].optimal
             assert verdict.optimal == verify_theorem1_reference(gram, result.factor).optimal
-            # a dense root is the case m = 1
-            assert certify_srm(srm(gram)).optimal == verdict.optimal
+            # a dense root is the case m = 1, which `srmlab check` reads
+            dense = srm(gram)
+            assert certify_srm(dense).optimal == verdict.optimal
+            assert _check_verdicts(dense)[1].optimal == verdict.optimal
             asymmetry = dense_asymmetry(result.factor)
             if verdict.optimal:
                 assert verdict.witness is None
@@ -728,7 +535,7 @@ class TestCertifySrm:
         ensemble = orthogonal_pair(m)
         result = fast_srm(ensemble)
         assert certify_srm(result).optimal
-        assert certify(weighted_gram(ensemble), result.factor)[1].optimal
+        assert verify_theorem1_reference(weighted_gram(ensemble), result.factor).optimal
         g, equal = trace_criterion(block_sqrt(block_diagonalize(ensemble)))
         assert not equal and abs(g[0] - g[1]) > 0.1
 
@@ -741,7 +548,7 @@ class TestCertifySrm:
     def test_fig23_point_takes_one_batched_eigh(self, monkeypatch):
         calls = counted_factorizations(monkeypatch)
         (row,) = rows_fig23([1.0], TOL_PSD)
-        assert calls == {"eigh": [(2, 2, 2)], "eigvalsh": [], "svd": [], "cholesky": []}
+        assert {name: log for name, log in calls.items() if log} == {"eigh": [(2, 2, 2)]}
         assert row["p_star"] == optimize_prior_4pam(1.0)
 
 
