@@ -31,6 +31,7 @@ from srmlab.cli import (
     parse_int_list,
 )
 from srmlab.constellations import make_psk, weighted_gram
+from srmlab.srm import SrmResult
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -386,6 +387,22 @@ class TestCheck:
             assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
             n = 2 if path.parent == GRAMFILES else 64
             assert {name: log for name, log in calls.items() if log} == {"eigh": [(1, n, n)]}
+
+    def test_never_builds_the_dense_factor(self, monkeypatch, tmp_path):
+        # every verdict reads the root's one-bin rows, so the dense
+        # `SrmResult.factor` is never assembled
+        def refuse(result):
+            raise AssertionError("check read SrmResult.factor")
+
+        monkeypatch.setattr(SrmResult, "factor", property(refuse))
+        paths = sorted(GRAMFILES.glob("*.gram"))
+        for seed, blocks in ((1, True), (5, True), (5, False)):
+            path = tmp_path / f"certify{seed}{blocks:d}.gram"
+            path.write_text("\n".join(gram_lines(np.random.default_rng(seed), 16, blocks)) + "\n")
+            paths.append(path)
+        for path in paths:
+            assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
+            assert "theorem1_oracle" in (tmp_path / "report.txt").read_text()
 
     @pytest.mark.parametrize("tol_cond", [None, "1e-9", "1e-6", "1e-3", "0.5"])
     def test_no_report_pairs_an_optimal_line_with_a_suboptimal_one(self, tol_cond, tmp_path):

@@ -16,6 +16,7 @@ from helpers import (
     dense_ensemble,
     gram_lines,
     principal_sqrt,
+    random_circulant_gram,
     random_gus_ensemble,
     random_unit_trace_gram,
     trace_criterion,
@@ -31,7 +32,13 @@ from srmlab.constellations import (
     make_psk,
     weighted_gram,
 )
-from srmlab.errors import GramSingular, InvalidFactorization, NotBlockDiagonal, ReducibleBlock
+from srmlab.errors import (
+    GramSingular,
+    InvalidFactorization,
+    NotBlockDiagonal,
+    NumericalError,
+    ReducibleBlock,
+)
 from srmlab.linalg import TOL_PSD
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import (
@@ -343,6 +350,158 @@ class TestTheorem1Reduction:
         assert _check_verdicts(optimal)[1].witness == STRUCTURAL_ZERO
         assert _check_verdicts(biased)[1].witness == "Y is not Hermitian: max asymmetry 5.109562e-02"
         assert not any(calls.values())
+
+
+def factor_gram(x) -> np.ndarray:
+    """The Gram matrix X†X that a candidate factor X factorizes."""
+    x = np.asarray(x, dtype=complex)
+    return x.conj().T @ x
+
+
+def rotated_factor() -> tuple[np.ndarray, np.ndarray]:
+    """A four-phase root rotated by exp(i eps H): X†X = G still holds, but Y is not Hermitian."""
+    gram = weighted_gram(make_psk(4, 1.0))
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    w, v = np.linalg.eigh((z + z.conj().T) / 2.0)
+    return gram, (v * np.exp(1e-7j * w)) @ v.conj().T @ principal_sqrt(gram)
+
+
+def factor_of_y(y) -> tuple[np.ndarray, np.ndarray]:
+    """The factor X[j, k] = Y[j, k] / sqrt(Y[k, k]), whose Y is exactly ``y``, and its Gram."""
+    x = np.asarray(y, dtype=complex) / np.sqrt(np.diagonal(y).real)[None, :]
+    return factor_gram(x), x
+
+
+INDEFINITE_Y = np.array([[1.0, 2.0j, 0.5], [-2.0j, 1.0, 0.3], [0.5, 0.3, 2.0]])
+
+
+class TestTheorem2Reference:
+    """Theorem 2 on factors other than the root, which only the reference judges."""
+
+    def test_circulant_root_is_optimal(self):
+        g = weighted_gram(make_psk(4, 1.0))
+        verdict = check_theorem2_reference(principal_sqrt(g))
+        assert verdict.optimal
+        assert verdict.method == "theorem2"
+
+    def test_identity_factor_is_optimal(self):
+        assert check_theorem2_reference(np.eye(3) / math.sqrt(3)).optimal
+
+    def test_biased_binary_root_fails_balance_condition(self):
+        # the same pair and residual as the library's one-residual verdict
+        result = srm(binary_gram(0.3, 0.5))
+        verdict = check_theorem2_reference(result.factor)
+        assert not verdict.optimal
+        assert verdict.witness == _check_verdicts(result)[0].witness
+
+    def test_rotated_root_fails_condition_i(self):
+        _, factor = rotated_factor()
+        verdict = check_theorem2_reference(factor)
+        assert verdict.witness.startswith("condition (i) fails at state pair")
+        assert verdict.witness.endswith(f"residual {dense_asymmetry(factor):.6e}")
+
+    def test_boundary_positivity_reports_optimal_with_note(self):
+        # Y = diag(1, 1e-12) sits inside the numerical zero band
+        verdict = check_theorem2_reference(np.diag([1.0, 1e-6]))
+        assert verdict.optimal
+        assert verdict.witness.startswith("boundary: min eigenvalue of Y is ")
+
+    def test_indefinite_hermitian_y_fails_condition_ii(self):
+        lowest = np.linalg.eigvalsh(INDEFINITE_Y)[0]
+        _, x = factor_of_y(INDEFINITE_Y)
+        assert check_theorem2_reference(x).witness == (
+            f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}"
+        )
+
+    def test_rejects_zero_diagonal(self):
+        with pytest.raises(NumericalError, match="vanishing diagonal"):
+            check_theorem2_reference(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_rejects_a_singular_factor(self):
+        with pytest.raises(NumericalError, match="min singular value"):
+            check_theorem2_reference(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+class TestTheorem1Reference:
+    """The O(n⁴) Theorem-1 oracle on factors other than the root, which only it judges."""
+
+    def test_four_phase_root_is_optimal(self):
+        g = weighted_gram(make_psk(4, 1.0))
+        verdict = verify_theorem1_reference(g, principal_sqrt(g))
+        assert verdict.optimal
+        assert verdict.method == "theorem1_oracle"
+
+    def test_identity(self):
+        g = np.eye(3) / 3
+        assert verify_theorem1_reference(g, principal_sqrt(g)).optimal
+
+    def test_biased_binary_root_is_suboptimal(self):
+        # the downdate eigenvalue that `srmlab check` printed before it
+        # decided by the one residual
+        g = binary_gram(0.3, 0.5)
+        verdict = verify_theorem1_reference(g, principal_sqrt(g))
+        assert verdict.witness == "Y - W_0 has min eigenvalue -1.015895e-03"
+
+    def test_rejects_invalid_factorization(self):
+        g = binary_gram(0.5, 0.5)
+        with pytest.raises(InvalidFactorization, match="differs from the Gram matrix"):
+            verify_theorem1_reference(g, np.eye(2))
+        with pytest.raises(InvalidFactorization, match="factor shape"):
+            verify_theorem1_reference(g, np.eye(3))
+
+    def test_accepts_any_valid_factor(self):
+        # a unitary rotation of the root is still a factorization; the
+        # oracle must accept the input and judge it on its own merits
+        rng = np.random.default_rng(41)
+        g = random_unit_trace_gram(rng, 4)
+        root = principal_sqrt(g)
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        u, _ = np.linalg.qr(z)
+        verdict = verify_theorem1_reference(g, u @ root)
+        assert verdict.method == "theorem1_oracle"
+        assert verdict.optimal == (dense_asymmetry(u @ root) <= TOL_COND)
+
+    def test_singular_factor_is_on_the_boundary(self):
+        # Theorem 2's reference refuses this factor; the downdates of its
+        # singular Y sit at zero
+        x = np.array([[1.0, 1.0], [1.0, 1.0]])
+        verdict = verify_theorem1_reference(factor_gram(x), x)
+        assert verdict.optimal
+        assert verdict.witness.startswith("boundary: min eigenvalue over Y - W_r is ")
+
+    def test_agrees_with_theorem2_on_random_grams(self):
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            n = int(rng.integers(2, 8))
+            g = random_unit_trace_gram(rng, n)
+            root = principal_sqrt(g)
+            oracle = verify_theorem1_reference(g, root)
+            assert check_theorem2_reference(root).optimal == oracle.optimal
+
+    def test_agrees_with_theorem2_on_circulant_grams(self):
+        rng = np.random.default_rng(47)
+        for _ in range(25):
+            g = random_circulant_gram(rng, int(rng.integers(2, 9)))
+            root = principal_sqrt(g)
+            assert check_theorem2_reference(root).optimal
+            assert verify_theorem1_reference(g, root).optimal
+
+    def test_non_hermitian_y_fails_without_a_failed_downdate(self):
+        gram, factor = rotated_factor()
+        verdict = verify_theorem1_reference(gram, factor)
+        assert verdict.witness == "Y is not Hermitian: max asymmetry 3.099467e-08"
+
+    def test_indefinite_hermitian_y_fails_at_the_first_state(self):
+        # X[j, k] = Y[j, k] / sqrt(Y[k, k]) gives back exactly this Y, so
+        # condition (i) holds and condition (ii) fails; by interlacing the
+        # first downdate already dips below Y's lowest eigenvalue
+        lowest = np.linalg.eigvalsh(INDEFINITE_Y)[0]
+        assert lowest < -TOL_PSD
+        gram, x = factor_of_y(INDEFINITE_Y)
+        verdict = verify_theorem1_reference(gram, x)
+        assert verdict.witness.startswith("Y - W_0 has min eigenvalue ")
+        assert float(verdict.witness.rsplit(" ", 1)[1]) <= lowest
 
 
 def outcome(certificate, *args, **kwargs):
