@@ -26,13 +26,14 @@ from . import analysis
 from .constellations import RULE_TOL, GusEnsemble, make_double_bpsk, weighted_gram
 from .errors import (
     GramFileError,
+    GramSingular,
     InputError,
     InvalidPrior,
     NotBlockDiagonal,
     NumericalError,
     ReducibleBlock,
 )
-from .gus import fast_srm
+from .gus import _fast_srms, fast_srm
 from .linalg import TOL_PSD, TOL_RECON
 from .srm import TOL_COND, _check_verdicts, certify_srm, check_theorem3, srm
 
@@ -153,23 +154,31 @@ def write_dataset(columns: list[str], rows: list[dict], args) -> int:
 
 
 def rows_fig1(grid, deltas, tol_psd: float) -> list[dict]:
+    """Closed-form rows; every positive offset is cross-checked in one batched fast-path call.
+
+    A point whose closed form or ensemble fails is reported only after every
+    earlier point is rooted and compared, so errors keep grid order.
+    """
     rows = []
+    checks = []
     degenerate = False
-    for photon_number in grid:
-        alpha = math.sqrt(photon_number)
-        for delta in deltas:
-            pc = analysis.pc_double_bpsk_equal_amp(alpha, delta)
-            if delta > 0.0:
-                beta = alpha * cmath.exp(1j * delta)
-                result = fast_srm(make_double_bpsk(alpha, beta, 0.25), tol_psd=tol_psd)
-                if abs(result.pc - pc) > TOL_RECON:
-                    raise ArithmeticError(
-                        f"closed form and pipeline disagree at |alpha|^2={photon_number}, "
-                        f"delta={delta}: {pc!r} vs {result.pc!r}"
-                    )
-            else:
-                degenerate = True
-            rows.append({"alpha_sq": photon_number, "delta": delta, "pc": pc, "pe": 1.0 - pc})
+    try:
+        for photon_number in grid:
+            alpha = math.sqrt(photon_number)
+            for delta in deltas:
+                pc = analysis.pc_double_bpsk_equal_amp(alpha, delta)
+                if delta > 0.0:
+                    beta = alpha * cmath.exp(1j * delta)
+                    ensemble = make_double_bpsk(alpha, beta, 0.25)
+                    checks.append((photon_number, delta, pc, ensemble))
+                else:
+                    degenerate = True
+                rows.append({"alpha_sq": photon_number, "delta": delta, "pc": pc, "pe": 1.0 - pc})
+    finally:
+        # also on the way out of a failed point: an earlier point's failure,
+        # raised here, takes the place of that point's own error
+        if checks:
+            _cross_check_fig1(checks, tol_psd)
     if degenerate:
         print(
             "note: delta=0 rows describe coincident constellations (singular ensemble); "
@@ -177,6 +186,25 @@ def rows_fig1(grid, deltas, tol_psd: float) -> list[dict]:
             file=sys.stderr,
         )
     return rows
+
+
+def _cross_check_fig1(checks, tol_psd: float) -> None:
+    """Root every (photon_number, delta, pc, ensemble) check at once and compare each pc.
+
+    A singular batch is rooted again one ensemble at a time, so that a
+    mismatch before the singular point is still the error raised.
+    """
+    ensembles = [ensemble for *_, ensemble in checks]
+    try:
+        results = _fast_srms(ensembles, tol_psd)
+    except GramSingular:
+        results = (fast_srm(ensemble, tol_psd=tol_psd) for ensemble in ensembles)
+    for (photon_number, delta, pc, _), result in zip(checks, results):
+        if abs(result.pc - pc) > TOL_RECON:
+            raise ArithmeticError(
+                f"closed form and pipeline disagree at |alpha|^2={photon_number}, "
+                f"delta={delta}: {pc!r} vs {result.pc!r}"
+            )
 
 
 def rows_fig23(grid, tol_psd: float) -> list[dict]:

@@ -2,8 +2,11 @@
 
 Hermitian eigendecomposition of a matrix or of a stack of them, the one
 square-root kernel on its eigenpairs, and the circulant transforms: first
-rows to spectra and back (``np.fft``, batched along the last axis), their
-mirror and, when a caller asks for it, the dense block-circulant matrix.
+rows to spectra and back (``np.fft`` along the last axis), their mirror
+and, when a caller asks for it, the dense block-circulant matrix. The
+kernel, the transforms and the mirror act on leading batch axes, so the
+(..., s, s, m) first rows of several ensembles of one shape go through
+each in one call; every matrix and row is still transformed on its own.
 Only ``circulant_eigenvalues`` checks its rows; the private transforms take
 rows already checked. Matrices are square complex128 arrays, indexed (row,
 column) from 0. All functions are pure and never mutate their inputs.
@@ -65,19 +68,23 @@ def _sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _mirror(rows: np.ndarray) -> np.ndarray:
-    """First rows of the adjoint block-circulant matrix: ``conj(rows[k, h, -r mod m])`` at (h, k, r)."""
+    """First rows of the adjoint block-circulant matrix, for (..., s, s, m) ``rows``.
+
+    Entry (..., h, k, r) is ``conj(rows[..., k, h, -r mod m])``.
+    """
     # the conjugated transpose keeps the input's memory layout
-    mirror = rows.transpose(1, 0, 2).conj()
-    mirror[:, :, 1:] = mirror[:, :, :0:-1]
+    mirror = rows.swapaxes(-3, -2).conj()
+    mirror[..., 1:] = mirror[..., :0:-1]
     return mirror
 
 
 def _first_rows(spectrum: np.ndarray) -> np.ndarray:
-    """(s, s, m) first rows of the block-circulant matrix with (m, s, s) coupling stack ``spectrum``.
+    """(..., s, s, m) first rows of block-circulant matrices with (..., m, s, s) coupling stacks.
 
-    The inverse of ``_bins``, taken for all blocks in one FFT.
+    The inverse of ``_bins``, taken for all blocks of every stack in one FFT.
     """
-    return np.fft.fft(spectrum.transpose(1, 2, 0), norm="forward")
+    # (..., m, h, k) -> (..., k, h, m) -> (..., h, k, m)
+    return np.fft.fft(spectrum.swapaxes(-3, -1).swapaxes(-3, -2), norm="forward")
 
 
 def _circulant_blocks(rows: np.ndarray) -> np.ndarray:

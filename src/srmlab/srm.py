@@ -8,8 +8,9 @@ role), and the correct-decision probability is the sum of squared diagonal
 entries. ``srm`` treats a dense Gram matrix, such as
 ``weighted_gram`` of a one-bin ``GusEnsemble``, as the one-bin case (s = n,
 m = 1) of the block-circulant path: it and ``gus.fast_srm`` hand the
-eigenpairs of an (m, s, s) coupling stack to one private tail, which tests
-for singularity, takes the clamped root and returns its first rows.
+eigenpairs of an (m, s, s) coupling stack, or of a batch of them, to one
+private tail, which tests each ensemble for singularity, takes the clamped
+root and returns its first rows.
 
 Theorem 1, the ground truth, calls a measurement optimal when Y = X X_d†
 (X_d = diag(X)) is Hermitian and every downdate Y - W_r is positive
@@ -98,21 +99,24 @@ class ChannelStats:
     mutual_information: float
 
 
-def _srm_from_eig(w: np.ndarray, v: np.ndarray, tol_psd: float) -> SrmResult:
-    """The measurement from the eigenpairs of an (m, s, s) coupling stack.
+def _srm_from_eig(w: np.ndarray, v: np.ndarray, tol_psd: float) -> np.ndarray:
+    """The root's (..., s, s, m) first rows from the eigenpairs of (..., m, s, s) coupling stacks.
 
-    Raises ``GramSingular`` when the smallest eigenvalue over all bins falls
-    below ``tol_psd``. The root's first rows are averaged with their mirror,
-    so the factor they describe is exactly Hermitian.
+    Each stack along the leading axes is one ensemble. Raises
+    ``GramSingular`` for the first ensemble, in C order, whose smallest
+    eigenvalue over its bins falls below ``tol_psd``, naming that value.
+    The first rows are averaged with their mirror, so the factor they
+    describe is exactly Hermitian.
     """
-    lowest = float(w[:, 0].min())
-    if lowest < tol_psd:
+    if w[..., 0].min() < tol_psd:
+        lowest = np.ravel(w[..., 0].min(axis=-1))
+        first = lowest[np.argmax(lowest < tol_psd)]
         raise GramSingular(
-            f"Gram matrix is singular (min eigenvalue {lowest:.3e} < {tol_psd:g}); "
+            f"Gram matrix is singular (min eigenvalue {first:.3e} < {tol_psd:g}); "
             "the weighted states are not linearly independent"
         )
     rows = _first_rows(_sqrt_from_eig(w, v))
-    return SrmResult((rows + _mirror(rows)) / 2.0)
+    return (rows + _mirror(rows)) / 2.0
 
 
 def srm(gram, *, tol_psd: float = TOL_PSD) -> SrmResult:
@@ -128,7 +132,7 @@ def srm(gram, *, tol_psd: float = TOL_PSD) -> SrmResult:
     trace = float(np.trace(g).real)
     if abs(trace - 1.0) > TRACE_TOL:
         raise ValueError(f"weighted Gram matrix must have unit trace, got {trace!r}")
-    return _srm_from_eig(w, v, tol_psd)
+    return SrmResult(_srm_from_eig(w, v, tol_psd))
 
 
 def _connected(adjacency: np.ndarray) -> bool:
@@ -165,8 +169,9 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
     root has a flat diagonal. An irreducible block has an irreducible root
     (were the root reducible, so would be its square), so that is Y
     Hermitian on every block: the verdict fails when the residual of a pair
-    inside a block exceeds ``tol_cond``, and the witness names the block
-    whose root diagonal spreads the most, with that spread.
+    inside a block exceeds ``tol_cond``, and the witness names, among the
+    blocks where it does, the one whose root diagonal spreads the most,
+    with that spread.
 
     ``factor`` is the principal square root of ``gram``, as ``srm`` takes
     it. A block-diagonal matrix has a block-diagonal principal root, so
@@ -210,9 +215,14 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
             index = np.ix_(block, block)
             x[index] = _sqrt_from_eig(*_eigh(g[index]))
     diag = np.diagonal(x).real
-    spreads = [float(np.ptp(diag[list(block)])) for block in partition]
-    if _asymmetry(x[:, :, None])[inside].max() > tol_cond:
-        b = int(np.argmax(spreads))
+    residual = _asymmetry(x[:, :, None])[:, :, 0]
+    spreads = {
+        b: float(np.ptp(diag[list(block)]))
+        for b, block in enumerate(partition)
+        if residual[np.ix_(block, block)].max() > tol_cond
+    }
+    if spreads:
+        b = max(spreads, key=spreads.get)
         witness = f"block {b}: square-root diagonal entries spread by {spreads[b]:.6e}"
         return OptimalityVerdict(False, "theorem3", witness)
     return OptimalityVerdict(True, "theorem3")

@@ -130,6 +130,24 @@ class TestParsers:
         assert fmt(16) == "16"
 
 
+SINGULAR = (
+    "Gram matrix is singular (min eigenvalue {} < 1e-10); "
+    "the weighted states are not linearly independent"
+)
+FIG1_FAILURES = [
+    ("--grid 1e-12:1e-12:1", EXIT_NUMERIC, SINGULAR.format("-7.623e-18")),
+    ("--grid 2e-7:2e-7:1", EXIT_NUMERIC, SINGULAR.format("-9.995e-18")),
+    ("--grid 1e-12:1e-12:1 --delta pi/8,2", EXIT_NUMERIC, SINGULAR.format("-7.623e-18")),
+    (
+        "--grid 1e-12:1e-12:1 --delta 2,pi/8",
+        EXIT_CONFIG,
+        "phase offset must lie in [0, pi/2], got 2.0",
+    ),
+    ("--grid 1:0:3", EXIT_CONFIG, "amplitude must be positive and finite, got 0.0"),
+    ("--grid 1:1e-12:2", EXIT_NUMERIC, SINGULAR.format("-7.623e-18")),
+]
+
+
 class TestFig1:
     def test_default_row_count(self, tmp_path):
         out = tmp_path / "fig1.csv"
@@ -160,6 +178,38 @@ class TestFig1:
 
     def test_rejects_zero_energy(self, tmp_path, capsys):
         assert main(["fig1", "--grid", "0:1:2"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flags, code, message", FIG1_FAILURES, ids=[flags for flags, *_ in FIG1_FAILURES]
+    )
+    def test_first_failing_point_in_grid_order_is_reported(
+        self, flags, code, message, tmp_path, capsys
+    ):
+        # every offset is rooted in one batch, yet the error is that of the
+        # first failing (energy, offset): a closed-form domain error before
+        # its ensemble is built, or that ensemble's own singular root
+        out = tmp_path / "fig1.csv"
+        assert main(["fig1", *flags.split(), "--out", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_mismatch_before_a_singular_point_is_reported_first(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        closed_form = analysis.pc_double_bpsk_equal_amp
+
+        def off_at_unit_energy(alpha, delta):
+            return closed_form(alpha, delta) + (1e-6 if alpha == 1.0 and delta > 0.5 else 0.0)
+
+        monkeypatch.setattr(analysis, "pc_double_bpsk_equal_amp", off_at_unit_energy)
+        out = tmp_path / "fig1.csv"
+        argv = ["fig1", "--grid", "1:1e-12:2", "--delta", "pi/8,pi/4", "--out", str(out)]
+        assert main(argv) == EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "error: closed form and pipeline disagree at |alpha|^2=1.0, delta=0.7853981633974483: "
+        )
+        assert not out.exists()
 
 
 class TestFig2Fig3:

@@ -22,6 +22,7 @@ from srmlab.analysis import (
     evaluate_scheme,
     mutual_info_double_ppm,
     mutual_info_ppm,
+    optimize_prior_4pam,
     pc_double_bpsk_equal_amp,
     ppm_closed_form,
 )
@@ -36,7 +37,7 @@ from srmlab.constellations import (
     weighted_gram,
 )
 from srmlab.errors import GramSingular
-from srmlab.gus import block_diagonalize, fast_srm
+from srmlab.gus import _fast_srms, block_diagonalize, fast_srm
 from srmlab.linalg import TOL_PSD, TOL_RECON, circulant_eigenvalues
 from srmlab.srm import srm
 
@@ -333,6 +334,74 @@ class TestFastSrm:
     def test_rejects_coincident_constellations(self):
         with pytest.raises(GramSingular):
             fast_srm(make_double_bpsk(1.0, 1.0, 0.25))
+
+
+def pam4_at_p_star(photon_number: float) -> GusEnsemble:
+    alpha = math.sqrt(photon_number)
+    return make_double_bpsk(alpha, 3.0 * alpha, optimize_prior_4pam(alpha))
+
+
+BATCHES = {
+    "psk8": [make_psk(8, a) for a in (0.6, 1.0, 1.5, 2.0)],
+    "ppm8": [make_ppm(8, a) for a in (0.3, 1.0, 2.5)],
+    "double_ppm16": [make_double_ppm(16, a) for a in (0.5, 1.0, 1.7)],
+    "double_bpsk": [
+        make_double_bpsk(a, a * np.exp(1j * d), p)
+        for a, d, p in ((0.4, 0.3, 0.25), (1.0, math.pi / 2, 0.1), (2.0, 1.2, 0.4), (1.0, 3.0, 0.2))
+    ],
+    "pam4_p_star": [pam4_at_p_star(x) for x in (0.1, 1.0, 4.0)],
+    "random_s3_m5": [random_gus_ensemble(np.random.default_rng(seed), 3, 5) for seed in range(3)],
+}
+
+
+class TestBatchedRoot:
+    """Several ensembles of one shape, rooted together, give each one's own root."""
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_each_root_is_bitwise_the_single_one(self, name):
+        ensembles = BATCHES[name]
+        results = _fast_srms(ensembles, TOL_PSD)
+        assert len(results) == len(ensembles) >= 3
+        for ensemble, result in zip(ensembles, results):
+            alone = fast_srm(ensemble)
+            assert result.rows.shape == alone.rows.shape
+            assert result.rows.tobytes() == alone.rows.tobytes()
+
+    def test_singular_ensemble_is_named_by_its_own_eigenvalue(self):
+        # the 2e-7 pair dips lower than the 1e-12 one, but the 1e-12 pair
+        # comes first, so its own smallest eigenvalue is the one reported
+        good = make_double_bpsk(1.0, 1j, 0.25)
+        first, lower = (
+            make_double_bpsk(math.sqrt(x), math.sqrt(x) * np.exp(1j * math.pi / 8), 0.25)
+            for x in (1e-12, 2e-7)
+        )
+        messages = []
+        for ensemble in (first, lower):
+            with pytest.raises(GramSingular) as alone:
+                fast_srm(ensemble)
+            messages.append(str(alone.value))
+        assert messages == [
+            f"Gram matrix is singular (min eigenvalue {value} < 1e-10); "
+            "the weighted states are not linearly independent"
+            for value in ("-7.623e-18", "-9.995e-18")
+        ]
+        with pytest.raises(GramSingular) as batched:
+            _fast_srms([good, first, lower], TOL_PSD)
+        assert str(batched.value) == messages[0]
+
+    @pytest.mark.parametrize(
+        "ensembles",
+        [
+            [make_psk(8, 1.0), make_ppm(4, 1.0), make_psk(8, 2.0)],
+            [make_double_ppm(2, 1.0), make_double_bpsk(1.0, 1j, 0.25), make_double_ppm(4, 1.0)],
+            [make_psk(4, 1.0), make_double_ppm(4, 1.0)],
+            [],
+        ],
+        ids=["m", "m_after_a_match", "s", "none"],
+    )
+    def test_refuses_ensembles_of_different_shapes(self, ensembles):
+        with pytest.raises(ValueError, match="must share one"):
+            _fast_srms(ensembles, TOL_PSD)
 
 
 class TestSpectralRegrouping:

@@ -23,7 +23,7 @@ from helpers import (
     verify_theorem1_reference,
 )
 from srmlab.analysis import optimize_prior_4pam
-from srmlab.cli import load_gram_file, rows_fig23
+from srmlab.cli import DEFAULT_DELTAS, load_gram_file, parse_angle_list, rows_fig1, rows_fig23
 from srmlab.constellations import (
     GusEnsemble,
     make_double_bpsk,
@@ -268,6 +268,37 @@ class TestCheckTheorem3:
         verdict = check_theorem3(g, [(0, 1)], np.diag([0.6, 0.6]))
         assert verdict.optimal
         assert not any(calls.values())
+
+    def test_witness_names_a_block_whose_residual_fails(self):
+        # block 0 spreads more (0.316 against 0.024), but its residual is
+        # 6.7e-4 against block 1's 6.3e-3: at tol_cond 1e-3 only block 1
+        # fails, so the witness names it, where the reference names block 0
+        g = weighted_gram(dense_ensemble([0.1, 0.4, 0.24, 0.26], [
+            [1.0, 0.01, 0.0, 0.0],
+            [0.01, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.9],
+            [0.0, 0.0, 0.9, 1.0],
+        ]))
+        blocks = [(0, 1), (2, 3)]
+        root = srm(g).rows[:, :, 0]
+        roots = [principal_sqrt(g[np.ix_(block, block)]) for block in blocks]
+        residuals = [dense_asymmetry(block_root) for block_root in roots]
+        spreads = [float(np.ptp(np.diagonal(block_root).real)) for block_root in roots]
+        assert residuals[0] < 1e-3 < residuals[1] and spreads[0] > spreads[1]
+        verdict = check_theorem3(g, blocks, root, tol_cond=1e-3)
+        assert verdict == OptimalityVerdict(
+            False, "theorem3", "block 1: square-root diagonal entries spread by 2.360680e-02"
+        )
+        assert check_theorem3_reference(g, blocks, tol_cond=1e-3).witness == (
+            "block 0: square-root diagonal entries spread by 3.162313e-01"
+        )
+        tols = {"tol_cond": 1e-3, "tol_psd": TOL_PSD}
+        assert assert_certificates_match_references(g, blocks, **tols) is False
+        # at the default tolerance both blocks fail, and the wider one is named
+        assert check_theorem3(g, blocks, root).witness == (
+            "block 0: square-root diagonal entries spread by 3.162313e-01"
+        )
+        assert check_theorem3(g, blocks, root, tol_cond=1e-2).optimal
 
     def test_tolerance_bounds_the_residual_not_the_spread(self):
         # the biased pair's root diagonal spreads by 0.30, and its residual
@@ -547,7 +578,9 @@ def assert_certificates_match_references(gram, blocks, *, tol_cond, tol_psd) -> 
     for verdict, reference in verdicts:
         if not verdict.optimal:
             assert not reference.optimal
-            if verdict.method != "theorem1_oracle":
+            if verdict.method == "theorem3":
+                assert_theorem3_witness(verdict, reference, gram, blocks, tol_psd, tol_cond)
+            elif verdict.method != "theorem1_oracle":
                 assert verdict == reference
         elif not reference.optimal:
             assert worst > TOL_COND
@@ -556,6 +589,28 @@ def assert_certificates_match_references(gram, blocks, *, tol_cond, tol_psd) -> 
     else:
         assert oracle.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
     return oracle.optimal
+
+
+def assert_theorem3_witness(verdict, reference, gram, blocks, tol_psd, tol_cond) -> None:
+    """A failed Theorem-3 verdict names a block whose own residual exceeds ``tol_cond``.
+
+    That is the reference's block, of largest spread, whenever that block
+    fails; otherwise the named block fails, and the witness gives its spread.
+    Each block's residual and spread are read from its own principal root.
+    """
+    partition = [tuple(block) for block in blocks]
+    roots = [principal_sqrt(gram[np.ix_(block, block)], tol_psd=tol_psd) for block in partition]
+
+    def named(witness: str) -> int:
+        return int(witness.split(":", 1)[0].removeprefix("block "))
+
+    if dense_asymmetry(roots[named(reference.witness)]) > tol_cond:
+        assert verdict == reference
+    else:
+        b = named(verdict.witness)
+        assert dense_asymmetry(roots[b]) > tol_cond
+        spread = float(np.ptp(np.diagonal(roots[b]).real))
+        assert verdict.witness == f"block {b}: square-root diagonal entries spread by {spread:.6e}"
 
 
 def read_gram(lines, tmp_path):
@@ -709,6 +764,19 @@ class TestCertifySrm:
         (row,) = rows_fig23([1.0], TOL_PSD)
         assert {name: log for name, log in calls.items() if log} == {"eigh": [(2, 2, 2)]}
         assert row["p_star"] == optimize_prior_4pam(1.0)
+
+    def test_fig1_call_takes_one_batched_eigh(self, monkeypatch):
+        # the four positive default offsets are four (s, m) = (2, 2)
+        # ensembles per energy, all rooted by one eigh of their stacked bins
+        deltas = parse_angle_list(DEFAULT_DELTAS)
+        calls = counted_factorizations(monkeypatch)
+        rows = rows_fig1([1.0], deltas, TOL_PSD)
+        assert {name: log for name, log in calls.items() if log} == {"eigh": [(8, 2, 2)]}
+        assert len(rows) == 5
+        calls["eigh"].clear()
+        rows = rows_fig1([0.5, 1.0, 2.0], deltas, TOL_PSD)
+        assert {name: log for name, log in calls.items() if log} == {"eigh": [(24, 2, 2)]}
+        assert len(rows) == 15
 
 
 class TestChannelStats:
