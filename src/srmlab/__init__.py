@@ -5,7 +5,8 @@ pairwise inner products, the measurement is the principal square root of
 the weighted Gram matrix, and optimality is decided by matrix certificates.
 ``GusEnsemble`` holds s constellations of m states sharing one cyclic
 symmetry as the first rows of their Gram blocks; any set of n states is the
-case m = 1. Ensembles with m > 1 get a block-circulant fast path.
+case m = 1. ``fast_srm`` roots every ensemble through its block-circulant
+coupling stack, of which a dense Gram matrix is the one-bin case.
 """
 
 from .analysis import (
@@ -47,7 +48,7 @@ from .errors import (
     SrmLabError,
 )
 from .gus import block_diagonalize, fast_srm
-from .linalg import TOL_HERM, TOL_PSD, TOL_RECON, circulant_eigenvalues
+from .linalg import TOL_HERM, TOL_PSD, TOL_RECON
 from .srm import (
     TOL_COND,
     ChannelStats,
@@ -56,7 +57,6 @@ from .srm import (
     certify_srm,
     channel_stats,
     check_theorem3,
-    srm,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +89,6 @@ __all__ = [
     "certify_srm",
     "channel_stats",
     "check_theorem3",
-    "circulant_eigenvalues",
     "coherent_inner",
     "double_bpsk_block_traces",
     "double_ppm_closed_form",
@@ -106,6 +105,5 @@ __all__ = [
     "pam4_overlaps",
     "pc_double_bpsk_equal_amp",
     "ppm_closed_form",
-    "srm",
     "weighted_gram",
 ]

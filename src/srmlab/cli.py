@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gus import _fast_srms, fast_srm
 from .linalg import TOL_PSD, TOL_RECON
-from .srm import TOL_COND, _check_verdicts, certify_srm, check_theorem3, srm
+from .srm import TOL_COND, _check_verdicts, certify_srm, check_theorem3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -481,17 +481,17 @@ def _verdict_line(verdict) -> str:
 
 def cmd_check(args) -> int:
     ensemble, blocks = load_gram_file(args.gramfile)
-    gram = weighted_gram(ensemble)
-    result = srm(gram, tol_psd=args.tol_psd)
+    result = fast_srm(ensemble, tol_psd=args.tol_psd)
 
     lines = [
-        f"states {len(gram)}",
+        f"states {ensemble.s}",
         f"pc {fmt(result.pc)}",
         f"pe {fmt(max(1.0 - result.pc, 0.0))}",
     ]
     for i, correct in enumerate(result.per_state_correct):
         lines.append(f"correct {i} state{i} {fmt(correct)}")
     if blocks is not None:
+        gram = weighted_gram(ensemble)
         try:
             verdict3 = check_theorem3(gram, blocks, result.rows[:, :, 0], tol_cond=args.tol_cond)
             lines.append(_verdict_line(verdict3))

@@ -1,15 +1,16 @@
-"""Fast discrimination path for ensembles with circulant Gram blocks.
+"""The square-root measurement of an ensemble, through its circulant Gram blocks.
 
 The Gram matrix of a multi-constellation ensemble sharing one cyclic
 symmetry splits into s x s circulant blocks of order m, so it is fully
 described by the ensemble's (s, s, m) first rows. One FFT along the last
 axis diagonalizes all blocks at once, leaving m independent s x s Hermitian
 coupling matrices, one per frequency bin, held as an (m, s, s) stack: the
-layout a batched ``eigh`` takes. ``fast_srm`` hands that stack to the same
-root kernel as the dense ``srm`` (whose Gram is the one-bin stack): one
-eigendecomposition yields both the singularity test and the square roots,
-and one inverse FFT turns those into the first rows of the full Gram root;
-the dense (s m) x (s m) factor is formed only if a caller reads it.
+layout a batched ``eigh`` takes. ``fast_srm`` is the one root entry point,
+and a dense set of n states is its one-bin stack (s = n, m = 1). One
+private function takes the whole root: one eigendecomposition yields both
+the singularity test and the square roots, and one inverse FFT turns those
+into the first rows of the full Gram root; the dense (s m) x (s m) factor
+is formed only if a caller reads it.
 Several ensembles of one (s, m) go through the same kernel together,
 batched over a leading axis: their k stacks make one (k m, s, s) ``eigh``,
 one root product and one FFT pair, and each root equals the one
@@ -29,8 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
-from .linalg import TOL_PSD, _bins, _eigh
-from .srm import SrmResult, _srm_from_eig
+from .errors import GramSingular
+from .linalg import TOL_PSD, _bins, _eigh, _first_rows, _mirror, _sqrt_from_eig
+from .srm import SrmResult
 
 
 def _coupling_stacks(weighted_rows: np.ndarray) -> np.ndarray:
@@ -52,12 +54,24 @@ def _root_rows(weighted_rows: np.ndarray, tol_psd: float) -> np.ndarray:
     """The root's (..., s, s, m) first rows from (..., s, s, m) weighted first rows.
 
     Each (s, s, m) block of rows along the leading axes is one ensemble; all
-    their bins go to one ``eigh``.
+    their bins go to one ``eigh``. Raises ``GramSingular`` for the first
+    ensemble, in C order, whose smallest eigenvalue over its bins falls
+    below ``tol_psd``, naming that value. The first rows are averaged with
+    their mirror, so the factor they describe is exactly Hermitian.
     """
     stacks = _coupling_stacks(weighted_rows)
     *batch, m, s, _ = stacks.shape
     w, v = _eigh(stacks.reshape(-1, s, s))
-    return _srm_from_eig(w.reshape(*batch, m, s), v.reshape(*batch, m, s, s), tol_psd)
+    w = w.reshape(*batch, m, s)
+    if w[..., 0].min() < tol_psd:
+        lowest = np.ravel(w[..., 0].min(axis=-1))
+        first = lowest[np.argmax(lowest < tol_psd)]
+        raise GramSingular(
+            f"Gram matrix is singular (min eigenvalue {first:.3e} < {tol_psd:g}); "
+            "the weighted states are not linearly independent"
+        )
+    rows = _first_rows(_sqrt_from_eig(w, v.reshape(*batch, m, s, s)))
+    return (rows + _mirror(rows)) / 2.0
 
 
 def _fast_srms(ensembles: list[GusEnsemble], tol_psd: float) -> list[SrmResult]:
@@ -78,9 +92,9 @@ def _fast_srms(ensembles: list[GusEnsemble], tol_psd: float) -> list[SrmResult]:
 def fast_srm(ensemble: GusEnsemble, *, tol_psd: float = TOL_PSD) -> SrmResult:
     """Square-root measurement through the block-circulant fast path.
 
-    Returns the same measurement as dense ``srm`` on the assembled Gram matrix,
-    held as the root's first rows. The seed ``rows[h, h, 0]`` is the diagonal
-    value g_h of constellation h: each of its states is detected correctly
-    with probability g_h^2.
+    Returns the principal root of the weighted Gram matrix, held as its
+    first rows; a one-bin ensemble (m = 1) is a dense Gram matrix. The seed
+    ``rows[h, h, 0]`` is the diagonal value g_h of constellation h: each of
+    its states is detected correctly with probability g_h^2.
     """
     return SrmResult(_root_rows(_weighted_rows(ensemble), tol_psd))

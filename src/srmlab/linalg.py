@@ -7,9 +7,9 @@ and, when a caller asks for it, the dense block-circulant matrix. The
 kernel, the transforms and the mirror act on leading batch axes, so the
 (..., s, s, m) first rows of several ensembles of one shape go through
 each in one call; every matrix and row is still transformed on its own.
-Only ``circulant_eigenvalues`` checks its rows; the private transforms take
-rows already checked. Matrices are square complex128 arrays, indexed (row,
-column) from 0. All functions are pure and never mutate their inputs.
+The transforms are private and take rows that ``GusEnsemble`` has already
+checked. Matrices are square complex128 arrays, indexed (row, column)
+from 0. All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -98,21 +98,12 @@ def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
     return rows[:, :, shift].transpose(0, 2, 1, 3).reshape(s * m, s * m)
 
 
-def circulant_eigenvalues(rows) -> np.ndarray:
-    """Eigenvalues of a circulant matrix: the DFT of its first row.
+def _bins(rows: np.ndarray) -> np.ndarray:
+    """Eigenvalues of circulant matrices: the DFT of each first row along the last axis.
 
     Bin ``k`` carries ``sum_r c[r] exp(+2i*pi*k*r/m)``, i.e. ``m * ifft(c)``,
     so ``F @ diag(lam) @ F†`` rebuilds the matrix for the unitary Fourier
-    matrix ``F[k, h] = exp(+2i*pi*k*h/m)/sqrt(m)``. Transforms an array of
-    first rows along its last axis, so a stack of rows gives the stacked
-    spectra in one FFT.
+    matrix ``F[k, h] = exp(+2i*pi*k*h/m)/sqrt(m)``. Takes complex rows
+    already checked; ``_first_rows`` is the inverse.
     """
-    c = np.asarray(rows, dtype=complex)
-    if c.size == 0 or not np.all(np.isfinite(c)):
-        raise ValueError("first rows must be non-empty and finite")
-    return _bins(c)
-
-
-def _bins(rows: np.ndarray) -> np.ndarray:
-    """``circulant_eigenvalues`` of complex first rows, unchecked; ``_first_rows`` is the inverse."""
     return np.fft.ifft(rows, norm="forward")

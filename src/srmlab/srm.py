@@ -1,16 +1,13 @@
-"""Square-root measurement of a weighted Gram matrix and its optimality.
+"""The square-root measurement's result, its optimality and its channel.
 
 The measurement itself is the principal square root X of the Gram matrix:
 ``X[k, i]`` is the cross inner product between measurement vector k and
 weighted state i, so ``|X[i, j]|^2`` is the joint probability of sending i
 and deciding j (the factor is Hermitian, so either index may play either
 role), and the correct-decision probability is the sum of squared diagonal
-entries. ``srm`` treats a dense Gram matrix, such as
-``weighted_gram`` of a one-bin ``GusEnsemble``, as the one-bin case (s = n,
-m = 1) of the block-circulant path: it and ``gus.fast_srm`` hand the
-eigenpairs of an (m, s, s) coupling stack, or of a batch of them, to one
-private tail, which tests each ensemble for singularity, takes the clamped
-root and returns its first rows.
+entries. ``gus.fast_srm`` takes the root of every ensemble, a dense set of
+n states being the one-bin case (s = n, m = 1), and returns it as an
+``SrmResult``, the root's first rows.
 
 Theorem 1, the ground truth, calls a measurement optimal when Y = X X_d†
 (X_d = diag(X)) is Hermitian and every downdate Y - W_r is positive
@@ -32,19 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GramSingular, InvalidFactorization, NotBlockDiagonal, ReducibleBlock
-from .linalg import (
-    TOL_PSD,
-    _circulant_blocks,
-    _eigh,
-    _first_rows,
-    _mirror,
-    _sqrt_from_eig,
-    as_matrix,
-)
+from .errors import InvalidFactorization, NotBlockDiagonal, ReducibleBlock
+from .linalg import _circulant_blocks, _eigh, _sqrt_from_eig, as_matrix
 
 TOL_COND = 1e-9
-TRACE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,42 +87,6 @@ class ChannelStats:
     mutual_information: float
 
 
-def _srm_from_eig(w: np.ndarray, v: np.ndarray, tol_psd: float) -> np.ndarray:
-    """The root's (..., s, s, m) first rows from the eigenpairs of (..., m, s, s) coupling stacks.
-
-    Each stack along the leading axes is one ensemble. Raises
-    ``GramSingular`` for the first ensemble, in C order, whose smallest
-    eigenvalue over its bins falls below ``tol_psd``, naming that value.
-    The first rows are averaged with their mirror, so the factor they
-    describe is exactly Hermitian.
-    """
-    if w[..., 0].min() < tol_psd:
-        lowest = np.ravel(w[..., 0].min(axis=-1))
-        first = lowest[np.argmax(lowest < tol_psd)]
-        raise GramSingular(
-            f"Gram matrix is singular (min eigenvalue {first:.3e} < {tol_psd:g}); "
-            "the weighted states are not linearly independent"
-        )
-    rows = _first_rows(_sqrt_from_eig(w, v))
-    return (rows + _mirror(rows)) / 2.0
-
-
-def srm(gram, *, tol_psd: float = TOL_PSD) -> SrmResult:
-    """Square-root measurement of a unit-trace, positive definite Gram matrix.
-
-    The Gram matrix is the one-bin case of the block-circulant path (s = n,
-    m = 1), so it takes the same root kernel as ``fast_srm``. Raises
-    ``GramSingular`` when the smallest eigenvalue falls below ``tol_psd``,
-    which is how linearly dependent state sets surface here.
-    """
-    g = as_matrix(gram)
-    w, v = _eigh(g[None])
-    trace = float(np.trace(g).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"weighted Gram matrix must have unit trace, got {trace!r}")
-    return SrmResult(_srm_from_eig(w, v, tol_psd))
-
-
 def _connected(adjacency: np.ndarray) -> bool:
     """Whether every node is reached from node 0, one breadth-first level per step."""
     seen = np.zeros(len(adjacency), dtype=bool)
@@ -173,8 +125,8 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
     blocks where it does, the one whose root diagonal spreads the most,
     with that spread.
 
-    ``factor`` is the principal square root of ``gram``, as ``srm`` takes
-    it. A block-diagonal matrix has a block-diagonal principal root, so
+    ``factor`` is the principal square root of ``gram``, as ``fast_srm``
+    takes it. A block-diagonal matrix has a block-diagonal principal root, so
     each block's root is read off ``factor`` and no block is factored
     again. A tolerated cross-block entry of size ε moves that root by
     O(ε²): to first order the root changes off the blocks alone. Only when

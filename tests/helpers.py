@@ -14,6 +14,9 @@ oracle that runs one eigensolve per downdate, Theorem 2 with its own
 eigensolve and SVD, Theorem 3 with one root per block and a node-by-node
 search of each block's support graph, and the trace criterion that
 demands equal g_h, which is wrong for reducible coupling.
+The eigendecomposition and both roots call ``np.linalg.eigh`` after their
+own Hermitian check and clamp their own eigenvalues, so the dense route
+shares no kernel with the library it checks.
 ``counted_factorizations`` logs the LAPACK factorizations a call makes.
 """
 
@@ -28,20 +31,19 @@ from srmlab.errors import (
     InvalidFactorization,
     InvalidPrior,
     NotBlockDiagonal,
+    NotHermitian,
     NumericalError,
     ReducibleBlock,
 )
 from srmlab.linalg import (
+    TOL_HERM,
     TOL_PSD,
     TOL_RECON,
     _circulant_blocks,
-    _eigh,
     _first_rows,
-    _sqrt_from_eig,
     as_matrix,
-    circulant_eigenvalues,
 )
-from srmlab.srm import TOL_COND, OptimalityVerdict
+from srmlab.srm import TOL_COND, OptimalityVerdict, SrmResult
 
 
 # the full `srmlab check` report of each documented file in gramfiles/
@@ -129,9 +131,26 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max())
 
 
+def hermitian_part(mat) -> np.ndarray:
+    """``(A + A†) / 2`` of a finite square matrix, or of a stack of them, checked against ``TOL_HERM``.
+
+    Raises ``ValueError`` for an empty, non-square or non-finite input and
+    ``NotHermitian`` when ``hermiticity_defect`` exceeds ``TOL_HERM``.
+    """
+    a = np.array(mat, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix or stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    defect = hermiticity_defect(a)
+    if defect > TOL_HERM:
+        raise NotHermitian(f"matrix is not Hermitian: max asymmetry {defect:.3e}")
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
 def hermitian_eig(mat) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    return HermitianEig(*_eigh(as_matrix(mat)))
+    """Eigendecomposition of a Hermitian matrix by ``np.linalg.eigh``, eigenvalues ascending."""
+    return HermitianEig(*np.linalg.eigh(hermitian_part(mat)))
 
 
 def is_psd(mat, tol: float) -> tuple[bool, float]:
@@ -140,24 +159,37 @@ def is_psd(mat, tol: float) -> tuple[bool, float]:
     return lowest >= -tol, lowest
 
 
+def clamped_root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetrised ``V diag(sqrt(max(w, 0))) V†`` of eigenpairs, batched over leading axes."""
+    adjoint = v.conj().swapaxes(-1, -2)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ adjoint
+    return (root + root.conj().swapaxes(-1, -2)) / 2.0
+
+
 def principal_sqrt(mat, *, tol_psd: float = TOL_PSD) -> np.ndarray:
     """Principal square root of a Hermitian positive semidefinite matrix.
 
     Eigenvalues in ``[-tol_psd, 0)`` are treated as roundoff and clamped
     to zero before the square root; anything lower raises ``NumericalError``.
     """
-    w, v = _eigh(as_matrix(mat))
+    w, v = np.linalg.eigh(hermitian_part(mat))
     if w[0] < -tol_psd:
         raise NumericalError(f"min eigenvalue {w[0]:.3e} is below -{tol_psd:g}")
-    return _sqrt_from_eig(w, v)
+    return clamped_root(w, v)
+
+
+def dense_route(ensemble: GusEnsemble) -> SrmResult:
+    """The square-root measurement by ``principal_sqrt`` of the dense weighted Gram matrix.
+
+    Held as a one-bin result (s = n, m = 1), so its ``pc``, ``factor`` and
+    ``channel_stats`` read as those of ``fast_srm``.
+    """
+    return SrmResult(principal_sqrt(weighted_gram(ensemble))[:, :, None])
 
 
 def block_sqrt(spectrum: np.ndarray) -> np.ndarray:
     """Principal root of every coupling matrix of an (m, s, s) stack, small negatives clamped."""
-    w, v = _eigh(spectrum)
-    adjoint = v.conj().swapaxes(-1, -2)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ adjoint
-    return (root + root.conj().swapaxes(-1, -2)) / 2.0
+    return clamped_root(*np.linalg.eigh(hermitian_part(spectrum)))
 
 
 def trace_criterion(sqrt_spectrum: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -193,6 +225,26 @@ def random_unit_trace_gram(rng: np.random.Generator, n: int, min_eig: float = 1e
 def dense_ensemble(priors, overlaps) -> GusEnsemble:
     """The one-bin ensemble of n states: n constellations of one state each."""
     return GusEnsemble(rows=np.asarray(overlaps)[:, :, None], constellation_priors=priors)
+
+
+def one_bin(ensemble: GusEnsemble) -> GusEnsemble:
+    """The same s m states as a one-bin ensemble, whose root ``fast_srm`` takes densely.
+
+    Its weighted Gram matrix is bit for bit that of ``ensemble``.
+    """
+    priors = np.repeat(ensemble.constellation_priors, ensemble.m)
+    return dense_ensemble(priors, _circulant_blocks(ensemble.rows))
+
+
+def gram_ensemble(gram) -> GusEnsemble:
+    """The one-bin ensemble whose weighted Gram matrix is ``gram``, to rounding.
+
+    The priors are the diagonal of the unit-trace, positive definite
+    ``gram``, and the overlaps are its entries divided by sqrt(p_i p_j).
+    """
+    g = np.asarray(gram, dtype=complex)
+    scale = np.sqrt(np.diagonal(g).real)
+    return dense_ensemble(scale**2, g / np.outer(scale, scale))
 
 
 def random_circulant_gram(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -239,10 +291,11 @@ def random_gus_ensemble(
 def single_gus_pc(first_row) -> float:
     """Correct-decision probability of one circulant Gram from its spectrum.
 
-    Independent of the dense square-root route: DFT the first row and
-    evaluate (sum of root eigenvalues)^2 / m.
+    Independent of the dense square-root route and of the library's
+    transforms: DFT the first row with ``np.fft`` and evaluate (sum of root
+    eigenvalues)^2 / m.
     """
-    lam = circulant_eigenvalues(np.asarray(first_row))
+    lam = np.fft.ifft(np.asarray(first_row, dtype=complex), norm="forward")
     assert np.abs(lam.imag).max() < 1e-12
     values = np.clip(lam.real, 0.0, None)
     return float(np.sqrt(values).sum() ** 2 / len(values))

@@ -26,6 +26,9 @@ from helpers import (
     check_theorem2_reference,
     check_theorem3_reference,
     dense_ensemble,
+    dense_route,
+    gram_ensemble,
+    one_bin,
     principal_sqrt,
     random_gus_ensemble,
     random_unit_trace_gram,
@@ -44,7 +47,7 @@ from srmlab.constellations import (
 )
 from srmlab.errors import ReducibleBlock
 from srmlab.gus import block_diagonalize, fast_srm
-from srmlab.srm import _check_verdicts, certify_srm, channel_stats, check_theorem3, srm
+from srmlab.srm import _check_verdicts, certify_srm, channel_stats, check_theorem3
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -63,15 +66,16 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _binary_gram(chi: float) -> np.ndarray:
-    return weighted_gram(dense_ensemble([0.5, 0.5], [[1.0, chi], [chi, 1.0]]))
+def _binary_pair(chi: float):
+    return dense_ensemble([0.5, 0.5], [[1.0, chi], [chi, 1.0]])
 
 
 def test_criterion_01_two_state_bound():
     worst = 0.0
     for chi in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, math.exp(-2)]:
-        gram = _binary_gram(chi)
-        result = srm(gram)
+        pair = _binary_pair(chi)
+        gram = weighted_gram(pair)
+        result = fast_srm(pair)
         _record(result, gram)
         bound = (1.0 + math.sqrt(1.0 - chi * chi)) / 2.0
         worst = max(worst, abs(result.pc - bound))
@@ -85,7 +89,7 @@ def test_criterion_02_four_phase_optimality():
     for photon_number in (0.5, 1.0, 2.0):
         ensemble = make_psk(4, math.sqrt(photon_number))
         gram = weighted_gram(ensemble)
-        result = srm(gram)
+        result = fast_srm(one_bin(ensemble))
         _record(result, gram)
         _, verdict = _check_verdicts(result)
         all_optimal = all_optimal and verdict.optimal
@@ -106,7 +110,7 @@ def test_criterion_03_path_equivalence():
         ensemble = random_gus_ensemble(rng, s, m)
         gram = weighted_gram(ensemble)
         fast_result = fast_srm(ensemble)
-        dense_result = srm(gram)
+        dense_result = dense_route(ensemble)
         _record(fast_result, gram)
         _record(dense_result, gram)
         worst_pc = max(worst_pc, abs(fast_result.pc - dense_result.pc))
@@ -135,11 +139,12 @@ def test_criterion_04_verdict_concordance():
     for index in range(100):
         n = int(rng.integers(2, 9))
         if index % 2 == 0:
-            gram = random_unit_trace_gram(rng, n)
+            dense = gram_ensemble(random_unit_trace_gram(rng, n))
         else:
             ensemble = random_gus_ensemble(rng, 1, n)
-            gram = weighted_gram(ensemble)
-        result = srm(gram)
+            dense = one_bin(ensemble)
+        gram = weighted_gram(dense)
+        result = fast_srm(dense)
         root = principal_sqrt(gram)
         pairwise, oracle = _check_verdicts(result)
         compared += 1
@@ -241,8 +246,9 @@ def test_criterion_07_ppm_closed_forms():
         for photon_number in (0.5, 1.0, 2.0, 5.0):
             alpha = math.sqrt(photon_number)
             form = analysis.ppm_closed_form(m, alpha)
-            gram = weighted_gram(make_ppm(m, alpha))
-            result = srm(gram)
+            ensemble = make_ppm(m, alpha)
+            gram = weighted_gram(ensemble)
+            result = fast_srm(one_bin(ensemble))
             _record(result, gram)
             worst = max(
                 worst,
@@ -328,8 +334,9 @@ def test_criterion_09_mutual_information():
     for m in (2, 16):
         for photon_number in (0.5, 2.0, 20.0):
             alpha = math.sqrt(photon_number)
-            single_gram = weighted_gram(make_ppm(m, alpha))
-            single_result = srm(single_gram)
+            single_ensemble = make_ppm(m, alpha)
+            single_gram = weighted_gram(single_ensemble)
+            single_result = fast_srm(one_bin(single_ensemble))
             _record(single_result, single_gram)
             worst = max(
                 worst,

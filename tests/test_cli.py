@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -367,7 +368,7 @@ class TestCheck:
         )
 
     def test_single_state_at_unit_psd_tolerance(self, tmp_path):
-        # srm accepts lambda_min(G) = 1 at --tol-psd 1, and no second test of
+        # fast_srm accepts lambda_min(G) = 1 at --tol-psd 1, and no second test of
         # the factor refuses it: sigma_min(X)^2 is that same eigenvalue
         one = tmp_path / "one.gram"
         one.write_text("n 1\npriors 1\n")
@@ -453,6 +454,36 @@ class TestCheck:
         for path in paths:
             assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
             assert "theorem1_oracle" in (tmp_path / "report.txt").read_text()
+
+    def test_roots_the_one_bin_rows_without_a_dense_gram(self, monkeypatch, tmp_path):
+        # without a 'blocks' line, check roots the parsed one-bin ensemble
+        # and never assembles the dense Gram matrix: every dense
+        # block-circulant gather refuses, and the reports do not change
+        out = tmp_path / "report.txt"
+        expected = {}
+        for seed in (1, 5):
+            path = tmp_path / f"certify{seed}.gram"
+            path.write_text("\n".join(gram_lines(np.random.default_rng(seed), 16, False)) + "\n")
+            assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+            expected[path] = out.read_text()
+        for stem in ("binary_biased", "identity3"):
+            expected[GRAMFILES / f"{stem}.gram"] = GRAMFILE_REPORTS[stem]
+
+        def refuse(rows):
+            raise AssertionError(f"dense gather of first rows {np.shape(rows)}")
+
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name.startswith("srmlab") and hasattr(module, "_circulant_blocks"):
+                monkeypatch.setattr(module, "_circulant_blocks", refuse)
+                patched.add(name)
+        assert {"srmlab.linalg", "srmlab.constellations", "srmlab.srm"} <= patched
+        for path, report in expected.items():
+            assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+            assert out.read_text() == report
+        assert {report.splitlines()[0] for report in expected.values()} == {
+            "states 2", "states 3", "states 16"
+        }
 
     @pytest.mark.parametrize("tol_cond", [None, "1e-9", "1e-6", "1e-3", "0.5"])
     def test_no_report_pairs_an_optimal_line_with_a_suboptimal_one(self, tol_cond, tmp_path):

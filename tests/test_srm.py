@@ -14,7 +14,9 @@ from helpers import (
     connected_reference,
     counted_factorizations,
     dense_ensemble,
+    gram_ensemble,
     gram_lines,
+    one_bin,
     principal_sqrt,
     random_circulant_gram,
     random_gus_ensemble,
@@ -50,31 +52,34 @@ from srmlab.srm import (
     certify_srm,
     channel_stats,
     check_theorem3,
-    srm,
 )
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
 
 
+def binary_pair(p0: float, chi: float) -> GusEnsemble:
+    return dense_ensemble([p0, 1 - p0], [[1, chi], [chi, 1]])
+
+
 def binary_gram(p0: float, chi: float) -> np.ndarray:
-    return weighted_gram(dense_ensemble([p0, 1 - p0], [[1, chi], [chi, 1]]))
+    return weighted_gram(binary_pair(p0, chi))
 
 
 class TestSrm:
     def test_matches_two_state_bound(self):
         # equiprobable binary ensembles achieve (1 + sqrt(1 - chi^2)) / 2
         chi = math.exp(-2)
-        result = srm(binary_gram(0.5, chi))
+        result = fast_srm(binary_pair(0.5, chi))
         assert result.pc == pytest.approx((1 + math.sqrt(1 - chi**2)) / 2, abs=1e-12)
 
     def test_orthogonal_states_are_perfectly_distinguished(self):
-        result = srm(np.eye(4) / 4)
+        result = fast_srm(dense_ensemble(np.full(4, 0.25), np.eye(4)))
         assert result.pc == pytest.approx(1.0, abs=1e-12)
 
     def test_three_slot_ppm_value(self):
-        # frozen from the closed form and confirmed by this dense route
-        result = srm(weighted_gram(make_ppm(3, 1.0)))
+        # frozen from the closed form and confirmed on the dense, one-bin ensemble
+        result = fast_srm(one_bin(make_ppm(3, 1.0)))
         chi = math.exp(-1)
         formula = (math.sqrt(1 + 2 * chi) + 2 * math.sqrt(1 - chi)) ** 2 / 9
         assert result.pc == pytest.approx(formula, abs=1e-12)
@@ -83,32 +88,27 @@ class TestSrm:
     def test_factor_squares_to_gram(self):
         rng = np.random.default_rng(31)
         g = random_unit_trace_gram(rng, 6)
-        result = srm(g)
+        result = fast_srm(gram_ensemble(g))
         assert np.abs(result.factor @ result.factor - g).max() <= 1e-12
 
     def test_joint_normalization_and_marginals(self):
         rng = np.random.default_rng(37)
         for n in (2, 3, 6, 8):
             g = random_unit_trace_gram(rng, n)
-            result = srm(g)
+            result = fast_srm(gram_ensemble(g))
             joint = np.abs(result.factor) ** 2
             assert abs(joint.sum() - 1.0) <= 1e-10
             np.testing.assert_allclose(joint.sum(axis=1), np.diagonal(g).real, atol=1e-10)
             assert result.pc == pytest.approx(result.per_state_correct.sum())
 
     def test_joint_symmetric_for_real_gram(self):
-        g = binary_gram(0.3, 0.5)
-        result = srm(g)
+        result = fast_srm(binary_pair(0.3, 0.5))
         joint = np.abs(result.factor) ** 2
         np.testing.assert_allclose(joint, joint.T, atol=1e-14)
 
     def test_rejects_singular_gram(self):
         with pytest.raises(GramSingular):
-            srm(0.5 * np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            srm(np.eye(2))
+            fast_srm(dense_ensemble([0.5, 0.5], np.ones((2, 2))))
 
     def test_one_eigendecomposition_of_the_one_bin_stack(self, monkeypatch):
         calls = []
@@ -121,7 +121,7 @@ class TestSrm:
         monkeypatch.setattr(np.linalg, "eigh", counted)
         for n in (1, 3, 6):
             calls.clear()
-            srm(random_unit_trace_gram(np.random.default_rng(n), n))
+            fast_srm(gram_ensemble(random_unit_trace_gram(np.random.default_rng(n), n)))
             assert calls == [(1, n, n)]
 
 
@@ -132,15 +132,15 @@ def residual(result) -> float:
 
 class TestCheckVerdicts:
     def test_circulant_root_is_optimal(self):
-        pairwise, oracle = _check_verdicts(srm(weighted_gram(make_psk(4, 1.0))))
+        pairwise, oracle = _check_verdicts(fast_srm(one_bin(make_psk(4, 1.0))))
         assert pairwise == OptimalityVerdict(True, "theorem2")
         assert oracle == OptimalityVerdict(True, "theorem1_oracle", STRUCTURAL_ZERO)
 
     def test_orthogonal_states_are_optimal(self):
-        assert all(verdict.optimal for verdict in _check_verdicts(srm(np.eye(3) / 3)))
+        assert all(verdict.optimal for verdict in _check_verdicts(fast_srm(dense_ensemble(np.full(3, 1 / 3), np.eye(3)))))
 
     def test_biased_binary_root_fails_both_at_the_one_residual(self):
-        result = srm(binary_gram(0.3, 0.5))
+        result = fast_srm(binary_pair(0.3, 0.5))
         pairwise, oracle = _check_verdicts(result)
         worst = residual(result)
         assert pairwise.witness == (
@@ -154,7 +154,7 @@ class TestCheckVerdicts:
     def test_tolerance_bounds_the_one_residual(self):
         # the residual of the biased pair is 5.109562e-02: both verdicts
         # flip together as tol_cond crosses it
-        result = srm(binary_gram(0.3, 0.5))
+        result = fast_srm(binary_pair(0.3, 0.5))
         worst = residual(result)
         assert f"{worst:.6e}" == "5.109562e-02"
         for tol_cond, optimal in ((0.9 * worst, False), (worst, True), (0.06, True)):
@@ -273,14 +273,15 @@ class TestCheckTheorem3:
         # block 0 spreads more (0.316 against 0.024), but its residual is
         # 6.7e-4 against block 1's 6.3e-3: at tol_cond 1e-3 only block 1
         # fails, so the witness names it, where the reference names block 0
-        g = weighted_gram(dense_ensemble([0.1, 0.4, 0.24, 0.26], [
+        ensemble = dense_ensemble([0.1, 0.4, 0.24, 0.26], [
             [1.0, 0.01, 0.0, 0.0],
             [0.01, 1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 0.9],
             [0.0, 0.0, 0.9, 1.0],
-        ]))
+        ])
+        g = weighted_gram(ensemble)
         blocks = [(0, 1), (2, 3)]
-        root = srm(g).rows[:, :, 0]
+        root = fast_srm(ensemble).rows[:, :, 0]
         roots = [principal_sqrt(g[np.ix_(block, block)]) for block in blocks]
         residuals = [dense_asymmetry(block_root) for block_root in roots]
         spreads = [float(np.ptp(np.diagonal(block_root).real)) for block_root in roots]
@@ -293,7 +294,7 @@ class TestCheckTheorem3:
             "block 0: square-root diagonal entries spread by 3.162313e-01"
         )
         tols = {"tol_cond": 1e-3, "tol_psd": TOL_PSD}
-        assert assert_certificates_match_references(g, blocks, **tols) is False
+        assert assert_certificates_match_references(ensemble, blocks, **tols) is False
         # at the default tolerance both blocks fail, and the wider one is named
         assert check_theorem3(g, blocks, root).witness == (
             "block 0: square-root diagonal entries spread by 3.162313e-01"
@@ -305,7 +306,7 @@ class TestCheckTheorem3:
         # is |X_01| = 0.17 times that: a tol_cond between the two passes
         # Theorem 3 with Theorem 2, where the reference still fails the spread
         g = binary_gram(0.3, 0.5)
-        result = srm(g)
+        result = fast_srm(binary_pair(0.3, 0.5))
         root = result.rows[:, :, 0]
         spread = float(np.ptp(root.diagonal().real))
         worst = residual(result)
@@ -318,15 +319,15 @@ class TestCheckTheorem3:
         assert not check_theorem3_reference(g, [(0, 1)], tol_cond=2 * worst).optimal
 
 
-def assert_matches_reference(gram) -> bool:
-    """The residual verdict on ``srm(gram)`` against the O(n⁴) reference on the same root.
+def assert_matches_reference(ensemble) -> bool:
+    """The residual verdict on a one-bin ensemble's root against the O(n⁴) reference on it.
 
     A suboptimal verdict's residual is the Hermiticity defect of Y up to
     rounding; the reference may name a failed downdate instead.
     """
-    result = srm(gram)
+    result = fast_srm(ensemble)
     _, fast = _check_verdicts(result)
-    slow = verify_theorem1_reference(gram, result.factor)
+    slow = verify_theorem1_reference(weighted_gram(ensemble), result.factor)
     assert fast.optimal == slow.optimal
     if fast.optimal:
         assert fast.witness == STRUCTURAL_ZERO
@@ -338,13 +339,13 @@ def assert_matches_reference(gram) -> bool:
     return fast.optimal
 
 
-def certify_gram(rng, n: int, skewed: bool) -> np.ndarray:
-    """A geometrically uniform circulant Gram, with equal or with skewed priors."""
+def certify_ensemble(rng, n: int, skewed: bool) -> GusEnsemble:
+    """A geometrically uniform circulant set of n states, with equal or with skewed priors."""
     spectrum = rng.uniform(0.2, 1.8, n)
     row = np.fft.ifft(spectrum / spectrum.mean())
     overlaps = row[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
     priors = rng.uniform(0.5, 1.5, n) if skewed else np.ones(n)
-    return weighted_gram(dense_ensemble(priors / priors.sum(), overlaps))
+    return dense_ensemble(priors / priors.sum(), overlaps)
 
 
 class TestTheorem1Reduction:
@@ -356,27 +357,26 @@ class TestTheorem1Reduction:
         for index in range(60):
             n = int(rng.integers(2, 9))
             if index % 4 == 0:
-                gram = random_unit_trace_gram(rng, n)
+                ensemble = gram_ensemble(random_unit_trace_gram(rng, n))
             else:
-                gram = weighted_gram(random_gus_ensemble(rng, index % 4, n))
-            verdicts.add(assert_matches_reference(gram))
+                ensemble = one_bin(random_gus_ensemble(rng, index % 4, n))
+            verdicts.add(assert_matches_reference(ensemble))
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_matches_reference_on_circulant_grams(self, n):
         rng = np.random.default_rng(n)
         for skewed in (False, True):
-            assert assert_matches_reference(certify_gram(rng, n, skewed)) == (not skewed)
+            assert assert_matches_reference(certify_ensemble(rng, n, skewed)) == (not skewed)
 
     @pytest.mark.parametrize("stem", ["binary_equal", "binary_biased", "identity3"])
     def test_matches_reference_on_gram_files(self, stem):
         constellation, _ = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
-        gram = weighted_gram(constellation)
-        assert assert_matches_reference(gram) == (stem != "binary_biased")
+        assert assert_matches_reference(constellation) == (stem != "binary_biased")
 
     def test_no_factorization_after_the_root(self, monkeypatch):
-        optimal = srm(weighted_gram(make_ppm(64, 1.0)))
-        biased = srm(weighted_gram(load_gram_file(str(GRAMFILES / "binary_biased.gram"))[0]))
+        optimal = fast_srm(one_bin(make_ppm(64, 1.0)))
+        biased = fast_srm(load_gram_file(str(GRAMFILES / "binary_biased.gram"))[0])
         calls = counted_factorizations(monkeypatch)
         assert _check_verdicts(optimal)[1].witness == STRUCTURAL_ZERO
         assert _check_verdicts(biased)[1].witness == "Y is not Hermitian: max asymmetry 5.109562e-02"
@@ -421,7 +421,7 @@ class TestTheorem2Reference:
 
     def test_biased_binary_root_fails_balance_condition(self):
         # the same pair and residual as the library's one-residual verdict
-        result = srm(binary_gram(0.3, 0.5))
+        result = fast_srm(binary_pair(0.3, 0.5))
         verdict = check_theorem2_reference(result.factor)
         assert not verdict.optimal
         assert verdict.witness == _check_verdicts(result)[0].witness
@@ -543,7 +543,7 @@ def outcome(certificate, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
-def assert_certificates_match_references(gram, blocks, *, tol_cond, tol_psd) -> bool | None:
+def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd) -> bool | None:
     """The residual verdicts on the SRM root against the independent references.
 
     A residual above ``tol_cond`` fails every verdict, with the references'
@@ -552,13 +552,14 @@ def assert_certificates_match_references(gram, blocks, *, tol_cond, tol_psd) -> 
     the tolerance then accepted a Y that is not Hermitian, on which the
     references' further tests (Y positive definite, every downdate PSD, a
     flat diagonal per block) can fail. ``check_theorem3`` raises the
-    reference's errors. Returns the Theorem-1 verdict, or None when ``srm``
-    refuses the Gram matrix, as ``srmlab check`` would.
+    reference's errors. Returns the Theorem-1 verdict, or None when
+    ``fast_srm`` refuses the one-bin ensemble, as ``srmlab check`` would.
     """
     try:
-        result = srm(gram, tol_psd=tol_psd)
+        result = fast_srm(ensemble, tol_psd=tol_psd)
     except GramSingular:
         return None
+    gram = weighted_gram(ensemble)
     factor = result.factor
     tols = {"tol_cond": tol_cond, "tol_psd": tol_psd}
     worst = residual(result)
@@ -616,8 +617,7 @@ def assert_theorem3_witness(verdict, reference, gram, blocks, tol_psd, tol_cond)
 def read_gram(lines, tmp_path):
     path = tmp_path / "case.gram"
     path.write_text("\n".join(lines) + "\n")
-    constellation, blocks = load_gram_file(str(path))
-    return weighted_gram(constellation), blocks
+    return load_gram_file(str(path))
 
 
 def leak_lines(rng, n, leak) -> list[str]:
@@ -628,12 +628,12 @@ def leak_lines(rng, n, leak) -> list[str]:
     return lines[:-1] + [f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}", lines[-1]]
 
 
-def dense_gram(rng, n) -> np.ndarray:
+def dense_states(rng, n) -> GusEnsemble:
     """Random unit-norm states with skewed priors (squared uniforms on [0.05, 1.5])."""
     b = rng.normal(size=(n, n + 2)) + 1j * rng.normal(size=(n, n + 2))
     states = b / np.linalg.norm(b, axis=1, keepdims=True)
     priors = rng.uniform(0.05, 1.5, n) ** 2
-    return weighted_gram(dense_ensemble(priors / priors.sum(), states.conj() @ states.T))
+    return dense_ensemble(priors / priors.sum(), states.conj() @ states.T)
 
 
 TOLERANCES = [(TOL_PSD, TOL_COND)] + [
@@ -652,18 +652,18 @@ class TestCertificatesMatchReferences:
         for stem in ("binary_equal", "binary_biased", "identity3"):
             constellation, blocks = load_gram_file(str(GRAMFILES / f"{stem}.gram"))
             verdicts.append(
-                assert_certificates_match_references(weighted_gram(constellation), blocks, **tols)
+                assert_certificates_match_references(constellation, blocks, **tols)
             )
         rng = np.random.default_rng(211)
         for leak in LEAKS:
             for n in (8, 16):
-                gram, blocks = read_gram(leak_lines(rng, n, leak), tmp_path)
-                verdicts.append(assert_certificates_match_references(gram, blocks, **tols))
+                ensemble, blocks = read_gram(leak_lines(rng, n, leak), tmp_path)
+                verdicts.append(assert_certificates_match_references(ensemble, blocks, **tols))
         for index in range(24):
             n = 1 + index % 12
             partition = [range(n)] if index % 2 else [range(n // 2), range(n // 2, n)]
-            gram = dense_gram(rng, n)
-            verdicts.append(assert_certificates_match_references(gram, partition, **tols))
+            ensemble = dense_states(rng, n)
+            verdicts.append(assert_certificates_match_references(ensemble, partition, **tols))
         # the large tolerances refuse most Grams or pass every factor
         assert True in verdicts
         if tol_psd < 0.25 and tol_cond < 0.5:
@@ -675,9 +675,9 @@ class TestCertificatesMatchReferences:
     def test_certify_style_files(self, n, blocks, tol_psd, tol_cond, tmp_path):
         for seed in range(2):
             rng = np.random.default_rng(4 * n + 2 * blocks + seed)
-            gram, partition = read_gram(gram_lines(rng, n, blocks), tmp_path)
+            ensemble, partition = read_gram(gram_lines(rng, n, blocks), tmp_path)
             verdict = assert_certificates_match_references(
-                gram, partition, tol_cond=tol_cond, tol_psd=tol_psd
+                ensemble, partition, tol_cond=tol_cond, tol_psd=tol_psd
             )
             assert verdict is not None
 
@@ -730,7 +730,7 @@ class TestCertifySrm:
             verdict = certify_srm(result)
             assert verdict.optimal == verify_theorem1_reference(gram, result.factor).optimal
             # a dense root is the case m = 1, which `srmlab check` reads
-            dense = srm(gram)
+            dense = fast_srm(one_bin(ensemble))
             assert certify_srm(dense).optimal == verdict.optimal
             assert _check_verdicts(dense)[1].optimal == verdict.optimal
             asymmetry = dense_asymmetry(result.factor)
@@ -781,20 +781,19 @@ class TestCertifySrm:
 
 class TestChannelStats:
     def test_noiseless_channel(self):
-        stats = channel_stats(srm(np.eye(8) / 8))
+        stats = channel_stats(fast_srm(dense_ensemble(np.full(8, 1 / 8), np.eye(8))))
         assert stats.mutual_information == pytest.approx(3.0, abs=1e-12)
 
     def test_single_state_carries_nothing(self):
-        stats = channel_stats(srm(np.eye(1)))
+        stats = channel_stats(fast_srm(dense_ensemble([1.0], np.eye(1))))
         assert stats.mutual_information == 0.0
 
     def test_binary_information_is_below_one_bit(self):
         chi = math.exp(-2)
-        stats = channel_stats(srm(binary_gram(0.5, chi)))
+        stats = channel_stats(fast_srm(binary_pair(0.5, chi)))
         assert 0.0 < stats.mutual_information <= 1.0
 
     def test_marginals(self):
-        g = binary_gram(0.3, 0.5)
-        stats = channel_stats(srm(g))
+        stats = channel_stats(fast_srm(binary_pair(0.3, 0.5)))
         np.testing.assert_allclose(stats.input_marginals, [0.3, 0.7], atol=1e-10)
         assert stats.output_marginals.sum() == pytest.approx(1.0, abs=1e-10)
