@@ -14,7 +14,11 @@ is formed only if a caller reads it.
 Several ensembles of one (s, m) go through the same kernel together,
 batched over a leading axis: their k stacks make one (k m, s, s) ``eigh``,
 one root product and one FFT pair, and each root equals the one
-``fast_srm`` takes alone bit for bit.
+``fast_srm`` takes alone bit for bit. Once that stack has s >= 2 and at
+least ``_DISTINCT_FLOOR`` bins, only its bitwise-distinct coupling
+matrices go to the ``eigh`` and the root product: PPM-like constellations
+repeat one matrix in every bin but bin 0, so double PPM at m = 512 takes
+a handful of 2 x 2 decompositions instead of 512, with the same bits.
 The root's diagonal is flat on each constellation: its value g_h on
 constellation h is the seed ``rows[h, h, 0]``, and the correct-decision
 probability is m * sum_h g_h^2. ``srm.certify_srm`` decides optimality from
@@ -50,27 +54,56 @@ def block_diagonalize(ensemble: GusEnsemble) -> np.ndarray:
     return _coupling_stacks(_weighted_rows(ensemble))
 
 
+# Stacks of s >= 2 with at least this many bins go to ``eigh`` once per
+# bitwise-distinct coupling matrix; on smaller stacks, and at s = 1, the
+# sort costs more than the repeated eigendecompositions it saves.
+_DISTINCT_FLOOR = 64
+
+
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bitwise-distinct matrices of an (n, s, s) stack, and the index that gathers them back.
+
+    Matrices are sorted by their bits, so entries that compare equal as
+    numbers but differ in their bits, such as +0.0 and -0.0, stay apart.
+    """
+    keys = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.uint64)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return stack[order[new]], inverse
+
+
 def _root_rows(weighted_rows: np.ndarray, tol_psd: float) -> np.ndarray:
     """The root's (..., s, s, m) first rows from (..., s, s, m) weighted first rows.
 
-    Each (s, s, m) block of rows along the leading axes is one ensemble; all
-    their bins go to one ``eigh``. Raises ``GramSingular`` for the first
+    Each (s, s, m) block of rows along the leading axes is one ensemble;
+    their bins go to one ``eigh``. A stack of s >= 2 with at least
+    ``_DISTINCT_FLOOR`` bins sends only its bitwise-distinct coupling
+    matrices, whose eigenvalues and roots are gathered back to every bin;
+    ``eigh`` and the root treat each matrix on its own, so the roots are
+    the same bits either way. Raises ``GramSingular`` for the first
     ensemble, in C order, whose smallest eigenvalue over its bins falls
     below ``tol_psd``, naming that value. The first rows are averaged with
     their mirror, so the factor they describe is exactly Hermitian.
     """
     stacks = _coupling_stacks(weighted_rows)
     *batch, m, s, _ = stacks.shape
-    w, v = _eigh(stacks.reshape(-1, s, s))
-    w = w.reshape(*batch, m, s)
-    if w[..., 0].min() < tol_psd:
-        lowest = np.ravel(w[..., 0].min(axis=-1))
+    stack = stacks.reshape(-1, s, s)
+    inverse = slice(None)
+    if s > 1 and len(stack) >= _DISTINCT_FLOOR:
+        stack, inverse = _distinct(stack)
+    w, v = _eigh(stack)
+    if w[:, 0].min() < tol_psd:
+        lowest = w[inverse, 0].reshape(-1, m).min(axis=-1)
         first = lowest[np.argmax(lowest < tol_psd)]
         raise GramSingular(
             f"Gram matrix is singular (min eigenvalue {first:.3e} < {tol_psd:g}); "
             "the weighted states are not linearly independent"
         )
-    rows = _first_rows(_sqrt_from_eig(w, v.reshape(*batch, m, s, s)))
+    rows = _first_rows(_sqrt_from_eig(w, v)[inverse].reshape(*batch, m, s, s))
     return (rows + _mirror(rows)) / 2.0
 
 

@@ -16,7 +16,9 @@ search of each block's support graph, and the trace criterion that
 demands equal g_h, which is wrong for reducible coupling.
 The eigendecomposition and both roots call ``np.linalg.eigh`` after their
 own Hermitian check and clamp their own eigenvalues, so the dense route
-shares no kernel with the library it checks.
+shares no kernel with the library it checks; the dense circulants shift
+their first row and multiply by the Fourier matrix, without the library's
+gather or inverse FFT.
 ``counted_factorizations`` logs the LAPACK factorizations a call makes.
 """
 
@@ -40,7 +42,6 @@ from srmlab.linalg import (
     TOL_PSD,
     TOL_RECON,
     _circulant_blocks,
-    _first_rows,
     as_matrix,
 )
 from srmlab.srm import TOL_COND, OptimalityVerdict, SrmResult
@@ -103,7 +104,8 @@ class CirculantSpec:
         object.__setattr__(self, "first_row", row)
 
     def matrix(self) -> np.ndarray:
-        return _circulant_blocks(self.first_row[None, None, :])
+        # row i is the first row shifted right by i places
+        return np.array([np.roll(self.first_row, i) for i in range(len(self.first_row))])
 
 
 def circulant_from_eigenvalues(eigenvalues) -> CirculantSpec:
@@ -208,8 +210,14 @@ def trace_criterion(sqrt_spectrum: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def spectrum_to_matrix(spectrum: np.ndarray) -> np.ndarray:
-    """Dense matrix whose (h, k) block is F diag(spectrum[:, h, k]) F†."""
-    return _circulant_blocks(_first_rows(spectrum))
+    """Dense matrix whose (h, k) block is F diag(spectrum[:, h, k]) F†, F the ``fourier_matrix``."""
+    m, s, _ = spectrum.shape
+    f = fourier_matrix(m)
+    dense = np.empty((s * m, s * m), dtype=complex)
+    for h in range(s):
+        for k in range(s):
+            dense[h * m : (h + 1) * m, k * m : (k + 1) * m] = (f * spectrum[:, h, k]) @ f.conj().T
+    return dense
 
 
 def random_unit_trace_gram(rng: np.random.Generator, n: int, min_eig: float = 1e-6) -> np.ndarray:

@@ -3,14 +3,17 @@
 import collections
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
+    GRAMFILE_REPORTS,
     block_sqrt,
     dense_ensemble,
     dense_route,
+    gram_lines,
     principal_sqrt,
     random_gus_ensemble,
     single_gus_pc,
@@ -27,7 +30,18 @@ from srmlab.analysis import (
     pc_double_bpsk_equal_amp,
     ppm_closed_form,
 )
-from srmlab.cli import rows_fig1, rows_fig23
+from srmlab import gus
+from srmlab.cli import (
+    EXIT_NUMERIC,
+    EXIT_OK,
+    build_parser,
+    main,
+    parse_angle_list,
+    parse_grid,
+    render_csv,
+    rows_fig1,
+    rows_fig23,
+)
 from srmlab.constellations import (
     GusEnsemble,
     coherent_inner,
@@ -40,6 +54,9 @@ from srmlab.constellations import (
 from srmlab.errors import GramSingular
 from srmlab.gus import _fast_srms, block_diagonalize, fast_srm
 from srmlab.linalg import TOL_PSD, TOL_RECON, _bins
+from test_datasets import DATA, DEFAULT_DATASETS
+
+GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
 
 class TestBlockDiagonalize:
@@ -272,7 +289,19 @@ class TestFastSrm:
             return eigh(mat, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        for ens, shape in ((make_double_ppm(8, 1.0), (8, 2, 2)), (make_ppm(8, 1.0), (8, 1, 1))):
+        # every bin of a small or s = 1 stack goes to eigh; a large double
+        # PPM stack sends only its few bitwise-distinct coupling matrices
+        cases = [
+            (make_double_ppm(8, 1.0), (8, 2, 2)),
+            (make_ppm(8, 1.0), (8, 1, 1)),
+            (make_ppm(256, 1.0), (256, 1, 1)),
+        ]
+        for m in (256, 512):
+            ens = make_double_ppm(m, 1.0)
+            distinct = len({matrix.tobytes() for matrix in block_diagonalize(ens)})
+            assert distinct < m // 16
+            cases.append((ens, (distinct, 2, 2)))
+        for ens, shape in cases:
             calls.clear()
             fast_srm(ens)
             assert calls == [shape]
@@ -402,6 +431,107 @@ class TestBatchedRoot:
     def test_refuses_ensembles_of_different_shapes(self, ensembles):
         with pytest.raises(ValueError, match="must share one"):
             _fast_srms(ensembles, TOL_PSD)
+
+
+DISTINCT_CASES = {
+    "double_ppm64": lambda: [make_double_ppm(64, 1.0)],
+    "double_ppm256": lambda: [make_double_ppm(256, 0.6)],
+    "double_ppm512": lambda: [make_double_ppm(512, 1.7)],
+    "random_s3_m64": lambda: [random_gus_ensemble(np.random.default_rng(11), 3, 64)],
+    "pam4_p_star_batch": lambda: [pam4_at_p_star(x) for x in np.linspace(0.1, 10.0, 32)],
+    "double_ppm16_batch": lambda: [make_double_ppm(16, a) for a in (0.3, 0.6, 1.0, 1.7, 2.5)],
+}
+
+
+class TestDistinctBins:
+    """A large stack decomposes each bitwise-distinct coupling matrix once, to the same bits."""
+
+    @pytest.mark.parametrize("name", sorted(DISTINCT_CASES))
+    def test_roots_are_bitwise_those_of_every_bin(self, name, monkeypatch):
+        ensembles = DISTINCT_CASES[name]()
+        if len(ensembles) > 1:
+            # each ensemble alone stays below the floor; only the batch crosses it
+            assert ensembles[0].m < gus._DISTINCT_FLOOR <= len(ensembles) * ensembles[0].m
+        sorts = []
+        distinct = gus._distinct
+
+        def counted(stack):
+            sorts.append(len(stack))
+            return distinct(stack)
+
+        def roots():
+            return [result.rows.tobytes() for result in _fast_srms(ensembles, TOL_PSD)]
+
+        monkeypatch.setattr(gus, "_distinct", counted)
+        with_sort = roots()
+        assert sorts == [sum(ensemble.m for ensemble in ensembles)]
+        if len(ensembles) == 1:
+            assert fast_srm(ensembles[0]).rows.tobytes() == with_sort[0]
+        monkeypatch.setattr(gus, "_DISTINCT_FLOOR", sys.maxsize)
+        sorts.clear()
+        assert roots() == with_sort
+        assert sorts == []
+
+    def test_singular_sweep_reports_the_same_line(self, monkeypatch, capsys):
+        argv = ["sweep", "--scheme", "double_ppm", "--m", "256", "--grid", "2e-7:2e-7:1"]
+        outcomes = []
+        for floor in (gus._DISTINCT_FLOOR, sys.maxsize):
+            monkeypatch.setattr(gus, "_DISTINCT_FLOOR", floor)
+            code = main(argv)
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1] == (
+            EXIT_NUMERIC,
+            "error: Gram matrix is singular (min eigenvalue 5.551e-17 < 1e-10); "
+            "the weighted states are not linearly independent\n",
+        )
+
+    def test_signed_zeros_stay_apart(self):
+        # bins that are equal as numbers but not as bits are decomposed apart
+        a = np.eye(2, dtype=complex)
+        negative_real, negative_imag = a.copy(), a.copy()
+        negative_real[0, 1] = complex(-0.0, 0.0)
+        negative_imag[1, 0] = complex(0.0, -0.0)
+        stack = np.array([a, negative_real, negative_imag, a, negative_real])
+        assert (stack == a).all()
+        distinct, inverse = gus._distinct(stack)
+        assert len(distinct) == 3
+        assert len({inverse[0], inverse[1], inverse[2]}) == 3
+        assert (inverse[3], inverse[4]) == (inverse[0], inverse[1])
+        assert distinct[inverse].tobytes() == stack.tobytes()
+
+    def test_default_datasets_and_checks_never_sort(self, monkeypatch, tmp_path):
+        # every root that the default datasets and `check` take stays below
+        # the floor: at most 16 bins per ensemble, or one bin of a dense Gram.
+        # fig1 is rooted a grid point per call, as the `defaults` bench
+        # workload does; the whole default grid stacks 400 ensembles (800
+        # bins) and does sort
+        out = tmp_path / "report.txt"
+        reports = {GRAMFILES / f"{stem}.gram": report for stem, report in GRAMFILE_REPORTS.items()}
+        for n in (16, 32, 64, 128):
+            for blocks in (False, True):
+                path = tmp_path / f"case{n}_{blocks:d}.gram"
+                path.write_text("\n".join(gram_lines(np.random.default_rng(n + blocks), n, blocks)) + "\n")
+                assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+                reports[path] = out.read_text()
+
+        def refuse(stack):
+            raise AssertionError(f"sorted a stack of {len(stack)} bins")
+
+        monkeypatch.setattr(gus, "_distinct", refuse)
+        for path, report in reports.items():
+            assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+            assert out.read_text() == report
+        for name, argv in DEFAULT_DATASETS.items():
+            pinned = (DATA / f"{name}.csv").read_text()
+            if name == "fig1":
+                args = build_parser().parse_args(argv)
+                deltas = parse_angle_list(args.delta)
+                grid = parse_grid(args.grid)
+                rows = [row for x in grid for row in rows_fig1([x], deltas, args.tol_psd)]
+                assert render_csv(["alpha_sq", "delta", "pc", "pe"], rows) == pinned
+                continue
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            assert out.read_text() == pinned
 
 
 class TestSpectralRegrouping:

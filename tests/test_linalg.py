@@ -13,7 +13,7 @@ from helpers import (
     random_circulant_gram,
 )
 from srmlab.errors import NotHermitian, NumericalError
-from srmlab.linalg import TOL_RECON, _bins
+from srmlab.linalg import TOL_RECON, _bins, _circulant_blocks
 
 
 def random_hermitian(rng, n):
@@ -181,6 +181,22 @@ class TestCirculant:
         spec = CirculantSpec([0.0, 1.0, 2.0])
         expected = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]], dtype=complex)
         np.testing.assert_allclose(spec.matrix(), expected)
+
+    def test_block_layout(self):
+        # block (h, k) of the dense matrix is the circulant of rows[h, k]
+        rows = np.array([[[0, 1, 2], [10, 11, 12]], [[20, 21, 22], [30, 31, 32]]], dtype=complex)
+        expected = np.array(
+            [
+                [0, 1, 2, 10, 11, 12],
+                [2, 0, 1, 12, 10, 11],
+                [1, 2, 0, 11, 12, 10],
+                [20, 21, 22, 30, 31, 32],
+                [22, 20, 21, 32, 30, 31],
+                [21, 22, 20, 31, 32, 30],
+            ],
+            dtype=complex,
+        )
+        np.testing.assert_array_equal(_circulant_blocks(rows), expected)
 
     def test_spectral_decomposition_convention(self):
         # the DFT sign must make F diag(lam) F† rebuild the matrix
