@@ -39,7 +39,6 @@ from .errors import (
     GramFileError,
     GramSingular,
     InputError,
-    InvalidFactorization,
     InvalidPrior,
     NotBlockDiagonal,
     NotHermitian,
@@ -70,7 +69,6 @@ __all__ = [
     "GramSingular",
     "GusEnsemble",
     "InputError",
-    "InvalidFactorization",
     "InvalidPrior",
     "NotBlockDiagonal",
     "NotHermitian",

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import analysis
-from .constellations import RULE_TOL, GusEnsemble, make_double_bpsk, weighted_gram
+from .constellations import RULE_TOL, GusEnsemble, make_double_bpsk
 from .errors import (
     GramFileError,
     GramSingular,
@@ -491,9 +491,8 @@ def cmd_check(args) -> int:
     for i, correct in enumerate(result.per_state_correct):
         lines.append(f"correct {i} state{i} {fmt(correct)}")
     if blocks is not None:
-        gram = weighted_gram(ensemble)
         try:
-            verdict3 = check_theorem3(gram, blocks, result.rows[:, :, 0], tol_cond=args.tol_cond)
+            verdict3 = check_theorem3(ensemble, blocks, result, tol_cond=args.tol_cond)
             lines.append(_verdict_line(verdict3))
         except (NotBlockDiagonal, ReducibleBlock, ValueError) as exc:
             lines.append(f"theorem3 error ({exc})")

@@ -43,10 +43,6 @@ class ReducibleBlock(NumericalError):
     """A declared diagonal block is reducible; the partition must be refined."""
 
 
-class InvalidFactorization(NumericalError):
-    """A candidate factor does not match the Gram matrix."""
-
-
 class DomainError(InputError):
     """An argument is outside the domain of a closed-form evaluator."""
 

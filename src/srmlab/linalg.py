@@ -1,70 +1,33 @@
 """Dense complex linear algebra for Gram-matrix pipelines.
 
-Hermitian eigendecomposition of a matrix or of a stack of them, the one
-square-root kernel on its eigenpairs, and the circulant transforms: first
+The one square-root kernel and the circulant transforms it runs on: first
 rows to spectra and back (``np.fft`` along the last axis), their mirror
-and, when a caller asks for it, the dense block-circulant matrix. The
-kernel, the transforms and the mirror act on leading batch axes, so the
-(..., s, s, m) first rows of several ensembles of one shape go through
-each in one call; every matrix and row is still transformed on its own.
-The transforms are private and take rows that ``GusEnsemble`` has already
-checked. Matrices are square complex128 arrays, indexed (row, column)
-from 0. All functions are pure and never mutate their inputs.
+and, when a caller asks for it, the dense block-circulant matrix.
+``_root_rows`` is the only place that takes a square root: the FFT turns
+the (..., s, s, m) weighted first rows of one or several ensembles of one
+shape into m coupling matrices each, one ``eigh`` decomposes them (only
+the bitwise-distinct ones once an ensemble has ``_DISTINCT_FLOOR`` bins),
+and the clamped root of every matrix goes back through one inverse FFT.
+Every matrix and row is still transformed on its own. A dense n x n
+matrix is the one-bin case (s = n, m = 1), on which both transforms are
+exact. The transforms are private and take rows that ``GusEnsemble`` has
+already checked. Matrices are square complex128 arrays, indexed (row,
+column) from 0. All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotHermitian
+from .errors import ConvergenceFailure, GramSingular, NotHermitian
 
 TOL_HERM = 1e-10
 TOL_PSD = 1e-10
 TOL_RECON = 1e-8
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce input to a finite, non-empty, square complex matrix."""
-    mat = np.array(values, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] == 0:
-        raise ValueError("matrix must be non-empty")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must be finite")
-    return mat
-
-
 def _adjoint(mat: np.ndarray) -> np.ndarray:
     return np.swapaxes(mat.conj(), -1, -2)
-
-
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian matrix, or of a stack of them in one ``eigh`` call.
-
-    Eigenvalues come back ascending along the last axis; ``NotHermitian``
-    when the input is asymmetric beyond ``TOL_HERM``.
-    """
-    adjoint = _adjoint(mat)
-    defect = float(np.abs(mat - adjoint).max())
-    if defect > TOL_HERM:
-        raise NotHermitian(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {TOL_HERM:g}"
-        )
-    try:
-        return np.linalg.eigh((mat + adjoint) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-
-
-def _sqrt_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetrised ``V diag(sqrt(max(w, 0))) V†``, batched over leading axes.
-
-    ``w[..., i]`` and ``v[..., :, i]`` are matching eigenpairs, as
-    ``eigh`` returns them.
-    """
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
-    return (root + _adjoint(root)) / 2.0
 
 
 def _mirror(rows: np.ndarray) -> np.ndarray:
@@ -107,3 +70,80 @@ def _bins(rows: np.ndarray) -> np.ndarray:
     already checked; ``_first_rows`` is the inverse.
     """
     return np.fft.ifft(rows, norm="forward")
+
+
+def _coupling_stacks(weighted_rows: np.ndarray) -> np.ndarray:
+    """(..., m, s, s) coupling stacks of (..., s, s, m) weighted first rows, in one transform."""
+    # (..., h, k, m) -> (..., m, k, h) -> (..., m, h, k)
+    return _bins(weighted_rows).swapaxes(-1, -3).swapaxes(-1, -2)
+
+
+# Ensembles of s >= 2 with at least this many bins go to ``eigh`` once per
+# bitwise-distinct coupling matrix; on smaller ensembles, and at s = 1, the
+# sort costs more than the repeated eigendecompositions it saves. The floor
+# reads each ensemble's own bin count, not that of a stacked batch: bins
+# repeat within an ensemble (PPM-like constellations share one matrix in
+# every bin but bin 0), not across the ensembles of a grid.
+_DISTINCT_FLOOR = 64
+
+
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bitwise-distinct matrices of an (n, s, s) stack, and the index that gathers them back.
+
+    Matrices are sorted by their bits, so entries that compare equal as
+    numbers but differ in their bits, such as +0.0 and -0.0, stay apart.
+    """
+    keys = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.uint64)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return stack[order[new]], inverse
+
+
+def _root_rows(weighted_rows: np.ndarray, tol_psd: float) -> np.ndarray:
+    """The principal root's (..., s, s, m) first rows from (..., s, s, m) weighted first rows.
+
+    Each (s, s, m) block of rows along the leading axes is one ensemble;
+    their bins go to one ``eigh``. Ensembles of s >= 2 and at least
+    ``_DISTINCT_FLOOR`` bins send only their bitwise-distinct coupling
+    matrices, whose eigenvalues and roots are gathered back to every bin;
+    ``eigh`` and the root treat each matrix on its own, so the roots are
+    the same bits either way. Raises ``NotHermitian`` when a coupling
+    matrix is asymmetric beyond ``TOL_HERM``, ``ConvergenceFailure`` when
+    the eigensolver fails, and ``GramSingular`` for the first ensemble, in
+    C order, whose smallest eigenvalue over its bins falls below
+    ``tol_psd``, naming that value; ``tol_psd = -inf`` never raises it.
+    Eigenvalues below zero are clamped to zero before the square root.
+    Each root is symmetrised, and the first rows are averaged with their
+    mirror, so the factor they describe is exactly Hermitian.
+    """
+    stacks = _coupling_stacks(weighted_rows)
+    *batch, m, s, _ = stacks.shape
+    stack = stacks.reshape(-1, s, s)
+    inverse = slice(None)
+    if s > 1 and m >= _DISTINCT_FLOOR:
+        stack, inverse = _distinct(stack)
+    adjoint = _adjoint(stack)
+    defect = float(np.abs(stack - adjoint).max())
+    if defect > TOL_HERM:
+        raise NotHermitian(
+            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {TOL_HERM:g}"
+        )
+    try:
+        w, v = np.linalg.eigh((stack + adjoint) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+    if w[:, 0].min() < tol_psd:
+        lowest = w[inverse, 0].reshape(-1, m).min(axis=-1)
+        first = lowest[np.argmax(lowest < tol_psd)]
+        raise GramSingular(
+            f"Gram matrix is singular (min eigenvalue {first:.3e} < {tol_psd:g}); "
+            "the weighted states are not linearly independent"
+        )
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
+    root = (root + _adjoint(root)) / 2.0
+    rows = _first_rows(root[inverse].reshape(*batch, m, s, s))
+    return (rows + _mirror(rows)) / 2.0

@@ -18,8 +18,11 @@ residual, max |X_ij| |d_j - d_i| with d = diag(X), with no eigensolve:
 ``certify_srm`` from the root's first rows (the paper's condition: the
 root's diagonal values g_h agree across every pair of constellations that
 the root couples), ``check_theorem3`` on the pairs inside each block of a
-block-diagonal Gram matrix, and the Theorem-2 and Theorem-1 lines of
-``srmlab check`` on the dense root.
+one-bin ensemble whose Gram matrix is block diagonal, reading the blocks'
+roots off its ``SrmResult``, and the Theorem-2 and Theorem-1 lines of
+``srmlab check`` on the dense root. Where a tolerated cross-block leak
+calls for each block's own root, ``check_theorem3`` takes it with
+``linalg._root_rows``, the kernel behind ``fast_srm``.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidFactorization, NotBlockDiagonal, ReducibleBlock
-from .linalg import _circulant_blocks, _eigh, _sqrt_from_eig, as_matrix
+from .constellations import GusEnsemble, _weighted_rows
+from .errors import NotBlockDiagonal, ReducibleBlock
+from .linalg import _circulant_blocks, _root_rows
 
 TOL_COND = 1e-9
 
@@ -110,11 +114,16 @@ def _asymmetry(rows: np.ndarray) -> np.ndarray:
     return np.abs(rows) * np.abs(g[None, :] - g[:, None])[:, :, None]
 
 
-def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> OptimalityVerdict:
-    """Optimality test for a Gram matrix that is block diagonal.
+def check_theorem3(
+    ensemble: GusEnsemble, blocks, result: SrmResult, *, tol_cond: float = TOL_COND
+) -> OptimalityVerdict:
+    """Optimality test for a one-bin ensemble whose weighted Gram matrix is block diagonal.
 
-    ``blocks`` partitions the state indices. Entries coupling different
-    blocks must vanish within ``tol_cond`` (else ``NotBlockDiagonal``),
+    ``ensemble`` is a dense set of n states (m = 1) and ``result`` its
+    square-root measurement, as ``fast_srm`` takes it; ``ValueError``
+    unless both hold n states of one bin. ``blocks`` partitions the state
+    indices. Entries coupling different blocks must vanish within
+    ``tol_cond`` (else ``NotBlockDiagonal``),
     and each block's support graph, its entries above the fixed
     ``TOL_COND``, must be connected (else ``ReducibleBlock``; refine the
     partition and retry). The measurement is optimal iff every block's
@@ -125,18 +134,21 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
     blocks where it does, the one whose root diagonal spreads the most,
     with that spread.
 
-    ``factor`` is the principal square root of ``gram``, as ``fast_srm``
-    takes it. A block-diagonal matrix has a block-diagonal principal root, so
-    each block's root is read off ``factor`` and no block is factored
-    again. A tolerated cross-block entry of size ε moves that root by
-    O(ε²): to first order the root changes off the blocks alone. Only when
+    A block-diagonal matrix has a block-diagonal principal root, so each
+    block's root is read off ``result`` and no block is factored again. A
+    tolerated cross-block entry of size ε moves that root by O(ε²): to
+    first order the root changes off the blocks alone. Only when
     ``tol_cond`` lets an entry above ``TOL_COND`` through is each block
-    rooted on its own instead.
+    rooted on its own instead, by the same kernel as ``fast_srm``.
     """
-    g = as_matrix(gram)
-    x = as_matrix(factor)
-    if x.shape != g.shape:
-        raise InvalidFactorization(f"factor shape {x.shape} does not match Gram {g.shape}")
+    if ensemble.m != 1:
+        raise ValueError(f"check_theorem3 takes a one-bin ensemble, got m = {ensemble.m}")
+    if result.rows.shape != ensemble.rows.shape:
+        raise ValueError(
+            f"result rows {result.rows.shape} do not match the ensemble's {ensemble.rows.shape}"
+        )
+    g = _weighted_rows(ensemble)[:, :, 0]
+    x = result.rows[:, :, 0]
     n = len(g)
     partition = [tuple(int(i) for i in block) for block in blocks]
     indices = sorted(i for block in partition for i in block)
@@ -165,7 +177,8 @@ def check_theorem3(gram, blocks, factor, *, tol_cond: float = TOL_COND) -> Optim
         x = np.zeros_like(g)
         for block in partition:
             index = np.ix_(block, block)
-            x[index] = _sqrt_from_eig(*_eigh(g[index]))
+            # the full G passed tol_psd, and each block's eigenvalues interlace above it
+            x[index] = _root_rows(g[index][:, :, None], -np.inf)[:, :, 0]
     diag = np.diagonal(x).real
     residual = _asymmetry(x[:, :, None])[:, :, 0]
     spreads = {

@@ -5,7 +5,9 @@ Fourier matrix, dense circulants from a first row or a spectrum, a PSD
 test, the Hermiticity defect of a matrix, the least eigenvalue of a
 Hermitian part, the eigendecomposition record, the principal square root
 of a dense matrix, the spectral square root and the dense assembly of a
-coupling stack, the certificate references, the line-by-line Gram-file
+coupling stack, the certificate references with the ``as_matrix``
+coercion and the ``InvalidFactorization`` error they raise on a factor
+that does not match its Gram matrix, the line-by-line Gram-file
 parser, and the documented ``check`` reports of the files in
 ``gramfiles/``. The library decides every verdict from one residual of
 the square-root measurement; the references decide on any factor X of
@@ -30,7 +32,6 @@ import numpy as np
 from srmlab.constellations import RULE_TOL, GusEnsemble, weighted_gram
 from srmlab.errors import (
     GramFileError,
-    InvalidFactorization,
     InvalidPrior,
     NotBlockDiagonal,
     NotHermitian,
@@ -42,7 +43,6 @@ from srmlab.linalg import (
     TOL_PSD,
     TOL_RECON,
     _circulant_blocks,
-    as_matrix,
 )
 from srmlab.srm import TOL_COND, OptimalityVerdict, SrmResult
 
@@ -356,6 +356,22 @@ def _min_eig(hermitian: np.ndarray) -> float:
     """The least eigenvalue of the Hermitian part of a matrix, by ``eigvalsh``."""
     sym = (hermitian + hermitian.conj().T) / 2.0
     return float(np.linalg.eigvalsh(sym)[0])
+
+
+class InvalidFactorization(NumericalError):
+    """A candidate factor given to a reference does not match the Gram matrix."""
+
+
+def as_matrix(values) -> np.ndarray:
+    """Coerce a reference's input to a finite, non-empty, square complex matrix."""
+    mat = np.array(values, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.shape[0] == 0:
+        raise ValueError("matrix must be non-empty")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix entries must be finite")
+    return mat
 
 
 def verify_theorem1_reference(

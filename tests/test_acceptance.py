@@ -157,7 +157,7 @@ def test_criterion_04_verdict_concordance():
             if certify_srm(fast_srm(ensemble)).optimal != oracle.optimal:
                 disagreements += 1
         try:
-            blockwise = check_theorem3(gram, [range(n)], result.rows[:, :, 0])
+            blockwise = check_theorem3(dense, [range(n)], result)
         except ReducibleBlock:
             blockwise = None
         if blockwise is not None:

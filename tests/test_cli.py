@@ -456,18 +456,34 @@ class TestCheck:
             assert "theorem1_oracle" in (tmp_path / "report.txt").read_text()
 
     def test_roots_the_one_bin_rows_without_a_dense_gram(self, monkeypatch, tmp_path):
-        # without a 'blocks' line, check roots the parsed one-bin ensemble
-        # and never assembles the dense Gram matrix: every dense
-        # block-circulant gather refuses, and the reports do not change
+        # check roots the parsed one-bin ensemble and never assembles the
+        # dense Gram matrix, with or without a 'blocks' line: every dense
+        # block-circulant gather refuses, and the reports do not change.
+        # The leaky file's cross-block overlap of 1e-4 (2.2e-5 weighted)
+        # passes --tol-cond 1e-3 but not TOL_COND, so each block is rooted
+        # on its own, as a one-bin stack of the same kernel
         out = tmp_path / "report.txt"
         expected = {}
         for seed in (1, 5):
-            path = tmp_path / f"certify{seed}.gram"
-            path.write_text("\n".join(gram_lines(np.random.default_rng(seed), 16, False)) + "\n")
-            assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
-            expected[path] = out.read_text()
-        for stem in ("binary_biased", "identity3"):
-            expected[GRAMFILES / f"{stem}.gram"] = GRAMFILE_REPORTS[stem]
+            for blocks in (False, True):
+                path = tmp_path / f"certify{seed}{blocks:d}.gram"
+                lines = gram_lines(np.random.default_rng(seed), 16, blocks)
+                path.write_text("\n".join(lines) + "\n")
+                assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+                expected[path, ()] = out.read_text()
+        for stem in ("binary_equal", "binary_biased", "identity3"):
+            expected[GRAMFILES / f"{stem}.gram", ()] = GRAMFILE_REPORTS[stem]
+        leaky = tmp_path / "leaky.gram"
+        leaky.write_text(
+            "n 4\npriors 0.2 0.3 0.25 0.25\n"
+            "inner 0 1 0.4 0\ninner 0 2 1e-4 0\ninner 2 3 0.3 0\nblocks 0,1 2,3\n"
+        )
+        flags = ("--tol-cond", "1e-3")
+        assert main(["check", str(leaky), *flags, "--out", str(out)]) == EXIT_OK
+        expected[leaky, flags] = out.read_text()
+        assert expected[leaky, flags].splitlines()[-3] == (
+            "theorem3 suboptimal (block 0: square-root diagonal entries spread by 1.026519e-01)"
+        )
 
         def refuse(rows):
             raise AssertionError(f"dense gather of first rows {np.shape(rows)}")
@@ -478,11 +494,17 @@ class TestCheck:
                 monkeypatch.setattr(module, "_circulant_blocks", refuse)
                 patched.add(name)
         assert {"srmlab.linalg", "srmlab.constellations", "srmlab.srm"} <= patched
-        for path, report in expected.items():
-            assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+        calls = counted_factorizations(monkeypatch)
+        for (path, flags), report in expected.items():
+            calls["eigh"].clear()
+            assert main(["check", str(path), *flags, "--out", str(out)]) == EXIT_OK
             assert out.read_text() == report
+            n = int(report.split()[1])
+            blockwise = [(1, 2, 2), (1, 2, 2)] if path == leaky else []
+            assert calls["eigh"] == [(1, n, n), *blockwise]
+        assert sum("theorem3" in report for report in expected.values()) == 4
         assert {report.splitlines()[0] for report in expected.values()} == {
-            "states 2", "states 3", "states 16"
+            "states 2", "states 3", "states 4", "states 16"
         }
 
     @pytest.mark.parametrize("tol_cond", [None, "1e-9", "1e-6", "1e-3", "0.5"])

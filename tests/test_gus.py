@@ -30,15 +30,11 @@ from srmlab.analysis import (
     pc_double_bpsk_equal_amp,
     ppm_closed_form,
 )
-from srmlab import gus
+from srmlab import linalg
 from srmlab.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
-    build_parser,
     main,
-    parse_angle_list,
-    parse_grid,
-    render_csv,
     rows_fig1,
     rows_fig23,
 )
@@ -438,22 +434,30 @@ DISTINCT_CASES = {
     "double_ppm256": lambda: [make_double_ppm(256, 0.6)],
     "double_ppm512": lambda: [make_double_ppm(512, 1.7)],
     "random_s3_m64": lambda: [random_gus_ensemble(np.random.default_rng(11), 3, 64)],
+    "double_ppm64_batch": lambda: [make_double_ppm(64, a) for a in (0.3, 1.0, 1.7)],
+    "double_ppm256_batch": lambda: [make_double_ppm(256, a) for a in (0.6, 2.5)],
+}
+
+# batches of ensembles below the floor whose stacked bins reach it
+BELOW_FLOOR_BATCHES = {
     "pam4_p_star_batch": lambda: [pam4_at_p_star(x) for x in np.linspace(0.1, 10.0, 32)],
     "double_ppm16_batch": lambda: [make_double_ppm(16, a) for a in (0.3, 0.6, 1.0, 1.7, 2.5)],
 }
 
 
+def refuse_sort(stack):
+    raise AssertionError(f"sorted a stack of {len(stack)} bins")
+
+
 class TestDistinctBins:
-    """A large stack decomposes each bitwise-distinct coupling matrix once, to the same bits."""
+    """An ensemble of many bins decomposes each bitwise-distinct coupling matrix once, to the same bits."""
 
     @pytest.mark.parametrize("name", sorted(DISTINCT_CASES))
     def test_roots_are_bitwise_those_of_every_bin(self, name, monkeypatch):
         ensembles = DISTINCT_CASES[name]()
-        if len(ensembles) > 1:
-            # each ensemble alone stays below the floor; only the batch crosses it
-            assert ensembles[0].m < gus._DISTINCT_FLOOR <= len(ensembles) * ensembles[0].m
+        assert ensembles[0].m >= linalg._DISTINCT_FLOOR
         sorts = []
-        distinct = gus._distinct
+        distinct = linalg._distinct
 
         def counted(stack):
             sorts.append(len(stack))
@@ -462,21 +466,31 @@ class TestDistinctBins:
         def roots():
             return [result.rows.tobytes() for result in _fast_srms(ensembles, TOL_PSD)]
 
-        monkeypatch.setattr(gus, "_distinct", counted)
+        monkeypatch.setattr(linalg, "_distinct", counted)
         with_sort = roots()
+        # a batch is sorted once, over the bins of all its ensembles
         assert sorts == [sum(ensemble.m for ensemble in ensembles)]
-        if len(ensembles) == 1:
-            assert fast_srm(ensembles[0]).rows.tobytes() == with_sort[0]
-        monkeypatch.setattr(gus, "_DISTINCT_FLOOR", sys.maxsize)
+        for ensemble, root in zip(ensembles, with_sort):
+            assert fast_srm(ensemble).rows.tobytes() == root
+        monkeypatch.setattr(linalg, "_DISTINCT_FLOOR", sys.maxsize)
         sorts.clear()
         assert roots() == with_sort
         assert sorts == []
 
+    @pytest.mark.parametrize("name", sorted(BELOW_FLOOR_BATCHES))
+    def test_a_batch_below_the_floor_never_sorts(self, name, monkeypatch):
+        # the floor reads each ensemble's own bins, not the stacked batch's
+        ensembles = BELOW_FLOOR_BATCHES[name]()
+        assert ensembles[0].m < linalg._DISTINCT_FLOOR <= len(ensembles) * ensembles[0].m
+        alone = [fast_srm(ensemble).rows.tobytes() for ensemble in ensembles]
+        monkeypatch.setattr(linalg, "_distinct", refuse_sort)
+        assert [result.rows.tobytes() for result in _fast_srms(ensembles, TOL_PSD)] == alone
+
     def test_singular_sweep_reports_the_same_line(self, monkeypatch, capsys):
         argv = ["sweep", "--scheme", "double_ppm", "--m", "256", "--grid", "2e-7:2e-7:1"]
         outcomes = []
-        for floor in (gus._DISTINCT_FLOOR, sys.maxsize):
-            monkeypatch.setattr(gus, "_DISTINCT_FLOOR", floor)
+        for floor in (linalg._DISTINCT_FLOOR, sys.maxsize):
+            monkeypatch.setattr(linalg, "_DISTINCT_FLOOR", floor)
             code = main(argv)
             outcomes.append((code, capsys.readouterr().err))
         assert outcomes[0] == outcomes[1] == (
@@ -493,7 +507,7 @@ class TestDistinctBins:
         negative_imag[1, 0] = complex(0.0, -0.0)
         stack = np.array([a, negative_real, negative_imag, a, negative_real])
         assert (stack == a).all()
-        distinct, inverse = gus._distinct(stack)
+        distinct, inverse = linalg._distinct(stack)
         assert len(distinct) == 3
         assert len({inverse[0], inverse[1], inverse[2]}) == 3
         assert (inverse[3], inverse[4]) == (inverse[0], inverse[1])
@@ -501,10 +515,9 @@ class TestDistinctBins:
 
     def test_default_datasets_and_checks_never_sort(self, monkeypatch, tmp_path):
         # every root that the default datasets and `check` take stays below
-        # the floor: at most 16 bins per ensemble, or one bin of a dense Gram.
-        # fig1 is rooted a grid point per call, as the `defaults` bench
-        # workload does; the whole default grid stacks 400 ensembles (800
-        # bins) and does sort
+        # the floor: at most 16 bins per ensemble, or one bin of a dense
+        # Gram; fig1 batches its whole default grid, 400 double-BPSK
+        # ensembles of two bins each, and still does not sort
         out = tmp_path / "report.txt"
         reports = {GRAMFILES / f"{stem}.gram": report for stem, report in GRAMFILE_REPORTS.items()}
         for n in (16, 32, 64, 128):
@@ -514,24 +527,13 @@ class TestDistinctBins:
                 assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
                 reports[path] = out.read_text()
 
-        def refuse(stack):
-            raise AssertionError(f"sorted a stack of {len(stack)} bins")
-
-        monkeypatch.setattr(gus, "_distinct", refuse)
+        monkeypatch.setattr(linalg, "_distinct", refuse_sort)
         for path, report in reports.items():
             assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
             assert out.read_text() == report
         for name, argv in DEFAULT_DATASETS.items():
-            pinned = (DATA / f"{name}.csv").read_text()
-            if name == "fig1":
-                args = build_parser().parse_args(argv)
-                deltas = parse_angle_list(args.delta)
-                grid = parse_grid(args.grid)
-                rows = [row for x in grid for row in rows_fig1([x], deltas, args.tol_psd)]
-                assert render_csv(["alpha_sq", "delta", "pc", "pe"], rows) == pinned
-                continue
             assert main([*argv, "--out", str(out)]) == EXIT_OK
-            assert out.read_text() == pinned
+            assert out.read_text() == (DATA / f"{name}.csv").read_text()
 
 
 class TestSpectralRegrouping:

@@ -23,7 +23,6 @@ EXPORTED = [
     "GramSingular",
     "GusEnsemble",
     "InputError",
-    "InvalidFactorization",
     "InvalidPrior",
     "NotBlockDiagonal",
     "NotHermitian",
@@ -85,21 +84,66 @@ def private_definitions(tree: ast.Module) -> list[str]:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
+def imported_names(tree: ast.Module) -> list[str]:
+    """Names that a module binds by ``import`` or ``from ... import``, ``__future__`` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def loaded_names(tree: ast.AST) -> set[str]:
+    """Names read in a tree, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+
+
 def test_every_private_name_is_read_in_the_package():
     # a private helper that nothing in src/srmlab reads is dead code, such
     # as a fold of one function into another can leave behind; an import
     # alone is not a read
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
     defined = [name for tree in trees for name in private_definitions(tree)]
-    read = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        or isinstance(node, ast.Attribute)
-    }
+    read = set().union(*map(loaded_names, trees))
     assert "_root_rows" in defined
     assert sorted(set(defined) - read) == []
+    # and a module that imports a name reads it: only __init__ imports to
+    # re-export, so a name moved out of a module leaves no import behind
+    unused = {
+        path.name: sorted(set(imported_names(tree)) - loaded_names(tree))
+        for path, tree in zip(sorted(SRC.glob("*.py")), trees)
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_one_eigendecomposition_kernel():
+    # np.linalg.eigh is written once in src/srmlab, inside linalg._root_rows:
+    # every square root, batched or per block, goes through that kernel
+    def eigh_sites(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "eigh"
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] == "eigh"
+        ]
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    sites = {name: eigh_sites(tree) for name, tree in trees.items()}
+    assert {name: len(nodes) for name, nodes in sites.items() if nodes} == {"linalg.py": 1}
+    (kernel,) = [
+        node
+        for node in trees["linalg.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_root_rows"
+    ]
+    assert [ast.unparse(node) for node in eigh_sites(kernel)] == ["np.linalg.eigh"]
 
 
 def test_every_traced_layer_is_a_module():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    InvalidFactorization,
     block_sqrt,
     check_theorem2_reference,
     check_theorem3_reference,
@@ -36,7 +37,6 @@ from srmlab.constellations import (
 )
 from srmlab.errors import (
     GramSingular,
-    InvalidFactorization,
     NotBlockDiagonal,
     NumericalError,
     ReducibleBlock,
@@ -46,6 +46,7 @@ from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import (
     TOL_COND,
     OptimalityVerdict,
+    SrmResult,
     _asymmetry,
     _check_verdicts,
     _connected,
@@ -164,36 +165,37 @@ class TestCheckVerdicts:
 
 class TestCheckTheorem3:
     def test_single_gus_block(self):
-        g = weighted_gram(make_psk(4, 1.0))
-        verdict = check_theorem3(g, [range(4)], principal_sqrt(g))
+        ensemble = one_bin(make_psk(4, 1.0))
+        verdict = check_theorem3(ensemble, [range(4)], fast_srm(ensemble))
         assert verdict.optimal
 
     def test_binary_equiprobable_common_diagonal(self):
         chi = 0.5
-        g = binary_gram(0.5, chi)
-        root = principal_sqrt(g)
-        verdict = check_theorem3(g, [(0, 1)], root)
+        pair = binary_pair(0.5, chi)
+        result = fast_srm(pair)
+        verdict = check_theorem3(pair, [(0, 1)], result)
         assert verdict.optimal
         # the common diagonal value is a / sqrt(2)
         a = math.sqrt((1 + math.sqrt(1 - chi**2)) / 2)
+        root = result.rows[:, :, 0]
         assert root[0, 0].real == pytest.approx(a / math.sqrt(2), abs=1e-12)
         assert root[1, 1].real == pytest.approx(a / math.sqrt(2), abs=1e-12)
 
     def test_singleton_blocks(self):
-        g = np.diag([0.4, 0.6])
-        verdict = check_theorem3(g, [(0,), (1,)], principal_sqrt(g))
+        ensemble = gram_ensemble(np.diag([0.4, 0.6]))
+        verdict = check_theorem3(ensemble, [(0,), (1,)], fast_srm(ensemble))
         assert verdict.optimal
 
     def test_unbalanced_block_is_suboptimal(self):
-        g = binary_gram(0.3, 0.5)
-        verdict = check_theorem3(g, [(0, 1)], principal_sqrt(g))
+        pair = binary_pair(0.3, 0.5)
+        verdict = check_theorem3(pair, [(0, 1)], fast_srm(pair))
         assert not verdict.optimal
         assert "spread" in verdict.witness
 
     def test_rejects_false_partition(self):
-        g = binary_gram(0.5, 0.5)
+        pair = binary_pair(0.5, 0.5)
         with pytest.raises(NotBlockDiagonal):
-            check_theorem3(g, [(0,), (1,)], principal_sqrt(g))
+            check_theorem3(pair, [(0,), (1,)], fast_srm(pair))
 
     def test_support_graph_search_matches_a_node_by_node_search(self):
         # random graphs from nearly empty to complete, paths (the longest
@@ -216,56 +218,69 @@ class TestCheckTheorem3:
         assert set(answers) == {True, False}
 
     def test_rejects_reducible_block(self):
-        g = np.diag([0.4, 0.6])
+        ensemble = gram_ensemble(np.diag([0.4, 0.6]))
         with pytest.raises(ReducibleBlock):
-            check_theorem3(g, [(0, 1)], principal_sqrt(g))
+            check_theorem3(ensemble, [(0, 1)], fast_srm(ensemble))
 
     def test_rejects_non_partition(self):
+        pair, triple = (dense_ensemble(np.full(n, 1 / n), np.eye(n)) for n in (2, 3))
         with pytest.raises(ValueError):
-            check_theorem3(np.eye(2) / 2, [(0,)], np.eye(2) / math.sqrt(2))
+            check_theorem3(pair, [(0,)], fast_srm(pair))
         with pytest.raises(ValueError, match="at least one state"):
-            check_theorem3(np.eye(3) / 3, [(0, 1), (), (2,)], np.eye(3) / math.sqrt(3))
+            check_theorem3(triple, [(0, 1), (), (2,)], fast_srm(triple))
 
-    def test_rejects_a_factor_of_another_size(self):
-        with pytest.raises(InvalidFactorization, match="factor shape"):
-            check_theorem3(np.eye(2) / 2, [(0, 1)], np.eye(3))
+    def test_rejects_several_bins_and_a_result_of_another_shape(self):
+        # the blocks are read off a one-bin ensemble and its own root only
+        psk = make_psk(4, 1.0)
+        with pytest.raises(ValueError, match="one-bin ensemble, got m = 4"):
+            check_theorem3(psk, [range(4)], fast_srm(psk))
+        pair, triple = (dense_ensemble(np.full(n, 1 / n), np.eye(n)) for n in (2, 3))
+        with pytest.raises(ValueError, match=r"result rows \(3, 3, 1\) do not match"):
+            check_theorem3(pair, [(0, 1)], fast_srm(triple))
+        with pytest.raises(ValueError, match=r"result rows \(1, 1, 4\) do not match"):
+            check_theorem3(one_bin(psk), [range(4)], fast_srm(make_ppm(4, 1.0)))
 
     def test_support_graph_is_cut_at_the_fixed_scale(self):
         # every weighted off-diagonal entry of PSK(4) at priors 1/4 lies
         # between TOL_COND and 0.5: the block stays connected at any tol_cond
-        g = weighted_gram(make_psk(4, 1.0))
+        ensemble = one_bin(make_psk(4, 1.0))
+        g = weighted_gram(ensemble)
         assert TOL_COND < np.abs(g - np.diag(np.diag(g))).max() < 0.5
+        result = fast_srm(ensemble)
         for tol_cond in (1e-12, TOL_COND, 1e-4, 0.5):
-            assert check_theorem3(g, [range(4)], principal_sqrt(g), tol_cond=tol_cond).optimal
+            assert check_theorem3(ensemble, [range(4)], result, tol_cond=tol_cond).optimal
             assert check_theorem3_reference(g, [range(4)], tol_cond=tol_cond).optimal
 
     def test_tolerated_leak_roots_each_block_on_its_own(self, monkeypatch):
         # a weighted cross-block entry of 0.0045 moves the full root's
         # diagonal by O(0.0045^2); with tol_cond above it, the residual and
         # the spreads come from the blocks' own roots, as in the reference,
-        # and not from the factor
-        g = weighted_gram(dense_ensemble([0.2, 0.3, 0.25, 0.25], [
+        # and not from the full root; each block is a one-bin stack of the
+        # kernel that fast_srm runs
+        ensemble = dense_ensemble([0.2, 0.3, 0.25, 0.25], [
             [1.0, 0.4, 0.02, 0.0],
             [0.4, 1.0, 0.0, 0.0],
             [0.02, 0.0, 1.0, 0.3],
             [0.0, 0.0, 0.3, 1.0],
-        ]))
+        ])
+        g = weighted_gram(ensemble)
         blocks = [(0, 1), (2, 3)]
-        factor = principal_sqrt(g)
+        result = fast_srm(ensemble)
         calls = counted_factorizations(monkeypatch)
-        verdict = check_theorem3(g, blocks, factor, tol_cond=0.005)
-        assert calls["eigh"] == [(2, 2), (2, 2)]
+        verdict = check_theorem3(ensemble, blocks, result, tol_cond=0.005)
+        assert calls["eigh"] == [(1, 2, 2), (1, 2, 2)]
         assert verdict == check_theorem3_reference(g, blocks, tol_cond=0.005)
         spread = np.ptp(np.diagonal(principal_sqrt(g[:2, :2])).real)
         assert verdict.witness == f"block 0: square-root diagonal entries spread by {spread:.6e}"
-        assert abs(spread - np.ptp(np.diagonal(factor)[:2].real)) > 1e-5
+        assert abs(spread - np.ptp(np.diagonal(result.rows[:, :, 0])[:2].real)) > 1e-5
 
     def test_reads_the_root_it_is_given(self, monkeypatch):
-        # the residual comes from the factor: no block is factored again,
-        # and a factor with a flat diagonal per block passes
-        g = binary_gram(0.3, 0.5)
+        # the residual comes from the result: no block is factored again,
+        # and a root with a flat diagonal per block passes
+        pair = binary_pair(0.3, 0.5)
+        flat = SrmResult(np.diag([0.6, 0.6]).astype(complex)[:, :, None])
         calls = counted_factorizations(monkeypatch)
-        verdict = check_theorem3(g, [(0, 1)], np.diag([0.6, 0.6]))
+        verdict = check_theorem3(pair, [(0, 1)], flat)
         assert verdict.optimal
         assert not any(calls.values())
 
@@ -281,12 +296,12 @@ class TestCheckTheorem3:
         ])
         g = weighted_gram(ensemble)
         blocks = [(0, 1), (2, 3)]
-        root = fast_srm(ensemble).rows[:, :, 0]
+        result = fast_srm(ensemble)
         roots = [principal_sqrt(g[np.ix_(block, block)]) for block in blocks]
         residuals = [dense_asymmetry(block_root) for block_root in roots]
         spreads = [float(np.ptp(np.diagonal(block_root).real)) for block_root in roots]
         assert residuals[0] < 1e-3 < residuals[1] and spreads[0] > spreads[1]
-        verdict = check_theorem3(g, blocks, root, tol_cond=1e-3)
+        verdict = check_theorem3(ensemble, blocks, result, tol_cond=1e-3)
         assert verdict == OptimalityVerdict(
             False, "theorem3", "block 1: square-root diagonal entries spread by 2.360680e-02"
         )
@@ -296,25 +311,25 @@ class TestCheckTheorem3:
         tols = {"tol_cond": 1e-3, "tol_psd": TOL_PSD}
         assert assert_certificates_match_references(ensemble, blocks, **tols) is False
         # at the default tolerance both blocks fail, and the wider one is named
-        assert check_theorem3(g, blocks, root).witness == (
+        assert check_theorem3(ensemble, blocks, result).witness == (
             "block 0: square-root diagonal entries spread by 3.162313e-01"
         )
-        assert check_theorem3(g, blocks, root, tol_cond=1e-2).optimal
+        assert check_theorem3(ensemble, blocks, result, tol_cond=1e-2).optimal
 
     def test_tolerance_bounds_the_residual_not_the_spread(self):
         # the biased pair's root diagonal spreads by 0.30, and its residual
         # is |X_01| = 0.17 times that: a tol_cond between the two passes
         # Theorem 3 with Theorem 2, where the reference still fails the spread
-        g = binary_gram(0.3, 0.5)
-        result = fast_srm(binary_pair(0.3, 0.5))
-        root = result.rows[:, :, 0]
-        spread = float(np.ptp(root.diagonal().real))
+        pair = binary_pair(0.3, 0.5)
+        g = weighted_gram(pair)
+        result = fast_srm(pair)
+        spread = float(np.ptp(result.rows[:, :, 0].diagonal().real))
         worst = residual(result)
         assert 2 * worst < spread
-        assert check_theorem3(g, [(0, 1)], root, tol_cond=0.9 * worst).witness == (
+        assert check_theorem3(pair, [(0, 1)], result, tol_cond=0.9 * worst).witness == (
             f"block 0: square-root diagonal entries spread by {spread:.6e}"
         )
-        assert check_theorem3(g, [(0, 1)], root, tol_cond=2 * worst).optimal
+        assert check_theorem3(pair, [(0, 1)], result, tol_cond=2 * worst).optimal
         assert _check_verdicts(result, tol_cond=2 * worst)[0].optimal
         assert not check_theorem3_reference(g, [(0, 1)], tol_cond=2 * worst).optimal
 
@@ -569,7 +584,7 @@ def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd)
         (oracle, verify_theorem1_reference(gram, factor, **tols)),
     ]
     if blocks is not None:
-        blockwise = outcome(check_theorem3, gram, blocks, result.rows[:, :, 0], tol_cond=tol_cond)
+        blockwise = outcome(check_theorem3, ensemble, blocks, result, tol_cond=tol_cond)
         reference = outcome(check_theorem3_reference, gram, blocks, **tols)
         if isinstance(blockwise, tuple):  # an error's name and text
             assert blockwise == reference
