@@ -41,13 +41,12 @@ from .errors import (
     InputError,
     InvalidPrior,
     NotBlockDiagonal,
-    NotHermitian,
     NumericalError,
     ReducibleBlock,
     SrmLabError,
 )
 from .gus import block_diagonalize, fast_srm
-from .linalg import TOL_HERM, TOL_PSD, TOL_RECON
+from .linalg import TOL_PSD, TOL_RECON
 from .srm import (
     TOL_COND,
     ChannelStats,
@@ -71,7 +70,6 @@ __all__ = [
     "InputError",
     "InvalidPrior",
     "NotBlockDiagonal",
-    "NotHermitian",
     "NumericalError",
     "OptimalityVerdict",
     "PpmClosedForm",
@@ -80,7 +78,6 @@ __all__ = [
     "SrmResult",
     "SweepPoint",
     "TOL_COND",
-    "TOL_HERM",
     "TOL_PSD",
     "TOL_RECON",
     "block_diagonalize",

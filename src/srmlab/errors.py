@@ -19,10 +19,6 @@ class NumericalError(SrmLabError):
     """A matrix or search fails numerically on well-formed input."""
 
 
-class NotHermitian(NumericalError):
-    """A matrix required to be Hermitian is not, beyond tolerance."""
-
-
 class ConvergenceFailure(NumericalError):
     """The iterative eigensolver failed to converge."""
 

@@ -5,14 +5,15 @@ symmetry splits into s x s circulant blocks of order m, so it is fully
 described by the ensemble's (s, s, m) first rows. One FFT along the last
 axis diagonalizes all blocks at once, leaving m independent s x s Hermitian
 coupling matrices, one per frequency bin, held as an (m, s, s) stack:
-``block_diagonalize`` returns it. ``fast_srm`` is the one root entry point,
-and a dense set of n states is its one-bin stack (s = n, m = 1). It hands
-the weighted first rows to ``linalg._root_rows``, the one square-root
-kernel: one eigendecomposition yields both the singularity test and the
-square roots, and one inverse FFT turns those into the first rows of the
-full Gram root; the dense (s m) x (s m) factor is formed only if a caller
-reads it. ``_fast_srms`` roots several ensembles of one (s, m) through
-the same kernel together, batched over a leading axis, and each root
+``block_diagonalize`` returns it, and it is the root path's one forward
+transform. ``fast_srm`` is the one root entry point, and a dense set of n
+states is its one-bin stack (s = n, m = 1). It hands the coupling stack to
+``linalg._root_rows``, the one square-root kernel: one eigendecomposition
+yields both the singularity test and the square roots, and one inverse FFT
+turns those into the first rows of the full Gram root; no dense
+(s m) x (s m) matrix is formed. ``_fast_srms`` roots several ensembles of
+one (s, m) through the same kernel together, their weighted first rows
+stacked over a leading axis and transformed in one FFT, and each root
 equals the one ``fast_srm`` takes alone bit for bit.
 The root's diagonal is flat on each constellation: its value g_h on
 constellation h is the seed ``rows[h, h, 0]``, and the correct-decision
@@ -53,8 +54,8 @@ def _fast_srms(ensembles: list[GusEnsemble], tol_psd: float) -> list[SrmResult]:
         raise ValueError(
             f"ensembles rooted together must share one (s, s, m), got {sorted(shapes)}"
         )
-    rows = _root_rows(np.array([_weighted_rows(ensemble) for ensemble in ensembles]), tol_psd)
-    return [SrmResult(root) for root in rows]
+    rows = np.array([_weighted_rows(ensemble) for ensemble in ensembles])
+    return [SrmResult(root) for root in _root_rows(_coupling_stacks(rows), tol_psd)]
 
 
 def fast_srm(ensemble: GusEnsemble, *, tol_psd: float = TOL_PSD) -> SrmResult:
@@ -65,4 +66,4 @@ def fast_srm(ensemble: GusEnsemble, *, tol_psd: float = TOL_PSD) -> SrmResult:
     ``rows[h, h, 0]`` is the diagonal value g_h of constellation h: each of
     its states is detected correctly with probability g_h^2.
     """
-    return SrmResult(_root_rows(_weighted_rows(ensemble), tol_psd))
+    return SrmResult(_root_rows(block_diagonalize(ensemble), tol_psd))

@@ -1,27 +1,28 @@
 """Dense complex linear algebra for Gram-matrix pipelines.
 
-The one square-root kernel and the circulant transforms it runs on: first
-rows to spectra and back (``np.fft`` along the last axis), their mirror
-and, when a caller asks for it, the dense block-circulant matrix.
-``_root_rows`` is the only place that takes a square root: the FFT turns
-the (..., s, s, m) weighted first rows of one or several ensembles of one
-shape into m coupling matrices each, one ``eigh`` decomposes them (only
-the bitwise-distinct ones once an ensemble has ``_DISTINCT_FLOOR`` bins),
-and the clamped root of every matrix goes back through one inverse FFT.
-Every matrix and row is still transformed on its own. A dense n x n
-matrix is the one-bin case (s = n, m = 1), on which both transforms are
-exact. The transforms are private and take rows that ``GusEnsemble`` has
-already checked. Matrices are square complex128 arrays, indexed (row,
-column) from 0. All functions are pure and never mutate their inputs.
+The one square-root kernel and the circulant transforms around it: first
+rows to coupling stacks and back (``np.fft`` along the last axis), their
+mirror and, when a caller asks for it, the dense block-circulant matrix.
+``_root_rows`` is the only place that takes a square root. It takes the
+(..., m, s, s) coupling stacks of one or several ensembles of one shape,
+however the caller got them: ``_coupling_stacks`` turns weighted first
+rows into them in one FFT, and a dense n x n matrix is its own one-bin
+stack (s = n, m = 1), with no transform. One ``eigh`` decomposes every
+matrix (only the bitwise-distinct ones once an ensemble has
+``_DISTINCT_FLOOR`` bins), and the clamped root of every matrix goes back
+through one inverse FFT to the root's first rows. Every matrix and row is
+still transformed on its own. The transforms are private and take rows
+that ``GusEnsemble`` has already checked. Matrices are square complex128
+arrays, indexed (row, column) from 0. All functions are pure and never
+mutate their inputs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, GramSingular, NotHermitian
+from .errors import ConvergenceFailure, GramSingular
 
-TOL_HERM = 1e-10
 TOL_PSD = 1e-10
 TOL_RECON = 1e-8
 
@@ -44,7 +45,7 @@ def _mirror(rows: np.ndarray) -> np.ndarray:
 def _first_rows(spectrum: np.ndarray) -> np.ndarray:
     """(..., s, s, m) first rows of block-circulant matrices with (..., m, s, s) coupling stacks.
 
-    The inverse of ``_bins``, taken for all blocks of every stack in one FFT.
+    The inverse of ``_coupling_stacks``, taken for all blocks of every stack in one FFT.
     """
     # (..., m, h, k) -> (..., k, h, m) -> (..., h, k, m)
     return np.fft.fft(spectrum.swapaxes(-3, -1).swapaxes(-3, -2), norm="forward")
@@ -103,37 +104,29 @@ def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack[order[new]], inverse
 
 
-def _root_rows(weighted_rows: np.ndarray, tol_psd: float) -> np.ndarray:
-    """The principal root's (..., s, s, m) first rows from (..., s, s, m) weighted first rows.
+def _root_rows(stacks: np.ndarray, tol_psd: float) -> np.ndarray:
+    """The principal root's (..., s, s, m) first rows from (..., m, s, s) coupling stacks.
 
-    Each (s, s, m) block of rows along the leading axes is one ensemble;
-    their bins go to one ``eigh``. Ensembles of s >= 2 and at least
-    ``_DISTINCT_FLOOR`` bins send only their bitwise-distinct coupling
-    matrices, whose eigenvalues and roots are gathered back to every bin;
-    ``eigh`` and the root treat each matrix on its own, so the roots are
-    the same bits either way. Raises ``NotHermitian`` when a coupling
-    matrix is asymmetric beyond ``TOL_HERM``, ``ConvergenceFailure`` when
-    the eigensolver fails, and ``GramSingular`` for the first ensemble, in
-    C order, whose smallest eigenvalue over its bins falls below
-    ``tol_psd``, naming that value; ``tol_psd = -inf`` never raises it.
-    Eigenvalues below zero are clamped to zero before the square root.
-    Each root is symmetrised, and the first rows are averaged with their
-    mirror, so the factor they describe is exactly Hermitian.
+    Each (m, s, s) stack along the leading axes is one ensemble; their bins
+    go to one ``eigh``. Ensembles of s >= 2 and at least ``_DISTINCT_FLOOR``
+    bins send only their bitwise-distinct coupling matrices, whose
+    eigenvalues and roots are gathered back to every bin; ``eigh`` and the
+    root treat each matrix on its own, so the roots are the same bits
+    either way. Each matrix is taken as its Hermitian part. Raises
+    ``ConvergenceFailure`` when the eigensolver fails, and ``GramSingular``
+    for the first ensemble, in C order, whose smallest eigenvalue over its
+    bins falls below ``tol_psd``, naming that value; ``tol_psd = -inf``
+    never raises it. Eigenvalues below zero are clamped to zero before the
+    square root. Each root is symmetrised, and the first rows are averaged
+    with their mirror, so the factor they describe is exactly Hermitian.
     """
-    stacks = _coupling_stacks(weighted_rows)
     *batch, m, s, _ = stacks.shape
     stack = stacks.reshape(-1, s, s)
     inverse = slice(None)
     if s > 1 and m >= _DISTINCT_FLOOR:
         stack, inverse = _distinct(stack)
-    adjoint = _adjoint(stack)
-    defect = float(np.abs(stack - adjoint).max())
-    if defect > TOL_HERM:
-        raise NotHermitian(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {TOL_HERM:g}"
-        )
     try:
-        w, v = np.linalg.eigh((stack + adjoint) / 2.0)
+        w, v = np.linalg.eigh((stack + _adjoint(stack)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     if w[:, 0].min() < tol_psd:

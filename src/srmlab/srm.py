@@ -22,7 +22,8 @@ one-bin ensemble whose Gram matrix is block diagonal, reading the blocks'
 roots off its ``SrmResult``, and the Theorem-2 and Theorem-1 lines of
 ``srmlab check`` on the dense root. Where a tolerated cross-block leak
 calls for each block's own root, ``check_theorem3`` takes it with
-``linalg._root_rows``, the kernel behind ``fast_srm``.
+``linalg._root_rows``, the kernel behind ``fast_srm``, as a one-bin
+coupling stack that needs no transform.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
 from .errors import NotBlockDiagonal, ReducibleBlock
-from .linalg import _circulant_blocks, _root_rows
+from .linalg import _root_rows
 
 TOL_COND = 1e-9
 
@@ -46,15 +47,11 @@ class SrmResult:
     ``rows`` are the (s, s, m) first rows of the Gram square root X: block
     (h, k) of X is the circulant with first row ``rows[h, k]`` (a dense root
     has s = n, m = 1). ``per_state_correct`` and ``pc`` come from the seeds
-    ``rows[h, h, 0]``; the dense ``factor`` is built when read, and
-    ``abs(factor) ** 2`` is the joint probability of sending i and deciding j.
+    ``rows[h, h, 0]``; ``abs(rows) ** 2`` holds the joint probabilities of
+    sending i and deciding j, each entry counted m times.
     """
 
     rows: np.ndarray
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        return _circulant_blocks(self.rows)
 
     @cached_property
     def per_state_correct(self) -> np.ndarray:
@@ -178,7 +175,7 @@ def check_theorem3(
         for block in partition:
             index = np.ix_(block, block)
             # the full G passed tol_psd, and each block's eigenvalues interlace above it
-            x[index] = _root_rows(g[index][:, :, None], -np.inf)[:, :, 0]
+            x[index] = _root_rows(g[index][None], -np.inf)[:, :, 0]
     diag = np.diagonal(x).real
     residual = _asymmetry(x[:, :, None])[:, :, 0]
     spreads = {

@@ -2,9 +2,11 @@
 
 Also the test references that the library does not need: the unitary
 Fourier matrix, dense circulants from a first row or a spectrum, a PSD
-test, the Hermiticity defect of a matrix, the least eigenvalue of a
-Hermitian part, the eigendecomposition record, the principal square root
-of a dense matrix, the spectral square root and the dense assembly of a
+test, the Hermiticity defect of a matrix and the ``hermitian_part``
+check with its ``TOL_HERM`` and ``NotHermitian`` error, the least
+eigenvalue of a Hermitian part, the eigendecomposition record, the
+principal square root of a dense matrix, the dense factor X of an
+``SrmResult``, the spectral square root and the dense assembly of a
 coupling stack, the certificate references with the ``as_matrix``
 coercion and the ``InvalidFactorization`` error they raise on a factor
 that does not match its Gram matrix, the line-by-line Gram-file
@@ -21,10 +23,14 @@ own Hermitian check and clamp their own eigenvalues, so the dense route
 shares no kernel with the library it checks; the dense circulants shift
 their first row and multiply by the Fourier matrix, without the library's
 gather or inverse FFT.
-``counted_factorizations`` logs the LAPACK factorizations a call makes.
+``counted_factorizations`` logs the LAPACK factorizations a call makes,
+``counted_transforms`` counts its FFTs and ``eigh`` calls, and
+``refuse_dense_gathers`` makes every dense block-circulant gather raise.
 """
 
 import cmath
+import collections
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +40,17 @@ from srmlab.errors import (
     GramFileError,
     InvalidPrior,
     NotBlockDiagonal,
-    NotHermitian,
     NumericalError,
     ReducibleBlock,
 )
-from srmlab.linalg import (
-    TOL_HERM,
-    TOL_PSD,
-    TOL_RECON,
-    _circulant_blocks,
-)
+from srmlab.linalg import TOL_PSD, TOL_RECON, _circulant_blocks
 from srmlab.srm import TOL_COND, OptimalityVerdict, SrmResult
+
+TOL_HERM = 1e-10
+
+
+class NotHermitian(NumericalError):
+    """A matrix required to be Hermitian is not, beyond ``TOL_HERM``."""
 
 
 # the full `srmlab check` report of each documented file in gramfiles/
@@ -180,11 +186,20 @@ def principal_sqrt(mat, *, tol_psd: float = TOL_PSD) -> np.ndarray:
     return clamped_root(w, v)
 
 
+def dense_factor(result: SrmResult) -> np.ndarray:
+    """The dense (s m) x (s m) root X that a result's first rows describe.
+
+    ``abs(dense_factor(result)) ** 2`` is the joint probability of sending
+    i and deciding j.
+    """
+    return _circulant_blocks(result.rows)
+
+
 def dense_route(ensemble: GusEnsemble) -> SrmResult:
     """The square-root measurement by ``principal_sqrt`` of the dense weighted Gram matrix.
 
-    Held as a one-bin result (s = n, m = 1), so its ``pc``, ``factor`` and
-    ``channel_stats`` read as those of ``fast_srm``.
+    Held as a one-bin result (s = n, m = 1), so its ``pc``, ``dense_factor``
+    and ``channel_stats`` read as those of ``fast_srm``.
     """
     return SrmResult(principal_sqrt(weighted_gram(ensemble))[:, :, None])
 
@@ -350,6 +365,33 @@ def counted_factorizations(monkeypatch) -> dict:
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def counted_transforms(monkeypatch) -> collections.Counter:
+    """Count the calls of ``np.fft.fft``, ``np.fft.ifft`` and ``np.linalg.eigh``, by name."""
+    calls = collections.Counter()
+    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.linalg, "eigh")):
+
+        def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def refuse_dense_gathers(monkeypatch) -> None:
+    """Make every dense block-circulant gather that a ``srmlab`` module holds raise."""
+
+    def refuse(rows):
+        raise AssertionError(f"dense gather of first rows {np.shape(rows)}")
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("srmlab") and hasattr(module, "_circulant_blocks"):
+            monkeypatch.setattr(module, "_circulant_blocks", refuse)
+            patched.add(name)
+    assert {"srmlab.linalg", "srmlab.constellations"} <= patched
 
 
 def _min_eig(hermitian: np.ndarray) -> float:

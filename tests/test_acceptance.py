@@ -26,6 +26,7 @@ from helpers import (
     check_theorem2_reference,
     check_theorem3_reference,
     dense_ensemble,
+    dense_factor,
     dense_route,
     gram_ensemble,
     one_bin,
@@ -56,7 +57,8 @@ _RESULTS: list[tuple[np.ndarray, np.ndarray]] = []
 
 def _record(result, gram) -> None:
     """Remember (joint matrix, priors) for the normalization audit."""
-    _RESULTS.append((np.abs(result.factor) ** 2, np.diagonal(np.asarray(gram)).real.copy()))
+    joint = np.abs(dense_factor(result)) ** 2
+    _RESULTS.append((joint, np.diagonal(np.asarray(gram)).real.copy()))
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -114,7 +116,9 @@ def test_criterion_03_path_equivalence():
         _record(fast_result, gram)
         _record(dense_result, gram)
         worst_pc = max(worst_pc, abs(fast_result.pc - dense_result.pc))
-        joint_gap = np.abs(fast_result.factor) ** 2 - np.abs(dense_result.factor) ** 2
+        joint_gap = (
+            np.abs(dense_factor(fast_result)) ** 2 - np.abs(dense_factor(dense_result)) ** 2
+        )
         worst_joint = max(worst_joint, float(np.abs(joint_gap).max()))
     ok = worst_pc <= 1e-8 and worst_joint <= 1e-8
     assert _report(
@@ -220,7 +224,7 @@ def test_criterion_06_optimized_prior():
         result = fast_srm(ensemble)
         _record(result, gram)
         all_certified = (
-            all_certified and verify_theorem1_reference(gram, result.factor).optimal
+            all_certified and verify_theorem1_reference(gram, dense_factor(result)).optimal
         )
     bright = analysis.optimize_prior_4pam(math.sqrt(10.0))
     bright_ok = abs(bright - 0.25) < 0.01
@@ -253,8 +257,8 @@ def test_criterion_07_ppm_closed_forms():
             worst = max(
                 worst,
                 abs(result.pc - form.pc),
-                abs(result.factor[0, 0].real - form.correct),
-                abs(result.factor[0, 1].real - form.cross),
+                abs(dense_factor(result)[0, 0].real - form.correct),
+                abs(dense_factor(result)[0, 1].real - form.cross),
             )
     alpha_orthogonal = math.sqrt(-math.log(1e-8))
     orthogonal_gap = max(
@@ -308,10 +312,10 @@ def test_criterion_08_double_ppm():
             _, balanced = trace_criterion(root_spectrum)
             result = fast_srm(ensemble)
             _record(result, gram)
-            verdict = verify_theorem1_reference(gram, result.factor)
+            verdict = verify_theorem1_reference(gram, dense_factor(result))
             all_optimal = all_optimal and balanced and verdict.optimal
             form = analysis.double_ppm_closed_form(m, alpha)
-            factor = result.factor
+            factor = dense_factor(result)
             worst_amp = max(
                 worst_amp,
                 abs(factor[0, 0].real - form.correct),

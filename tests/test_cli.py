@@ -4,7 +4,6 @@ import csv
 import json
 import math
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +14,10 @@ from helpers import (
     GRAMFILE_REPORTS,
     circulant_from_row,
     counted_factorizations,
+    counted_transforms,
     gram_lines,
     load_gram_file_reference,
+    refuse_dense_gathers,
     single_gus_pc,
 )
 from srmlab import analysis, cli, errors
@@ -32,7 +33,6 @@ from srmlab.cli import (
     parse_int_list,
 )
 from srmlab.constellations import make_psk, weighted_gram
-from srmlab.srm import SrmResult
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -440,12 +440,9 @@ class TestCheck:
             assert {name: log for name, log in calls.items() if log} == {"eigh": [(1, n, n)]}
 
     def test_never_builds_the_dense_factor(self, monkeypatch, tmp_path):
-        # every verdict reads the root's one-bin rows, so the dense
-        # `SrmResult.factor` is never assembled
-        def refuse(result):
-            raise AssertionError("check read SrmResult.factor")
-
-        monkeypatch.setattr(SrmResult, "factor", property(refuse))
+        # every verdict reads the root's one-bin rows, so the dense root is
+        # never assembled: every dense block-circulant gather refuses
+        refuse_dense_gathers(monkeypatch)
         paths = sorted(GRAMFILES.glob("*.gram"))
         for seed, blocks in ((1, True), (5, True), (5, False)):
             path = tmp_path / f"certify{seed}{blocks:d}.gram"
@@ -485,15 +482,7 @@ class TestCheck:
             "theorem3 suboptimal (block 0: square-root diagonal entries spread by 1.026519e-01)"
         )
 
-        def refuse(rows):
-            raise AssertionError(f"dense gather of first rows {np.shape(rows)}")
-
-        patched = set()
-        for name, module in list(sys.modules.items()):
-            if name.startswith("srmlab") and hasattr(module, "_circulant_blocks"):
-                monkeypatch.setattr(module, "_circulant_blocks", refuse)
-                patched.add(name)
-        assert {"srmlab.linalg", "srmlab.constellations", "srmlab.srm"} <= patched
+        refuse_dense_gathers(monkeypatch)
         calls = counted_factorizations(monkeypatch)
         for (path, flags), report in expected.items():
             calls["eigh"].clear()
@@ -506,6 +495,27 @@ class TestCheck:
         assert {report.splitlines()[0] for report in expected.values()} == {
             "states 2", "states 3", "states 4", "states 16"
         }
+
+    def test_block_roots_take_no_forward_transform(self, monkeypatch, tmp_path):
+        # the root of the file's one-bin ensemble takes the one ifft; under a
+        # tolerated leak each block is rooted as its own one-bin coupling
+        # stack, with one eigh and one fft and no forward transform
+        leaky = tmp_path / "leaky.gram"
+        leaky.write_text(
+            "n 5\npriors 0.2 0.2 0.2 0.2 0.2\n"
+            "inner 0 1 0.4 0\ninner 0 2 1e-4 0\ninner 2 3 0.3 0\ninner 3 4 0.2 0\n"
+            "blocks 0,1 2,3,4\n"
+        )
+        out = tmp_path / "report.txt"
+        factorizations = counted_factorizations(monkeypatch)
+        calls = counted_transforms(monkeypatch)
+        for flags, blockwise in (((), []), (("--tol-cond", "1e-3"), [(1, 2, 2), (1, 3, 3)])):
+            factorizations["eigh"].clear()
+            calls.clear()
+            assert main(["check", str(leaky), *flags, "--out", str(out)]) == EXIT_OK
+            assert out.read_text().count("theorem3") == 1
+            assert factorizations["eigh"] == [(1, 5, 5), *blockwise]
+            assert calls == {"ifft": 1, "eigh": 1 + len(blockwise), "fft": 1 + len(blockwise)}
 
     @pytest.mark.parametrize("tol_cond", [None, "1e-9", "1e-6", "1e-3", "0.5"])
     def test_no_report_pairs_an_optimal_line_with_a_suboptimal_one(self, tol_cond, tmp_path):

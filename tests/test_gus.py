@@ -1,6 +1,5 @@
 """Tests for the block-circulant fast path."""
 
-import collections
 import math
 import sys
 from pathlib import Path
@@ -11,11 +10,14 @@ import pytest
 from helpers import (
     GRAMFILE_REPORTS,
     block_sqrt,
+    counted_transforms,
     dense_ensemble,
+    dense_factor,
     dense_route,
     gram_lines,
     principal_sqrt,
     random_gus_ensemble,
+    refuse_dense_gathers,
     single_gus_pc,
     spectrum_to_matrix,
     trace_criterion,
@@ -50,6 +52,7 @@ from srmlab.constellations import (
 from srmlab.errors import GramSingular
 from srmlab.gus import _fast_srms, block_diagonalize, fast_srm
 from srmlab.linalg import TOL_PSD, TOL_RECON, _bins
+from srmlab.srm import SrmResult
 from test_datasets import DATA, DEFAULT_DATASETS
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
@@ -202,7 +205,9 @@ class TestFastSrm:
             dense_result = dense_route(ens)
             assert fast_result.pc == pytest.approx(dense_result.pc, abs=TOL_RECON)
             np.testing.assert_allclose(
-                np.abs(fast_result.factor) ** 2, np.abs(dense_result.factor) ** 2, atol=TOL_RECON
+                np.abs(dense_factor(fast_result)) ** 2,
+                np.abs(dense_factor(dense_result)) ** 2,
+                atol=TOL_RECON,
             )
 
     def test_matches_dense_route_on_random_ensembles(self):
@@ -215,7 +220,9 @@ class TestFastSrm:
             dense_result = dense_route(ens)
             assert fast_result.pc == pytest.approx(dense_result.pc, abs=TOL_RECON)
             np.testing.assert_allclose(
-                np.abs(fast_result.factor) ** 2, np.abs(dense_result.factor) ** 2, atol=TOL_RECON
+                np.abs(dense_factor(fast_result)) ** 2,
+                np.abs(dense_factor(dense_result)) ** 2,
+                atol=TOL_RECON,
             )
             assert fast_result.rows.shape == (s, s, m)
 
@@ -234,7 +241,7 @@ class TestFastSrm:
         result = fast_srm(ens)
         g, _ = trace_criterion(block_sqrt(block_diagonalize(ens)))
         for h in range(3):
-            diag = np.diagonal(result.factor)[h * 4 : (h + 1) * 4].real
+            diag = np.diagonal(dense_factor(result))[h * 4 : (h + 1) * 4].real
             assert diag.max() - diag.min() <= TOL_RECON
             assert diag[0] == pytest.approx(g[h], abs=1e-12)
 
@@ -304,15 +311,7 @@ class TestFastSrm:
 
         # no (s m)^2 array on the sweep and figure paths: every dense
         # block-circulant gather refuses
-        def refuse(rows):
-            raise AssertionError(f"dense gather of first rows {np.shape(rows)}")
-
-        patched = set()
-        for name, module in list(sys.modules.items()):
-            if name.startswith("srmlab") and hasattr(module, "_circulant_blocks"):
-                monkeypatch.setattr(module, "_circulant_blocks", refuse)
-                patched.add(name)
-        assert {"srmlab.linalg", "srmlab.constellations", "srmlab.srm"} <= patched
+        refuse_dense_gathers(monkeypatch)
         for scheme, params in (
             ("psk", {"m": 4}),
             ("ppm", {"m": 8}),
@@ -341,14 +340,7 @@ class TestFastSrm:
     def test_call_budget(self, build, monkeypatch):
         # building validates without a transform or an eigensolve, and the
         # root takes one transform each way and one batched eigh
-        calls = collections.Counter()
-        for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.linalg, "eigh")):
-
-            def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _call(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
+        calls = counted_transforms(monkeypatch)
         ensemble = build()
         calls.clear()
         ensemble = GusEnsemble(ensemble.rows, ensemble.constellation_priors)
@@ -381,6 +373,19 @@ BATCHES = {
 
 class TestBatchedRoot:
     """Several ensembles of one shape, rooted together, give each one's own root."""
+
+    @pytest.mark.parametrize("k", [1, 3, 400])
+    def test_call_budget(self, k, monkeypatch):
+        # the stacked weighted rows of the whole batch take one forward
+        # transform, one eigh and one inverse transform, whatever k is;
+        # the default fig1 grid roots 400 ensembles in one call
+        ensembles = [
+            make_double_bpsk(a, a * np.exp(1j * d), 0.25)
+            for a, d in zip(np.linspace(0.3, 3.0, k), np.linspace(0.1, 1.5, k))
+        ]
+        calls = counted_transforms(monkeypatch)
+        assert len(_fast_srms(ensembles, TOL_PSD)) == k
+        assert calls == {"fft": 1, "ifft": 1, "eigh": 1}
 
     @pytest.mark.parametrize("name", sorted(BATCHES))
     def test_each_root_is_bitwise_the_single_one(self, name):
@@ -427,6 +432,35 @@ class TestBatchedRoot:
     def test_refuses_ensembles_of_different_shapes(self, ensembles):
         with pytest.raises(ValueError, match="must share one"):
             _fast_srms(ensembles, TOL_PSD)
+
+
+def exact_double_ppm_stack(m: int, alpha: float) -> np.ndarray:
+    """Double PPM's weighted (m, 2, 2) coupling stack, written per bin without an FFT.
+
+    Bin 0 sums the first rows, [1, chi, ..., chi] and [chi^2, chi, ..., chi];
+    every other bin cancels their common chi in closed form, through
+    expm1(-|alpha|^2) = chi - 1.
+    """
+    chi = math.exp(-alpha * alpha)
+    drop = math.expm1(-alpha * alpha)
+    same, cross = 1.0 + (m - 1) * chi, chi * chi + (m - 1) * chi
+    stack = np.empty((m, 2, 2), dtype=complex)
+    stack[0] = [[same, cross], [cross, same]]
+    stack[1:] = [[-drop, chi * drop], [chi * drop, -drop]]
+    return stack / (2 * m)
+
+
+class TestGivenSpectrum:
+    """The kernel roots a coupling stack however its caller obtained it."""
+
+    @pytest.mark.parametrize("m", [2, 16, 256])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
+    def test_exact_double_ppm_spectrum_gives_the_fast_root(self, m, alpha):
+        exact = SrmResult(linalg._root_rows(exact_double_ppm_stack(m, alpha), TOL_PSD))
+        result = fast_srm(make_double_ppm(m, alpha))
+        assert exact.rows.shape == result.rows.shape == (2, 2, m)
+        assert np.abs(exact.rows - result.rows).max() <= 1e-14
+        assert exact.pc == pytest.approx(result.pc, abs=1e-14)
 
 
 DISTINCT_CASES = {

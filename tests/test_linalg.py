@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     CirculantSpec,
+    NotHermitian,
     circulant_from_eigenvalues,
     fourier_matrix,
     hermitian_eig,
@@ -12,7 +13,7 @@ from helpers import (
     principal_sqrt,
     random_circulant_gram,
 )
-from srmlab.errors import NotHermitian, NumericalError
+from srmlab.errors import NumericalError
 from srmlab.linalg import TOL_RECON, _bins, _circulant_blocks
 
 

@@ -15,6 +15,7 @@ from helpers import (
     connected_reference,
     counted_factorizations,
     dense_ensemble,
+    dense_factor,
     gram_ensemble,
     gram_lines,
     one_bin,
@@ -89,22 +90,22 @@ class TestSrm:
     def test_factor_squares_to_gram(self):
         rng = np.random.default_rng(31)
         g = random_unit_trace_gram(rng, 6)
-        result = fast_srm(gram_ensemble(g))
-        assert np.abs(result.factor @ result.factor - g).max() <= 1e-12
+        factor = dense_factor(fast_srm(gram_ensemble(g)))
+        assert np.abs(factor @ factor - g).max() <= 1e-12
 
     def test_joint_normalization_and_marginals(self):
         rng = np.random.default_rng(37)
         for n in (2, 3, 6, 8):
             g = random_unit_trace_gram(rng, n)
             result = fast_srm(gram_ensemble(g))
-            joint = np.abs(result.factor) ** 2
+            joint = np.abs(dense_factor(result)) ** 2
             assert abs(joint.sum() - 1.0) <= 1e-10
             np.testing.assert_allclose(joint.sum(axis=1), np.diagonal(g).real, atol=1e-10)
             assert result.pc == pytest.approx(result.per_state_correct.sum())
 
     def test_joint_symmetric_for_real_gram(self):
         result = fast_srm(binary_pair(0.3, 0.5))
-        joint = np.abs(result.factor) ** 2
+        joint = np.abs(dense_factor(result)) ** 2
         np.testing.assert_allclose(joint, joint.T, atol=1e-14)
 
     def test_rejects_singular_gram(self):
@@ -149,8 +150,8 @@ class TestCheckVerdicts:
         )
         assert oracle.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
         # the independent references agree
-        assert not check_theorem2_reference(result.factor).optimal
-        assert not verify_theorem1_reference(binary_gram(0.3, 0.5), result.factor).optimal
+        assert not check_theorem2_reference(dense_factor(result)).optimal
+        assert not verify_theorem1_reference(binary_gram(0.3, 0.5), dense_factor(result)).optimal
 
     def test_tolerance_bounds_the_one_residual(self):
         # the residual of the biased pair is 5.109562e-02: both verdicts
@@ -342,7 +343,7 @@ def assert_matches_reference(ensemble) -> bool:
     """
     result = fast_srm(ensemble)
     _, fast = _check_verdicts(result)
-    slow = verify_theorem1_reference(weighted_gram(ensemble), result.factor)
+    slow = verify_theorem1_reference(weighted_gram(ensemble), dense_factor(result))
     assert fast.optimal == slow.optimal
     if fast.optimal:
         assert fast.witness == STRUCTURAL_ZERO
@@ -350,7 +351,7 @@ def assert_matches_reference(ensemble) -> bool:
     else:
         worst = residual(result)
         assert fast.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
-        assert worst == pytest.approx(dense_asymmetry(result.factor), rel=1e-6)
+        assert worst == pytest.approx(dense_asymmetry(dense_factor(result)), rel=1e-6)
     return fast.optimal
 
 
@@ -437,7 +438,7 @@ class TestTheorem2Reference:
     def test_biased_binary_root_fails_balance_condition(self):
         # the same pair and residual as the library's one-residual verdict
         result = fast_srm(binary_pair(0.3, 0.5))
-        verdict = check_theorem2_reference(result.factor)
+        verdict = check_theorem2_reference(dense_factor(result))
         assert not verdict.optimal
         assert verdict.witness == _check_verdicts(result)[0].witness
 
@@ -575,7 +576,7 @@ def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd)
     except GramSingular:
         return None
     gram = weighted_gram(ensemble)
-    factor = result.factor
+    factor = dense_factor(result)
     tols = {"tol_cond": tol_cond, "tol_psd": tol_psd}
     worst = residual(result)
     pairwise, oracle = _check_verdicts(result, tol_cond=tol_cond)
@@ -743,12 +744,13 @@ class TestCertifySrm:
             result = fast_srm(ensemble)
             gram = weighted_gram(ensemble)
             verdict = certify_srm(result)
-            assert verdict.optimal == verify_theorem1_reference(gram, result.factor).optimal
+            reference = verify_theorem1_reference(gram, dense_factor(result))
+            assert verdict.optimal == reference.optimal
             # a dense root is the case m = 1, which `srmlab check` reads
             dense = fast_srm(one_bin(ensemble))
             assert certify_srm(dense).optimal == verdict.optimal
             assert _check_verdicts(dense)[1].optimal == verdict.optimal
-            asymmetry = dense_asymmetry(result.factor)
+            asymmetry = dense_asymmetry(dense_factor(result))
             if verdict.optimal:
                 assert verdict.witness is None
                 assert asymmetry <= TOL_COND
@@ -764,7 +766,7 @@ class TestCertifySrm:
         ensemble = orthogonal_pair(m)
         result = fast_srm(ensemble)
         assert certify_srm(result).optimal
-        assert verify_theorem1_reference(weighted_gram(ensemble), result.factor).optimal
+        assert verify_theorem1_reference(weighted_gram(ensemble), dense_factor(result)).optimal
         g, equal = trace_criterion(block_sqrt(block_diagonalize(ensemble)))
         assert not equal and abs(g[0] - g[1]) > 0.1
 
