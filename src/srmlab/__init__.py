@@ -31,7 +31,6 @@ from .constellations import (
     make_double_ppm,
     make_ppm,
     make_psk,
-    weighted_gram,
 )
 from .errors import (
     ConvergenceFailure,
@@ -100,5 +99,4 @@ __all__ = [
     "pam4_overlaps",
     "pc_double_bpsk_equal_amp",
     "ppm_closed_form",
-    "weighted_gram",
 ]

@@ -611,6 +611,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-
-if __name__ == "__main__":
-    sys.exit(main())

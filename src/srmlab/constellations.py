@@ -2,14 +2,16 @@
 
 States are never stored as amplitude vectors. An ensemble is s
 constellations of m states sharing one cyclic symmetry, held as the first
-rows of its Gram blocks and one prior per constellation; the weighted Gram
-matrix assembled from those two ingredients is the complete input to
-everything downstream. Any set of n pure states is the one-bin case: n
+rows of its Gram blocks and one prior per constellation. Weighted by the
+priors, those first rows are the complete input to everything downstream,
+which takes them to the m per-bin s x s coupling matrices and never to a
+dense Gram matrix. Any set of n pure states is the one-bin case: n
 constellations of one state each, whose (n, n, 1) first rows are the
 overlap matrix. Builders cover coherent-state binary phase keying in two
 constellations, m-ary phase keying, pulse position modulation and its
-two-phase variant; each writes its first rows as an array and hands them
-to ``GusEnsemble``.
+two-phase variant; each writes its first rows as an array, with every seed
+overlap <h|h> set to 1 rather than computed, and hands them to
+``GusEnsemble``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPrior
-from .linalg import _circulant_blocks, _mirror
+from .linalg import _mirror
 
 PRIOR_TOL = 1e-12
 RULE_TOL = 1e-10
@@ -112,7 +114,8 @@ def coherent_inner(alpha, beta) -> complex:
     """Overlap of two coherent states with complex amplitudes alpha, beta.
 
     Equals exp(-(|a|^2 + |b|^2)/2 + conj(a) b); always has modulus <= 1
-    and is 1 exactly when the amplitudes coincide.
+    and is 1 when the amplitudes coincide, up to a rounding error that
+    grows with |a|^2, so the builders write their seed overlaps as 1.
     """
     a = complex(alpha)
     b = complex(beta)
@@ -123,15 +126,6 @@ def _weighted_rows(ensemble: GusEnsemble) -> np.ndarray:
     """First rows of the weighted Gram blocks: ``sqrt(q_h q_k) rows[h, k]``."""
     w = np.sqrt(ensemble.constellation_priors)
     return np.outer(w, w)[:, :, None] * ensemble.rows
-
-
-def weighted_gram(ensemble: GusEnsemble) -> np.ndarray:
-    """Dense (s m) x (s m) weighted Gram matrix G[i, j] = sqrt(q_i q_j) <i|j>.
-
-    Hermitian with unit trace; positive semidefinite whenever the overlap
-    matrix describes actual states.
-    """
-    return _circulant_blocks(_weighted_rows(ensemble))
 
 
 def _cyclic_order(m, what: str) -> int:
@@ -161,7 +155,15 @@ def make_double_bpsk(alpha, beta, p: float) -> GusEnsemble:
     if not 0.0 < p < 0.5:
         raise InvalidPrior(f"p must lie strictly between 0 and 1/2, got {p}")
     seeds = (complex(alpha), complex(beta))
-    rows = [[[coherent_inner(a, b * (-1) ** r) for r in range(2)] for b in seeds] for a in seeds]
+    # <a|a> = 1 is written, not computed: the exponent -|a|^2 + conj(a) a
+    # cancels to rounding noise that grows with |a|^2
+    rows = [
+        [
+            [1.0 if (h, r) == (k, 0) else coherent_inner(a, b * (-1) ** r) for r in range(2)]
+            for k, b in enumerate(seeds)
+        ]
+        for h, a in enumerate(seeds)
+    ]
     return GusEnsemble(rows=rows, constellation_priors=(p, 0.5 - p))
 
 
@@ -169,7 +171,10 @@ def make_psk(m: int, alpha) -> GusEnsemble:
     """Single equiprobable constellation of m phase-rotated coherent states."""
     m = _cyclic_order(m, "phases")
     seed = complex(alpha)
-    row = [coherent_inner(seed, seed * cmath.exp(2j * cmath.pi * r / m)) for r in range(m)]
+    # the seed <a|a> = 1 is written, as in make_double_bpsk
+    row = [1.0] + [
+        coherent_inner(seed, seed * cmath.exp(2j * cmath.pi * r / m)) for r in range(1, m)
+    ]
     return GusEnsemble(rows=[[row]], constellation_priors=(1.0 / m,))
 
 

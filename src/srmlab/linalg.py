@@ -1,8 +1,8 @@
-"""Dense complex linear algebra for Gram-matrix pipelines.
+"""Complex linear algebra on the coupling stacks of Gram-matrix pipelines.
 
 The one square-root kernel and the circulant transforms around it: first
-rows to coupling stacks and back (``np.fft`` along the last axis), their
-mirror and, when a caller asks for it, the dense block-circulant matrix.
+rows to coupling stacks and back (``np.fft`` along the last axis) and
+their mirror. No function here assembles a dense block-circulant matrix.
 ``_root_rows`` is the only place that takes a square root. It takes the
 (..., m, s, s) coupling stacks of one or several ensembles of one shape,
 however the caller got them: ``_coupling_stacks`` turns weighted first
@@ -49,17 +49,6 @@ def _first_rows(spectrum: np.ndarray) -> np.ndarray:
     """
     # (..., m, h, k) -> (..., k, h, m) -> (..., h, k, m)
     return np.fft.fft(spectrum.swapaxes(-3, -1).swapaxes(-3, -2), norm="forward")
-
-
-def _circulant_blocks(rows: np.ndarray) -> np.ndarray:
-    """Dense (s*m, s*m) matrix whose (h, k) block is circulant with first row ``rows[h, k]``.
-
-    ``rows`` has shape (s, s, m); entry (i, j) of block (h, k) is
-    ``rows[h, k, (j - i) mod m]``.
-    """
-    s, _, m = rows.shape
-    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    return rows[:, :, shift].transpose(0, 2, 1, 3).reshape(s * m, s * m)
 
 
 def _bins(rows: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Deterministic generators and independent oracles shared by the test suite.
 
 Also the test references that the library does not need: the unitary
-Fourier matrix, dense circulants from a first row or a spectrum, a PSD
+Fourier matrix, dense circulants from a first row or a spectrum, the
+dense block-circulant gather and the dense weighted Gram matrix, a PSD
 test, the Hermiticity defect of a matrix and the ``hermitian_part``
 check with its ``TOL_HERM`` and ``NotHermitian`` error, the least
 eigenvalue of a Hermitian part, the eigendecomposition record, the
@@ -18,24 +19,27 @@ oracle that runs one eigensolve per downdate, Theorem 2 with its own
 eigensolve and SVD, Theorem 3 with one root per block and a node-by-node
 search of each block's support graph, and the trace criterion that
 demands equal g_h, which is wrong for reducible coupling.
-The eigendecomposition and both roots call ``np.linalg.eigh`` after their
-own Hermitian check and clamp their own eigenvalues, so the dense route
-shares no kernel with the library it checks; the dense circulants shift
-their first row and multiply by the Fourier matrix, without the library's
-gather or inverse FFT.
+The library holds no dense Gram matrix and no dense gather: it roots the
+per-bin coupling stacks of the weighted first rows. The dense route here
+is its own. ``block_circulant`` gathers first rows by ``np.roll`` shifts,
+as ``CirculantSpec.matrix`` does; ``weighted_gram`` weights that gather
+with the per-state priors; the eigendecomposition and both roots call
+``np.linalg.eigh`` after their own Hermitian check and clamp their own
+eigenvalues; and the dense circulants from a spectrum multiply by the
+Fourier matrix, without the library's inverse FFT. So ``dense_route``,
+``dense_factor`` and ``one_bin`` share no code with the path they check,
+and nothing here imports a private ``srmlab`` name.
 ``counted_factorizations`` logs the LAPACK factorizations a call makes,
-``counted_transforms`` counts its FFTs and ``eigh`` calls, and
-``refuse_dense_gathers`` makes every dense block-circulant gather raise.
+and ``counted_transforms`` counts its FFTs and ``eigh`` calls.
 """
 
 import cmath
 import collections
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from srmlab.constellations import RULE_TOL, GusEnsemble, weighted_gram
+from srmlab.constellations import RULE_TOL, GusEnsemble
 from srmlab.errors import (
     GramFileError,
     InvalidPrior,
@@ -43,7 +47,7 @@ from srmlab.errors import (
     NumericalError,
     ReducibleBlock,
 )
-from srmlab.linalg import TOL_PSD, TOL_RECON, _circulant_blocks
+from srmlab.linalg import TOL_PSD, TOL_RECON
 from srmlab.srm import TOL_COND, OptimalityVerdict, SrmResult
 
 TOL_HERM = 1e-10
@@ -186,13 +190,39 @@ def principal_sqrt(mat, *, tol_psd: float = TOL_PSD) -> np.ndarray:
     return clamped_root(w, v)
 
 
+def block_circulant(rows) -> np.ndarray:
+    """Dense (s m) x (s m) matrix whose (h, k) block is the circulant of first row ``rows[h, k]``.
+
+    Row i of every block is its first row shifted right by i places, by
+    ``np.roll`` as in ``CirculantSpec.matrix``: entry (i, j) of block
+    (h, k) is ``rows[h, k, (j - i) mod m]``.
+    """
+    rows = np.asarray(rows)
+    s, _, m = rows.shape
+    shifted = np.stack([np.roll(rows, i, axis=-1) for i in range(m)], axis=2)
+    return shifted.transpose(0, 2, 1, 3).reshape(s * m, s * m)
+
+
+def weighted_gram(ensemble: GusEnsemble) -> np.ndarray:
+    """Dense weighted Gram matrix G[i, j] = sqrt(p_i) sqrt(p_j) <i|j> of all s m states.
+
+    ``p`` are the per-state priors, each constellation's prior repeated m
+    times. The weight ``sqrt(p_i) sqrt(p_j)`` is formed first and then
+    multiplies the overlap, the library's order, so G is bit for bit the
+    matrix whose coupling stack ``fast_srm`` roots. Hermitian with unit
+    trace; positive semidefinite whenever the overlaps describe states.
+    """
+    w = np.sqrt(np.repeat(ensemble.constellation_priors, ensemble.m))
+    return np.outer(w, w) * block_circulant(ensemble.rows)
+
+
 def dense_factor(result: SrmResult) -> np.ndarray:
     """The dense (s m) x (s m) root X that a result's first rows describe.
 
     ``abs(dense_factor(result)) ** 2`` is the joint probability of sending
     i and deciding j.
     """
-    return _circulant_blocks(result.rows)
+    return block_circulant(result.rows)
 
 
 def dense_route(ensemble: GusEnsemble) -> SrmResult:
@@ -256,7 +286,7 @@ def one_bin(ensemble: GusEnsemble) -> GusEnsemble:
     Its weighted Gram matrix is bit for bit that of ``ensemble``.
     """
     priors = np.repeat(ensemble.constellation_priors, ensemble.m)
-    return dense_ensemble(priors, _circulant_blocks(ensemble.rows))
+    return dense_ensemble(priors, block_circulant(ensemble.rows))
 
 
 def gram_ensemble(gram) -> GusEnsemble:
@@ -378,20 +408,6 @@ def counted_transforms(monkeypatch) -> collections.Counter:
 
         monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def refuse_dense_gathers(monkeypatch) -> None:
-    """Make every dense block-circulant gather that a ``srmlab`` module holds raise."""
-
-    def refuse(rows):
-        raise AssertionError(f"dense gather of first rows {np.shape(rows)}")
-
-    patched = set()
-    for name, module in list(sys.modules.items()):
-        if name.startswith("srmlab") and hasattr(module, "_circulant_blocks"):
-            monkeypatch.setattr(module, "_circulant_blocks", refuse)
-            patched.add(name)
-    assert {"srmlab.linalg", "srmlab.constellations"} <= patched
 
 
 def _min_eig(hermitian: np.ndarray) -> float:

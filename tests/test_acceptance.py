@@ -36,6 +36,7 @@ from helpers import (
     single_gus_pc,
     trace_criterion,
     verify_theorem1_reference,
+    weighted_gram,
 )
 from srmlab import analysis
 from srmlab.cli import main
@@ -44,7 +45,6 @@ from srmlab.constellations import (
     make_double_ppm,
     make_ppm,
     make_psk,
-    weighted_gram,
 )
 from srmlab.errors import ReducibleBlock
 from srmlab.gus import block_diagonalize, fast_srm

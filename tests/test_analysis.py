@@ -14,6 +14,7 @@ from helpers import (
     single_gus_pc,
     trace_criterion,
     verify_theorem1_reference,
+    weighted_gram,
 )
 from srmlab import analysis
 from srmlab.analysis import (
@@ -32,7 +33,6 @@ from srmlab.constellations import (
     make_double_ppm,
     make_ppm,
     make_psk,
-    weighted_gram,
 )
 from srmlab.errors import DomainError, GramSingular
 from srmlab.gus import block_diagonalize, fast_srm

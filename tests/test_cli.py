@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +20,8 @@ from helpers import (
     counted_transforms,
     gram_lines,
     load_gram_file_reference,
-    refuse_dense_gathers,
     single_gus_pc,
+    weighted_gram,
 )
 from srmlab import analysis, cli, errors
 from srmlab.cli import (
@@ -32,7 +35,7 @@ from srmlab.cli import (
     parse_grid,
     parse_int_list,
 )
-from srmlab.constellations import make_psk, weighted_gram
+from srmlab.constellations import make_psk
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -439,60 +442,42 @@ class TestCheck:
             n = 2 if path.parent == GRAMFILES else 64
             assert {name: log for name, log in calls.items() if log} == {"eigh": [(1, n, n)]}
 
-    def test_never_builds_the_dense_factor(self, monkeypatch, tmp_path):
-        # every verdict reads the root's one-bin rows, so the dense root is
-        # never assembled: every dense block-circulant gather refuses
-        refuse_dense_gathers(monkeypatch)
-        paths = sorted(GRAMFILES.glob("*.gram"))
-        for seed, blocks in ((1, True), (5, True), (5, False)):
-            path = tmp_path / f"certify{seed}{blocks:d}.gram"
-            path.write_text("\n".join(gram_lines(np.random.default_rng(seed), 16, blocks)) + "\n")
-            paths.append(path)
-        for path in paths:
-            assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
-            assert "theorem1_oracle" in (tmp_path / "report.txt").read_text()
-
     def test_roots_the_one_bin_rows_without_a_dense_gram(self, monkeypatch, tmp_path):
-        # check roots the parsed one-bin ensemble and never assembles the
-        # dense Gram matrix, with or without a 'blocks' line: every dense
-        # block-circulant gather refuses, and the reports do not change.
-        # The leaky file's cross-block overlap of 1e-4 (2.2e-5 weighted)
-        # passes --tol-cond 1e-3 but not TOL_COND, so each block is rooted
-        # on its own, as a one-bin stack of the same kernel
-        out = tmp_path / "report.txt"
-        expected = {}
+        # check roots the parsed one-bin ensemble as one (1, n, n) stack, with
+        # or without a 'blocks' line. The leaky file's cross-block overlap of
+        # 1e-4 (2.2e-5 weighted) passes --tol-cond 1e-3 but not TOL_COND, so
+        # each block is rooted on its own, as a one-bin stack of the same kernel
+        cases = [(GRAMFILES / f"{stem}.gram", ()) for stem in GRAMFILE_REPORTS]
         for seed in (1, 5):
             for blocks in (False, True):
                 path = tmp_path / f"certify{seed}{blocks:d}.gram"
                 lines = gram_lines(np.random.default_rng(seed), 16, blocks)
                 path.write_text("\n".join(lines) + "\n")
-                assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
-                expected[path, ()] = out.read_text()
-        for stem in ("binary_equal", "binary_biased", "identity3"):
-            expected[GRAMFILES / f"{stem}.gram", ()] = GRAMFILE_REPORTS[stem]
+                cases.append((path, ()))
         leaky = tmp_path / "leaky.gram"
         leaky.write_text(
             "n 4\npriors 0.2 0.3 0.25 0.25\n"
             "inner 0 1 0.4 0\ninner 0 2 1e-4 0\ninner 2 3 0.3 0\nblocks 0,1 2,3\n"
         )
-        flags = ("--tol-cond", "1e-3")
-        assert main(["check", str(leaky), *flags, "--out", str(out)]) == EXIT_OK
-        expected[leaky, flags] = out.read_text()
-        assert expected[leaky, flags].splitlines()[-3] == (
-            "theorem3 suboptimal (block 0: square-root diagonal entries spread by 1.026519e-01)"
-        )
+        cases.append((leaky, ("--tol-cond", "1e-3")))
 
-        refuse_dense_gathers(monkeypatch)
+        out = tmp_path / "report.txt"
         calls = counted_factorizations(monkeypatch)
-        for (path, flags), report in expected.items():
+        reports = {}
+        for path, flags in cases:
             calls["eigh"].clear()
             assert main(["check", str(path), *flags, "--out", str(out)]) == EXIT_OK
-            assert out.read_text() == report
+            reports[path] = report = out.read_text()
             n = int(report.split()[1])
             blockwise = [(1, 2, 2), (1, 2, 2)] if path == leaky else []
             assert calls["eigh"] == [(1, n, n), *blockwise]
-        assert sum("theorem3" in report for report in expected.values()) == 4
-        assert {report.splitlines()[0] for report in expected.values()} == {
+        for stem, report in GRAMFILE_REPORTS.items():
+            assert reports[GRAMFILES / f"{stem}.gram"] == report
+        assert reports[leaky].splitlines()[-3] == (
+            "theorem3 suboptimal (block 0: square-root diagonal entries spread by 1.026519e-01)"
+        )
+        assert sum("theorem3" in report for report in reports.values()) == 4
+        assert {report.splitlines()[0] for report in reports.values()} == {
             "states 2", "states 3", "states 4", "states 16"
         }
 
@@ -868,6 +853,45 @@ def test_every_energy_gets_an_answer_or_one_error_line(command, photon_number, t
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fig1", "--grid", "1e7:1e7:1"],
+        ["sweep", "--scheme", "double_bpsk", "--delta", "pi/8,pi/2", "--grid", "1e7:1e7:1"],
+        ["fig1", "--grid", "1e300:1e300:1"],
+    ],
+    ids=["fig1-1e7", "sweep-1e7", "fig1-1e300"],
+)
+def test_bright_coherent_pairs_answer(command, tmp_path):
+    # the builders write each seed overlap as 1; computed, it cancels to
+    # 1 - 1.9e-9 at 1e7 photons and overflows at 1e300
+    out = tmp_path / "rows.csv"
+    assert main([*command, "--out", str(out)]) == EXIT_OK
+    rows = [row for row in read_csv(out) if float(row["delta"]) > 0]
+    assert rows and all(float(row["pc"]) == 1.0 for row in rows)
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m srmlab` is the one script entry besides the installed one
+    root = GRAMFILES.parent
+    env = dict(os.environ)
+    src = str(Path(srmlab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(*argv):
+        command = [sys.executable, "-m", "srmlab", *argv]
+        return subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, timeout=60)
+
+    done = run("check", "gramfiles/binary_biased.gram")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_OK, GRAMFILE_REPORTS["binary_biased"], ""
+    )
+    done = run("check", str(tmp_path / "missing.gram"))
+    assert (done.returncode, done.stdout) == (EXIT_CONFIG, "")
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and "missing.gram" in line
 
 
 def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_ensemble, random_gus_ensemble
+from helpers import block_circulant, dense_ensemble, random_gus_ensemble, weighted_gram
 from srmlab import constellations
 from srmlab.constellations import (
     RULE_TOL,
@@ -16,10 +16,10 @@ from srmlab.constellations import (
     make_double_ppm,
     make_ppm,
     make_psk,
-    weighted_gram,
 )
 from srmlab.errors import InvalidPrior
-from srmlab.linalg import _circulant_blocks, _mirror
+from srmlab.gus import fast_srm
+from srmlab.linalg import _mirror
 
 # two orthogonal states as the one-bin ensemble: rows[h, k, 0] = <h|k>
 ONE_BIN = np.eye(2)[:, :, None]
@@ -27,7 +27,7 @@ ONE_BIN = np.eye(2)[:, :, None]
 
 def overlaps(ens: GusEnsemble) -> np.ndarray:
     """The dense overlap matrix of all s * m states."""
-    return _circulant_blocks(ens.rows)
+    return block_circulant(ens.rows)
 
 
 class TestCoherentInner:
@@ -71,11 +71,18 @@ class TestWeightedGram:
         np.testing.assert_allclose(weighted_gram(ens), np.eye(4) / 4)
 
     def test_weights_every_state_by_its_own_prior(self):
-        # bit for bit sqrt(p_i) sqrt(p_j) <i|j> with p the s * m per-state priors
+        # the reference's sqrt(p_i) sqrt(p_j) <i|j> over the s * m per-state
+        # priors is bit for bit the gather of the first rows the library
+        # weights per constellation, so one_bin and dense_route see its input
         rng = np.random.default_rng(29)
-        for ens in (make_double_bpsk(0.8, 2.4, 0.31), random_gus_ensemble(rng, 3, 4)):
-            w = np.sqrt(np.repeat(ens.constellation_priors, ens.m))
-            np.testing.assert_array_equal(weighted_gram(ens), np.outer(w, w) * overlaps(ens))
+        for ens in (
+            make_double_bpsk(0.8, 2.4, 0.31),
+            make_psk(5, 1.1 + 0.4j),
+            random_gus_ensemble(rng, 3, 4),
+            dense_ensemble([0.2, 0.3, 0.5], [[1, 0.3, 0.1j], [0.3, 1, 0.2], [-0.1j, 0.2, 1]]),
+        ):
+            expected = block_circulant(constellations._weighted_rows(ens))
+            np.testing.assert_array_equal(weighted_gram(ens), expected)
 
     @pytest.mark.parametrize(
         "ensemble",
@@ -141,6 +148,21 @@ class TestDoubleBpsk:
     def test_rejects_out_of_range_prior(self, p):
         with pytest.raises(InvalidPrior):
             make_double_bpsk(1.0, 1j, p)
+
+
+class TestBrightSeeds:
+    # computed, the seed <a|a> = exp(-|a|^2 + conj(a) a) misses 1 by about
+    # 1.9e-9 at |a|^2 = 1e7, beyond RULE_TOL, and overflows at 1e300; the
+    # builders write it as 1, so bright ensembles build and root
+    @pytest.mark.parametrize("photon_number", [1e7, 1e300])
+    @pytest.mark.parametrize("phase", [0.0, 0.3])
+    def test_bright_coherent_ensembles_build(self, photon_number, phase):
+        alpha = cmath.rect(math.sqrt(photon_number), phase)
+        beta = alpha * cmath.exp(1j * math.pi / 8)
+        for ensemble in (make_psk(8, alpha), make_double_bpsk(alpha, beta, 0.25)):
+            s = ensemble.s
+            np.testing.assert_array_equal(ensemble.rows[range(s), range(s), 0], np.ones(s))
+            assert fast_srm(ensemble).pc == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPpm:

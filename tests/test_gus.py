@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,11 @@ from helpers import (
     gram_lines,
     principal_sqrt,
     random_gus_ensemble,
-    refuse_dense_gathers,
     single_gus_pc,
     spectrum_to_matrix,
     trace_criterion,
     verify_theorem1_reference,
+    weighted_gram,
 )
 from srmlab.analysis import (
     double_ppm_closed_form,
@@ -33,13 +34,7 @@ from srmlab.analysis import (
     ppm_closed_form,
 )
 from srmlab import linalg
-from srmlab.cli import (
-    EXIT_NUMERIC,
-    EXIT_OK,
-    main,
-    rows_fig1,
-    rows_fig23,
-)
+from srmlab.cli import EXIT_NUMERIC, EXIT_OK, main
 from srmlab.constellations import (
     GusEnsemble,
     coherent_inner,
@@ -47,12 +42,11 @@ from srmlab.constellations import (
     make_double_ppm,
     make_ppm,
     make_psk,
-    weighted_gram,
 )
 from srmlab.errors import GramSingular
 from srmlab.gus import _fast_srms, block_diagonalize, fast_srm
 from srmlab.linalg import TOL_PSD, TOL_RECON, _bins
-from srmlab.srm import SrmResult
+from srmlab.srm import SrmResult, certify_srm, channel_stats
 from test_datasets import DATA, DEFAULT_DATASETS
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
@@ -309,21 +303,24 @@ class TestFastSrm:
             fast_srm(ens)
             assert calls == [shape]
 
-        # no (s m)^2 array on the sweep and figure paths: every dense
-        # block-circulant gather refuses
-        refuse_dense_gathers(monkeypatch)
-        for scheme, params in (
-            ("psk", {"m": 4}),
-            ("ppm", {"m": 8}),
-            ("double_ppm", {"m": 8}),
-            ("double_bpsk", {"delta": math.pi / 3}),
-        ):
-            point = evaluate_scheme(scheme, 1.0, **params)
-            assert 0.0 < point.pc < 1.0 and point.mutual_info > 0.0
-        (row,) = rows_fig1([1.0], [math.pi / 4], TOL_PSD)
-        assert row["pc"] == pytest.approx(pc_double_bpsk_equal_amp(1.0, math.pi / 4))
-        (row,) = rows_fig23([1.0], TOL_PSD)
-        assert 0.0 < row["p_star"] < 0.5 and 0.0 < row["pc"] < 1.0
+    def test_large_double_ppm_allocates_no_dense_matrix(self):
+        # the build, root, channel, certificate and sweep of 2 * 4096 states
+        # stay in first rows and coupling stacks: a dense Gram matrix or root
+        # alone would take 8192^2 * 16 B = 1.07 GB, the path peaks near 2 MB
+        tracemalloc.start()
+        try:
+            result = fast_srm(make_double_ppm(4096, 1.0))
+            stats = channel_stats(result)
+            verdict = certify_srm(result)
+            point = evaluate_scheme("double_ppm", 1.0, m=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert verdict.optimal
+        assert point.pc == result.pc
+        assert point.mutual_info == stats.mutual_information
+        assert abs(result.pc - double_ppm_closed_form(4096, 1.0).pc) <= 1e-12
 
     @pytest.mark.parametrize(
         "build",

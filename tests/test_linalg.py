@@ -6,7 +6,9 @@ import pytest
 from helpers import (
     CirculantSpec,
     NotHermitian,
+    block_circulant,
     circulant_from_eigenvalues,
+    circulant_from_row,
     fourier_matrix,
     hermitian_eig,
     is_psd,
@@ -14,7 +16,7 @@ from helpers import (
     random_circulant_gram,
 )
 from srmlab.errors import NumericalError
-from srmlab.linalg import TOL_RECON, _bins, _circulant_blocks
+from srmlab.linalg import TOL_RECON, _bins
 
 
 def random_hermitian(rng, n):
@@ -184,7 +186,7 @@ class TestCirculant:
         np.testing.assert_allclose(spec.matrix(), expected)
 
     def test_block_layout(self):
-        # block (h, k) of the dense matrix is the circulant of rows[h, k]
+        # block (h, k) of the reference gather is the circulant of rows[h, k]
         rows = np.array([[[0, 1, 2], [10, 11, 12]], [[20, 21, 22], [30, 31, 32]]], dtype=complex)
         expected = np.array(
             [
@@ -197,7 +199,20 @@ class TestCirculant:
             ],
             dtype=complex,
         )
-        np.testing.assert_array_equal(_circulant_blocks(rows), expected)
+        np.testing.assert_array_equal(block_circulant(rows), expected)
+
+    def test_blocks_are_the_circulants_of_their_rows(self):
+        # every block of the gather is bit for bit circulant_from_row of its
+        # first row, at every shape the suite uses, the one-bin case included
+        rng = np.random.default_rng(23)
+        for s, m in ((1, 1), (1, 6), (2, 5), (3, 4), (5, 1)):
+            rows = rng.normal(size=(s, s, m)) + 1j * rng.normal(size=(s, s, m))
+            dense = block_circulant(rows)
+            assert dense.shape == (s * m, s * m)
+            for h in range(s):
+                for k in range(s):
+                    block = dense[h * m : (h + 1) * m, k * m : (k + 1) * m]
+                    np.testing.assert_array_equal(block, circulant_from_row(rows[h, k]))
 
     def test_spectral_decomposition_convention(self):
         # the DFT sign must make F diag(lam) F† rebuild the matrix

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "srmlab"
 SPANS = ROOT / "bench" / "spans.py"
 README = ROOT / "README.md"
+HELPERS = ROOT / "tests" / "helpers.py"
 
 # changing the public surface means changing this list on purpose
 EXPORTED = [
@@ -55,7 +56,6 @@ EXPORTED = [
     "pam4_overlaps",
     "pc_double_bpsk_equal_amp",
     "ppm_closed_form",
-    "weighted_gram",
 ]
 
 
@@ -120,6 +120,30 @@ def test_every_private_name_is_read_in_the_package():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_no_dense_gram_in_the_package():
+    # the library roots coupling stacks; the dense weighted Gram matrix and
+    # the block-circulant gather are test references in tests/helpers.py,
+    # which builds them without any private srmlab name
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    defined = {
+        node.name for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    assert {"weighted_gram", "_circulant_blocks"} & defined == set()
+    helpers = ast.parse(HELPERS.read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(helpers)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "srmlab"
+        for alias in node.names
+    ]
+    assert "TOL_PSD" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+    assert not any(
+        isinstance(node, ast.Import) and any(a.name.startswith("srmlab") for a in node.names)
+        for node in ast.walk(helpers)
+    )
 
 
 def test_every_error_is_raised_in_the_package():

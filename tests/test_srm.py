@@ -25,6 +25,7 @@ from helpers import (
     random_unit_trace_gram,
     trace_criterion,
     verify_theorem1_reference,
+    weighted_gram,
 )
 from srmlab.analysis import optimize_prior_4pam
 from srmlab.cli import DEFAULT_DELTAS, load_gram_file, parse_angle_list, rows_fig1, rows_fig23
@@ -34,7 +35,6 @@ from srmlab.constellations import (
     make_double_ppm,
     make_ppm,
     make_psk,
-    weighted_gram,
 )
 from srmlab.errors import (
     GramSingular,
