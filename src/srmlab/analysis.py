@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constellations import make_double_bpsk, make_double_ppm, make_ppm, make_psk
-from .errors import DomainError
+from .errors import DomainError, GramSingular
 from .gus import fast_srm
 from .linalg import TOL_PSD
 from .srm import channel_stats
@@ -44,7 +44,8 @@ def double_bpsk_block_traces(p: float, eta_a: float, eta_b: float, chi, xi) -> t
     overlaps chi (aligned) and xi (anti-aligned). Derived from the square
     roots of the two 2x2 frequency-bin coupling matrices, whose
     determinants are d_plus and d_minus below. The measurement is optimal
-    exactly when g_1 = g_2.
+    exactly when g_1 = g_2. A vanished coupling matrix, as when the
+    overlaps round to 1, is a singular Gram matrix: ``GramSingular``.
     """
     if not 0.0 < p < 0.5:
         raise DomainError(f"p must lie strictly between 0 and 1/2, got {p}")
@@ -56,7 +57,7 @@ def double_bpsk_block_traces(p: float, eta_a: float, eta_b: float, chi, xi) -> t
     den_plus = _sqrt0(p * (1.0 + eta_a) + q * (1.0 + eta_b) + 2.0 * root_plus)
     den_minus = _sqrt0(p * (1.0 - eta_a) + q * (1.0 - eta_b) + 2.0 * root_minus)
     if den_plus == 0.0 or den_minus == 0.0:
-        raise DomainError("degenerate ensemble: a coupling matrix vanished")
+        raise GramSingular("degenerate ensemble: a coupling matrix vanished")
     g1 = 0.5 * (
         (p * (1.0 + eta_a) + root_plus) / den_plus
         + (p * (1.0 - eta_a) + root_minus) / den_minus
@@ -349,4 +350,4 @@ def evaluate_scheme(
     ensemble, params = build(math.sqrt(photon_number), m, delta, prior)
     result = fast_srm(ensemble, tol_psd=tol_psd)
     info = channel_stats(result).mutual_information
-    return SweepPoint(photon_number, result.pc, max(1.0 - result.pc, 0.0), info, **params)
+    return SweepPoint(photon_number, result.pc, 1.0 - result.pc, info, **params)

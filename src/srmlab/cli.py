@@ -35,7 +35,7 @@ from .errors import (
 )
 from .gus import _fast_srms, fast_srm
 from .linalg import TOL_PSD, TOL_RECON
-from .srm import TOL_COND, _check_verdicts, certify_srm, check_theorem3
+from .srm import TOL_COND, certify_srm, check_theorem3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,6 +44,10 @@ EXIT_NUMERIC = 3
 DEFAULT_GRID = "0.1:10:100"
 DEFAULT_DELTAS = "0,pi/8,pi/4,3pi/8,pi/2"
 DEFAULT_MS = "2,16"
+
+# An optimal square-root measurement's downdate Y - x_r x_r† has a zero r-th
+# column, so the smallest eigenvalue over the downdates is exactly zero.
+STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
 
 _ANGLE_RE = re.compile(r"^\s*([0-9.]*)\s*pi\s*(?:/\s*([0-9.]+))?\s*$")
 _COMMENT_RE = re.compile(r"#[^\n]*")
@@ -218,7 +222,7 @@ def rows_fig23(grid, tol_psd: float) -> list[dict]:
             raise NumericalError(
                 f"optimized prior failed the optimality certificate: {verdict.witness}"
             )
-        pe = max(1.0 - result.pc, 0.0)
+        pe = 1.0 - result.pc
         rows.append({"alpha_sq": photon_number, "p_star": p_star, "pc": result.pc, "pe": pe})
     return rows
 
@@ -486,7 +490,7 @@ def cmd_check(args) -> int:
     lines = [
         f"states {ensemble.s}",
         f"pc {fmt(result.pc)}",
-        f"pe {fmt(max(1.0 - result.pc, 0.0))}",
+        f"pe {fmt(1.0 - result.pc)}",
     ]
     for i, correct in enumerate(result.per_state_correct):
         lines.append(f"correct {i} state{i} {fmt(correct)}")
@@ -496,8 +500,18 @@ def cmd_check(args) -> int:
             lines.append(_verdict_line(verdict3))
         except (NotBlockDiagonal, ReducibleBlock, ValueError) as exc:
             lines.append(f"theorem3 error ({exc})")
-    verdicts = _check_verdicts(result, tol_cond=args.tol_cond)
-    lines.extend(_verdict_line(verdict) for verdict in verdicts)
+    # on the root, Theorems 1 and 2 both reduce to certify_srm's one residual
+    verdict = certify_srm(result, tol_cond=args.tol_cond)
+    if verdict.optimal:
+        lines += ["theorem2 optimal", f"theorem1_oracle optimal ({STRUCTURAL_ZERO})"]
+    else:
+        i, j = verdict.at[:2]
+        lines += [
+            f"theorem2 suboptimal (condition (i) fails at state pair ({i}, {j}): "
+            f"residual {verdict.residual:.6e})",
+            "theorem1_oracle suboptimal "
+            f"(Y is not Hermitian: max asymmetry {verdict.residual:.6e})",
+        ]
     emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -17,12 +17,13 @@ measurement both follow from Y Hermitian, so every verdict here reads one
 residual, max |X_ij| |d_j - d_i| with d = diag(X), with no eigensolve:
 ``certify_srm`` from the root's first rows (the paper's condition: the
 root's diagonal values g_h agree across every pair of constellations that
-the root couples), ``check_theorem3`` on the pairs inside each block of a
-one-bin ensemble whose Gram matrix is block diagonal, reading the blocks'
-roots off its ``SrmResult``, and the Theorem-2 and Theorem-1 lines of
-``srmlab check`` on the dense root. Where a tolerated cross-block leak
-calls for each block's own root, ``check_theorem3`` takes it with
-``linalg._root_rows``, the kernel behind ``fast_srm``, as a one-bin
+the root couples), and ``check_theorem3`` on the pairs inside each block
+of a one-bin ensemble whose Gram matrix is block diagonal, reading the
+blocks' roots off its ``SrmResult``. ``certify_srm``'s verdict carries that
+residual and the entry where it lies, from which ``srmlab check`` writes
+its Theorem-2 and Theorem-1 lines on the dense root. Where a tolerated
+cross-block leak calls for each block's own root, ``check_theorem3`` takes
+it with ``linalg._root_rows``, the kernel behind ``fast_srm``, as a one-bin
 coupling stack that needs no transform.
 """
 
@@ -47,8 +48,9 @@ class SrmResult:
     ``rows`` are the (s, s, m) first rows of the Gram square root X: block
     (h, k) of X is the circulant with first row ``rows[h, k]`` (a dense root
     has s = n, m = 1). ``per_state_correct`` and ``pc`` come from the seeds
-    ``rows[h, h, 0]``; ``abs(rows) ** 2`` holds the joint probabilities of
-    sending i and deciding j, each entry counted m times.
+    ``rows[h, h, 0]``, ``pc`` clamped to 1 against rounding; ``abs(rows) ** 2``
+    holds the joint probabilities of sending i and deciding j, each entry
+    counted m times.
     """
 
     rows: np.ndarray
@@ -62,7 +64,7 @@ class SrmResult:
 
     @cached_property
     def pc(self) -> float:
-        return float(self.per_state_correct.sum())
+        return min(float(self.per_state_correct.sum()), 1.0)
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,16 @@ class OptimalityVerdict:
     """Verdict of one optimality certificate.
 
     ``method`` names the certificate. ``witness`` describes the failed
-    condition when not optimal, or flags a boundary case (an eigenvalue
-    inside the numerical zero band) when optimal.
+    condition when not optimal. ``certify_srm`` also gives its ``residual``,
+    the largest |X_ij| |d_j - d_i|, and ``at``, the (h, k, r) entry of the
+    first rows where it lies; other certificates leave both ``None``.
     """
 
     optimal: bool
     method: str
     witness: str | None = None
+    residual: float | None = None
+    at: tuple[int, int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -190,7 +195,7 @@ def check_theorem3(
     return OptimalityVerdict(True, "theorem3")
 
 
-def certify_srm(result: SrmResult) -> OptimalityVerdict:
+def certify_srm(result: SrmResult, *, tol_cond: float = TOL_COND) -> OptimalityVerdict:
     """Theorem-1 verdict on a square-root measurement, read from its first rows in O(s² m).
 
     X = G^{1/2} is positive definite, so D = diag(X) > 0. If Y = X D is
@@ -198,47 +203,21 @@ def certify_srm(result: SrmResult) -> OptimalityVerdict:
     and x_r† Y⁻¹ x_r = X_rr / D_rr = 1: every downdate Y - x_r x_r† is PSD.
 
     So only condition (i) can fail: the measurement is optimal iff the
-    largest entry of ``_asymmetry`` is at most ``TOL_COND``. The witness
-    names the worst constellation pair (h, k), the shift r and that
-    residual. A dense root is the case m = 1, where h and k are states.
+    largest entry of ``_asymmetry`` is at most ``tol_cond``. That entry is
+    the verdict's ``residual``, and ``at`` is its constellation pair (h, k)
+    and shift r, which the witness names when the verdict fails. A dense
+    root is the case m = 1, where h and k are states.
     """
     residual = _asymmetry(result.rows)
-    worst = float(residual.max())
-    if worst > TOL_COND:
-        h, k, r = np.unravel_index(int(residual.argmax()), residual.shape)
-        witness = f"Y is not Hermitian at constellations ({h}, {k}), shift {r}: "
-        return OptimalityVerdict(False, "theorem1_srm", f"{witness}residual {worst:.6e}")
-    return OptimalityVerdict(True, "theorem1_srm")
-
-
-def _check_verdicts(
-    result: SrmResult, *, tol_cond: float = TOL_COND
-) -> tuple[OptimalityVerdict, OptimalityVerdict]:
-    """The Theorem-2 and Theorem-1 lines of ``srmlab check`` on a dense root (m = 1).
-
-    Both fail exactly when the residual of ``certify_srm`` exceeds
-    ``tol_cond``, so they cannot disagree; Theorem 2 names the state pair
-    where it is largest. An optimal Theorem-1 verdict notes the structural
-    zero of every downdate Y - x_r x_r†, whose r-th column vanishes.
-    """
-    residual = _asymmetry(result.rows)
-    worst = float(residual.max())
+    flat = int(residual.argmax())
+    worst = float(residual.flat[flat])
+    s, _, m = residual.shape
+    h, kr = divmod(flat, s * m)
+    at = (h, *divmod(kr, m))
     if worst > tol_cond:
-        i, j, _ = np.unravel_index(int(residual.argmax()), residual.shape)
-        pair = f"condition (i) fails at state pair ({i}, {j}): residual {worst:.6e}"
-        asymmetry = f"Y is not Hermitian: max asymmetry {worst:.6e}"
-        return (
-            OptimalityVerdict(False, "theorem2", pair),
-            OptimalityVerdict(False, "theorem1_oracle", asymmetry),
-        )
-    return (
-        OptimalityVerdict(True, "theorem2"),
-        OptimalityVerdict(
-            True,
-            "theorem1_oracle",
-            "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band",
-        ),
-    )
+        witness = "Y is not Hermitian at constellations ({}, {}), shift {}: ".format(*at)
+        return OptimalityVerdict(False, "theorem1_srm", f"{witness}residual {worst:.6e}", worst, at)
+    return OptimalityVerdict(True, "theorem1_srm", None, worst, at)
 
 
 def channel_stats(result: SrmResult) -> ChannelStats:

@@ -48,7 +48,7 @@ from srmlab.constellations import (
 )
 from srmlab.errors import ReducibleBlock
 from srmlab.gus import block_diagonalize, fast_srm
-from srmlab.srm import _check_verdicts, certify_srm, channel_stats, check_theorem3
+from srmlab.srm import certify_srm, channel_stats, check_theorem3
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -93,7 +93,7 @@ def test_criterion_02_four_phase_optimality():
         gram = weighted_gram(ensemble)
         result = fast_srm(one_bin(ensemble))
         _record(result, gram)
-        _, verdict = _check_verdicts(result)
+        verdict = certify_srm(result)
         all_optimal = all_optimal and verdict.optimal
         worst = max(worst, abs(result.pc - single_gus_pc(gram[0])))
     ok = all_optimal and worst <= 1e-10
@@ -130,8 +130,8 @@ def test_criterion_03_path_equivalence():
 
 
 def test_criterion_04_verdict_concordance():
-    # every verdict of ``srmlab check`` reads the one residual of the SRM,
-    # so each is held to an independent reference on an independent root:
+    # every verdict line of ``srmlab check`` reads the one residual of the
+    # SRM, so each is held to an independent reference on an independent root:
     # Theorem 2 with its own eigensolve and SVD, the O(n^4) Theorem-1 oracle
     # and per-block roots; on the GUS half, ``certify_srm`` on the fast
     # path's rows is held to the oracle too
@@ -150,15 +150,16 @@ def test_criterion_04_verdict_concordance():
         gram = weighted_gram(dense)
         result = fast_srm(dense)
         root = principal_sqrt(gram)
-        pairwise, oracle = _check_verdicts(result)
+        # the one verdict behind the theorem2 and theorem1_oracle lines
+        verdict = certify_srm(result)
         compared += 1
-        if pairwise.optimal != check_theorem2_reference(root).optimal:
+        if verdict.optimal != check_theorem2_reference(root).optimal:
             disagreements += 1
-        if oracle.optimal != verify_theorem1_reference(gram, root).optimal:
+        if verdict.optimal != verify_theorem1_reference(gram, root).optimal:
             disagreements += 1
         if index % 2 == 1:
             srm_compared += 1
-            if certify_srm(fast_srm(ensemble)).optimal != oracle.optimal:
+            if certify_srm(fast_srm(ensemble)).optimal != verdict.optimal:
                 disagreements += 1
         try:
             blockwise = check_theorem3(dense, [range(n)], result)
@@ -166,7 +167,7 @@ def test_criterion_04_verdict_concordance():
             blockwise = None
         if blockwise is not None:
             theorem3_compared += 1
-            if blockwise.optimal != oracle.optimal:
+            if blockwise.optimal != verdict.optimal:
                 disagreements += 1
             if blockwise.optimal != check_theorem3_reference(gram, [range(n)]).optimal:
                 disagreements += 1

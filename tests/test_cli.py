@@ -36,6 +36,7 @@ from srmlab.cli import (
     parse_int_list,
 )
 from srmlab.constellations import make_psk
+from srmlab.gus import fast_srm
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -537,6 +538,18 @@ class TestCheck:
         singular.write_text("n 2\npriors 0.5 0.5\ninner 0 1 1.0 0.0\n")
         assert main(["check", str(singular)]) == EXIT_NUMERIC
 
+    def test_eigensolver_failure_is_numeric_failure(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        message = "eigensolver did not converge: Eigenvalues did not converge"
+        with pytest.raises(errors.ConvergenceFailure) as caught:
+            fast_srm(make_psk(4, 1.0))
+        assert str(caught.value) == message
+        assert main(["check", str(GRAMFILES / "binary_biased.gram")]) == EXIT_NUMERIC
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("values", ["0.6 -0.8", "1.00000000005 0"])
     def test_unit_overlap_within_tolerance_is_singular(self, values, tmp_path, capsys):
         # an overlap of modulus 1, to RULE_TOL, is two identical states: a
@@ -839,7 +852,7 @@ class TestDeterminismAndFormats:
             assert 0.0 <= float(row["mutual_info_bits"]) <= math.log2(int(row["m"])) + 1e-12
 
 
-@pytest.mark.parametrize("photon_number", ["1e-12", "2e-7", "1e3"])
+@pytest.mark.parametrize("photon_number", ["1e-17", "1e-12", "2e-7", "1e3"])
 @pytest.mark.parametrize(
     "command",
     [["fig1"], ["fig2"], ["fig4"], *(["sweep", "--scheme", scheme] for scheme in analysis.SCHEMES)],

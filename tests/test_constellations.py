@@ -315,6 +315,11 @@ class TestGusFromBase:
                 GusEnsemble(rows=rows, constellation_priors=priors)
             assert str(caught.value) == "priors must be strictly positive"
 
+    def test_rejects_a_prior_count_other_than_s(self):
+        with pytest.raises(InvalidPrior) as caught:
+            GusEnsemble(rows=[[[1.0]]], constellation_priors=(0.5, 0.5))
+        assert str(caught.value) == "expected 1 constellation priors, got 2"
+
     @pytest.mark.parametrize(
         "rows, priors, total",
         [([[[1, 0.5, 0.5]]], (0.5,), "1.5"), (ONE_BIN, (1.0, 1.0), "2.0")],

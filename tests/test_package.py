@@ -146,6 +146,22 @@ def test_no_dense_gram_in_the_package():
     )
 
 
+def test_check_report_text_lives_in_the_cli():
+    # srmlab check prints its theorem2 and theorem1_oracle lines from the one
+    # certify_srm verdict, so the report's wording has one owner, cli.py
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    defined = {
+        node.name
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "certify_srm" in defined and "_check_verdicts" not in defined
+    words = ("theorem2", "theorem1_oracle", "inside the zero band")
+    owners = {word: sorted(name for name, text in sources.items() if word in text) for word in words}
+    assert owners == {word: ["cli.py"] for word in words}
+
+
 def test_every_error_is_raised_in_the_package():
     # an error class that nothing in src/srmlab raises is dead code, such as
     # a guard that cannot fire leaves behind; the three base classes are

@@ -49,7 +49,6 @@ from srmlab.srm import (
     OptimalityVerdict,
     SrmResult,
     _asymmetry,
-    _check_verdicts,
     _connected,
     certify_srm,
     channel_stats,
@@ -57,7 +56,6 @@ from srmlab.srm import (
 )
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
-STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
 
 
 def binary_pair(p0: float, chi: float) -> GusEnsemble:
@@ -108,6 +106,19 @@ class TestSrm:
         joint = np.abs(dense_factor(result)) ** 2
         np.testing.assert_allclose(joint, joint.T, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "ensemble",
+        [make_psk(8, 10.0), make_ppm(8, math.sqrt(50))],
+        ids=["psk8", "ppm8"],
+    )
+    def test_pc_never_exceeds_one(self, ensemble):
+        # nearly orthogonal states whose squared root diagonal sums to a few
+        # ulps above 1
+        result = fast_srm(ensemble)
+        assert result.per_state_correct.sum() > 1.0
+        assert result.pc == 1.0
+        assert 1.0 - result.pc == 0.0
+
     def test_rejects_singular_gram(self):
         with pytest.raises(GramSingular):
             fast_srm(dense_ensemble([0.5, 0.5], np.ones((2, 2))))
@@ -133,35 +144,41 @@ def residual(result) -> float:
 
 
 class TestCheckVerdicts:
+    """``certify_srm`` on a dense root (m = 1), the one verdict behind ``srmlab check``."""
+
     def test_circulant_root_is_optimal(self):
-        pairwise, oracle = _check_verdicts(fast_srm(one_bin(make_psk(4, 1.0))))
-        assert pairwise == OptimalityVerdict(True, "theorem2")
-        assert oracle == OptimalityVerdict(True, "theorem1_oracle", STRUCTURAL_ZERO)
+        result = fast_srm(one_bin(make_psk(4, 1.0)))
+        verdict = certify_srm(result)
+        assert verdict.optimal and verdict.witness is None
+        assert verdict.residual == residual(result) <= TOL_COND
+        assert dense_asymmetry(dense_factor(result)) <= TOL_COND
 
     def test_orthogonal_states_are_optimal(self):
-        assert all(verdict.optimal for verdict in _check_verdicts(fast_srm(dense_ensemble(np.full(3, 1 / 3), np.eye(3)))))
+        verdict = certify_srm(fast_srm(dense_ensemble(np.full(3, 1 / 3), np.eye(3))))
+        assert verdict == OptimalityVerdict(True, "theorem1_srm", None, 0.0, (0, 0, 0))
 
     def test_biased_binary_root_fails_both_at_the_one_residual(self):
         result = fast_srm(binary_pair(0.3, 0.5))
-        pairwise, oracle = _check_verdicts(result)
-        worst = residual(result)
-        assert pairwise.witness == (
-            f"condition (i) fails at state pair (0, 1): residual {worst:.6e}"
+        verdict = certify_srm(result)
+        assert not verdict.optimal
+        assert verdict.residual == pytest.approx(5.109562e-02, abs=5e-9)  # the 7 printed digits
+        assert verdict.at == (0, 1, 0)
+        # the independent references agree, Theorem 2 at the same pair and residual
+        factor = dense_factor(result)
+        assert verdict.residual == pytest.approx(dense_asymmetry(factor), rel=1e-12)
+        assert check_theorem2_reference(factor).witness == (
+            f"condition (i) fails at state pair (0, 1): residual {verdict.residual:.6e}"
         )
-        assert oracle.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
-        # the independent references agree
-        assert not check_theorem2_reference(dense_factor(result)).optimal
-        assert not verify_theorem1_reference(binary_gram(0.3, 0.5), dense_factor(result)).optimal
+        assert not verify_theorem1_reference(binary_gram(0.3, 0.5), factor).optimal
 
     def test_tolerance_bounds_the_one_residual(self):
-        # the residual of the biased pair is 5.109562e-02: both verdicts
-        # flip together as tol_cond crosses it
+        # the residual of the biased pair is 5.109562e-02: the verdict flips
+        # as tol_cond crosses it, and the residual and its entry stay put
         result = fast_srm(binary_pair(0.3, 0.5))
-        worst = residual(result)
-        assert f"{worst:.6e}" == "5.109562e-02"
+        worst = certify_srm(result).residual
         for tol_cond, optimal in ((0.9 * worst, False), (worst, True), (0.06, True)):
-            verdicts = _check_verdicts(result, tol_cond=tol_cond)
-            assert [verdict.optimal for verdict in verdicts] == [optimal, optimal]
+            verdict = certify_srm(result, tol_cond=tol_cond)
+            assert (verdict.optimal, verdict.residual, verdict.at) == (optimal, worst, (0, 1, 0))
 
 
 class TestCheckTheorem3:
@@ -192,6 +209,7 @@ class TestCheckTheorem3:
         verdict = check_theorem3(pair, [(0, 1)], fast_srm(pair))
         assert not verdict.optimal
         assert "spread" in verdict.witness
+        assert (verdict.residual, verdict.at) == (None, None)
 
     def test_rejects_false_partition(self):
         pair = binary_pair(0.5, 0.5)
@@ -331,7 +349,7 @@ class TestCheckTheorem3:
             f"block 0: square-root diagonal entries spread by {spread:.6e}"
         )
         assert check_theorem3(pair, [(0, 1)], result, tol_cond=2 * worst).optimal
-        assert _check_verdicts(result, tol_cond=2 * worst)[0].optimal
+        assert certify_srm(result, tol_cond=2 * worst).optimal
         assert not check_theorem3_reference(g, [(0, 1)], tol_cond=2 * worst).optimal
 
 
@@ -339,19 +357,20 @@ def assert_matches_reference(ensemble) -> bool:
     """The residual verdict on a one-bin ensemble's root against the O(n⁴) reference on it.
 
     A suboptimal verdict's residual is the Hermiticity defect of Y up to
-    rounding; the reference may name a failed downdate instead.
+    rounding, and lies at its entry ``at``; the reference may name a failed
+    downdate instead.
     """
     result = fast_srm(ensemble)
-    _, fast = _check_verdicts(result)
-    slow = verify_theorem1_reference(weighted_gram(ensemble), dense_factor(result))
+    fast = certify_srm(result)
+    factor = dense_factor(result)
+    slow = verify_theorem1_reference(weighted_gram(ensemble), factor)
     assert fast.optimal == slow.optimal
     if fast.optimal:
-        assert fast.witness == STRUCTURAL_ZERO
         assert slow.witness.startswith("boundary: ")
     else:
-        worst = residual(result)
-        assert fast.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
-        assert worst == pytest.approx(dense_asymmetry(dense_factor(result)), rel=1e-6)
+        defect = dense_asymmetries(factor)
+        assert fast.residual == pytest.approx(defect.max(), rel=1e-6)
+        assert defect[fast.at[:2]] == pytest.approx(fast.residual, rel=1e-6)
     return fast.optimal
 
 
@@ -394,8 +413,10 @@ class TestTheorem1Reduction:
         optimal = fast_srm(one_bin(make_ppm(64, 1.0)))
         biased = fast_srm(load_gram_file(str(GRAMFILES / "binary_biased.gram"))[0])
         calls = counted_factorizations(monkeypatch)
-        assert _check_verdicts(optimal)[1].witness == STRUCTURAL_ZERO
-        assert _check_verdicts(biased)[1].witness == "Y is not Hermitian: max asymmetry 5.109562e-02"
+        assert certify_srm(optimal).optimal
+        verdict = certify_srm(biased)
+        assert verdict.residual == pytest.approx(5.109562e-02, abs=5e-9)  # the 7 printed digits
+        assert (verdict.optimal, verdict.at) == (False, (0, 1, 0))
         assert not any(calls.values())
 
 
@@ -440,7 +461,11 @@ class TestTheorem2Reference:
         result = fast_srm(binary_pair(0.3, 0.5))
         verdict = check_theorem2_reference(dense_factor(result))
         assert not verdict.optimal
-        assert verdict.witness == _check_verdicts(result)[0].witness
+        library = certify_srm(result)
+        assert verdict.witness == (
+            "condition (i) fails at state pair ({}, {}): residual ".format(*library.at[:2])
+            + f"{library.residual:.6e}"
+        )
 
     def test_rotated_root_fails_condition_i(self):
         _, factor = rotated_factor()
@@ -562,8 +587,10 @@ def outcome(certificate, *args, **kwargs):
 def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd) -> bool | None:
     """The residual verdicts on the SRM root against the independent references.
 
-    A residual above ``tol_cond`` fails every verdict, with the references'
-    Theorem-2 and Theorem-3 witnesses. Below it every verdict passes, and a
+    A residual above ``tol_cond`` fails every verdict, the reference's
+    Theorem-2 witness naming the residual and the state pair of the verdict's
+    ``at``, and the Theorem-3 witness the reference's block. Below it every
+    verdict passes, and a
     reference may fail only if the residual exceeds the default ``TOL_COND``:
     the tolerance then accepted a Y that is not Hermitian, on which the
     references' further tests (Y positive definite, every downdate PSD, a
@@ -578,12 +605,10 @@ def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd)
     gram = weighted_gram(ensemble)
     factor = dense_factor(result)
     tols = {"tol_cond": tol_cond, "tol_psd": tol_psd}
-    worst = residual(result)
-    pairwise, oracle = _check_verdicts(result, tol_cond=tol_cond)
-    verdicts = [
-        (pairwise, check_theorem2_reference(factor, **tols)),
-        (oracle, verify_theorem1_reference(gram, factor, **tols)),
-    ]
+    verdict = certify_srm(result, tol_cond=tol_cond)
+    worst = verdict.residual
+    theorem2 = check_theorem2_reference(factor, **tols)
+    verdicts = [(verdict, theorem2), (verdict, verify_theorem1_reference(gram, factor, **tols))]
     if blocks is not None:
         blockwise = outcome(check_theorem3, ensemble, blocks, result, tol_cond=tol_cond)
         reference = outcome(check_theorem3_reference, gram, blocks, **tols)
@@ -591,21 +616,20 @@ def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd)
             assert blockwise == reference
         else:
             verdicts.append((blockwise, reference))
-    assert pairwise.optimal == oracle.optimal == (worst <= tol_cond)
-    for verdict, reference in verdicts:
-        if not verdict.optimal:
+    assert verdict.optimal == (worst <= tol_cond)
+    for certificate, reference in verdicts:
+        if not certificate.optimal:
             assert not reference.optimal
-            if verdict.method == "theorem3":
-                assert_theorem3_witness(verdict, reference, gram, blocks, tol_psd, tol_cond)
-            elif verdict.method != "theorem1_oracle":
-                assert verdict == reference
+            if certificate.method == "theorem3":
+                assert_theorem3_witness(certificate, reference, gram, blocks, tol_psd, tol_cond)
         elif not reference.optimal:
             assert worst > TOL_COND
-    if pairwise.optimal:
-        assert oracle.witness == STRUCTURAL_ZERO
-    else:
-        assert oracle.witness == f"Y is not Hermitian: max asymmetry {worst:.6e}"
-    return oracle.optimal
+    if not verdict.optimal:
+        assert theorem2.witness == (
+            "condition (i) fails at state pair ({}, {}): residual ".format(*verdict.at[:2])
+            + f"{worst:.6e}"
+        )
+    return verdict.optimal
 
 
 def assert_theorem3_witness(verdict, reference, gram, blocks, tol_psd, tol_cond) -> None:
@@ -731,9 +755,14 @@ def certify_srm_ensembles() -> list[GusEnsemble]:
     return ensembles + [orthogonal_pair(2), orthogonal_pair(4)]
 
 
-def dense_asymmetry(factor) -> float:
+def dense_asymmetries(factor) -> np.ndarray:
+    """|Y - Y†| of a dense factor X, with Y = X diag(X)†."""
     y = factor * np.diagonal(factor).conj()[None, :]
-    return float(np.abs(y - y.conj().T).max())
+    return np.abs(y - y.conj().T)
+
+
+def dense_asymmetry(factor) -> float:
+    return float(dense_asymmetries(factor).max())
 
 
 class TestCertifySrm:
@@ -747,16 +776,15 @@ class TestCertifySrm:
             reference = verify_theorem1_reference(gram, dense_factor(result))
             assert verdict.optimal == reference.optimal
             # a dense root is the case m = 1, which `srmlab check` reads
-            dense = fast_srm(one_bin(ensemble))
-            assert certify_srm(dense).optimal == verdict.optimal
-            assert _check_verdicts(dense)[1].optimal == verdict.optimal
+            dense = certify_srm(fast_srm(one_bin(ensemble)))
+            assert dense.optimal == verdict.optimal
             asymmetry = dense_asymmetry(dense_factor(result))
             if verdict.optimal:
                 assert verdict.witness is None
                 assert asymmetry <= TOL_COND
             else:
-                residual = float(verdict.witness.rsplit("residual ", 1)[1])
-                assert residual == pytest.approx(asymmetry, rel=1e-6)
+                assert verdict.residual == pytest.approx(asymmetry, rel=1e-6)
+                assert dense.residual == pytest.approx(verdict.residual, rel=1e-6)
             optimal += verdict.optimal
         # PSK at m = 32 is singular at unit amplitude
         assert (len(ensembles), optimal) == (92, 16)
@@ -771,10 +799,16 @@ class TestCertifySrm:
         assert not equal and abs(g[0] - g[1]) > 0.1
 
     def test_witness_names_the_pair_and_the_shift(self):
-        verdict = certify_srm(fast_srm(make_double_bpsk(1.0, 3.0, 0.25)))
+        result = fast_srm(make_double_bpsk(1.0, 3.0, 0.25))
+        verdict = certify_srm(result)
         assert not verdict.optimal
         assert verdict.method == "theorem1_srm"
-        assert verdict.witness.startswith("Y is not Hermitian at constellations (0, 1), shift ")
+        assert verdict.at[:2] == (0, 1)
+        assert verdict.residual == float(_asymmetry(result.rows)[verdict.at]) == residual(result)
+        assert verdict.witness == (
+            f"Y is not Hermitian at constellations (0, 1), shift {verdict.at[2]}: "
+            f"residual {verdict.residual:.6e}"
+        )
 
     def test_fig23_point_takes_one_batched_eigh(self, monkeypatch):
         calls = counted_factorizations(monkeypatch)
