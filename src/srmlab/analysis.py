@@ -130,9 +130,10 @@ def optimize_prior_4pam(alpha: float) -> float:
     """
     a = float(alpha)
     _check_amplitude(a)
+    overlaps = pam4_overlaps(a)
 
     def gap(p: float) -> float:
-        g1, g2 = pam4_block_traces(a, p)
+        g1, g2 = double_bpsk_block_traces(p, *overlaps)
         return g1 - g2
 
     lo, hi = _BRACKET_MARGIN, 0.5 - _BRACKET_MARGIN

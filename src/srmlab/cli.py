@@ -145,8 +145,11 @@ def render_json(columns: list[str], rows: list[dict]) -> str:
 
 def emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"{out}: cannot write file: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -11,10 +11,14 @@ states is its one-bin stack (s = n, m = 1). It hands the coupling stack to
 ``linalg._root_rows``, the one square-root kernel: one eigendecomposition
 yields both the singularity test and the square roots, and one inverse FFT
 turns those into the first rows of the full Gram root; no dense
-(s m) x (s m) matrix is formed. ``_fast_srms`` roots several ensembles of
-one (s, m) through the same kernel together, their weighted first rows
-stacked over a leading axis and transformed in one FFT, and each root
-equals the one ``fast_srm`` takes alone bit for bit.
+(s m) x (s m) matrix is formed. Constellations that no coupling entry
+joins are rooted apart, one eigendecomposition per group size, and the
+root holds exact zeros between them; a dense Gram of two orthogonal
+halves costs two (n/2)^3 decompositions, not one n^3. ``_fast_srms``
+roots several ensembles of one (s, m) through the same kernel together,
+their weighted first rows stacked over a leading axis and transformed in
+one FFT, and each root equals the one ``fast_srm`` takes alone bit for
+bit.
 The root's diagonal is flat on each constellation: its value g_h on
 constellation h is the seed ``rows[h, h, 0]``, and the correct-decision
 probability is m * sum_h g_h^2. ``srm.certify_srm`` decides optimality from

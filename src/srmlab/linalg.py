@@ -7,14 +7,18 @@ their mirror. No function here assembles a dense block-circulant matrix.
 (..., m, s, s) coupling stacks of one or several ensembles of one shape,
 however the caller got them: ``_coupling_stacks`` turns weighted first
 rows into them in one FFT, and a dense n x n matrix is its own one-bin
-stack (s = n, m = 1), with no transform. One ``eigh`` decomposes every
-matrix (only the bitwise-distinct ones once an ensemble has
-``_DISTINCT_FLOOR`` bins), and the clamped root of every matrix goes back
-through one inverse FFT to the root's first rows. Every matrix and row is
-still transformed on its own. The transforms are private and take rows
-that ``GusEnsemble`` has already checked. Matrices are square complex128
-arrays, indexed (row, column) from 0. All functions are pure and never
-mutate their inputs.
+stack (s = n, m = 1), with no transform. When the stacks split into
+groups of constellations that no entry couples, which ``_components``
+finds by breadth-first search, each group is rooted on its own: one
+``eigh`` per group size, so groups of sizes b_i cost sum b_i^3, not s^3,
+per bin. A stack of one group, which every builder ensemble is, goes to
+one ``eigh`` whole (only its bitwise-distinct matrices once an ensemble
+has ``_DISTINCT_FLOOR`` bins), and the clamped root of every matrix goes
+back through one inverse FFT to the root's first rows. Every matrix and
+row is still transformed on its own. The transforms are private and take
+rows that ``GusEnsemble`` has already checked. Matrices are square
+complex128 arrays, indexed (row, column) from 0. All functions are pure
+and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -93,39 +97,93 @@ def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack[order[new]], inverse
 
 
+def _components(adjacency: np.ndarray) -> list[np.ndarray]:
+    """The connected components of a graph given by its symmetric boolean adjacency matrix.
+
+    Each component is the sorted array of its nodes, and the components come
+    in the order of their least node. Each search takes one NumPy step per
+    breadth-first level.
+    """
+    components = []
+    unseen = np.ones(len(adjacency), dtype=bool)
+    while unseen.any():
+        seen = np.zeros_like(unseen)
+        seen[unseen.argmax()] = True
+        frontier = seen.copy()
+        while frontier.any():
+            reached = adjacency[frontier].any(axis=0)
+            frontier = reached & ~seen
+            seen |= reached
+        components.append(np.flatnonzero(seen))
+        unseen &= ~seen
+    return components
+
+
 def _root_rows(stacks: np.ndarray, tol_psd: float) -> np.ndarray:
     """The principal root's (..., s, s, m) first rows from (..., m, s, s) coupling stacks.
 
-    Each (m, s, s) stack along the leading axes is one ensemble; their bins
-    go to one ``eigh``. Ensembles of s >= 2 and at least ``_DISTINCT_FLOOR``
-    bins send only their bitwise-distinct coupling matrices, whose
-    eigenvalues and roots are gathered back to every bin; ``eigh`` and the
-    root treat each matrix on its own, so the roots are the same bits
-    either way. Each matrix is taken as its Hermitian part. Raises
-    ``ConvergenceFailure`` when the eigensolver fails, and ``GramSingular``
-    for the first ensemble, in C order, whose smallest eigenvalue over its
-    bins falls below ``tol_psd``, naming that value; ``tol_psd = -inf``
-    never raises it. Eigenvalues below zero are clamped to zero before the
-    square root. Each root is symmetrised, and the first rows are averaged
-    with their mirror, so the factor they describe is exactly Hermitian.
+    Each (m, s, s) stack along the leading axes is one ensemble. Its
+    constellations split into groups that no entry couples, an entry
+    coupling h and k when it is not exactly zero in some bin of some
+    ensemble, and the root of a matrix that splits so is the direct sum of
+    its groups' roots. So the matrices of each group size go to one
+    ``eigh``, and every root entry between two groups is exactly zero; a
+    stack of one group goes to ``eigh`` whole. Groups of b >= 2
+    constellations and ensembles of at least ``_DISTINCT_FLOOR`` bins send
+    only their bitwise-distinct matrices, whose eigenvalues and roots are
+    gathered back to every bin; ``eigh`` and the root treat each matrix on
+    its own, so the roots are the same bits either way. Each matrix is
+    taken as its Hermitian part. Raises ``ConvergenceFailure`` when the
+    eigensolver fails, and ``GramSingular`` for the first ensemble, in C
+    order, whose smallest eigenvalue over its bins and groups falls below
+    ``tol_psd``, naming that value; ``tol_psd = -inf`` never raises it.
+    Eigenvalues below zero are clamped to zero before the square root.
+    Each root is symmetrised, and the first rows are averaged with their
+    mirror, so the factor they describe is exactly Hermitian.
     """
     *batch, m, s, _ = stacks.shape
     stack = stacks.reshape(-1, s, s)
-    inverse = slice(None)
-    if s > 1 and m >= _DISTINCT_FLOOR:
-        stack, inverse = _distinct(stack)
-    try:
-        w, v = np.linalg.eigh((stack + _adjoint(stack)) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-    if w[:, 0].min() < tol_psd:
-        lowest = w[inverse, 0].reshape(-1, m).min(axis=-1)
+    # the (g, b) node index of the g groups of each size b; none for one
+    # group, as when s = 1 or the first matrix has no zero entry
+    index = []
+    if s > 1 and np.count_nonzero(stack[0]) < s * s:
+        coupled = (stack != 0).any(axis=0)
+        groups = _components(coupled | coupled.T)
+        if len(groups) > 1:
+            sizes = sorted({len(group) for group in groups})
+            index = [np.array([group for group in groups if len(group) == b]) for b in sizes]
+    parts = [
+        stack[:, at[:, :, None], at[:, None, :]].reshape(-1, at.shape[1], at.shape[1]) for at in index
+    ]
+    decompositions = []
+    for part in parts or [stack]:
+        inverse = slice(None)
+        if part.shape[-1] > 1 and m >= _DISTINCT_FLOOR:
+            part, inverse = _distinct(part)
+        try:
+            w, v = np.linalg.eigh((part + _adjoint(part)) / 2.0)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+        decompositions.append((w, v, inverse))
+    if min([w[:, 0].min() for w, _, _ in decompositions]) < tol_psd:
+        ensembles = len(stack) // m
+        lowest = np.min(
+            [w[inverse, 0].reshape(ensembles, -1).min(axis=-1) for w, _, inverse in decompositions],
+            axis=0,
+        )
         first = lowest[np.argmax(lowest < tol_psd)]
         raise GramSingular(
             f"Gram matrix is singular (min eigenvalue {first:.3e} < {tol_psd:g}); "
             "the weighted states are not linearly independent"
         )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
-    root = (root + _adjoint(root)) / 2.0
-    rows = _first_rows(root[inverse].reshape(*batch, m, s, s))
+    roots = []
+    for w, v, inverse in decompositions:
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
+        roots.append(((root + _adjoint(root)) / 2.0)[inverse])
+    root = roots[0]
+    if index:
+        root = np.zeros_like(stack)
+        for at, part_root in zip(index, roots):
+            root[:, at[:, :, None], at[:, None, :]] = part_root.reshape(len(stack), *at.shape, -1)
+    rows = _first_rows(root.reshape(*batch, m, s, s))
     return (rows + _mirror(rows)) / 2.0

@@ -19,7 +19,9 @@ residual, max |X_ij| |d_j - d_i| with d = diag(X), with no eigensolve:
 root's diagonal values g_h agree across every pair of constellations that
 the root couples), and ``check_theorem3`` on the pairs inside each block
 of a one-bin ensemble whose Gram matrix is block diagonal, reading the
-blocks' roots off its ``SrmResult``. ``certify_srm``'s verdict carries that
+blocks' roots off its ``SrmResult``, whose kernel has already rooted
+exactly orthogonal blocks apart; its support-graph search is the kernel's
+own, ``linalg._components``. ``certify_srm``'s verdict carries that
 residual and the entry where it lies, from which ``srmlab check`` writes
 its Theorem-2 and Theorem-1 lines on the dense root. Where a tolerated
 cross-block leak calls for each block's own root, ``check_theorem3`` takes
@@ -36,7 +38,7 @@ import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
 from .errors import NotBlockDiagonal, ReducibleBlock
-from .linalg import _root_rows
+from .linalg import _components, _root_rows
 
 TOL_COND = 1e-9
 
@@ -91,18 +93,6 @@ class ChannelStats:
     input_marginals: np.ndarray
     output_marginals: np.ndarray
     mutual_information: float
-
-
-def _connected(adjacency: np.ndarray) -> bool:
-    """Whether every node is reached from node 0, one breadth-first level per step."""
-    seen = np.zeros(len(adjacency), dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        reached = adjacency[frontier].any(axis=0)
-        frontier = reached & ~seen
-        seen |= reached
-    return bool(seen.all())
 
 
 def _asymmetry(rows: np.ndarray) -> np.ndarray:
@@ -172,7 +162,7 @@ def check_theorem3(
 
     for b, block in enumerate(partition):
         support = np.abs(g[np.ix_(block, block)]) > TOL_COND
-        if not _connected(support):
+        if len(_components(support)) > 1:
             raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
 
     if leak > TOL_COND:

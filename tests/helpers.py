@@ -358,6 +358,23 @@ def circulant_from_row(first_row) -> np.ndarray:
     return CirculantSpec(np.asarray(first_row)).matrix()
 
 
+def gram_file_lines(priors, overlaps, blocks=None) -> list[str]:
+    """The lines of a Gram file of the given priors and overlap matrix.
+
+    One ``inner`` line per nonzero overlap above the diagonal, and a
+    ``blocks`` line when ``blocks``, a list of index groups, is given.
+    """
+    n = len(priors)
+    lines = [f"n {n}", "priors " + " ".join(repr(float(p)) for p in priors)]
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if overlaps[i, j] != 0:
+            value = overlaps[i, j]
+            lines.append(f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}")
+    if blocks is not None:
+        lines.append("blocks " + " ".join(",".join(map(str, block)) for block in blocks))
+    return lines
+
+
 def gram_lines(rng, n, blocks) -> list[str]:
     """A certify-style Gram file: one or two circulant blocks, skewed or equal priors."""
     parts = 2 if blocks else 1
@@ -369,15 +386,8 @@ def gram_lines(rng, n, blocks) -> list[str]:
         )
     priors = rng.uniform(0.5, 1.5, n) if rng.integers(2) else np.ones(n)
     priors /= priors.sum()
-    lines = [f"n {n}", "priors " + " ".join(repr(float(p)) for p in priors)]
-    for i, j in zip(*np.triu_indices(n, 1)):
-        if overlaps[i, j] != 0:
-            value = overlaps[i, j]
-            lines.append(f"inner {i} {j} {float(value.real)!r} {float(value.imag)!r}")
-    if blocks:
-        groups = (",".join(map(str, range(b * size, (b + 1) * size))) for b in range(parts))
-        lines.append("blocks " + " ".join(groups))
-    return lines
+    groups = [range(b * size, (b + 1) * size) for b in range(parts)]
+    return gram_file_lines(priors, overlaps, groups if blocks else None)
 
 
 def counted_factorizations(monkeypatch) -> dict:
@@ -541,19 +551,29 @@ def check_theorem2_reference(
     return OptimalityVerdict(optimal=True, method="theorem2")
 
 
-def connected_reference(adjacency) -> bool:
-    """Whether a depth-first search from node 0 along the rows of ``adjacency`` reaches every node."""
+def components_reference(adjacency) -> list[list[int]]:
+    """The node lists reached by depth-first searches along the rows of ``adjacency``.
+
+    Each search starts from the least node not yet reached, and lists its
+    nodes in increasing order.
+    """
     n = len(adjacency)
     seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for other in np.flatnonzero(adjacency[node]):
-            if not seen[other]:
-                seen[other] = True
-                stack.append(int(other))
-    return bool(seen.all())
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, component = [start], [start]
+        while stack:
+            node = stack.pop()
+            for other in np.flatnonzero(adjacency[node]):
+                if not seen[other]:
+                    seen[other] = True
+                    stack.append(int(other))
+                    component.append(int(other))
+        components.append(sorted(component))
+    return components
 
 
 def check_theorem3_reference(
@@ -597,7 +617,7 @@ def check_theorem3_reference(
     for b, block in enumerate(partition):
         sub = g[np.ix_(block, block)]
         support = np.abs(sub) > TOL_COND
-        if not connected_reference(support):
+        if len(components_reference(support)) > 1:
             raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
         submatrices.append(sub)
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import errno
 import json
 import math
 import os
@@ -18,8 +19,11 @@ from helpers import (
     circulant_from_row,
     counted_factorizations,
     counted_transforms,
+    dense_route,
+    gram_file_lines,
     gram_lines,
     load_gram_file_reference,
+    random_circulant_gram,
     single_gus_pc,
     weighted_gram,
 )
@@ -90,6 +94,17 @@ REPEATED_DIRECTIVES = [
 def read_csv(path: Path) -> list[dict]:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def grouped_gram_text(rng, groups, equal_priors, blocks) -> str:
+    """A Gram file of mutually orthogonal groups of states, each group a circulant Gram matrix."""
+    n = sum(len(group) for group in groups)
+    overlaps = np.zeros((n, n), dtype=complex)
+    for group in groups:
+        overlaps[np.ix_(group, group)] = len(group) * random_circulant_gram(rng, len(group))
+    priors = np.ones(n) if equal_priors else rng.uniform(0.5, 1.5, n)
+    priors /= priors.sum()
+    return "\n".join(gram_file_lines(priors, overlaps, groups if blocks else None)) + "\n"
 
 
 class TestParsers:
@@ -428,50 +443,52 @@ class TestCheck:
     def test_one_decomposition_per_matrix(self, monkeypatch, tmp_path):
         # one eigh of G (the one-bin stack) and nothing else: every verdict
         # reads the root's residual, so no Cholesky, solve, eigvalsh, SVD or
-        # per-block root
+        # per-block root. G of two orthogonal halves is rooted as its two
+        # 32 x 32 groups in that one eigh
         calls = counted_factorizations(monkeypatch)
-        paths = [GRAMFILES / f"{stem}.gram" for stem in ("binary_equal", "binary_biased")]
+        cases = {GRAMFILES / f"{stem}.gram": (1, 2, 2) for stem in ("binary_equal", "binary_biased")}
         # seed 1 draws equal priors (optimal), seed 5 skewed ones (suboptimal)
         for seed, blocks in ((1, False), (1, True), (5, False), (5, True)):
             path = tmp_path / f"certify{seed}{blocks:d}.gram"
             path.write_text("\n".join(gram_lines(np.random.default_rng(seed), 64, blocks)) + "\n")
-            paths.append(path)
-        for path in paths:
+            cases[path] = (2, 32, 32) if blocks else (1, 64, 64)
+        for path, shape in cases.items():
             for log in calls.values():
                 log.clear()
             assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
-            n = 2 if path.parent == GRAMFILES else 64
-            assert {name: log for name, log in calls.items() if log} == {"eigh": [(1, n, n)]}
+            assert {name: log for name, log in calls.items() if log} == {"eigh": [shape]}
 
     def test_roots_the_one_bin_rows_without_a_dense_gram(self, monkeypatch, tmp_path):
-        # check roots the parsed one-bin ensemble as one (1, n, n) stack, with
-        # or without a 'blocks' line. The leaky file's cross-block overlap of
-        # 1e-4 (2.2e-5 weighted) passes --tol-cond 1e-3 but not TOL_COND, so
-        # each block is rooted on its own, as a one-bin stack of the same kernel
-        cases = [(GRAMFILES / f"{stem}.gram", ()) for stem in GRAMFILE_REPORTS]
+        # check roots the parsed one-bin ensemble as one stack of its groups
+        # of mutually coupled states, with or without a 'blocks' line: one
+        # (1, n, n) stack when every state is coupled, (2, n/2, n/2) for two
+        # orthogonal halves and (3, 1, 1) for three orthogonal states. The
+        # leaky file's cross-block overlap of 1e-4 (2.2e-5 weighted) passes
+        # --tol-cond 1e-3 but not TOL_COND, so each block is rooted on its
+        # own, as a one-bin stack of the same kernel
+        groups = {"binary_equal": (1, 2, 2), "binary_biased": (1, 2, 2), "identity3": (3, 1, 1)}
+        cases = [(GRAMFILES / f"{stem}.gram", (), [groups[stem]]) for stem in GRAMFILE_REPORTS]
         for seed in (1, 5):
             for blocks in (False, True):
                 path = tmp_path / f"certify{seed}{blocks:d}.gram"
                 lines = gram_lines(np.random.default_rng(seed), 16, blocks)
                 path.write_text("\n".join(lines) + "\n")
-                cases.append((path, ()))
+                cases.append((path, (), [(2, 8, 8) if blocks else (1, 16, 16)]))
         leaky = tmp_path / "leaky.gram"
         leaky.write_text(
             "n 4\npriors 0.2 0.3 0.25 0.25\n"
             "inner 0 1 0.4 0\ninner 0 2 1e-4 0\ninner 2 3 0.3 0\nblocks 0,1 2,3\n"
         )
-        cases.append((leaky, ("--tol-cond", "1e-3")))
+        cases.append((leaky, ("--tol-cond", "1e-3"), [(1, 4, 4), (1, 2, 2), (1, 2, 2)]))
 
         out = tmp_path / "report.txt"
         calls = counted_factorizations(monkeypatch)
         reports = {}
-        for path, flags in cases:
+        for path, flags, shapes in cases:
             calls["eigh"].clear()
             assert main(["check", str(path), *flags, "--out", str(out)]) == EXIT_OK
-            reports[path] = report = out.read_text()
-            n = int(report.split()[1])
-            blockwise = [(1, 2, 2), (1, 2, 2)] if path == leaky else []
-            assert calls["eigh"] == [(1, n, n), *blockwise]
+            reports[path] = out.read_text()
+            assert calls["eigh"] == shapes
         for stem, report in GRAMFILE_REPORTS.items():
             assert reports[GRAMFILES / f"{stem}.gram"] == report
         assert reports[leaky].splitlines()[-3] == (
@@ -502,6 +519,71 @@ class TestCheck:
             assert out.read_text().count("theorem3") == 1
             assert factorizations["eigh"] == [(1, 5, 5), *blockwise]
             assert calls == {"ifft": 1, "eigh": 1 + len(blockwise), "fft": 1 + len(blockwise)}
+
+    @pytest.mark.parametrize("blocks", [False, True], ids=["no_blocks", "blocks"])
+    @pytest.mark.parametrize("equal", [True, False], ids=["equal", "skewed"])
+    def test_orthogonal_groups_are_rooted_apart(self, equal, blocks, monkeypatch, tmp_path):
+        # three mutually orthogonal groups of 2, 3 and 3 interleaved states:
+        # G is the direct sum of the groups' Gram matrices, and so is its root,
+        # which takes one eigh per group size and no cross-group entry
+        groups = [(0, 4), (1, 3, 6), (2, 5, 7)]
+        path = tmp_path / "groups.gram"
+        path.write_text(grouped_gram_text(np.random.default_rng(29), groups, equal, blocks))
+        out = tmp_path / "report.txt"
+        calls = counted_factorizations(monkeypatch)
+        assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+        assert sorted(calls["eigh"]) == [(1, 2, 2), (2, 3, 3)]
+        report = out.read_text().splitlines()
+
+        ensemble, _ = cli.load_gram_file(str(path))
+        root = fast_srm(ensemble).rows[:, :, 0]
+        inside = np.zeros(root.shape, dtype=bool)
+        for group in groups:
+            inside[np.ix_(group, group)] = True
+        assert (root[~inside] == 0).all()
+
+        monkeypatch.setattr(cli, "fast_srm", lambda ensemble, tol_psd: dense_route(ensemble))
+        assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+        dense = out.read_text().splitlines()
+        assert len(report) == len(dense) == 11 + blocks + 2
+        for line, reference in zip(report, dense):
+            if line.startswith("theorem"):
+                assert line == reference
+            else:
+                *label, value = line.split()
+                *reference_label, reference_value = reference.split()
+                assert label == reference_label
+                assert float(value) == pytest.approx(float(reference_value), rel=0, abs=1e-12)
+        verdicts = {line.split()[1] for line in report if line.startswith("theorem")}
+        assert verdicts == {"optimal" if equal else "suboptimal"}
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 2)], ids=["regular2_singular3", "regular3_singular2"])
+    def test_singular_group_is_named_by_the_lowest_eigenvalue_of_all_groups(
+        self, sizes, tmp_path, capsys
+    ):
+        # a regular group of states 0.. and, orthogonal to it, a nearly
+        # dependent group whose smallest weighted eigenvalue, 5e-11, is below
+        # --tol-psd: the message names that minimum over both groups, before
+        # any root is taken
+        regular, singular = sizes
+        n = regular + singular
+        overlaps = np.eye(n, dtype=complex)
+        overlaps[:regular, :regular] += 0.3 * (1 - np.eye(regular))
+        overlaps[regular:, regular:] += (1 - 2.5e-10) * (1 - np.eye(singular))
+        path = tmp_path / "singular_group.gram"
+        path.write_text("\n".join(gram_file_lines([0.2] * n, overlaps)) + "\n")
+        gram = weighted_gram(cli.load_gram_file(str(path))[0])
+        lowest = np.linalg.eigvalsh(gram[regular:, regular:])[0]
+        assert 1e-11 < lowest < 1e-10 < np.linalg.eigvalsh(gram[:regular, :regular])[0]
+
+        assert main(["check", str(path)]) == EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        named = re.fullmatch(
+            r"error: Gram matrix is singular \(min eigenvalue (\S+) < 1e-10\); "
+            r"the weighted states are not linearly independent",
+            line,
+        )
+        assert named and float(named.group(1)) == pytest.approx(lowest, rel=1e-3)
 
     @pytest.mark.parametrize("tol_cond", [None, "1e-9", "1e-6", "1e-3", "0.5"])
     def test_no_report_pairs_an_optimal_line_with_a_suboptimal_one(self, tol_cond, tmp_path):
@@ -866,6 +948,24 @@ def test_every_energy_gets_an_answer_or_one_error_line(command, photon_number, t
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert not out.exists()
+
+
+def test_out_in_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["fig4", "--grid", "1:1:1", "--out", str(out)]) == EXIT_CONFIG
+    reason = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {out}: cannot write file: {reason}"]
+    assert captured.out == ""
+
+
+def test_out_that_is_a_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path
+    assert main(["check", str(GRAMFILES / "binary_equal.gram"), "--out", str(out)]) == EXIT_CONFIG
+    reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {out}: cannot write file: {reason}"]
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the block-circulant fast path."""
 
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from helpers import (
     GRAMFILE_REPORTS,
     block_sqrt,
+    counted_factorizations,
     counted_transforms,
     dense_ensemble,
     dense_factor,
@@ -565,6 +567,135 @@ class TestDistinctBins:
         for name, argv in DEFAULT_DATASETS.items():
             assert main([*argv, "--out", str(out)]) == EXIT_OK
             assert out.read_text() == (DATA / f"{name}.csv").read_text()
+
+
+def reducible_gus(rng, m: int) -> GusEnsemble:
+    """A random s = 3 ensemble whose constellation 2 is orthogonal to constellations 0 and 1."""
+    pair, single = random_gus_ensemble(rng, 2, m), random_gus_ensemble(rng, 1, m)
+    rows = np.zeros((3, 3, m), dtype=complex)
+    rows[:2, :2] = pair.rows
+    rows[2, 2] = single.rows[0, 0]
+    priors = np.concatenate([0.6 * pair.constellation_priors, 0.4 * single.constellation_priors])
+    return GusEnsemble(rows=rows, constellation_priors=priors)
+
+
+def refuse_split(adjacency):
+    raise AssertionError(f"split the {len(adjacency)} constellations of a stack into groups")
+
+
+class TestCoupledGroups:
+    """Constellations that no coupling entry joins are rooted apart, each group of a size in one ``eigh``."""
+
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_orthogonal_constellation_is_rooted_apart(self, m, monkeypatch):
+        # at m = 64 the coupled pair's bins go through the distinct-bin sort
+        ensemble = reducible_gus(np.random.default_rng(m), m)
+        stack = block_diagonalize(ensemble)
+        sorts = []
+        distinct = linalg._distinct
+
+        def counted(part):
+            sorts.append(part.shape)
+            return distinct(part)
+
+        monkeypatch.setattr(linalg, "_distinct", counted)
+        calls = counted_factorizations(monkeypatch)
+        rows = fast_srm(ensemble).rows
+        assert sorted(calls["eigh"]) == [(m, 1, 1), (m, 2, 2)]
+        assert sorts == ([(m, 2, 2)] if m >= linalg._DISTINCT_FLOOR else [])
+        assert (rows[:2, 2] == 0).all() and (rows[2, :2] == 0).all()
+        for group in (slice(0, 2), slice(2, 3)):
+            alone = linalg._root_rows(stack[:, group, group], TOL_PSD)
+            assert rows[group, group].tobytes() == alone.tobytes()
+        np.testing.assert_allclose(
+            dense_factor(SrmResult(rows)), dense_route(ensemble).rows[:, :, 0], rtol=0, atol=1e-14
+        )
+
+    def test_singular_ensemble_of_a_batch_is_named_over_all_its_groups(self):
+        # each ensemble is a pair of shift-orthogonal constellations with
+        # overlap c, whose weighted eigenvalues are 0.0375 (1 +- c) in every
+        # bin, beside a regular constellation 2. The pair of the second
+        # ensemble dips to 7.5e-11 and that of the third lower, to 5e-11; the
+        # second is the first singular ensemble, so its value is named
+        m = 8
+        third = random_gus_ensemble(np.random.default_rng(3), 1, m)
+
+        def pair_beside_third(c):
+            rows = np.zeros((3, 3, m), dtype=complex)
+            rows[0, 0, 0] = rows[1, 1, 0] = 1.0
+            rows[0, 1, 0] = rows[1, 0, 0] = c
+            rows[2, 2] = third.rows[0, 0]
+            return GusEnsemble(rows=rows, constellation_priors=np.array([0.3, 0.3, 0.4]) / m)
+
+        batch = [pair_beside_third(c) for c in (0.5, 1 - 2e-9, 1 - 4e-9 / 3)]
+        lowest = [np.linalg.eigvalsh(weighted_gram(ensemble))[0] for ensemble in batch]
+        assert lowest[2] < lowest[1] < TOL_PSD < lowest[0]
+        with pytest.raises(GramSingular) as raised:
+            _fast_srms(batch, TOL_PSD)
+        named = re.search(r"min eigenvalue (\S+) <", str(raised.value)).group(1)
+        assert float(named) == pytest.approx(lowest[1], rel=1e-3)
+
+    def test_default_datasets_and_irreducible_checks_never_split(self, monkeypatch, tmp_path):
+        # every coupling stack that the default datasets, the default and
+        # large sweeps and `check` on a one-block file root couples all its
+        # constellations, so none of them looks for groups
+        out = tmp_path / "report.txt"
+        stems = ("binary_equal", "binary_biased")
+        reports = {GRAMFILES / f"{stem}.gram": GRAMFILE_REPORTS[stem] for stem in stems}
+        for n in (16, 32, 64, 128):
+            path = tmp_path / f"case{n}.gram"
+            path.write_text("\n".join(gram_lines(np.random.default_rng(n), n, False)) + "\n")
+            assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+            reports[path] = out.read_text()
+        large = (
+            ["sweep", "--scheme", "ppm", "--m", "256"],
+            ["sweep", "--scheme", "double_ppm", "--m", "256,512"],
+        )
+        sweeps = {}
+        for argv in large:
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            sweeps[tuple(argv)] = out.read_text()
+        psk = ["sweep", "--scheme", "psk"]
+        failed = main([*psk, "--out", str(out)])
+        assert failed == EXIT_NUMERIC
+
+        monkeypatch.setattr(linalg, "_components", refuse_split)
+        for path, report in reports.items():
+            assert main(["check", str(path), "--out", str(out)]) == EXIT_OK
+            assert out.read_text() == report
+        for name, argv in DEFAULT_DATASETS.items():
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            assert out.read_text() == (DATA / f"{name}.csv").read_text()
+        for argv, rows in sweeps.items():
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            assert out.read_text() == rows
+        assert main([*psk, "--out", str(out)]) == failed
+
+    def test_a_pair_coupled_in_one_bin_only_is_one_group(self, monkeypatch):
+        # two constellations of shift-orthogonal states whose cross row
+        # (0.2, -0.2, 0.2, -0.2) transforms to zero in every bin but bin 2:
+        # the first matrix has zero entries, yet the pair is one group
+        rows = np.zeros((2, 2, 4), dtype=complex)
+        rows[0, 0, 0] = rows[1, 1, 0] = 1.0
+        rows[0, 1] = rows[1, 0] = [0.2, -0.2, 0.2, -0.2]
+        ensemble = GusEnsemble(rows=rows, constellation_priors=(0.125, 0.125))
+        stack = block_diagonalize(ensemble)
+        assert (stack[:, 0, 1] != 0).tolist() == [False, False, True, False]
+        calls = counted_factorizations(monkeypatch)
+        result = fast_srm(ensemble)
+        assert calls["eigh"] == [(4, 2, 2)]
+        np.testing.assert_allclose(
+            dense_factor(result), dense_route(ensemble).rows[:, :, 0], rtol=0, atol=1e-14
+        )
+
+    def test_a_one_block_file_with_zero_overlaps_is_one_group(self, monkeypatch, tmp_path):
+        # states 0 and 2 are orthogonal but both coupled to 1: one group,
+        # rooted whole as the (1, 3, 3) stack
+        path = tmp_path / "path.gram"
+        path.write_text("n 3\npriors 0.3 0.3 0.4\ninner 0 1 0.2 0\ninner 1 2 0.1 0.1\n")
+        calls = counted_factorizations(monkeypatch)
+        assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
+        assert calls["eigh"] == [(1, 3, 3)]
 
 
 class TestSpectralRegrouping:

@@ -12,7 +12,7 @@ from helpers import (
     block_sqrt,
     check_theorem2_reference,
     check_theorem3_reference,
-    connected_reference,
+    components_reference,
     counted_factorizations,
     dense_ensemble,
     dense_factor,
@@ -42,14 +42,13 @@ from srmlab.errors import (
     NumericalError,
     ReducibleBlock,
 )
-from srmlab.linalg import TOL_PSD
+from srmlab.linalg import TOL_PSD, _components
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import (
     TOL_COND,
     OptimalityVerdict,
     SrmResult,
     _asymmetry,
-    _connected,
     certify_srm,
     channel_stats,
     check_theorem3,
@@ -232,9 +231,9 @@ class TestCheckTheorem3:
             halves = np.zeros((n, n), dtype=bool)
             halves[: n // 2, : n // 2] = halves[n // 2 :, n // 2 :] = True
             graphs.append(halves)
-        answers = [_connected(graph) for graph in graphs]
-        assert answers == [connected_reference(graph) for graph in graphs]
-        assert set(answers) == {True, False}
+        answers = [[component.tolist() for component in _components(graph)] for graph in graphs]
+        assert answers == [components_reference(graph) for graph in graphs]
+        assert {len(components) == 1 for components in answers} == {True, False}
 
     def test_rejects_reducible_block(self):
         ensemble = gram_ensemble(np.diag([0.4, 0.6]))
