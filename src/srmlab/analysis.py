@@ -332,14 +332,19 @@ def evaluate_scheme(
 
     Every scheme is geometrically uniform and takes the block-circulant
     fast path; mutual information comes from the induced channel of the
-    computed measurement.
+    computed measurement. A parameter the scheme does not take is a
+    ``DomainError``.
     """
     if not (math.isfinite(photon_number) and photon_number > 0.0):
         raise DomainError(f"mean photon number must be positive and finite, got {photon_number}")
     if scheme not in _SCHEME_TABLE:
         raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     fields, what, build = _SCHEME_TABLE[scheme]
-    if {"m": m, "delta": delta}[fields[0]] is None:
+    given = {"m": m, "delta": delta, "prior": prior}
+    for name, value in given.items():
+        if value is not None and name not in fields:
+            raise DomainError(f"scheme {scheme!r} takes no {name}, got {name}={value!r}")
+    if given[fields[0]] is None:
         raise DomainError(f"scheme {scheme!r} needs {what}")
     if fields[0] == "m":
         if not float(m).is_integer():

@@ -210,17 +210,31 @@ def certify_srm(result: SrmResult, *, tol_cond: float = TOL_COND) -> OptimalityV
     return OptimalityVerdict(True, "theorem1_srm", None, worst, at)
 
 
+def _nonzero_terms(joint: np.ndarray, sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
+    """The information terms of the positive entries of ``joint``, in C order."""
+    h, k, r = np.nonzero(joint > 0.0)
+    p = joint[h, k, r]
+    return p * np.log2(p / (sent[h] * decided[k]))
+
+
 def channel_stats(result: SrmResult) -> ChannelStats:
     """Marginals and mutual information of the induced classical channel.
 
     Read from the root's first rows, each entry of ``|rows|^2`` counting m
     times. Mutual information is in bits, with the usual convention that
     terms with zero joint probability contribute nothing.
+
+    All sums read one C-ordered copy of ``|rows|^2``, along the bins, so the
+    result does not depend on the layout of ``rows`` (``fast_srm`` returns
+    them bin-major). Only a root with exact zero entries gathers its
+    positive ones; a builder ensemble has none.
     """
     m = result.rows.shape[2]
-    joint = (result.rows * result.rows.conj()).real
+    joint = np.ascontiguousarray((result.rows * result.rows.conj()).real)
     sent, decided = joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2))
-    h, k, r = np.nonzero(joint > 0.0)
-    p = joint[h, k, r]
-    info = m * float((p * np.log2(p / (sent[h] * decided[k]))).sum())
+    if joint.min() > 0.0:
+        terms = joint * np.log2(joint / (sent[:, None] * decided)[:, :, None])
+    else:
+        terms = _nonzero_terms(joint, sent, decided)
+    info = m * float(terms.sum())
     return ChannelStats(sent.repeat(m), decided.repeat(m), max(info, 0.0))

@@ -7,7 +7,8 @@ test, the Hermiticity defect of a matrix and the ``hermitian_part``
 check with its ``TOL_HERM`` and ``NotHermitian`` error, the least
 eigenvalue of a Hermitian part, the eigendecomposition record, the
 principal square root of a dense matrix, the dense factor X of an
-``SrmResult``, the spectral square root and the dense assembly of a
+``SrmResult``, the marginals and mutual information of the dense root's
+channel, the spectral square root and the dense assembly of a
 coupling stack, the certificate references with the ``as_matrix``
 coercion and the ``InvalidFactorization`` error they raise on a factor
 that does not match its Gram matrix, the line-by-line Gram-file
@@ -234,6 +235,19 @@ def dense_route(ensemble: GusEnsemble) -> SrmResult:
     return SrmResult(principal_sqrt(weighted_gram(ensemble))[:, :, None])
 
 
+def dense_channel(ensemble: GusEnsemble) -> tuple[np.ndarray, np.ndarray, float]:
+    """Input and output marginals and mutual information in bits of ``dense_route``'s channel.
+
+    Read from the dense joint probabilities ``abs(X) ** 2`` of all s m
+    states, summing only the positive ones into the information.
+    """
+    joint = np.abs(dense_route(ensemble).rows[:, :, 0]) ** 2
+    sent, decided = joint.sum(axis=1), joint.sum(axis=0)
+    positive = joint > 0.0
+    p = joint[positive]
+    return sent, decided, float((p * np.log2(p / np.outer(sent, decided)[positive])).sum())
+
+
 def block_sqrt(spectrum: np.ndarray) -> np.ndarray:
     """Principal root of every coupling matrix of an (m, s, s) stack, small negatives clamped."""
     return clamped_root(*np.linalg.eigh(hermitian_part(spectrum)))
@@ -339,6 +353,16 @@ def random_gus_ensemble(
         gram = weighted_gram(ensemble)
         if np.linalg.eigvalsh((gram + gram.conj().T) / 2)[0] > min_eig:
             return ensemble
+
+
+def reducible_gus(rng, m: int) -> GusEnsemble:
+    """A random s = 3 ensemble whose constellation 2 is orthogonal to constellations 0 and 1."""
+    pair, single = random_gus_ensemble(rng, 2, m), random_gus_ensemble(rng, 1, m)
+    rows = np.zeros((3, 3, m), dtype=complex)
+    rows[:2, :2] = pair.rows
+    rows[2, 2] = single.rows[0, 0]
+    priors = np.concatenate([0.6 * pair.constellation_priors, 0.4 * single.constellation_priors])
+    return GusEnsemble(rows=rows, constellation_priors=priors)
 
 
 def single_gus_pc(first_row) -> float:

@@ -275,6 +275,19 @@ class TestMutualInformation:
                 alpha = math.sqrt(photon_number)
                 assert mutual_info_double_ppm(m, alpha) > mutual_info_ppm(m, alpha)
 
+    @pytest.mark.parametrize(
+        "scheme, m",
+        [("double_ppm", 256), ("double_ppm", 512), ("ppm", 16), ("ppm", 64), ("ppm", 256), ("ppm", 512)],
+    )
+    def test_fast_path_information_agrees_with_the_closed_form(self, scheme, m):
+        # channel_stats sums the joint law along the bins, which holds the
+        # error to a few ulps; a sum across constellations first does not
+        closed_form = {"ppm": mutual_info_ppm, "double_ppm": mutual_info_double_ppm}[scheme]
+        for photon_number in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 10.0):
+            expected = closed_form(m, math.sqrt(photon_number))
+            got = evaluate_scheme(scheme, photon_number, m=m).mutual_info
+            assert abs(got - expected) <= 5e-15 * expected, (photon_number, got, expected)
+
 
 class TestEvaluateScheme:
     def test_ppm_point(self):
@@ -313,6 +326,22 @@ class TestEvaluateScheme:
         for delta in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match="phase offset"):
                 evaluate_scheme("double_bpsk", 1.0, delta=delta)
+
+    @pytest.mark.parametrize("scheme", ["psk", "ppm", "double_ppm"])
+    def test_rejects_a_prior_the_scheme_does_not_take(self, scheme):
+        with pytest.raises(DomainError, match=f"scheme '{scheme}' takes no prior"):
+            evaluate_scheme(scheme, 1.0, m=4, prior=0.2)
+
+    @pytest.mark.parametrize("scheme", ["psk", "ppm", "double_ppm"])
+    def test_rejects_a_delta_the_scheme_does_not_take(self, scheme):
+        # a zero offset is a given value too
+        for delta in (0.3, 0.0):
+            with pytest.raises(DomainError, match=f"scheme '{scheme}' takes no delta"):
+                evaluate_scheme(scheme, 1.0, m=4, delta=delta)
+
+    def test_double_bpsk_rejects_a_slot_count(self):
+        with pytest.raises(DomainError, match="scheme 'double_bpsk' takes no m"):
+            evaluate_scheme("double_bpsk", 1.0, m=4, delta=math.pi / 2)
 
     def test_rejects_bad_photon_number(self):
         for photon_number in (0.0, -1.0, math.nan, math.inf):

@@ -20,6 +20,7 @@ from helpers import (
     gram_lines,
     principal_sqrt,
     random_gus_ensemble,
+    reducible_gus,
     single_gus_pc,
     spectrum_to_matrix,
     trace_criterion,
@@ -567,16 +568,6 @@ class TestDistinctBins:
         for name, argv in DEFAULT_DATASETS.items():
             assert main([*argv, "--out", str(out)]) == EXIT_OK
             assert out.read_text() == (DATA / f"{name}.csv").read_text()
-
-
-def reducible_gus(rng, m: int) -> GusEnsemble:
-    """A random s = 3 ensemble whose constellation 2 is orthogonal to constellations 0 and 1."""
-    pair, single = random_gus_ensemble(rng, 2, m), random_gus_ensemble(rng, 1, m)
-    rows = np.zeros((3, 3, m), dtype=complex)
-    rows[:2, :2] = pair.rows
-    rows[2, 2] = single.rows[0, 0]
-    priors = np.concatenate([0.6 * pair.constellation_priors, 0.4 * single.constellation_priors])
-    return GusEnsemble(rows=rows, constellation_priors=priors)
 
 
 def refuse_split(adjacency):

@@ -14,6 +14,7 @@ from helpers import (
     check_theorem3_reference,
     components_reference,
     counted_factorizations,
+    dense_channel,
     dense_ensemble,
     dense_factor,
     gram_ensemble,
@@ -23,12 +24,22 @@ from helpers import (
     random_circulant_gram,
     random_gus_ensemble,
     random_unit_trace_gram,
+    reducible_gus,
     trace_criterion,
     verify_theorem1_reference,
     weighted_gram,
 )
+from srmlab import srm
 from srmlab.analysis import optimize_prior_4pam
-from srmlab.cli import DEFAULT_DELTAS, load_gram_file, parse_angle_list, rows_fig1, rows_fig23
+from srmlab.cli import (
+    DEFAULT_DELTAS,
+    EXIT_OK,
+    load_gram_file,
+    main,
+    parse_angle_list,
+    rows_fig1,
+    rows_fig23,
+)
 from srmlab.constellations import (
     GusEnsemble,
     make_double_bpsk,
@@ -53,6 +64,7 @@ from srmlab.srm import (
     channel_stats,
     check_theorem3,
 )
+from test_datasets import DATA, DEFAULT_DATASETS
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
 
@@ -847,3 +859,65 @@ class TestChannelStats:
         stats = channel_stats(fast_srm(binary_pair(0.3, 0.5)))
         np.testing.assert_allclose(stats.input_marginals, [0.3, 0.7], atol=1e-10)
         assert stats.output_marginals.sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_double_ppm(4, 1.3),
+            lambda: make_double_ppm(64, 1.3),
+            lambda: make_double_ppm(512, 1.3),
+            lambda: random_gus_ensemble(np.random.default_rng(97), 3, 8),
+        ],
+        ids=["double_ppm4", "double_ppm64", "double_ppm512", "random_s3"],
+    )
+    def test_the_layout_of_the_rows_changes_no_bit(self, build):
+        # fast_srm returns the rows bin-major; their C- and Fortran-ordered
+        # copies are the same numbers, and give the same bits
+        rows = fast_srm(build()).rows
+        assert not rows.flags.c_contiguous
+        layouts = (rows, np.ascontiguousarray(rows), np.asfortranarray(rows))
+        stats = [channel_stats(SrmResult(copy)) for copy in layouts]
+        for other in stats[1:]:
+            assert other.mutual_information == stats[0].mutual_information
+            assert other.input_marginals.tobytes() == stats[0].input_marginals.tobytes()
+            assert other.output_marginals.tobytes() == stats[0].output_marginals.tobytes()
+
+    @pytest.mark.parametrize("m", [8, 64])
+    def test_a_root_with_zero_entries_matches_the_dense_channel(self, m):
+        # an orthogonal constellation is rooted apart, so its cross entries
+        # are exact zeros, which contribute nothing to the information
+        ensemble = reducible_gus(np.random.default_rng(m), m)
+        result = fast_srm(ensemble)
+        assert (result.rows == 0).any()
+        self.assert_matches_dense_channel(channel_stats(result), ensemble)
+
+    def test_the_identity_file_matches_the_dense_channel(self):
+        ensemble, _ = load_gram_file(str(GRAMFILES / "identity3.gram"))
+        result = fast_srm(ensemble)
+        assert (result.rows == 0).sum() == 6
+        stats = channel_stats(result)
+        self.assert_matches_dense_channel(stats, ensemble)
+        assert stats.mutual_information == pytest.approx(math.log2(3), abs=1e-14)
+
+    @staticmethod
+    def assert_matches_dense_channel(stats, ensemble):
+        sent, decided, info = dense_channel(ensemble)
+        np.testing.assert_allclose(stats.input_marginals, sent, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stats.output_marginals, decided, rtol=0, atol=1e-14)
+        assert abs(stats.mutual_information - info) <= 1e-14
+
+    def test_default_and_large_sweeps_gather_nothing(self, monkeypatch, tmp_path):
+        # no root that the default sweeps or the large ones (ppm at m = 256,
+        # double PPM at m = 256 and 512, over the default grid) take has a
+        # zero entry, so their information is summed over the whole array
+        def refuse_gather(joint, sent, decided):
+            raise AssertionError(f"gathered the positive entries of a {joint.shape} joint law")
+
+        monkeypatch.setattr(srm, "_nonzero_terms", refuse_gather)
+        out = tmp_path / "sweep.csv"
+        for name, argv in DEFAULT_DATASETS.items():
+            if argv[0] == "sweep":
+                assert main([*argv, "--out", str(out)]) == EXIT_OK
+                assert out.read_text() == (DATA / f"{name}.csv").read_text()
+        for argv in (["--scheme", "ppm", "--m", "256"], ["--scheme", "double_ppm", "--m", "256,512"]):
+            assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
