@@ -41,7 +41,6 @@ from .errors import (
     InvalidPrior,
     NotBlockDiagonal,
     NumericalError,
-    ReducibleBlock,
     SrmLabError,
 )
 from .gus import block_diagonalize, fast_srm
@@ -72,7 +71,6 @@ __all__ = [
     "NumericalError",
     "OptimalityVerdict",
     "PpmClosedForm",
-    "ReducibleBlock",
     "SrmLabError",
     "SrmResult",
     "SweepPoint",

@@ -31,7 +31,6 @@ from .errors import (
     InvalidPrior,
     NotBlockDiagonal,
     NumericalError,
-    ReducibleBlock,
 )
 from .gus import _fast_srms, fast_srm
 from .linalg import TOL_PSD, TOL_RECON
@@ -479,11 +478,10 @@ def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
     return None
 
 
-def _verdict_line(verdict) -> str:
-    word = "optimal" if verdict.optimal else "suboptimal"
-    if verdict.witness:
-        return f"{verdict.method} {word} ({verdict.witness})"
-    return f"{verdict.method} {word}"
+def _condition_i(verdict) -> str:
+    """Where a suboptimal residual verdict fails condition (i), at its state pair."""
+    i, j = verdict.at[:2]
+    return f"condition (i) fails at state pair ({i}, {j}): residual {verdict.residual:.6e}"
 
 
 def cmd_check(args) -> int:
@@ -500,18 +498,18 @@ def cmd_check(args) -> int:
     if blocks is not None:
         try:
             verdict3 = check_theorem3(ensemble, blocks, result, tol_cond=args.tol_cond)
-            lines.append(_verdict_line(verdict3))
-        except (NotBlockDiagonal, ReducibleBlock, ValueError) as exc:
+        except (NotBlockDiagonal, ValueError) as exc:
             lines.append(f"theorem3 error ({exc})")
+        else:
+            word = "optimal" if verdict3.optimal else f"suboptimal ({_condition_i(verdict3)})"
+            lines.append(f"theorem3 {word}")
     # on the root, Theorems 1 and 2 both reduce to certify_srm's one residual
     verdict = certify_srm(result, tol_cond=args.tol_cond)
     if verdict.optimal:
         lines += ["theorem2 optimal", f"theorem1_oracle optimal ({STRUCTURAL_ZERO})"]
     else:
-        i, j = verdict.at[:2]
         lines += [
-            f"theorem2 suboptimal (condition (i) fails at state pair ({i}, {j}): "
-            f"residual {verdict.residual:.6e})",
+            f"theorem2 suboptimal ({_condition_i(verdict)})",
             "theorem1_oracle suboptimal "
             f"(Y is not Hermitian: max asymmetry {verdict.residual:.6e})",
         ]

@@ -35,10 +35,6 @@ class NotBlockDiagonal(NumericalError):
     """A Gram matrix is not block diagonal with respect to the declared partition."""
 
 
-class ReducibleBlock(NumericalError):
-    """A declared diagonal block is reducible; the partition must be refined."""
-
-
 class DomainError(InputError):
     """An argument is outside the domain of a closed-form evaluator."""
 

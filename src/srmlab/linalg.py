@@ -7,11 +7,12 @@ their mirror. No function here assembles a dense block-circulant matrix.
 (..., m, s, s) coupling stacks of one or several ensembles of one shape,
 however the caller got them: ``_coupling_stacks`` turns weighted first
 rows into them in one FFT, and a dense n x n matrix is its own one-bin
-stack (s = n, m = 1), with no transform. When the stacks split into
-groups of constellations that no entry couples, which ``_components``
-finds by breadth-first search, each group is rooted on its own: one
-``eigh`` per group size, so groups of sizes b_i cost sum b_i^3, not s^3,
-per bin. A stack of one group, which every builder ensemble is, goes to
+stack (s = n, m = 1), with no transform; so is the Gram matrix with its
+cross-block entries set to zero that ``srm.check_theorem3`` roots under a
+tolerated leak. When the stacks split into groups of constellations that
+no entry couples, which ``_components`` finds by breadth-first search,
+each group is rooted on its own: one ``eigh`` per group size, so groups
+of sizes b_i cost sum b_i^3, not s^3, per bin. A stack of one group, which every builder ensemble is, goes to
 one ``eigh`` whole (only its bitwise-distinct matrices once an ensemble
 has ``_DISTINCT_FLOOR`` bins), and the clamped root of every matrix goes
 back through one inverse FFT to the root's first rows. Every matrix and

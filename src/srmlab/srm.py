@@ -12,33 +12,32 @@ n states being the one-bin case (s = n, m = 1), and returns it as an
 Theorem 1, the ground truth, calls a measurement optimal when Y = X X_d†
 (X_d = diag(X)) is Hermitian and every downdate Y - W_r is positive
 semidefinite, W_r the weighted state projector in the measurement basis;
-Theorem 2 when Y is Hermitian and positive definite. On the square-root
-measurement both follow from Y Hermitian, so every verdict here reads one
-residual, max |X_ij| |d_j - d_i| with d = diag(X), with no eigensolve:
-``certify_srm`` from the root's first rows (the paper's condition: the
-root's diagonal values g_h agree across every pair of constellations that
-the root couples), and ``check_theorem3`` on the pairs inside each block
-of a one-bin ensemble whose Gram matrix is block diagonal, reading the
-blocks' roots off its ``SrmResult``, whose kernel has already rooted
-exactly orthogonal blocks apart; its support-graph search is the kernel's
-own, ``linalg._components``. ``certify_srm``'s verdict carries that
-residual and the entry where it lies, from which ``srmlab check`` writes
-its Theorem-2 and Theorem-1 lines on the dense root. Where a tolerated
-cross-block leak calls for each block's own root, ``check_theorem3`` takes
-it with ``linalg._root_rows``, the kernel behind ``fast_srm``, as a one-bin
-coupling stack that needs no transform.
+Theorem 2 when Y is Hermitian and positive definite; Theorem 3, for a
+block-diagonal Gram matrix, when the root of each irreducible block has a
+flat diagonal. On the square-root measurement all three follow from Y
+Hermitian, so every verdict here is ``certify_srm``'s: one residual,
+max |X_ij| |d_j - d_i| with d = diag(X), read from the root's first rows
+with no eigensolve (the paper's condition: the root's diagonal values g_h
+agree across every pair of constellations that the root couples). Its
+verdict carries that residual and the entry where it lies, from which
+``srmlab check`` writes its Theorem-3, Theorem-2 and Theorem-1 lines. ``check_theorem3`` checks the
+declared blocks of a one-bin ensemble and reads that residual on the
+block-diagonal root: the ``SrmResult`` it is given when the blocks are
+exactly orthogonal, or else the root of the Gram matrix with its
+cross-block entries set to zero, from one call of ``linalg._root_rows``,
+the kernel behind ``fast_srm``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
-from .errors import NotBlockDiagonal, ReducibleBlock
-from .linalg import _components, _root_rows
+from .errors import NotBlockDiagonal
+from .linalg import _root_rows
 
 TOL_COND = 1e-9
 
@@ -74,9 +73,9 @@ class OptimalityVerdict:
     """Verdict of one optimality certificate.
 
     ``method`` names the certificate. ``witness`` describes the failed
-    condition when not optimal. ``certify_srm`` also gives its ``residual``,
-    the largest |X_ij| |d_j - d_i|, and ``at``, the (h, k, r) entry of the
-    first rows where it lies; other certificates leave both ``None``.
+    condition when not optimal. ``residual`` is the largest |X_ij| |d_j - d_i|
+    of the root that the verdict reads, and ``at`` the (h, k, r) entry of its
+    first rows where it lies.
     """
 
     optimal: bool
@@ -109,29 +108,25 @@ def _asymmetry(rows: np.ndarray) -> np.ndarray:
 def check_theorem3(
     ensemble: GusEnsemble, blocks, result: SrmResult, *, tol_cond: float = TOL_COND
 ) -> OptimalityVerdict:
-    """Optimality test for a one-bin ensemble whose weighted Gram matrix is block diagonal.
+    """Theorem-3 verdict for a one-bin ensemble whose weighted Gram matrix is block diagonal.
 
     ``ensemble`` is a dense set of n states (m = 1) and ``result`` its
     square-root measurement, as ``fast_srm`` takes it; ``ValueError``
     unless both hold n states of one bin. ``blocks`` partitions the state
     indices. Entries coupling different blocks must vanish within
-    ``tol_cond`` (else ``NotBlockDiagonal``),
-    and each block's support graph, its entries above the fixed
-    ``TOL_COND``, must be connected (else ``ReducibleBlock``; refine the
-    partition and retry). The measurement is optimal iff every block's
-    root has a flat diagonal. An irreducible block has an irreducible root
-    (were the root reducible, so would be its square), so that is Y
-    Hermitian on every block: the verdict fails when the residual of a pair
-    inside a block exceeds ``tol_cond``, and the witness names, among the
-    blocks where it does, the one whose root diagonal spreads the most,
-    with that spread.
+    ``tol_cond`` (else ``NotBlockDiagonal``). The measurement is optimal
+    iff Y is Hermitian on the block-diagonal root, which on an irreducible
+    block says that the block's root has a flat diagonal, and on a block
+    that splits says so of each part: so the verdict is ``certify_srm``'s
+    on that root, under the method ``theorem3``.
 
-    A block-diagonal matrix has a block-diagonal principal root, so each
-    block's root is read off ``result`` and no block is factored again. A
-    tolerated cross-block entry of size ε moves that root by O(ε²): to
-    first order the root changes off the blocks alone. Only when
-    ``tol_cond`` lets an entry above ``TOL_COND`` through is each block
-    rooted on its own instead, by the same kernel as ``fast_srm``.
+    When no entry couples two blocks, that root is ``result``, whose kernel
+    has already rooted the blocks apart, and nothing is factored. Under a
+    tolerated leak it is the root of G with its cross-block entries set to
+    zero, taken in one call of the kernel behind ``fast_srm``, which splits
+    the blocks by itself. Each block's eigenvalues interlace above the
+    smallest of G, which ``result`` already passed, so the root is taken
+    without a singularity test.
     """
     if ensemble.m != 1:
         raise ValueError(f"check_theorem3 takes a one-bin ensemble, got m = {ensemble.m}")
@@ -140,7 +135,6 @@ def check_theorem3(
             f"result rows {result.rows.shape} do not match the ensemble's {ensemble.rows.shape}"
         )
     g = _weighted_rows(ensemble)[:, :, 0]
-    x = result.rows[:, :, 0]
     n = len(g)
     partition = [tuple(int(i) for i in block) for block in blocks]
     indices = sorted(i for block in partition for i in block)
@@ -152,37 +146,12 @@ def check_theorem3(
     inside = np.zeros((n, n), dtype=bool)
     for block in partition:
         inside[np.ix_(block, block)] = True
-    leak = 0.0
-    if not inside.all():
-        leak = float(np.abs(g[~inside]).max())
-        if leak > tol_cond:
-            raise NotBlockDiagonal(
-                f"cross-block entry magnitude {leak:.3e} exceeds {tol_cond:g}"
-            )
-
-    for b, block in enumerate(partition):
-        support = np.abs(g[np.ix_(block, block)]) > TOL_COND
-        if len(_components(support)) > 1:
-            raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
-
-    if leak > TOL_COND:
-        x = np.zeros_like(g)
-        for block in partition:
-            index = np.ix_(block, block)
-            # the full G passed tol_psd, and each block's eigenvalues interlace above it
-            x[index] = _root_rows(g[index][None], -np.inf)[:, :, 0]
-    diag = np.diagonal(x).real
-    residual = _asymmetry(x[:, :, None])[:, :, 0]
-    spreads = {
-        b: float(np.ptp(diag[list(block)]))
-        for b, block in enumerate(partition)
-        if residual[np.ix_(block, block)].max() > tol_cond
-    }
-    if spreads:
-        b = max(spreads, key=spreads.get)
-        witness = f"block {b}: square-root diagonal entries spread by {spreads[b]:.6e}"
-        return OptimalityVerdict(False, "theorem3", witness)
-    return OptimalityVerdict(True, "theorem3")
+    leak = float(np.abs(g[~inside]).max(initial=0.0))
+    if leak > tol_cond:
+        raise NotBlockDiagonal(f"cross-block entry magnitude {leak:.3e} exceeds {tol_cond:g}")
+    if leak > 0.0:
+        result = SrmResult(_root_rows(np.where(inside, g, 0.0)[None], -np.inf))
+    return replace(certify_srm(result, tol_cond=tol_cond), method="theorem3")
 
 
 def certify_srm(result: SrmResult, *, tol_cond: float = TOL_COND) -> OptimalityVerdict:

@@ -17,9 +17,10 @@ parser, and the documented ``check`` reports of the files in
 the square-root measurement; the references decide on any factor X of
 the Gram matrix by the theorems' own conditions: the O(n⁴) Theorem-1
 oracle that runs one eigensolve per downdate, Theorem 2 with its own
-eigensolve and SVD, Theorem 3 with one root per block and a node-by-node
-search of each block's support graph, and the trace criterion that
-demands equal g_h, which is wrong for reducible coupling.
+eigensolve and SVD, and the trace criterion that demands equal g_h,
+which is wrong for reducible coupling. The Theorem-3 reference reads the
+residual on its own roots, one per block of the block-zeroed Gram matrix. A node-by-node search of a
+graph's components is the reference of the kernel's group search.
 The library holds no dense Gram matrix and no dense gather: it roots the
 per-bin coupling stacks of the weighted first rows. The dense route here
 is its own. ``block_circulant`` gathers first rows by ``np.roll`` shifts,
@@ -46,7 +47,6 @@ from srmlab.errors import (
     InvalidPrior,
     NotBlockDiagonal,
     NumericalError,
-    ReducibleBlock,
 )
 from srmlab.linalg import TOL_PSD, TOL_RECON
 from srmlab.srm import TOL_COND, OptimalityVerdict, SrmResult
@@ -612,11 +612,12 @@ def check_theorem3_reference(
     Optimality test for a Gram matrix that is block diagonal.
 
     ``blocks`` partitions the state indices. Entries coupling different
-    blocks must vanish within ``tol_cond`` (else ``NotBlockDiagonal``),
-    and each block's support graph, its entries above the fixed
-    ``TOL_COND``, must be connected (else ``ReducibleBlock``; refine the
-    partition and retry). The measurement is optimal iff the square root
-    of every block has equal diagonal entries within ``tol_cond``.
+    blocks must vanish within ``tol_cond`` (else ``NotBlockDiagonal``).
+    They are set to zero, and each block of that Gram matrix gets its own
+    principal root, which together make the block-diagonal root X. The
+    measurement is optimal iff the largest |X_ij| |d_j - d_i|, d = diag(X),
+    over the pairs i, j inside a block is at most ``tol_cond``. That is the
+    ``residual``, and ``at`` is its pair (i, j, 0), the first in C order.
     """
     g = as_matrix(gram)
     n = len(g)
@@ -637,33 +638,20 @@ def check_theorem3_reference(
                 f"cross-block entry magnitude {leak:.3e} exceeds {tol_cond:g}"
             )
 
-    submatrices = []
-    for b, block in enumerate(partition):
-        sub = g[np.ix_(block, block)]
-        support = np.abs(sub) > TOL_COND
-        if len(components_reference(support)) > 1:
-            raise ReducibleBlock(f"block {b} {block} is reducible; refine the partition")
-        submatrices.append(sub)
-
-    worst_spread = -1.0
-    worst_block = -1
-    for b, sub in enumerate(submatrices):
-        root = principal_sqrt(sub, tol_psd=tol_psd)
-        diag = np.diagonal(root).real
-        spread = float(diag.max() - diag.min())
-        if spread > worst_spread:
-            worst_spread = spread
-            worst_block = b
-    if worst_spread > tol_cond:
-        return OptimalityVerdict(
-            optimal=False,
-            method="theorem3",
-            witness=(
-                f"block {worst_block}: square-root diagonal entries spread by "
-                f"{worst_spread:.6e}"
-            ),
-        )
-    return OptimalityVerdict(optimal=True, method="theorem3")
+    zeroed = np.where(inside, g, 0.0)
+    root = np.zeros_like(zeroed)
+    for block in partition:
+        index = np.ix_(block, block)
+        root[index] = principal_sqrt(zeroed[index], tol_psd=tol_psd)
+    diag = np.diagonal(root).real
+    balance = np.where(inside, np.abs(root) * np.abs(diag[None, :] - diag[:, None]), 0.0)
+    i, j = np.unravel_index(int(balance.argmax()), balance.shape)
+    worst = float(balance[i, j])
+    at = (int(i), int(j), 0)
+    if worst > tol_cond:
+        witness = f"condition (i) fails at state pair ({i}, {j}): residual {worst:.6e}"
+        return OptimalityVerdict(False, "theorem3", witness, worst, at)
+    return OptimalityVerdict(True, "theorem3", None, worst, at)
 
 
 def load_gram_file_reference(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None]:

@@ -46,7 +46,6 @@ from srmlab.constellations import (
     make_ppm,
     make_psk,
 )
-from srmlab.errors import ReducibleBlock
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import certify_srm, channel_stats, check_theorem3
 
@@ -161,17 +160,13 @@ def test_criterion_04_verdict_concordance():
             srm_compared += 1
             if certify_srm(fast_srm(ensemble)).optimal != verdict.optimal:
                 disagreements += 1
-        try:
-            blockwise = check_theorem3(dense, [range(n)], result)
-        except ReducibleBlock:
-            blockwise = None
-        if blockwise is not None:
-            theorem3_compared += 1
-            if blockwise.optimal != verdict.optimal:
-                disagreements += 1
-            if blockwise.optimal != check_theorem3_reference(gram, [range(n)]).optimal:
-                disagreements += 1
-    ok = disagreements == 0
+        blockwise = check_theorem3(dense, [range(n)], result)
+        theorem3_compared += 1
+        if blockwise.optimal != verdict.optimal:
+            disagreements += 1
+        if blockwise.optimal != check_theorem3_reference(gram, [range(n)]).optimal:
+            disagreements += 1
+    ok = disagreements == 0 and theorem3_compared == 100
     assert _report(
         4,
         "verdict concordance",

@@ -15,6 +15,7 @@ import pytest
 
 import srmlab
 from helpers import (
+    check_theorem3_reference,
     GRAMFILE_REPORTS,
     circulant_from_row,
     counted_factorizations,
@@ -415,10 +416,11 @@ class TestCheck:
         ]
 
     @pytest.mark.parametrize("tol_cond", [None, "0.05", "0.5"])
-    def test_condition_tolerance_leaves_the_support_graph_alone(self, tol_cond, tmp_path):
-        # two PSK(8) blocks at priors 1/16: every weighted entry off the
-        # diagonal is below 0.047, so a support graph cut at --tol-cond would
-        # split both blocks; it keeps the fixed TOL_COND scale
+    def test_two_circulant_blocks_are_optimal_at_every_tolerance(self, tol_cond, tmp_path):
+        # two PSK(8) blocks at priors 1/16, every weighted entry off the
+        # diagonal below 0.047: each block's root has a flat diagonal, so
+        # every verdict holds whether --tol-cond lies below those entries or
+        # above them
         row = make_psk(8, 1.0).rows[0, 0]
         lines = ["n 16", "priors " + " ".join([repr(1 / 16)] * 16)]
         for start in (0, 8):
@@ -464,8 +466,8 @@ class TestCheck:
         # (1, n, n) stack when every state is coupled, (2, n/2, n/2) for two
         # orthogonal halves and (3, 1, 1) for three orthogonal states. The
         # leaky file's cross-block overlap of 1e-4 (2.2e-5 weighted) passes
-        # --tol-cond 1e-3 but not TOL_COND, so each block is rooted on its
-        # own, as a one-bin stack of the same kernel
+        # --tol-cond 1e-3, so the Gram with it set to zero is rooted too, in
+        # one call of the same kernel: both 2 x 2 blocks in one stack
         groups = {"binary_equal": (1, 2, 2), "binary_biased": (1, 2, 2), "identity3": (3, 1, 1)}
         cases = [(GRAMFILES / f"{stem}.gram", (), [groups[stem]]) for stem in GRAMFILE_REPORTS]
         for seed in (1, 5):
@@ -479,7 +481,7 @@ class TestCheck:
             "n 4\npriors 0.2 0.3 0.25 0.25\n"
             "inner 0 1 0.4 0\ninner 0 2 1e-4 0\ninner 2 3 0.3 0\nblocks 0,1 2,3\n"
         )
-        cases.append((leaky, ("--tol-cond", "1e-3"), [(1, 4, 4), (1, 2, 2), (1, 2, 2)]))
+        cases.append((leaky, ("--tol-cond", "1e-3"), [(1, 4, 4), (2, 2, 2)]))
 
         out = tmp_path / "report.txt"
         calls = counted_factorizations(monkeypatch)
@@ -491,8 +493,12 @@ class TestCheck:
             assert calls["eigh"] == shapes
         for stem, report in GRAMFILE_REPORTS.items():
             assert reports[GRAMFILES / f"{stem}.gram"] == report
-        assert reports[leaky].splitlines()[-3] == (
-            "theorem3 suboptimal (block 0: square-root diagonal entries spread by 1.026519e-01)"
+        ensemble, blocks = cli.load_gram_file(str(leaky))
+        reference = check_theorem3_reference(weighted_gram(ensemble), blocks, tol_cond=1e-3)
+        assert reference.at == (0, 1, 0)
+        assert reports[leaky].splitlines()[-3] == f"theorem3 suboptimal ({reference.witness})"
+        assert reference.witness == (
+            "condition (i) fails at state pair (0, 1): residual 1.032452e-02"
         )
         assert sum("theorem3" in report for report in reports.values()) == 4
         assert {report.splitlines()[0] for report in reports.values()} == {
@@ -501,8 +507,9 @@ class TestCheck:
 
     def test_block_roots_take_no_forward_transform(self, monkeypatch, tmp_path):
         # the root of the file's one-bin ensemble takes the one ifft; under a
-        # tolerated leak each block is rooted as its own one-bin coupling
-        # stack, with one eigh and one fft and no forward transform
+        # tolerated leak the Gram with that entry set to zero is rooted as
+        # one one-bin coupling stack, its 2 x 2 and 3 x 3 blocks in one eigh
+        # each and one fft for both, with no forward transform
         leaky = tmp_path / "leaky.gram"
         leaky.write_text(
             "n 5\npriors 0.2 0.2 0.2 0.2 0.2\n"
@@ -518,7 +525,7 @@ class TestCheck:
             assert main(["check", str(leaky), *flags, "--out", str(out)]) == EXIT_OK
             assert out.read_text().count("theorem3") == 1
             assert factorizations["eigh"] == [(1, 5, 5), *blockwise]
-            assert calls == {"ifft": 1, "eigh": 1 + len(blockwise), "fft": 1 + len(blockwise)}
+            assert calls == {"ifft": 1, "eigh": 1 + len(blockwise), "fft": 1 + bool(blockwise)}
 
     @pytest.mark.parametrize("blocks", [False, True], ids=["no_blocks", "blocks"])
     @pytest.mark.parametrize("equal", [True, False], ids=["equal", "skewed"])
@@ -1015,7 +1022,7 @@ def test_every_error_is_an_input_or_a_numerical_error(monkeypatch, capsys):
         classes.append(cls)
     bases = (errors.SrmLabError, errors.InputError, errors.NumericalError)
     leaves = [cls for cls in classes if cls not in bases]
-    assert len(leaves) == 9
+    assert len(leaves) == 8
     assert srmlab.InputError is errors.InputError
     assert srmlab.NumericalError is errors.NumericalError
     for cls in leaves:

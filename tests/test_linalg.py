@@ -9,6 +9,7 @@ from helpers import (
     block_circulant,
     circulant_from_eigenvalues,
     circulant_from_row,
+    components_reference,
     fourier_matrix,
     hermitian_eig,
     is_psd,
@@ -16,7 +17,7 @@ from helpers import (
     random_circulant_gram,
 )
 from srmlab.errors import NumericalError
-from srmlab.linalg import TOL_RECON, _bins
+from srmlab.linalg import TOL_RECON, _bins, _components
 
 
 def random_hermitian(rng, n):
@@ -230,3 +231,25 @@ class TestCirculant:
         lam = np.sort(_bins(gram[0]).real)
         dense = np.linalg.eigvalsh(gram)
         np.testing.assert_allclose(lam, dense, atol=1e-12)
+
+
+class TestComponents:
+    def test_group_search_matches_a_node_by_node_search(self):
+        # random graphs from nearly empty to complete, paths (the longest
+        # search) and two disjoint cliques
+        rng = np.random.default_rng(11)
+        graphs = []
+        for n in (1, 2, 5, 17, 40):
+            for density in (0.0, 0.05, 0.2, 1.0):
+                upper = np.triu(rng.uniform(size=(n, n)) < density, 1)
+                graphs.append(upper | upper.T)
+            path = np.eye(n, k=1, dtype=bool)
+            graphs.append(path | path.T)
+            order = rng.permutation(n)
+            graphs.append((path | path.T)[np.ix_(order, order)])
+            halves = np.zeros((n, n), dtype=bool)
+            halves[: n // 2, : n // 2] = halves[n // 2 :, n // 2 :] = True
+            graphs.append(halves)
+        answers = [[component.tolist() for component in _components(graph)] for graph in graphs]
+        assert answers == [components_reference(graph) for graph in graphs]
+        assert {len(components) == 1 for components in answers} == {True, False}

@@ -29,7 +29,6 @@ EXPORTED = [
     "NumericalError",
     "OptimalityVerdict",
     "PpmClosedForm",
-    "ReducibleBlock",
     "SrmLabError",
     "SrmResult",
     "SweepPoint",

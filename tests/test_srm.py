@@ -1,7 +1,9 @@
 """Tests for the square-root measurement and the optimality certificates."""
 
 import cmath
+import collections
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +14,12 @@ from helpers import (
     block_sqrt,
     check_theorem2_reference,
     check_theorem3_reference,
-    components_reference,
     counted_factorizations,
     dense_channel,
     dense_ensemble,
     dense_factor,
     gram_ensemble,
+    gram_file_lines,
     gram_lines,
     one_bin,
     principal_sqrt,
@@ -51,9 +53,8 @@ from srmlab.errors import (
     GramSingular,
     NotBlockDiagonal,
     NumericalError,
-    ReducibleBlock,
 )
-from srmlab.linalg import TOL_PSD, _components
+from srmlab.linalg import TOL_PSD
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import (
     TOL_COND,
@@ -216,41 +217,31 @@ class TestCheckTheorem3:
         assert verdict.optimal
 
     def test_unbalanced_block_is_suboptimal(self):
+        # the one block is the whole pair, so the verdict is certify_srm's
+        # on the root it is given, and the reference's pair and residual
         pair = binary_pair(0.3, 0.5)
-        verdict = check_theorem3(pair, [(0, 1)], fast_srm(pair))
+        result = fast_srm(pair)
+        verdict = check_theorem3(pair, [(0, 1)], result)
+        assert verdict == replace(certify_srm(result), method="theorem3")
         assert not verdict.optimal
-        assert "spread" in verdict.witness
-        assert (verdict.residual, verdict.at) == (None, None)
+        assert_matches_theorem3_reference(
+            verdict, check_theorem3_reference(binary_gram(0.3, 0.5), [(0, 1)])
+        )
+        assert verdict.at == (0, 1, 0)
 
     def test_rejects_false_partition(self):
         pair = binary_pair(0.5, 0.5)
         with pytest.raises(NotBlockDiagonal):
             check_theorem3(pair, [(0,), (1,)], fast_srm(pair))
 
-    def test_support_graph_search_matches_a_node_by_node_search(self):
-        # random graphs from nearly empty to complete, paths (the longest
-        # search) and two disjoint cliques
-        rng = np.random.default_rng(11)
-        graphs = []
-        for n in (1, 2, 5, 17, 40):
-            for density in (0.0, 0.05, 0.2, 1.0):
-                upper = np.triu(rng.uniform(size=(n, n)) < density, 1)
-                graphs.append(upper | upper.T)
-            path = np.eye(n, k=1, dtype=bool)
-            graphs.append(path | path.T)
-            order = rng.permutation(n)
-            graphs.append((path | path.T)[np.ix_(order, order)])
-            halves = np.zeros((n, n), dtype=bool)
-            halves[: n // 2, : n // 2] = halves[n // 2 :, n // 2 :] = True
-            graphs.append(halves)
-        answers = [[component.tolist() for component in _components(graph)] for graph in graphs]
-        assert answers == [components_reference(graph) for graph in graphs]
-        assert {len(components) == 1 for components in answers} == {True, False}
-
-    def test_rejects_reducible_block(self):
-        ensemble = gram_ensemble(np.diag([0.4, 0.6]))
-        with pytest.raises(ReducibleBlock):
-            check_theorem3(ensemble, [(0, 1)], fast_srm(ensemble))
+    def test_reducible_block_gets_a_verdict(self):
+        # no entry couples the two states of the one block, so Y is
+        # Hermitian though the root's diagonal (sqrt 0.4, sqrt 0.6) is not flat
+        gram = np.diag([0.4, 0.6])
+        ensemble = gram_ensemble(gram)
+        verdict = check_theorem3(ensemble, [(0, 1)], fast_srm(ensemble))
+        assert verdict == OptimalityVerdict(True, "theorem3", None, 0.0, (0, 0, 0))
+        assert verdict == check_theorem3_reference(gram, [(0, 1)])
 
     def test_rejects_non_partition(self):
         pair, triple = (dense_ensemble(np.full(n, 1 / n), np.eye(n)) for n in (2, 3))
@@ -270,23 +261,22 @@ class TestCheckTheorem3:
         with pytest.raises(ValueError, match=r"result rows \(1, 1, 4\) do not match"):
             check_theorem3(one_bin(psk), [range(4)], fast_srm(make_ppm(4, 1.0)))
 
-    def test_support_graph_is_cut_at_the_fixed_scale(self):
-        # every weighted off-diagonal entry of PSK(4) at priors 1/4 lies
-        # between TOL_COND and 0.5: the block stays connected at any tol_cond
+    def test_circulant_block_is_optimal_at_every_tolerance(self):
+        # PSK(4) at priors 1/4 has a circulant Gram, whose root has a flat
+        # diagonal: the residual is rounding, below every tol_cond
         ensemble = one_bin(make_psk(4, 1.0))
         g = weighted_gram(ensemble)
-        assert TOL_COND < np.abs(g - np.diag(np.diag(g))).max() < 0.5
         result = fast_srm(ensemble)
         for tol_cond in (1e-12, TOL_COND, 1e-4, 0.5):
             assert check_theorem3(ensemble, [range(4)], result, tol_cond=tol_cond).optimal
             assert check_theorem3_reference(g, [range(4)], tol_cond=tol_cond).optimal
 
-    def test_tolerated_leak_roots_each_block_on_its_own(self, monkeypatch):
+    def test_tolerated_leak_roots_the_block_zeroed_gram_in_one_call(self, monkeypatch):
         # a weighted cross-block entry of 0.0045 moves the full root's
-        # diagonal by O(0.0045^2); with tol_cond above it, the residual and
-        # the spreads come from the blocks' own roots, as in the reference,
-        # and not from the full root; each block is a one-bin stack of the
-        # kernel that fast_srm runs
+        # residual at O(0.0045^2); with tol_cond above it, the verdict reads
+        # the root of G with that entry set to zero, as the reference does,
+        # taken in one call of the kernel that fast_srm runs, which roots
+        # both 2 x 2 blocks in one stacked eigh
         ensemble = dense_ensemble([0.2, 0.3, 0.25, 0.25], [
             [1.0, 0.4, 0.02, 0.0],
             [0.4, 1.0, 0.0, 0.0],
@@ -298,11 +288,12 @@ class TestCheckTheorem3:
         result = fast_srm(ensemble)
         calls = counted_factorizations(monkeypatch)
         verdict = check_theorem3(ensemble, blocks, result, tol_cond=0.005)
-        assert calls["eigh"] == [(1, 2, 2), (1, 2, 2)]
-        assert verdict == check_theorem3_reference(g, blocks, tol_cond=0.005)
-        spread = np.ptp(np.diagonal(principal_sqrt(g[:2, :2])).real)
-        assert verdict.witness == f"block 0: square-root diagonal entries spread by {spread:.6e}"
-        assert abs(spread - np.ptp(np.diagonal(result.rows[:, :, 0])[:2].real)) > 1e-5
+        assert calls["eigh"] == [(2, 2, 2)]
+        assert_matches_theorem3_reference(
+            verdict, check_theorem3_reference(g, blocks, tol_cond=0.005)
+        )
+        assert (verdict.optimal, verdict.at) == (False, (0, 1, 0))
+        assert abs(verdict.residual - residual(result)) > 1e-6
 
     def test_reads_the_root_it_is_given(self, monkeypatch):
         # the residual comes from the result: no block is factored again,
@@ -314,10 +305,11 @@ class TestCheckTheorem3:
         assert verdict.optimal
         assert not any(calls.values())
 
-    def test_witness_names_a_block_whose_residual_fails(self):
+    def test_verdict_names_the_pair_of_largest_residual(self):
         # block 0 spreads more (0.316 against 0.024), but its residual is
-        # 6.7e-4 against block 1's 6.3e-3: at tol_cond 1e-3 only block 1
-        # fails, so the witness names it, where the reference names block 0
+        # 6.7e-4 against block 1's 6.3e-3: the verdict names block 1's pair
+        # (2, 3) with its residual, at tol_cond 1e-3, where only block 1
+        # fails, and at the default, where both do, as the reference does
         ensemble = dense_ensemble([0.1, 0.4, 0.24, 0.26], [
             [1.0, 0.01, 0.0, 0.0],
             [0.01, 1.0, 0.0, 0.0],
@@ -331,37 +323,33 @@ class TestCheckTheorem3:
         residuals = [dense_asymmetry(block_root) for block_root in roots]
         spreads = [float(np.ptp(np.diagonal(block_root).real)) for block_root in roots]
         assert residuals[0] < 1e-3 < residuals[1] and spreads[0] > spreads[1]
-        verdict = check_theorem3(ensemble, blocks, result, tol_cond=1e-3)
-        assert verdict == OptimalityVerdict(
-            False, "theorem3", "block 1: square-root diagonal entries spread by 2.360680e-02"
-        )
-        assert check_theorem3_reference(g, blocks, tol_cond=1e-3).witness == (
-            "block 0: square-root diagonal entries spread by 3.162313e-01"
-        )
+        for tol_cond in (TOL_COND, 1e-3):
+            verdict = check_theorem3(ensemble, blocks, result, tol_cond=tol_cond)
+            assert_matches_theorem3_reference(
+                verdict, check_theorem3_reference(g, blocks, tol_cond=tol_cond)
+            )
+            assert (verdict.optimal, verdict.at) == (False, (2, 3, 0))
+            assert verdict.residual == pytest.approx(residuals[1], rel=1e-12)
         tols = {"tol_cond": 1e-3, "tol_psd": TOL_PSD}
         assert assert_certificates_match_references(ensemble, blocks, **tols) is False
-        # at the default tolerance both blocks fail, and the wider one is named
-        assert check_theorem3(ensemble, blocks, result).witness == (
-            "block 0: square-root diagonal entries spread by 3.162313e-01"
-        )
         assert check_theorem3(ensemble, blocks, result, tol_cond=1e-2).optimal
 
     def test_tolerance_bounds_the_residual_not_the_spread(self):
         # the biased pair's root diagonal spreads by 0.30, and its residual
-        # is |X_01| = 0.17 times that: a tol_cond between the two passes
-        # Theorem 3 with Theorem 2, where the reference still fails the spread
+        # is |X_01| = 0.17 times that: the verdict flips as tol_cond crosses
+        # the residual, with Theorem 2 and the reference
         pair = binary_pair(0.3, 0.5)
         g = weighted_gram(pair)
         result = fast_srm(pair)
         spread = float(np.ptp(result.rows[:, :, 0].diagonal().real))
         worst = residual(result)
         assert 2 * worst < spread
-        assert check_theorem3(pair, [(0, 1)], result, tol_cond=0.9 * worst).witness == (
-            f"block 0: square-root diagonal entries spread by {spread:.6e}"
-        )
-        assert check_theorem3(pair, [(0, 1)], result, tol_cond=2 * worst).optimal
-        assert certify_srm(result, tol_cond=2 * worst).optimal
-        assert not check_theorem3_reference(g, [(0, 1)], tol_cond=2 * worst).optimal
+        for tol_cond, optimal in ((0.9 * worst, False), (2 * worst, True)):
+            verdict = check_theorem3(pair, [(0, 1)], result, tol_cond=tol_cond)
+            assert (verdict.optimal, verdict.residual, verdict.at) == (optimal, worst, (0, 1, 0))
+            assert certify_srm(result, tol_cond=tol_cond).optimal == optimal
+            reference = check_theorem3_reference(g, [(0, 1)], tol_cond=tol_cond)
+            assert_matches_theorem3_reference(verdict, reference)
 
 
 def assert_matches_reference(ensemble) -> bool:
@@ -591,7 +579,7 @@ def outcome(certificate, *args, **kwargs):
     """What a certificate returns, or the type and text of the error it raises."""
     try:
         return certificate(*args, **kwargs)
-    except (NotBlockDiagonal, ReducibleBlock, InvalidFactorization, ValueError) as exc:
+    except (NotBlockDiagonal, InvalidFactorization, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -600,13 +588,12 @@ def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd)
 
     A residual above ``tol_cond`` fails every verdict, the reference's
     Theorem-2 witness naming the residual and the state pair of the verdict's
-    ``at``, and the Theorem-3 witness the reference's block. Below it every
-    verdict passes, and a
-    reference may fail only if the residual exceeds the default ``TOL_COND``:
-    the tolerance then accepted a Y that is not Hermitian, on which the
-    references' further tests (Y positive definite, every downdate PSD, a
-    flat diagonal per block) can fail. ``check_theorem3`` raises the
-    reference's errors. Returns the Theorem-1 verdict, or None when
+    ``at``. Below it every verdict passes, and a reference may fail only if
+    the residual exceeds the default ``TOL_COND``: the tolerance then
+    accepted a Y that is not Hermitian, on which the references' further
+    tests (Y positive definite, every downdate PSD) can fail. The Theorem-3
+    verdict raises the reference's errors, or else matches the reference's
+    verdict, residual and pair. Returns the Theorem-1 verdict, or None when
     ``fast_srm`` refuses the one-bin ensemble, as ``srmlab check`` would.
     """
     try:
@@ -619,20 +606,17 @@ def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd)
     verdict = certify_srm(result, tol_cond=tol_cond)
     worst = verdict.residual
     theorem2 = check_theorem2_reference(factor, **tols)
-    verdicts = [(verdict, theorem2), (verdict, verify_theorem1_reference(gram, factor, **tols))]
     if blocks is not None:
         blockwise = outcome(check_theorem3, ensemble, blocks, result, tol_cond=tol_cond)
         reference = outcome(check_theorem3_reference, gram, blocks, **tols)
         if isinstance(blockwise, tuple):  # an error's name and text
             assert blockwise == reference
         else:
-            verdicts.append((blockwise, reference))
+            assert_matches_theorem3_reference(blockwise, reference)
     assert verdict.optimal == (worst <= tol_cond)
-    for certificate, reference in verdicts:
-        if not certificate.optimal:
+    for reference in (theorem2, verify_theorem1_reference(gram, factor, **tols)):
+        if not verdict.optimal:
             assert not reference.optimal
-            if certificate.method == "theorem3":
-                assert_theorem3_witness(certificate, reference, gram, blocks, tol_psd, tol_cond)
         elif not reference.optimal:
             assert worst > TOL_COND
     if not verdict.optimal:
@@ -643,26 +627,16 @@ def assert_certificates_match_references(ensemble, blocks, *, tol_cond, tol_psd)
     return verdict.optimal
 
 
-def assert_theorem3_witness(verdict, reference, gram, blocks, tol_psd, tol_cond) -> None:
-    """A failed Theorem-3 verdict names a block whose own residual exceeds ``tol_cond``.
+def assert_matches_theorem3_reference(verdict, reference) -> None:
+    """A Theorem-3 verdict gives its reference's verdict, and its residual to 1e-12.
 
-    That is the reference's block, of largest spread, whenever that block
-    fails; otherwise the named block fails, and the witness gives its spread.
-    Each block's residual and spread are read from its own principal root.
+    The verdict's pair ``at`` is the reference's wherever the residual
+    exceeds that 1e-12: below it, the residual is rounding and so is its pair.
     """
-    partition = [tuple(block) for block in blocks]
-    roots = [principal_sqrt(gram[np.ix_(block, block)], tol_psd=tol_psd) for block in partition]
-
-    def named(witness: str) -> int:
-        return int(witness.split(":", 1)[0].removeprefix("block "))
-
-    if dense_asymmetry(roots[named(reference.witness)]) > tol_cond:
-        assert verdict == reference
-    else:
-        b = named(verdict.witness)
-        assert dense_asymmetry(roots[b]) > tol_cond
-        spread = float(np.ptp(np.diagonal(roots[b]).real))
-        assert verdict.witness == f"block {b}: square-root diagonal entries spread by {spread:.6e}"
+    assert (verdict.optimal, verdict.method) == (reference.optimal, "theorem3")
+    assert verdict.residual == pytest.approx(reference.residual, rel=0, abs=1e-12)
+    if reference.residual > 1e-12:
+        assert verdict.at == reference.at
 
 
 def read_gram(lines, tmp_path):
@@ -731,6 +705,69 @@ class TestCertificatesMatchReferences:
                 ensemble, partition, tol_cond=tol_cond, tol_psd=tol_psd
             )
             assert verdict is not None
+
+
+def block_lines(rng, leak) -> list[str]:
+    """A Gram file of 2-3 blocks of 2-8 states, shuffled, with one cross-block overlap of modulus ``leak``.
+
+    Each block holds random unit states, with equal or skewed priors, and
+    about half of them split into two parts that are exactly orthogonal.
+    """
+    sizes = rng.integers(2, 9, size=int(rng.integers(2, 4)))
+    n = int(sizes.sum())
+    blocks = [np.sort(block) for block in np.split(rng.permutation(n), np.cumsum(sizes)[:-1])]
+    overlaps = np.zeros((n, n), dtype=complex)
+    priors = np.empty(n)
+    for block in blocks:
+        parts = np.split(block, [int(rng.integers(1, len(block)))]) if rng.integers(2) else [block]
+        for part in parts:
+            b = rng.normal(size=(len(part), len(part) + 4))
+            b = b + 1j * rng.normal(size=b.shape)
+            states = b / np.linalg.norm(b, axis=1, keepdims=True)
+            overlaps[np.ix_(part, part)] = states.conj() @ states.T
+        skew = rng.uniform(0.2, 1.8, len(block)) if rng.integers(2) else 1.0
+        priors[block] = rng.uniform(0.5, 1.5) * skew
+    i, j = int(rng.choice(blocks[0])), int(rng.choice(blocks[1]))
+    overlaps[i, j] = leak * np.exp(2j * np.pi * rng.uniform())
+    overlaps[j, i] = np.conj(overlaps[i, j])
+    return gram_file_lines(priors / priors.sum(), overlaps, blocks)
+
+
+class TestTheorem3Concordance:
+    def test_verdicts_match_the_block_zeroed_reference(self, monkeypatch, tmp_path):
+        # the leak, weighted by priors near 1/n, lands below, near or above
+        # each tol_cond; at leak 0 the verdict is certify_srm's on the root
+        # it is given, with no factorization, and otherwise the block-zeroed
+        # Gram takes one kernel call
+        rng = np.random.default_rng(127)
+        calls = counted_factorizations(monkeypatch)
+        roots = []
+        kernel = srm._root_rows
+        monkeypatch.setattr(srm, "_root_rows", lambda *args: roots.append(args) or kernel(*args))
+        outcomes = collections.Counter()
+        for leak in (0.0, 1e-12, 1e-6, 1e-3, 1e-2):
+            for _ in range(8):
+                ensemble, blocks = read_gram(block_lines(rng, leak), tmp_path)
+                result = fast_srm(ensemble)
+                gram = weighted_gram(ensemble)
+                for tol_cond in (1e-9, 1e-4, 0.5):
+                    reference = outcome(check_theorem3_reference, gram, blocks, tol_cond=tol_cond)
+                    calls["eigh"].clear()
+                    roots.clear()
+                    verdict = outcome(check_theorem3, ensemble, blocks, result, tol_cond=tol_cond)
+                    if isinstance(reference, tuple):
+                        assert verdict[0] == reference[0] == "NotBlockDiagonal"
+                        outcomes["NotBlockDiagonal"] += 1
+                        continue
+                    assert_matches_theorem3_reference(verdict, reference)
+                    outcomes[verdict.optimal] += 1
+                    if leak == 0.0:
+                        assert (calls["eigh"], roots) == ([], [])
+                        certified = certify_srm(result, tol_cond=tol_cond)
+                        assert verdict == replace(certified, method="theorem3")
+                    else:
+                        assert len(roots) == 1
+        assert set(outcomes) == {"NotBlockDiagonal", True, False}
 
 
 def orthogonal_pair(m: int) -> GusEnsemble:
