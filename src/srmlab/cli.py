@@ -24,15 +24,8 @@ import numpy as np
 
 from . import analysis
 from .constellations import RULE_TOL, GusEnsemble, make_double_bpsk
-from .errors import (
-    GramFileError,
-    GramSingular,
-    InputError,
-    InvalidPrior,
-    NotBlockDiagonal,
-    NumericalError,
-)
-from .gus import _fast_srms, fast_srm
+from .errors import GramFileError, InputError, InvalidPrior, NotBlockDiagonal, NumericalError
+from .gus import _fast_srms, _refuse_singular, fast_srm
 from .linalg import TOL_PSD, TOL_RECON
 from .srm import TOL_COND, certify_srm, check_theorem3
 
@@ -195,17 +188,15 @@ def rows_fig1(grid, deltas, tol_psd: float) -> list[dict]:
 
 
 def _cross_check_fig1(checks, tol_psd: float) -> None:
-    """Root every (photon_number, delta, pc, ensemble) check at once and compare each pc.
+    """Root every (photon_number, delta, pc, ensemble) check at once, then test each in grid order.
 
-    A singular batch is rooted again one ensemble at a time, so that a
-    mismatch before the singular point is still the error raised.
+    Each point is first refused if its ensemble is singular, then its pc
+    is compared with the closed form, so the first failing point is the
+    error raised.
     """
-    ensembles = [ensemble for *_, ensemble in checks]
-    try:
-        results = _fast_srms(ensembles, tol_psd)
-    except GramSingular:
-        results = (fast_srm(ensemble, tol_psd=tol_psd) for ensemble in ensembles)
-    for (photon_number, delta, pc, _), result in zip(checks, results):
+    results = _fast_srms([ensemble for *_, ensemble in checks])
+    for (photon_number, delta, pc, _), (result, lowest) in zip(checks, results):
+        _refuse_singular(lowest, tol_psd)
         if abs(result.pc - pc) > TOL_RECON:
             raise ArithmeticError(
                 f"closed form and pipeline disagree at |alpha|^2={photon_number}, "
@@ -221,8 +212,10 @@ def rows_fig23(grid, tol_psd: float) -> list[dict]:
         result = fast_srm(make_double_bpsk(alpha, 3.0 * alpha, p_star), tol_psd=tol_psd)
         verdict = certify_srm(result)
         if not verdict.optimal:
+            h, k, r = verdict.at
             raise NumericalError(
-                f"optimized prior failed the optimality certificate: {verdict.witness}"
+                "optimized prior failed the optimality certificate: Y is not Hermitian at "
+                f"constellations ({h}, {k}), shift {r}: residual {verdict.residual:.6e}"
             )
         pe = 1.0 - result.pc
         rows.append({"alpha_sq": photon_number, "p_star": p_star, "pc": result.pc, "pe": pe})
@@ -275,8 +268,6 @@ def cmd_sweep(args) -> int:
     grid = parse_grid(args.grid)
     fields = analysis.SCHEME_FIELDS[args.scheme]
     values = {"m": parse_int_list(args.m), "delta": parse_angle_list(args.delta)}[fields[0]]
-    if args.p is not None and "prior" not in fields:
-        raise ValueError(f"--p does not apply to scheme {args.scheme!r}")
     rows = []
     for photon_number in grid:
         for value in values:

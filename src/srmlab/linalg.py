@@ -15,9 +15,11 @@ each group is rooted on its own: one ``eigh`` per group size, so groups
 of sizes b_i cost sum b_i^3, not s^3, per bin. A stack of one group, which every builder ensemble is, goes to
 one ``eigh`` whole (only its bitwise-distinct matrices once an ensemble
 has ``_DISTINCT_FLOOR`` bins), and the clamped root of every matrix goes
-back through one inverse FFT to the root's first rows. Every matrix and
-row is still transformed on its own. The transforms are private and take
-rows that ``GusEnsemble`` has already checked. Matrices are square
+back through one inverse FFT to the root's first rows. With them it hands
+back the least eigenvalue of every bin, and tests none: whether a Gram
+matrix is singular is decided in ``gus``. Every matrix and row is still
+transformed on its own. The transforms are private and take rows that
+``GusEnsemble`` has already checked. Matrices are square
 complex128 arrays, indexed (row, column) from 0. All functions are pure
 and never mutate their inputs.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, GramSingular
+from .errors import ConvergenceFailure
 
 TOL_PSD = 1e-10
 TOL_RECON = 1e-8
@@ -120,8 +122,8 @@ def _components(adjacency: np.ndarray) -> list[np.ndarray]:
     return components
 
 
-def _root_rows(stacks: np.ndarray, tol_psd: float) -> np.ndarray:
-    """The principal root's (..., s, s, m) first rows from (..., m, s, s) coupling stacks.
+def _root_rows(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The root's (..., s, s, m) first rows and each bin's least eigenvalue, from coupling stacks.
 
     Each (m, s, s) stack along the leading axes is one ensemble. Its
     constellations split into groups that no entry couples, an entry
@@ -135,12 +137,12 @@ def _root_rows(stacks: np.ndarray, tol_psd: float) -> np.ndarray:
     gathered back to every bin; ``eigh`` and the root treat each matrix on
     its own, so the roots are the same bits either way. Each matrix is
     taken as its Hermitian part. Raises ``ConvergenceFailure`` when the
-    eigensolver fails, and ``GramSingular`` for the first ensemble, in C
-    order, whose smallest eigenvalue over its bins and groups falls below
-    ``tol_psd``, naming that value; ``tol_psd = -inf`` never raises it.
-    Eigenvalues below zero are clamped to zero before the square root.
-    Each root is symmetrised, and the first rows are averaged with their
-    mirror, so the factor they describe is exactly Hermitian.
+    eigensolver fails. The (..., m) least eigenvalues, each the minimum
+    over the bin's groups, are returned as computed, for the caller's
+    singularity test. Eigenvalues below zero are clamped to zero before
+    the square root. Each root is symmetrised, and the first rows are
+    averaged with their mirror, so the factor they describe is exactly
+    Hermitian.
     """
     *batch, m, s, _ = stacks.shape
     stack = stacks.reshape(-1, s, s)
@@ -156,7 +158,7 @@ def _root_rows(stacks: np.ndarray, tol_psd: float) -> np.ndarray:
     parts = [
         stack[:, at[:, :, None], at[:, None, :]].reshape(-1, at.shape[1], at.shape[1]) for at in index
     ]
-    decompositions = []
+    roots, lowests = [], []
     for part in parts or [stack]:
         inverse = slice(None)
         if part.shape[-1] > 1 and m >= _DISTINCT_FLOOR:
@@ -165,26 +167,14 @@ def _root_rows(stacks: np.ndarray, tol_psd: float) -> np.ndarray:
             w, v = np.linalg.eigh((part + _adjoint(part)) / 2.0)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-        decompositions.append((w, v, inverse))
-    if min([w[:, 0].min() for w, _, _ in decompositions]) < tol_psd:
-        ensembles = len(stack) // m
-        lowest = np.min(
-            [w[inverse, 0].reshape(ensembles, -1).min(axis=-1) for w, _, inverse in decompositions],
-            axis=0,
-        )
-        first = lowest[np.argmax(lowest < tol_psd)]
-        raise GramSingular(
-            f"Gram matrix is singular (min eigenvalue {first:.3e} < {tol_psd:g}); "
-            "the weighted states are not linearly independent"
-        )
-    roots = []
-    for w, v, inverse in decompositions:
+        lowests.append(w[:, 0][inverse])
         root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
         roots.append(((root + _adjoint(root)) / 2.0)[inverse])
-    root = roots[0]
+    root, lowest = roots[0], lowests[0]
     if index:
         root = np.zeros_like(stack)
         for at, part_root in zip(index, roots):
             root[:, at[:, :, None], at[:, None, :]] = part_root.reshape(len(stack), *at.shape, -1)
+        lowest = np.min([low.reshape(len(stack), -1).min(axis=-1) for low in lowests], axis=0)
     rows = _first_rows(root.reshape(*batch, m, s, s))
-    return (rows + _mirror(rows)) / 2.0
+    return (rows + _mirror(rows)) / 2.0, lowest.reshape(*batch, m)

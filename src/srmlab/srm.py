@@ -19,18 +19,19 @@ Hermitian, so every verdict here is ``certify_srm``'s: one residual,
 max |X_ij| |d_j - d_i| with d = diag(X), read from the root's first rows
 with no eigensolve (the paper's condition: the root's diagonal values g_h
 agree across every pair of constellations that the root couples). Its
-verdict carries that residual and the entry where it lies, from which
-``srmlab check`` writes its Theorem-3, Theorem-2 and Theorem-1 lines. ``check_theorem3`` checks the
-declared blocks of a one-bin ensemble and reads that residual on the
-block-diagonal root: the ``SrmResult`` it is given when the blocks are
-exactly orthogonal, or else the root of the Gram matrix with its
-cross-block entries set to zero, from one call of ``linalg._root_rows``,
-the kernel behind ``fast_srm``.
+verdict is that residual, the entry where it lies and whether it passes,
+with no text: ``srmlab check`` writes its Theorem-3, Theorem-2 and
+Theorem-1 lines from it, and ``fig2``/``fig3`` the error of a failed
+certificate. ``check_theorem3`` checks the declared blocks of a one-bin
+ensemble and reads that residual on the block-diagonal root: the
+``SrmResult`` it is given when the blocks are exactly orthogonal, or else
+the root of the Gram matrix with its cross-block entries set to zero,
+from one call of ``linalg._root_rows``, the kernel behind ``fast_srm``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,19 +71,16 @@ class SrmResult:
 
 @dataclass(frozen=True)
 class OptimalityVerdict:
-    """Verdict of one optimality certificate.
+    """Verdict of the optimality certificate.
 
-    ``method`` names the certificate. ``witness`` describes the failed
-    condition when not optimal. ``residual`` is the largest |X_ij| |d_j - d_i|
-    of the root that the verdict reads, and ``at`` the (h, k, r) entry of its
-    first rows where it lies.
+    ``residual`` is the largest |X_ij| |d_j - d_i| of the root that the
+    verdict reads, and ``at`` the (h, k, r) entry of its first rows where it
+    lies.
     """
 
     optimal: bool
-    method: str
-    witness: str | None = None
-    residual: float | None = None
-    at: tuple[int, int, int] | None = None
+    residual: float
+    at: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -118,15 +116,15 @@ def check_theorem3(
     iff Y is Hermitian on the block-diagonal root, which on an irreducible
     block says that the block's root has a flat diagonal, and on a block
     that splits says so of each part: so the verdict is ``certify_srm``'s
-    on that root, under the method ``theorem3``.
+    on that root.
 
     When no entry couples two blocks, that root is ``result``, whose kernel
     has already rooted the blocks apart, and nothing is factored. Under a
     tolerated leak it is the root of G with its cross-block entries set to
     zero, taken in one call of the kernel behind ``fast_srm``, which splits
     the blocks by itself. Each block's eigenvalues interlace above the
-    smallest of G, which ``result`` already passed, so the root is taken
-    without a singularity test.
+    smallest of G, which ``result`` already passed, so the kernel's least
+    eigenvalues are not read.
     """
     if ensemble.m != 1:
         raise ValueError(f"check_theorem3 takes a one-bin ensemble, got m = {ensemble.m}")
@@ -150,8 +148,8 @@ def check_theorem3(
     if leak > tol_cond:
         raise NotBlockDiagonal(f"cross-block entry magnitude {leak:.3e} exceeds {tol_cond:g}")
     if leak > 0.0:
-        result = SrmResult(_root_rows(np.where(inside, g, 0.0)[None], -np.inf))
-    return replace(certify_srm(result, tol_cond=tol_cond), method="theorem3")
+        result = SrmResult(_root_rows(np.where(inside, g, 0.0)[None])[0])
+    return certify_srm(result, tol_cond=tol_cond)
 
 
 def certify_srm(result: SrmResult, *, tol_cond: float = TOL_COND) -> OptimalityVerdict:
@@ -164,26 +162,14 @@ def certify_srm(result: SrmResult, *, tol_cond: float = TOL_COND) -> OptimalityV
     So only condition (i) can fail: the measurement is optimal iff the
     largest entry of ``_asymmetry`` is at most ``tol_cond``. That entry is
     the verdict's ``residual``, and ``at`` is its constellation pair (h, k)
-    and shift r, which the witness names when the verdict fails. A dense
-    root is the case m = 1, where h and k are states.
+    and shift r. A dense root is the case m = 1, where h and k are states.
     """
     residual = _asymmetry(result.rows)
     flat = int(residual.argmax())
     worst = float(residual.flat[flat])
     s, _, m = residual.shape
     h, kr = divmod(flat, s * m)
-    at = (h, *divmod(kr, m))
-    if worst > tol_cond:
-        witness = "Y is not Hermitian at constellations ({}, {}), shift {}: ".format(*at)
-        return OptimalityVerdict(False, "theorem1_srm", f"{witness}residual {worst:.6e}", worst, at)
-    return OptimalityVerdict(True, "theorem1_srm", None, worst, at)
-
-
-def _nonzero_terms(joint: np.ndarray, sent: np.ndarray, decided: np.ndarray) -> np.ndarray:
-    """The information terms of the positive entries of ``joint``, in C order."""
-    h, k, r = np.nonzero(joint > 0.0)
-    p = joint[h, k, r]
-    return p * np.log2(p / (sent[h] * decided[k]))
+    return OptimalityVerdict(worst <= tol_cond, worst, (h, *divmod(kr, m)))
 
 
 def channel_stats(result: SrmResult) -> ChannelStats:
@@ -195,15 +181,16 @@ def channel_stats(result: SrmResult) -> ChannelStats:
 
     All sums read one C-ordered copy of ``|rows|^2``, along the bins, so the
     result does not depend on the layout of ``rows`` (``fast_srm`` returns
-    them bin-major). Only a root with exact zero entries gathers its
-    positive ones; a builder ensemble has none.
+    them bin-major). Where the joint law is zero the ratio inside the
+    logarithm is set to 1, so that term is an exact zero.
     """
     m = result.rows.shape[2]
     joint = np.ascontiguousarray((result.rows * result.rows.conj()).real)
     sent, decided = joint.sum(axis=(1, 2)), joint.sum(axis=(0, 2))
-    if joint.min() > 0.0:
-        terms = joint * np.log2(joint / (sent[:, None] * decided)[:, :, None])
-    else:
-        terms = _nonzero_terms(joint, sent, decided)
-    info = m * float(terms.sum())
+    independent = sent[:, None] * decided
+    # a row or column of the joint law that is all zero leaves no 0/0
+    independent[independent == 0.0] = 1.0
+    ratio = joint / independent[:, :, None]
+    ratio[joint == 0.0] = 1.0
+    info = m * float((joint * np.log2(ratio)).sum())
     return ChannelStats(sent.repeat(m), decided.repeat(m), max(info, 0.0))

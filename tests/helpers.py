@@ -9,9 +9,10 @@ eigenvalue of a Hermitian part, the eigendecomposition record, the
 principal square root of a dense matrix, the dense factor X of an
 ``SrmResult``, the marginals and mutual information of the dense root's
 channel, the spectral square root and the dense assembly of a
-coupling stack, the certificate references with the ``as_matrix``
-coercion and the ``InvalidFactorization`` error they raise on a factor
-that does not match its Gram matrix, the line-by-line Gram-file
+coupling stack, the certificate references with their
+``ReferenceVerdict`` record, the ``as_matrix`` coercion and the
+``InvalidFactorization`` error they raise on a factor that does not
+match its Gram matrix, the line-by-line Gram-file
 parser, and the documented ``check`` reports of the files in
 ``gramfiles/``. The library decides every verdict from one residual of
 the square-root measurement; the references decide on any factor X of
@@ -49,9 +50,26 @@ from srmlab.errors import (
     NumericalError,
 )
 from srmlab.linalg import TOL_PSD, TOL_RECON
-from srmlab.srm import TOL_COND, OptimalityVerdict, SrmResult
+from srmlab.srm import TOL_COND, SrmResult
 
 TOL_HERM = 1e-10
+
+
+@dataclass(frozen=True)
+class ReferenceVerdict:
+    """Verdict of a reference certificate, with the text of the condition it names.
+
+    ``method`` names the reference. ``witness`` describes the failed
+    condition, or the boundary of an optimal one. The Theorem-3 reference
+    also gives its ``residual`` and the pair ``at`` where it lies, as
+    ``srm.OptimalityVerdict`` does.
+    """
+
+    optimal: bool
+    method: str
+    witness: str | None = None
+    residual: float | None = None
+    at: tuple[int, int, int] | None = None
 
 
 class NotHermitian(NumericalError):
@@ -472,7 +490,7 @@ def verify_theorem1_reference(
     *,
     tol_cond: float = TOL_COND,
     tol_psd: float = TOL_PSD,
-) -> OptimalityVerdict:
+) -> ReferenceVerdict:
     """Theorem-1 oracle by one eigensolve of ``Y - W_r`` per state r, in O(n⁴).
 
     Takes any factor X with X†X = G. Y is Hermitian within ``tol_cond`` and
@@ -503,30 +521,30 @@ def verify_theorem1_reference(
         gap = y - np.outer(column, column.conj())
         low = _min_eig(gap)
         if low < -tol_psd:
-            return OptimalityVerdict(
+            return ReferenceVerdict(
                 optimal=False,
                 method="theorem1_oracle",
                 witness=f"Y - W_{r} has min eigenvalue {low:.6e}",
             )
         lowest = min(lowest, low)
     if defect > tol_cond:
-        return OptimalityVerdict(
+        return ReferenceVerdict(
             optimal=False,
             method="theorem1_oracle",
             witness=f"Y is not Hermitian: max asymmetry {defect:.6e}",
         )
     if lowest <= tol_psd:
-        return OptimalityVerdict(
+        return ReferenceVerdict(
             optimal=True,
             method="theorem1_oracle",
             witness=f"boundary: min eigenvalue over Y - W_r is {lowest:.6e}, inside the zero band",
         )
-    return OptimalityVerdict(optimal=True, method="theorem1_oracle")
+    return ReferenceVerdict(optimal=True, method="theorem1_oracle")
 
 
 def check_theorem2_reference(
     factor, *, tol_cond: float = TOL_COND, tol_psd: float = TOL_PSD
-) -> OptimalityVerdict:
+) -> ReferenceVerdict:
     """Theorem 2 on any factor X of the Gram, by its own ``eigvalsh`` of Y and an SVD of X.
 
     Condition (i) demands ``X[i,i] conj(X[j,i]) == X[i,j] conj(X[j,j])``
@@ -553,7 +571,7 @@ def check_theorem2_reference(
     worst = float(balance.max())
     if worst > tol_cond:
         i, j = np.unravel_index(int(balance.argmax()), balance.shape)
-        return OptimalityVerdict(
+        return ReferenceVerdict(
             optimal=False,
             method="theorem2",
             witness=f"condition (i) fails at state pair ({i}, {j}): residual {worst:.6e}",
@@ -561,18 +579,18 @@ def check_theorem2_reference(
 
     lowest = _min_eig(y)
     if lowest < -tol_psd:
-        return OptimalityVerdict(
+        return ReferenceVerdict(
             optimal=False,
             method="theorem2",
             witness=f"condition (ii) fails: min eigenvalue of Y is {lowest:.6e}",
         )
     if lowest <= tol_psd:
-        return OptimalityVerdict(
+        return ReferenceVerdict(
             optimal=True,
             method="theorem2",
             witness=f"boundary: min eigenvalue of Y is {lowest:.6e}, inside the zero band",
         )
-    return OptimalityVerdict(optimal=True, method="theorem2")
+    return ReferenceVerdict(optimal=True, method="theorem2")
 
 
 def components_reference(adjacency) -> list[list[int]]:
@@ -606,7 +624,7 @@ def check_theorem3_reference(
     *,
     tol_cond: float = TOL_COND,
     tol_psd: float = TOL_PSD,
-) -> OptimalityVerdict:
+) -> ReferenceVerdict:
     """Theorem 3 by one principal root per block: ``srm.check_theorem3``'s reference.
 
     Optimality test for a Gram matrix that is block diagonal.
@@ -650,8 +668,8 @@ def check_theorem3_reference(
     at = (int(i), int(j), 0)
     if worst > tol_cond:
         witness = f"condition (i) fails at state pair ({i}, {j}): residual {worst:.6e}"
-        return OptimalityVerdict(False, "theorem3", witness, worst, at)
-    return OptimalityVerdict(True, "theorem3", None, worst, at)
+        return ReferenceVerdict(False, "theorem3", witness, worst, at)
+    return ReferenceVerdict(True, "theorem3", None, worst, at)
 
 
 def load_gram_file_reference(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None]:

@@ -40,7 +40,7 @@ from srmlab.cli import (
     parse_grid,
     parse_int_list,
 )
-from srmlab.constellations import make_psk
+from srmlab.constellations import make_double_bpsk, make_psk
 from srmlab.gus import fast_srm
 
 GRAMFILES = Path(__file__).resolve().parent.parent / "gramfiles"
@@ -212,6 +212,22 @@ class TestFig1:
         out = tmp_path / "fig1.csv"
         assert main(["fig1", *flags.split(), "--out", str(out)]) == code
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_singular_point_is_refused_from_the_one_batched_root(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # the whole grid is rooted once; the first singular point, at
+        # 1e-12 and pi/8, is refused with the line its ensemble gives alone
+        alpha = math.sqrt(1e-12)
+        with pytest.raises(errors.GramSingular) as alone:
+            fast_srm(make_double_bpsk(alpha, alpha * np.exp(1j * math.pi / 8), 0.25))
+        calls = counted_factorizations(monkeypatch)
+        out = tmp_path / "fig1.csv"
+        argv = ["fig1", "--grid", "1:1e-12:2", "--delta", "pi/8,pi/4", "--out", str(out)]
+        assert main(argv) == EXIT_NUMERIC
+        assert capsys.readouterr().err == f"error: {alone.value}\n"
+        assert calls["eigh"] == [(8, 2, 2)]
         assert not out.exists()
 
     def test_mismatch_before_a_singular_point_is_reported_first(

@@ -1,7 +1,6 @@
 """Tests for the block-circulant fast path."""
 
 import math
-import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -384,22 +383,22 @@ class TestBatchedRoot:
             for a, d in zip(np.linspace(0.3, 3.0, k), np.linspace(0.1, 1.5, k))
         ]
         calls = counted_transforms(monkeypatch)
-        assert len(_fast_srms(ensembles, TOL_PSD)) == k
+        assert len(_fast_srms(ensembles)) == k
         assert calls == {"fft": 1, "ifft": 1, "eigh": 1}
 
     @pytest.mark.parametrize("name", sorted(BATCHES))
     def test_each_root_is_bitwise_the_single_one(self, name):
         ensembles = BATCHES[name]
-        results = _fast_srms(ensembles, TOL_PSD)
+        results = _fast_srms(ensembles)
         assert len(results) == len(ensembles) >= 3
-        for ensemble, result in zip(ensembles, results):
+        for ensemble, (result, _) in zip(ensembles, results):
             alone = fast_srm(ensemble)
             assert result.rows.shape == alone.rows.shape
             assert result.rows.tobytes() == alone.rows.tobytes()
 
-    def test_singular_ensemble_is_named_by_its_own_eigenvalue(self):
-        # the 2e-7 pair dips lower than the 1e-12 one, but the 1e-12 pair
-        # comes first, so its own smallest eigenvalue is the one reported
+    def test_each_ensemble_gets_its_own_least_eigenvalue(self):
+        # the 2e-7 pair dips lower than the 1e-12 one; the batch tests no
+        # ensemble, and hands back the value that each refuses itself with
         good = make_double_bpsk(1.0, 1j, 0.25)
         first, lower = (
             make_double_bpsk(math.sqrt(x), math.sqrt(x) * np.exp(1j * math.pi / 8), 0.25)
@@ -415,9 +414,9 @@ class TestBatchedRoot:
             "the weighted states are not linearly independent"
             for value in ("-7.623e-18", "-9.995e-18")
         ]
-        with pytest.raises(GramSingular) as batched:
-            _fast_srms([good, first, lower], TOL_PSD)
-        assert str(batched.value) == messages[0]
+        lowest = [low for _, low in _fast_srms([good, first, lower])]
+        assert lowest[0] > TOL_PSD
+        assert [f"{low:.3e}" for low in lowest[1:]] == ["-7.623e-18", "-9.995e-18"]
 
     @pytest.mark.parametrize(
         "ensembles",
@@ -431,7 +430,7 @@ class TestBatchedRoot:
     )
     def test_refuses_ensembles_of_different_shapes(self, ensembles):
         with pytest.raises(ValueError, match="must share one"):
-            _fast_srms(ensembles, TOL_PSD)
+            _fast_srms(ensembles)
 
 
 def exact_double_ppm_stack(m: int, alpha: float) -> np.ndarray:
@@ -456,7 +455,7 @@ class TestGivenSpectrum:
     @pytest.mark.parametrize("m", [2, 16, 256])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0])
     def test_exact_double_ppm_spectrum_gives_the_fast_root(self, m, alpha):
-        exact = SrmResult(linalg._root_rows(exact_double_ppm_stack(m, alpha), TOL_PSD))
+        exact = SrmResult(linalg._root_rows(exact_double_ppm_stack(m, alpha))[0])
         result = fast_srm(make_double_ppm(m, alpha))
         assert exact.rows.shape == result.rows.shape == (2, 2, m)
         assert np.abs(exact.rows - result.rows).max() <= 1e-14
@@ -498,7 +497,7 @@ class TestDistinctBins:
             return distinct(stack)
 
         def roots():
-            return [result.rows.tobytes() for result in _fast_srms(ensembles, TOL_PSD)]
+            return [result.rows.tobytes() for result, _ in _fast_srms(ensembles)]
 
         monkeypatch.setattr(linalg, "_distinct", counted)
         with_sort = roots()
@@ -518,7 +517,7 @@ class TestDistinctBins:
         assert ensembles[0].m < linalg._DISTINCT_FLOOR <= len(ensembles) * ensembles[0].m
         alone = [fast_srm(ensemble).rows.tobytes() for ensemble in ensembles]
         monkeypatch.setattr(linalg, "_distinct", refuse_sort)
-        assert [result.rows.tobytes() for result in _fast_srms(ensembles, TOL_PSD)] == alone
+        assert [result.rows.tobytes() for result, _ in _fast_srms(ensembles)] == alone
 
     def test_singular_sweep_reports_the_same_line(self, monkeypatch, capsys):
         argv = ["sweep", "--scheme", "double_ppm", "--m", "256", "--grid", "2e-7:2e-7:1"]
@@ -596,18 +595,18 @@ class TestCoupledGroups:
         assert sorts == ([(m, 2, 2)] if m >= linalg._DISTINCT_FLOOR else [])
         assert (rows[:2, 2] == 0).all() and (rows[2, :2] == 0).all()
         for group in (slice(0, 2), slice(2, 3)):
-            alone = linalg._root_rows(stack[:, group, group], TOL_PSD)
+            alone, _ = linalg._root_rows(stack[:, group, group])
             assert rows[group, group].tobytes() == alone.tobytes()
         np.testing.assert_allclose(
             dense_factor(SrmResult(rows)), dense_route(ensemble).rows[:, :, 0], rtol=0, atol=1e-14
         )
 
-    def test_singular_ensemble_of_a_batch_is_named_over_all_its_groups(self):
+    def test_least_eigenvalue_of_each_ensemble_is_taken_over_all_its_groups(self):
         # each ensemble is a pair of shift-orthogonal constellations with
         # overlap c, whose weighted eigenvalues are 0.0375 (1 +- c) in every
         # bin, beside a regular constellation 2. The pair of the second
-        # ensemble dips to 7.5e-11 and that of the third lower, to 5e-11; the
-        # second is the first singular ensemble, so its value is named
+        # ensemble dips to 7.5e-11 and that of the third lower, to 5e-11:
+        # each ensemble's least eigenvalue is its pair's, not constellation 2's
         m = 8
         third = random_gus_ensemble(np.random.default_rng(3), 1, m)
 
@@ -621,10 +620,8 @@ class TestCoupledGroups:
         batch = [pair_beside_third(c) for c in (0.5, 1 - 2e-9, 1 - 4e-9 / 3)]
         lowest = [np.linalg.eigvalsh(weighted_gram(ensemble))[0] for ensemble in batch]
         assert lowest[2] < lowest[1] < TOL_PSD < lowest[0]
-        with pytest.raises(GramSingular) as raised:
-            _fast_srms(batch, TOL_PSD)
-        named = re.search(r"min eigenvalue (\S+) <", str(raised.value)).group(1)
-        assert float(named) == pytest.approx(lowest[1], rel=1e-3)
+        batched = [low for _, low in _fast_srms(batch)]
+        np.testing.assert_allclose(batched, lowest, rtol=1e-3)
 
     def test_default_datasets_and_irreducible_checks_never_split(self, monkeypatch, tmp_path):
         # every coupling stack that the default datasets, the default and
@@ -687,6 +684,50 @@ class TestCoupledGroups:
         calls = counted_factorizations(monkeypatch)
         assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
         assert calls["eigh"] == [(1, 3, 3)]
+
+
+def dense_least_eigenvalues(stacks: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of each bin's Hermitian part, by one ``eigvalsh`` of each whole matrix."""
+    s = stacks.shape[-1]
+    least = [np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0] for a in stacks.reshape(-1, s, s)]
+    return np.array(least).reshape(stacks.shape[:-2])
+
+
+LEAST_EIGENVALUE_CASES = {
+    "split_groups8": lambda: block_diagonalize(reducible_gus(np.random.default_rng(8), 8)),
+    "split_groups64": lambda: block_diagonalize(reducible_gus(np.random.default_rng(64), 64)),
+    "double_ppm256": lambda: block_diagonalize(make_double_ppm(256, 0.6)),
+    "double_ppm256_batch": lambda: np.array(
+        [block_diagonalize(make_double_ppm(256, a)) for a in (0.6, 2.5)]
+    ),
+    "double_bpsk_batch": lambda: np.array(
+        [block_diagonalize(make_double_bpsk(a, 1j * a, 0.3)) for a in (0.3, 1.0, 2.0)]
+    ),
+}
+
+
+class TestLeastEigenvalues:
+    """The kernel hands back the least eigenvalue of every bin, for its caller's singularity test."""
+
+    @pytest.mark.parametrize("name", sorted(LEAST_EIGENVALUE_CASES))
+    def test_each_bin_is_its_dense_least_eigenvalue(self, name, monkeypatch):
+        # whether the bin was rooted whole, by groups or as one of its
+        # distinct matrices, its value is the whole matrix's least eigenvalue,
+        # and the distinct-bin sort changes no bit of it
+        stacks = LEAST_EIGENVALUE_CASES[name]()
+        _, lowest = linalg._root_rows(stacks)
+        assert lowest.shape == stacks.shape[:-2]
+        np.testing.assert_allclose(lowest, dense_least_eigenvalues(stacks), rtol=1e-12, atol=0)
+        monkeypatch.setattr(linalg, "_DISTINCT_FLOOR", sys.maxsize)
+        assert linalg._root_rows(stacks)[1].tobytes() == lowest.tobytes()
+
+    def test_fast_srm_refuses_on_the_least_of_its_bins(self):
+        ensemble = make_double_ppm(256, 0.6)
+        least = float(linalg._root_rows(block_diagonalize(ensemble))[1].min())
+        assert fast_srm(ensemble, tol_psd=least).rows.shape == (2, 2, 256)
+        with pytest.raises(GramSingular) as raised:
+            fast_srm(ensemble, tol_psd=np.nextafter(least, 1.0))
+        assert str(raised.value).startswith(f"Gram matrix is singular (min eigenvalue {least:.3e} < ")
 
 
 class TestSpectralRegrouping:

@@ -156,7 +156,7 @@ def test_check_report_text_lives_in_the_cli():
         if isinstance(node, ast.FunctionDef)
     }
     assert "certify_srm" in defined and "_check_verdicts" not in defined
-    words = ("theorem2", "theorem1_oracle", "inside the zero band")
+    words = ("theorem2", "theorem1_oracle", "inside the zero band", "Y is not Hermitian")
     owners = {word: sorted(name for name, text in sources.items() if word in text) for word in words}
     assert owners == {word: ["cli.py"] for word in words}
 
@@ -202,6 +202,31 @@ def test_one_eigendecomposition_kernel():
         if isinstance(node, ast.FunctionDef) and node.name == "_root_rows"
     ]
     assert [ast.unparse(node) for node in eigh_sites(kernel)] == ["np.linalg.eigh"]
+
+
+def test_one_singularity_test():
+    # the kernel takes the stacks alone and raises no GramSingular: it hands
+    # back its least eigenvalues, and one function in gus, which fast_srm
+    # and fig1's cross-check call, refuses a singular Gram matrix
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    (kernel,) = [
+        node
+        for node in trees["linalg.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_root_rows"
+    ]
+    assert ast.unparse(kernel.args) == "stacks: np.ndarray"
+    raisers = sorted(
+        (name, function.name, "Gram matrix is singular" in ast.unparse(node.exc))
+        for name, tree in trees.items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and ast.unparse(node.exc.func) == "GramSingular"
+    )
+    assert [site for site in raisers if site[2]] == [("gus.py", "_refuse_singular", True)]
+    assert "linalg.py" not in {name for name, *_ in raisers}
 
 
 def test_every_traced_layer_is_a_module():
