@@ -43,8 +43,7 @@ from .errors import (
     NumericalError,
     SrmLabError,
 )
-from .gus import block_diagonalize, fast_srm
-from .linalg import TOL_PSD, TOL_RECON
+from .gus import TOL_PSD, block_diagonalize, fast_srm
 from .srm import (
     TOL_COND,
     ChannelStats,
@@ -76,7 +75,6 @@ __all__ = [
     "SweepPoint",
     "TOL_COND",
     "TOL_PSD",
-    "TOL_RECON",
     "block_diagonalize",
     "certify_srm",
     "channel_stats",

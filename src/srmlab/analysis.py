@@ -18,8 +18,7 @@ from typing import NamedTuple
 
 from .constellations import make_double_bpsk, make_double_ppm, make_ppm, make_psk
 from .errors import DomainError, GramSingular
-from .gus import fast_srm
-from .linalg import TOL_PSD
+from .gus import TOL_PSD, fast_srm
 from .srm import channel_stats
 
 TOL_ROOT = 1e-12

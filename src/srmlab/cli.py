@@ -25,8 +25,7 @@ import numpy as np
 from . import analysis
 from .constellations import RULE_TOL, GusEnsemble, make_double_bpsk
 from .errors import GramFileError, InputError, InvalidPrior, NotBlockDiagonal, NumericalError
-from .gus import _fast_srms, _refuse_singular, fast_srm
-from .linalg import TOL_PSD, TOL_RECON
+from .gus import TOL_PSD, _fast_srms, _refuse_singular, fast_srm
 from .srm import TOL_COND, certify_srm, check_theorem3
 
 EXIT_OK = 0
@@ -41,7 +40,7 @@ DEFAULT_MS = "2,16"
 # column, so the smallest eigenvalue over the downdates is exactly zero.
 STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside the zero band"
 
-_ANGLE_RE = re.compile(r"^\s*([0-9.]*)\s*pi\s*(?:/\s*([0-9.]+))?\s*$")
+_ANGLE_RE = re.compile(r"^\s*([+-]?)([0-9.]*)\s*pi\s*(?:/\s*([0-9.]+))?\s*$")
 _COMMENT_RE = re.compile(r"#[^\n]*")
 
 
@@ -78,11 +77,12 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def parse_angle(token: str) -> float:
-    """Parse one finite angle: a plain float or a multiple of pi like ``3pi/8``."""
+    """Parse one finite angle: a plain float or a signed multiple of pi like ``-3pi/8``."""
     match = _ANGLE_RE.match(token)
     try:
         if match:
-            coef, div = (float(group) if group else 1.0 for group in match.groups())
+            sign, coef, div = match.groups()
+            coef, div = float(sign + (coef or "1")), float(div or "1")
         else:
             coef, div = float(token), None
     except ValueError:
@@ -185,6 +185,10 @@ def rows_fig1(grid, deltas, tol_psd: float) -> list[dict]:
             file=sys.stderr,
         )
     return rows
+
+
+# how far fig1's closed form and pipeline may differ in pc
+TOL_RECON = 1e-8
 
 
 def _cross_check_fig1(checks, tol_psd: float) -> None:

@@ -13,7 +13,8 @@ yields both the square roots and each bin's least eigenvalue, and one
 inverse FFT turns the roots into the first rows of the full Gram root; no
 dense (s m) x (s m) matrix is formed. The singularity test on those
 eigenvalues is made here, in ``_refuse_singular``, and only here:
-``fast_srm`` makes it on the least eigenvalue over all bins.
+``fast_srm`` makes it on the least eigenvalue over all bins, against
+``TOL_PSD`` unless its caller passes another threshold.
 Constellations that no coupling entry joins are rooted apart, one
 eigendecomposition per group size, and the root holds exact zeros
 between them; a dense Gram of two orthogonal halves costs two (n/2)^3
@@ -39,7 +40,7 @@ import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
 from .errors import GramSingular
-from .linalg import TOL_PSD, _coupling_stacks, _root_rows
+from .linalg import _coupling_stacks, _root_rows
 from .srm import SrmResult
 
 
@@ -50,6 +51,10 @@ def block_diagonalize(ensemble: GusEnsemble) -> np.ndarray:
     positive definite when the weighted Gram matrix is.
     """
     return _coupling_stacks(_weighted_rows(ensemble))
+
+
+# the least eigenvalue a Gram matrix may have and still be rooted
+TOL_PSD = 1e-10
 
 
 def _refuse_singular(lowest: float, tol_psd: float) -> None:

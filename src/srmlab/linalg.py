@@ -7,21 +7,21 @@ their mirror. No function here assembles a dense block-circulant matrix.
 (..., m, s, s) coupling stacks of one or several ensembles of one shape,
 however the caller got them: ``_coupling_stacks`` turns weighted first
 rows into them in one FFT, and a dense n x n matrix is its own one-bin
-stack (s = n, m = 1), with no transform; so is the Gram matrix with its
-cross-block entries set to zero that ``srm.check_theorem3`` roots under a
-tolerated leak. When the stacks split into groups of constellations that
-no entry couples, which ``_components`` finds by breadth-first search,
-each group is rooted on its own: one ``eigh`` per group size, so groups
-of sizes b_i cost sum b_i^3, not s^3, per bin. A stack of one group, which every builder ensemble is, goes to
+stack (s = n, m = 1), with no transform. When the stacks split into
+groups of constellations that no entry couples, which ``_components``
+finds by breadth-first search, each group is rooted on its own: one
+``eigh`` per group size, so groups of sizes b_i cost sum b_i^3, not s^3,
+per bin. A stack of one group, which every builder ensemble is, goes to
 one ``eigh`` whole (only its bitwise-distinct matrices once an ensemble
-has ``_DISTINCT_FLOOR`` bins), and the clamped root of every matrix goes
-back through one inverse FFT to the root's first rows. With them it hands
-back the least eigenvalue of every bin, and tests none: whether a Gram
-matrix is singular is decided in ``gus``. Every matrix and row is still
+has ``_DISTINCT_FLOOR`` bins). ``eigh`` reads the lower triangle of each
+matrix, and the clamped root of every matrix goes back through one
+inverse FFT to the root's first rows, whose average with their mirror is
+the one Hermitian projection. With them it hands back the least
+eigenvalue of every bin, and tests none. Every matrix and row is still
 transformed on its own. The transforms are private and take rows that
-``GusEnsemble`` has already checked. Matrices are square
-complex128 arrays, indexed (row, column) from 0. All functions are pure
-and never mutate their inputs.
+``GusEnsemble`` has already checked. Matrices are square complex128
+arrays, indexed (row, column) from 0. All functions are pure and never
+mutate their inputs.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceFailure
-
-TOL_PSD = 1e-10
-TOL_RECON = 1e-8
-
-
-def _adjoint(mat: np.ndarray) -> np.ndarray:
-    return np.swapaxes(mat.conj(), -1, -2)
 
 
 def _mirror(rows: np.ndarray) -> np.ndarray:
@@ -58,21 +51,17 @@ def _first_rows(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.fft(spectrum.swapaxes(-3, -1).swapaxes(-3, -2), norm="forward")
 
 
-def _bins(rows: np.ndarray) -> np.ndarray:
-    """Eigenvalues of circulant matrices: the DFT of each first row along the last axis.
-
-    Bin ``k`` carries ``sum_r c[r] exp(+2i*pi*k*r/m)``, i.e. ``m * ifft(c)``,
-    so ``F @ diag(lam) @ F†`` rebuilds the matrix for the unitary Fourier
-    matrix ``F[k, h] = exp(+2i*pi*k*h/m)/sqrt(m)``. Takes complex rows
-    already checked; ``_first_rows`` is the inverse.
-    """
-    return np.fft.ifft(rows, norm="forward")
-
-
 def _coupling_stacks(weighted_rows: np.ndarray) -> np.ndarray:
-    """(..., m, s, s) coupling stacks of (..., s, s, m) weighted first rows, in one transform."""
+    """(..., m, s, s) coupling stacks of (..., s, s, m) weighted first rows, in one transform.
+
+    Bin ``k`` of block (h, k) carries ``sum_r c[r] exp(+2i*pi*k*r/m)``, the
+    eigenvalue of the circulant block with first row ``c``, i.e.
+    ``m * ifft(c)``, so ``F @ diag(lam) @ F†`` rebuilds the block for the
+    unitary Fourier matrix ``F[k, h] = exp(+2i*pi*k*h/m)/sqrt(m)``. Takes
+    complex rows already checked; ``_first_rows`` is the inverse.
+    """
     # (..., h, k, m) -> (..., m, k, h) -> (..., m, h, k)
-    return _bins(weighted_rows).swapaxes(-1, -3).swapaxes(-1, -2)
+    return np.fft.ifft(weighted_rows, norm="forward").swapaxes(-1, -3).swapaxes(-1, -2)
 
 
 # Ensembles of s >= 2 with at least this many bins go to ``eigh`` once per
@@ -135,14 +124,14 @@ def _root_rows(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     constellations and ensembles of at least ``_DISTINCT_FLOOR`` bins send
     only their bitwise-distinct matrices, whose eigenvalues and roots are
     gathered back to every bin; ``eigh`` and the root treat each matrix on
-    its own, so the roots are the same bits either way. Each matrix is
-    taken as its Hermitian part. Raises ``ConvergenceFailure`` when the
+    its own, so the roots are the same bits either way. ``eigh`` reads the
+    lower triangle of each matrix, so a matrix is taken as the Hermitian
+    matrix that triangle describes. Raises ``ConvergenceFailure`` when the
     eigensolver fails. The (..., m) least eigenvalues, each the minimum
-    over the bin's groups, are returned as computed, for the caller's
-    singularity test. Eigenvalues below zero are clamped to zero before
-    the square root. Each root is symmetrised, and the first rows are
-    averaged with their mirror, so the factor they describe is exactly
-    Hermitian.
+    over the bin's groups, are returned as computed. Eigenvalues below
+    zero are clamped to zero before the square root. The first rows are
+    averaged with their mirror, the one Hermitian projection, so the
+    factor they describe is exactly Hermitian.
     """
     *batch, m, s, _ = stacks.shape
     stack = stacks.reshape(-1, s, s)
@@ -164,12 +153,12 @@ def _root_rows(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if part.shape[-1] > 1 and m >= _DISTINCT_FLOOR:
             part, inverse = _distinct(part)
         try:
-            w, v = np.linalg.eigh((part + _adjoint(part)) / 2.0)
+            w, v = np.linalg.eigh(part)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
         lowests.append(w[:, 0][inverse])
-        root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
-        roots.append(((root + _adjoint(root)) / 2.0)[inverse])
+        root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        roots.append(root[inverse])
     root, lowest = roots[0], lowests[0]
     if index:
         root = np.zeros_like(stack)

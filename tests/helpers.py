@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from srmlab import TOL_PSD
+from srmlab.cli import TOL_RECON
 from srmlab.constellations import RULE_TOL, GusEnsemble
 from srmlab.errors import (
     GramFileError,
@@ -49,7 +51,6 @@ from srmlab.errors import (
     NotBlockDiagonal,
     NumericalError,
 )
-from srmlab.linalg import TOL_PSD, TOL_RECON
 from srmlab.srm import TOL_COND, SrmResult
 
 TOL_HERM = 1e-10

@@ -125,6 +125,9 @@ class TestParsers:
         assert parse_angle("pi/8") == pytest.approx(math.pi / 8)
         assert parse_angle("3pi/8") == pytest.approx(3 * math.pi / 8)
         assert parse_angle("0.5") == pytest.approx(0.5)
+        assert parse_angle("-pi/4") == pytest.approx(-math.pi / 4)
+        assert parse_angle("+3pi/8") == pytest.approx(3 * math.pi / 8)
+        assert parse_angle("-pi") == pytest.approx(-math.pi)
         assert parse_angle_list("0,pi/4") == pytest.approx([0.0, math.pi / 4])
         with pytest.raises(ValueError):
             parse_angle("two")

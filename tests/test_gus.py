@@ -1,5 +1,6 @@
 """Tests for the block-circulant fast path."""
 
+import functools
 import math
 import sys
 import tracemalloc
@@ -35,8 +36,8 @@ from srmlab.analysis import (
     pc_double_bpsk_equal_amp,
     ppm_closed_form,
 )
-from srmlab import linalg
-from srmlab.cli import EXIT_NUMERIC, EXIT_OK, main
+from srmlab import TOL_PSD, linalg
+from srmlab.cli import EXIT_NUMERIC, EXIT_OK, TOL_RECON, load_gram_file, main
 from srmlab.constellations import (
     GusEnsemble,
     coherent_inner,
@@ -47,7 +48,6 @@ from srmlab.constellations import (
 )
 from srmlab.errors import GramSingular
 from srmlab.gus import _fast_srms, block_diagonalize, fast_srm
-from srmlab.linalg import TOL_PSD, TOL_RECON, _bins
 from srmlab.srm import SrmResult, certify_srm, channel_stats
 from test_datasets import DATA, DEFAULT_DATASETS
 
@@ -60,7 +60,7 @@ class TestBlockDiagonalize:
         spectrum = block_diagonalize(ens)
         gram = weighted_gram(ens)
         np.testing.assert_allclose(
-            spectrum[:, 0, 0], _bins(gram[0]), atol=1e-14
+            spectrum[:, 0, 0], np.fft.ifft(gram[0], norm="forward"), atol=1e-14
         )
 
     def test_double_bpsk_diagonal_block_spectrum(self):
@@ -431,6 +431,37 @@ class TestBatchedRoot:
     def test_refuses_ensembles_of_different_shapes(self, ensembles):
         with pytest.raises(ValueError, match="must share one"):
             _fast_srms(ensembles)
+
+
+PROJECTED = {
+    **{f"ppm{m}": functools.partial(make_ppm, m, 1.0) for m in (2, 16, 512)},
+    **{f"double_ppm{m}": functools.partial(make_double_ppm, m, 1.0) for m in (2, 16, 512)},
+    "double_bpsk": lambda: make_double_bpsk(0.8, 1.1 * np.exp(0.7j), 0.3),
+    "split_groups": lambda: reducible_gus(np.random.default_rng(16), 16),
+    "dense_check_file": lambda: load_gram_file(str(GRAMFILES / "binary_biased.gram"))[0],
+}
+
+
+def assert_exactly_hermitian(rows):
+    # the mirror average is the kernel's one Hermitian projection: the rows
+    # equal their mirror exactly (the conjugation may flip the sign of a
+    # zero imaginary part, which compares equal), and every seed is real
+    np.testing.assert_array_equal(rows, linalg._mirror(rows))
+    s = len(rows)
+    assert (rows[np.arange(s), np.arange(s), 0].imag == 0.0).all()
+
+
+class TestOneProjection:
+    """The root's first rows describe an exactly Hermitian factor, as ``certify_srm`` assumes."""
+
+    @pytest.mark.parametrize("name", sorted(PROJECTED))
+    def test_fast_root_is_its_own_mirror(self, name):
+        assert_exactly_hermitian(fast_srm(PROJECTED[name]()).rows)
+
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_every_batched_root_is_its_own_mirror(self, name):
+        for result, _ in _fast_srms(BATCHES[name]):
+            assert_exactly_hermitian(result.rows)
 
 
 def exact_double_ppm_stack(m: int, alpha: float) -> np.ndarray:

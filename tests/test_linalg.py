@@ -17,7 +17,8 @@ from helpers import (
     random_circulant_gram,
 )
 from srmlab.errors import NumericalError
-from srmlab.linalg import TOL_RECON, _bins, _components
+from srmlab.cli import TOL_RECON
+from srmlab.linalg import _components
 
 
 def random_hermitian(rng, n):
@@ -96,7 +97,7 @@ class TestPrincipalSqrt:
         for m in (2, 3, 8):
             gram = random_circulant_gram(rng, m)
             dense_root = principal_sqrt(gram)
-            lam = _bins(gram[0])
+            lam = np.fft.ifft(gram[0], norm="forward")
             spectral_root = circulant_from_eigenvalues(
                 np.sqrt(np.clip(lam.real, 0, None))
             ).matrix()
@@ -146,16 +147,16 @@ class TestFourierMatrix:
 class TestCirculant:
     def test_identity_row(self):
         np.testing.assert_allclose(
-            _bins([1.0, 0.0, 0.0]), np.ones(3), atol=1e-15
+            np.fft.ifft([1.0, 0.0, 0.0], norm="forward"), np.ones(3), atol=1e-15
         )
 
     def test_uniform_coupling_row(self):
-        lam = _bins([1.0, 0.2, 0.2])
+        lam = np.fft.ifft([1.0, 0.2, 0.2], norm="forward")
         np.testing.assert_allclose(lam, [1.4, 0.8, 0.8], atol=1e-14)
 
     def test_two_point_transform(self):
         c0, c1 = 0.7, 0.2 + 0.1j
-        lam = _bins([c0, c1])
+        lam = np.fft.ifft([c0, c1], norm="forward")
         np.testing.assert_allclose(lam, [c0 + c1, c0 - c1], atol=1e-15)
 
     def test_inverse_examples(self):
@@ -175,10 +176,10 @@ class TestCirculant:
         rng = np.random.default_rng(13)
         for m in (1, 2, 5, 12):
             row = rng.normal(size=m) + 1j * rng.normal(size=m)
-            back = circulant_from_eigenvalues(_bins(row)).first_row
+            back = circulant_from_eigenvalues(np.fft.ifft(row, norm="forward")).first_row
             assert np.abs(back - row).max() <= TOL_RECON
             lam = rng.normal(size=m) + 1j * rng.normal(size=m)
-            again = _bins(circulant_from_eigenvalues(lam).first_row)
+            again = np.fft.ifft(circulant_from_eigenvalues(lam).first_row, norm="forward")
             assert np.abs(again - lam).max() <= TOL_RECON
 
     def test_matrix_layout(self):
@@ -220,7 +221,7 @@ class TestCirculant:
         rng = np.random.default_rng(17)
         row = rng.normal(size=6) + 1j * rng.normal(size=6)
         spec = CirculantSpec(row)
-        lam = _bins(spec.first_row)
+        lam = np.fft.ifft(spec.first_row, norm="forward")
         f = fourier_matrix(6)
         rebuilt = (f * lam[None, :]) @ f.conj().T
         assert np.abs(rebuilt - spec.matrix()).max() <= 1e-13
@@ -228,7 +229,7 @@ class TestCirculant:
     def test_eigenvalues_match_dense_spectrum(self):
         rng = np.random.default_rng(19)
         gram = random_circulant_gram(rng, 7)
-        lam = np.sort(_bins(gram[0]).real)
+        lam = np.sort(np.fft.ifft(gram[0], norm="forward").real)
         dense = np.linalg.eigvalsh(gram)
         np.testing.assert_allclose(lam, dense, atol=1e-12)
 

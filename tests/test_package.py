@@ -34,7 +34,6 @@ EXPORTED = [
     "SweepPoint",
     "TOL_COND",
     "TOL_PSD",
-    "TOL_RECON",
     "block_diagonalize",
     "certify_srm",
     "channel_stats",
@@ -119,6 +118,41 @@ def test_every_private_name_is_read_in_the_package():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_tolerance_is_read_where_it_is_defined():
+    # a tolerance lives beside the test that reads it: a module-level TOL_*
+    # or *_TOL constant that its own module never reads is kept only for
+    # others to import, and the threshold and its test drift apart
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    unread = {}
+    for name, tree in trees.items():
+        constants = {
+            target.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+            and (target.id.startswith("TOL_") or target.id.endswith("_TOL"))
+        }
+        if constants - loaded_names(tree):
+            unread[name] = sorted(constants - loaded_names(tree))
+    assert "TOL_PSD" in loaded_names(trees["gus.py"])
+    assert unread == {}
+
+    # and only the layers that root or mirror import the kernel's module
+    def imports_linalg(tree):
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, ["srmlab" * bool(node.level), node.module]))
+                modules |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+        return "srmlab.linalg" in modules
+
+    importers = sorted(name for name, tree in trees.items() if imports_linalg(tree))
+    assert importers == ["constellations.py", "gus.py", "srm.py"]
 
 
 def test_no_dense_gram_in_the_package():

@@ -30,7 +30,7 @@ from helpers import (
     verify_theorem1_reference,
     weighted_gram,
 )
-from srmlab import analysis, srm
+from srmlab import TOL_PSD, analysis, srm
 from srmlab.analysis import optimize_prior_4pam
 from srmlab.cli import (
     DEFAULT_DELTAS,
@@ -51,7 +51,6 @@ from srmlab.errors import (
     NotBlockDiagonal,
     NumericalError,
 )
-from srmlab.linalg import TOL_PSD
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import (
     TOL_COND,
