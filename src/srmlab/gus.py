@@ -8,14 +8,15 @@ coupling matrices, one per frequency bin, held as an (m, s, s) stack:
 ``block_diagonalize`` returns it, and it is the root path's one forward
 transform. ``fast_srm`` is the one root entry point, and a dense set of n
 states is its one-bin stack (s = n, m = 1). It hands the coupling stack to
-``linalg._root_rows``, the one square-root kernel: one eigendecomposition
-yields both the square roots and each bin's least eigenvalue, and one
+``linalg._root_rows``, the one square-root kernel, which yields both the
+square roots and each bin's least eigenvalue: in closed form for s <= 2,
+every builder ensemble, and from one eigendecomposition for s >= 3. One
 inverse FFT turns the roots into the first rows of the full Gram root; no
 dense (s m) x (s m) matrix is formed. The singularity test on those
 eigenvalues is made here, in ``_refuse_singular``, and only here:
 ``fast_srm`` makes it on the least eigenvalue over all bins, against
-``TOL_PSD`` unless its caller passes another threshold.
-Constellations that no coupling entry joins are rooted apart, one
+``TOL_PSD`` unless its caller passes another threshold. For s >= 3,
+constellations that no coupling entry joins are rooted apart, one
 eigendecomposition per group size, and the root holds exact zeros
 between them; a dense Gram of two orthogonal halves costs two (n/2)^3
 decompositions, not one n^3. ``_fast_srms`` roots several ensembles of

@@ -33,7 +33,7 @@ Fourier matrix, without the library's inverse FFT. So ``dense_route``,
 ``dense_factor`` and ``one_bin`` share no code with the path they check,
 and nothing here imports a private ``srmlab`` name.
 ``counted_factorizations`` logs the LAPACK factorizations a call makes,
-and ``counted_transforms`` counts its FFTs and ``eigh`` calls.
+and ``counted_transforms`` counts its FFTs and ``np.linalg`` calls.
 """
 
 import cmath
@@ -451,9 +451,14 @@ def counted_factorizations(monkeypatch) -> dict:
 
 
 def counted_transforms(monkeypatch) -> collections.Counter:
-    """Count the calls of ``np.fft.fft``, ``np.fft.ifft`` and ``np.linalg.eigh``, by name."""
+    """Count the calls of ``np.fft.fft``, ``np.fft.ifft`` and every ``np.linalg`` function, by name.
+
+    Every LAPACK call that numpy makes goes through ``np.linalg``, so a
+    count with no ``np.linalg`` name in it is a call that made none.
+    """
     calls = collections.Counter()
-    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), (np.linalg, "eigh")):
+    functions = [name for name in np.linalg.__all__ if not isinstance(getattr(np.linalg, name), type)]
+    for module, name in ((np.fft, "fft"), (np.fft, "ifft"), *((np.linalg, f) for f in functions)):
 
         def counted(*args, _call=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1

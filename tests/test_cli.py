@@ -25,6 +25,7 @@ from helpers import (
     gram_lines,
     load_gram_file_reference,
     random_circulant_gram,
+    random_gus_ensemble,
     single_gus_pc,
     weighted_gram,
 )
@@ -171,6 +172,27 @@ FIG1_FAILURES = [
     ("--grid 1:1e-12:2", EXIT_NUMERIC, SINGULAR.format("-7.623e-18")),
 ]
 
+# every singular row that the defaults and the low-energy grids meet today,
+# refused with its ensemble's least bin eigenvalue; giving these ensembles an
+# answer changes this table on purpose
+SINGULAR_ROWS = [
+    ("sweep --scheme psk", "-2.011e-17"),
+    ("sweep --scheme psk --m 8 --grid 0.1:0.1:1", "1.795e-11"),
+    ("sweep --scheme double_ppm --grid 2e-7:2e-7:1", "9.992e-15"),
+    ("sweep --scheme double_ppm --m 256 --grid 2e-7:2e-7:1", "5.551e-17"),
+    ("sweep --scheme double_bpsk --grid 2e-7:2e-7:1", "-8.896e-18"),
+    ("fig2 --grid 2.5e-4:2.5e-4:1", "7.654e-11"),
+    ("fig1 --grid 1:1e-12:2 --delta pi/8,pi/4", "-7.623e-18"),
+]
+
+
+@pytest.mark.parametrize("argv, lowest", SINGULAR_ROWS, ids=[argv for argv, _ in SINGULAR_ROWS])
+def test_singular_row_prints_its_least_eigenvalue(argv, lowest, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_NUMERIC
+    assert capsys.readouterr() == ("", f"error: {SINGULAR.format(lowest)}\n")
+    assert not out.exists()
+
 
 class TestFig1:
     def test_default_row_count(self, tmp_path):
@@ -225,12 +247,12 @@ class TestFig1:
         alpha = math.sqrt(1e-12)
         with pytest.raises(errors.GramSingular) as alone:
             fast_srm(make_double_bpsk(alpha, alpha * np.exp(1j * math.pi / 8), 0.25))
-        calls = counted_factorizations(monkeypatch)
+        calls = counted_transforms(monkeypatch)
         out = tmp_path / "fig1.csv"
         argv = ["fig1", "--grid", "1:1e-12:2", "--delta", "pi/8,pi/4", "--out", str(out)]
         assert main(argv) == EXIT_NUMERIC
         assert capsys.readouterr().err == f"error: {alone.value}\n"
-        assert calls["eigh"] == [(8, 2, 2)]
+        assert calls == {"ifft": 1, "fft": 1}
         assert not out.exists()
 
     def test_mismatch_before_a_singular_point_is_reported_first(
@@ -465,9 +487,10 @@ class TestCheck:
         # one eigh of G (the one-bin stack) and nothing else: every verdict
         # reads the root's residual, so no Cholesky, solve, eigvalsh, SVD or
         # per-block root. G of two orthogonal halves is rooted as its two
-        # 32 x 32 groups in that one eigh
+        # 32 x 32 groups in that one eigh, and G of two states in closed
+        # form, with no factorization at all
         calls = counted_factorizations(monkeypatch)
-        cases = {GRAMFILES / f"{stem}.gram": (1, 2, 2) for stem in ("binary_equal", "binary_biased")}
+        cases = {GRAMFILES / f"{stem}.gram": None for stem in ("binary_equal", "binary_biased")}
         # seed 1 draws equal priors (optimal), seed 5 skewed ones (suboptimal)
         for seed, blocks in ((1, False), (1, True), (5, False), (5, True)):
             path = tmp_path / f"certify{seed}{blocks:d}.gram"
@@ -477,18 +500,20 @@ class TestCheck:
             for log in calls.values():
                 log.clear()
             assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
-            assert {name: log for name, log in calls.items() if log} == {"eigh": [shape]}
+            expected = {"eigh": [shape]} if shape else {}
+            assert {name: log for name, log in calls.items() if log} == expected
 
     def test_roots_the_one_bin_rows_without_a_dense_gram(self, monkeypatch, tmp_path):
         # check roots the parsed one-bin ensemble as one stack of its groups
         # of mutually coupled states, with or without a 'blocks' line: one
         # (1, n, n) stack when every state is coupled, (2, n/2, n/2) for two
-        # orthogonal halves and (3, 1, 1) for three orthogonal states. The
-        # leaky file's cross-block overlap of 1e-4 (2.2e-5 weighted) passes
-        # --tol-cond 1e-3, so the Gram with it set to zero is rooted too, in
-        # one call of the same kernel: both 2 x 2 blocks in one stack
-        groups = {"binary_equal": (1, 2, 2), "binary_biased": (1, 2, 2), "identity3": (3, 1, 1)}
-        cases = [(GRAMFILES / f"{stem}.gram", (), [groups[stem]]) for stem in GRAMFILE_REPORTS]
+        # orthogonal halves and (3, 1, 1) for three orthogonal states; two
+        # states take the closed form and no eigh. The leaky file's
+        # cross-block overlap of 1e-4 (2.2e-5 weighted) passes --tol-cond
+        # 1e-3, so the Gram with it set to zero is rooted too, in one call of
+        # the same kernel: both 2 x 2 blocks in one stack
+        groups = {"binary_equal": [], "binary_biased": [], "identity3": [(3, 1, 1)]}
+        cases = [(GRAMFILES / f"{stem}.gram", (), groups[stem]) for stem in GRAMFILE_REPORTS]
         for seed in (1, 5):
             for blocks in (False, True):
                 path = tmp_path / f"certify{seed}{blocks:d}.gram"
@@ -647,15 +672,18 @@ class TestCheck:
         assert main(["check", str(singular)]) == EXIT_NUMERIC
 
     def test_eigensolver_failure_is_numeric_failure(self, monkeypatch, capsys):
+        # only a stack of s >= 3 reaches the eigensolver: three constellations,
+        # and the three states of identity3.gram
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+        ensemble = random_gus_ensemble(np.random.default_rng(3), 3, 4)
         monkeypatch.setattr(np.linalg, "eigh", failing)
         message = "eigensolver did not converge: Eigenvalues did not converge"
         with pytest.raises(errors.ConvergenceFailure) as caught:
-            fast_srm(make_psk(4, 1.0))
+            fast_srm(ensemble)
         assert str(caught.value) == message
-        assert main(["check", str(GRAMFILES / "binary_biased.gram")]) == EXIT_NUMERIC
+        assert main(["check", str(GRAMFILES / "identity3.gram")]) == EXIT_NUMERIC
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("values", ["0.6 -0.8", "1.00000000005 0"])

@@ -14,6 +14,7 @@ from helpers import (
     check_theorem2_reference,
     check_theorem3_reference,
     counted_factorizations,
+    counted_transforms,
     dense_channel,
     dense_ensemble,
     dense_factor,
@@ -131,18 +132,18 @@ class TestSrm:
             fast_srm(dense_ensemble([0.5, 0.5], np.ones((2, 2))))
 
     def test_one_eigendecomposition_of_the_one_bin_stack(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(mat, *args, **kwargs):
-            calls.append(np.shape(mat))
-            return eigh(mat, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        for n in (1, 3, 6):
-            calls.clear()
-            fast_srm(gram_ensemble(random_unit_trace_gram(np.random.default_rng(n), n)))
-            assert calls == [(1, n, n)]
+        # a dense Gram of n >= 3 states is one (1, n, n) eigh; n <= 2 is
+        # rooted in closed form, with no factorization
+        ensembles = {
+            n: gram_ensemble(random_unit_trace_gram(np.random.default_rng(n), n)) for n in (1, 2, 3, 6)
+        }
+        calls = counted_factorizations(monkeypatch)
+        for n, ensemble in ensembles.items():
+            for log in calls.values():
+                log.clear()
+            fast_srm(ensemble)
+            expected = {"eigh": [(1, n, n)]} if n >= 3 else {}
+            assert {name: log for name, log in calls.items() if log} == expected
 
 
 def residual(result) -> float:
@@ -857,23 +858,26 @@ class TestCertifySrm:
             f"residual {verdict.residual:.6e}"
         )
 
-    def test_fig23_point_takes_one_batched_eigh(self, monkeypatch):
-        calls = counted_factorizations(monkeypatch)
+    def test_fig23_point_takes_one_closed_form_root(self, monkeypatch):
+        # the (s, m) = (2, 2) ensemble at p* is rooted in closed form: one
+        # transform each way and no np.linalg call
+        calls = counted_transforms(monkeypatch)
         (row,) = rows_fig23([1.0], TOL_PSD)
-        assert {name: log for name, log in calls.items() if log} == {"eigh": [(2, 2, 2)]}
+        assert calls == {"ifft": 1, "fft": 1}
         assert row["p_star"] == optimize_prior_4pam(1.0)
 
-    def test_fig1_call_takes_one_batched_eigh(self, monkeypatch):
+    def test_fig1_call_takes_one_batched_root(self, monkeypatch):
         # the four positive default offsets are four (s, m) = (2, 2)
-        # ensembles per energy, all rooted by one eigh of their stacked bins
+        # ensembles per energy, all rooted together: one transform each way
+        # for the whole grid, and no np.linalg call
         deltas = parse_angle_list(DEFAULT_DELTAS)
-        calls = counted_factorizations(monkeypatch)
+        calls = counted_transforms(monkeypatch)
         rows = rows_fig1([1.0], deltas, TOL_PSD)
-        assert {name: log for name, log in calls.items() if log} == {"eigh": [(8, 2, 2)]}
+        assert calls == {"ifft": 1, "fft": 1}
         assert len(rows) == 5
-        calls["eigh"].clear()
+        calls.clear()
         rows = rows_fig1([0.5, 1.0, 2.0], deltas, TOL_PSD)
-        assert {name: log for name, log in calls.items() if log} == {"eigh": [(24, 2, 2)]}
+        assert calls == {"ifft": 1, "fft": 1}
         assert len(rows) == 15
 
 
@@ -907,11 +911,13 @@ class TestChannelStats:
         ids=["double_ppm4", "double_ppm64", "double_ppm512", "random_s3"],
     )
     def test_the_layout_of_the_rows_changes_no_bit(self, build):
-        # fast_srm returns the rows bin-major; their C- and Fortran-ordered
-        # copies are the same numbers, and give the same bits
-        rows = fast_srm(build()).rows
-        assert not rows.flags.c_contiguous
-        layouts = (rows, np.ascontiguousarray(rows), np.asfortranarray(rows))
+        # the same rows held C-ordered, Fortran-ordered and bin-major, each
+        # layout a view that the others are not, give the same bits
+        rows = np.ascontiguousarray(fast_srm(build()).rows)
+        bin_major = np.ascontiguousarray(rows.transpose(2, 0, 1)).transpose(1, 2, 0)
+        layouts = (rows, np.asfortranarray(rows), bin_major)
+        assert [copy.flags.c_contiguous for copy in layouts] == [True, False, False]
+        assert not bin_major.flags.f_contiguous
         stats = [channel_stats(SrmResult(copy)) for copy in layouts]
         for other in stats[1:]:
             assert other.mutual_information == stats[0].mutual_information
