@@ -19,7 +19,6 @@ from .analysis import (
     mutual_info_double_ppm,
     mutual_info_ppm,
     optimize_prior_4pam,
-    pam4_block_traces,
     pam4_overlaps,
     pc_double_bpsk_equal_amp,
     ppm_closed_form,
@@ -91,7 +90,6 @@ __all__ = [
     "mutual_info_double_ppm",
     "mutual_info_ppm",
     "optimize_prior_4pam",
-    "pam4_block_traces",
     "pam4_overlaps",
     "pc_double_bpsk_equal_amp",
     "ppm_closed_form",

@@ -16,18 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .constellations import _cyclic_order, _pair_prior, _pulse_amplitude
 from .constellations import make_double_bpsk, make_double_ppm, make_ppm, make_psk
-from .errors import DomainError, GramSingular
+from .errors import DomainError, GramSingular, InputError
 from .gus import TOL_PSD, fast_srm
 from .srm import channel_stats
 
 TOL_ROOT = 1e-12
 _BRACKET_MARGIN = 1e-6
-
-
-def _check_amplitude(a: float) -> None:
-    if not (math.isfinite(a) and a > 0.0):
-        raise DomainError(f"amplitude must be positive and finite, got {a}")
 
 
 def _sqrt0(value: float) -> float:
@@ -46,8 +42,7 @@ def double_bpsk_block_traces(p: float, eta_a: float, eta_b: float, chi, xi) -> t
     exactly when g_1 = g_2. A vanished coupling matrix, as when the
     overlaps round to 1, is a singular Gram matrix: ``GramSingular``.
     """
-    if not 0.0 < p < 0.5:
-        raise DomainError(f"p must lie strictly between 0 and 1/2, got {p}")
+    _pair_prior(p)
     q = 0.5 - p
     d_plus = p * q * ((1.0 + eta_a) * (1.0 + eta_b) - abs(chi + xi) ** 2)
     d_minus = p * q * ((1.0 - eta_a) * (1.0 - eta_b) - abs(chi - xi) ** 2)
@@ -83,9 +78,8 @@ def pc_double_bpsk_equal_amp(alpha: float, delta: float) -> float:
     coincide and the pipeline rejects the ensemble as singular, while this
     closed form still evaluates (to the value of the degenerate limit).
     """
-    a = float(alpha)
+    a = _pulse_amplitude(alpha)
     d = float(delta)
-    _check_amplitude(a)
     if not 0.0 <= d <= math.pi / 2.0 + 1e-12:
         raise DomainError(f"phase offset must lie in [0, pi/2], got {delta}")
     eta, chi, xi = _equal_amp_overlaps(a, d)
@@ -111,12 +105,6 @@ def pam4_overlaps(alpha: float) -> tuple[float, float, float, float]:
     return eta, eta**9, eta, eta**4
 
 
-def pam4_block_traces(alpha: float, p: float) -> tuple[float, float]:
-    """Diagonal values g_1(p), g_2(p) for the 4-level amplitude scheme."""
-    eta_a, eta_b, chi, xi = pam4_overlaps(alpha)
-    return double_bpsk_block_traces(p, eta_a, eta_b, chi, xi)
-
-
 def optimize_prior_4pam(alpha: float) -> float:
     """Prior p making the square-root measurement optimal for 4-level PAM.
 
@@ -127,9 +115,7 @@ def optimize_prior_4pam(alpha: float) -> float:
     takes the measurement at p*, whose singularity test depends on its own
     ``tol_psd``, and certifies that with ``srm.certify_srm``.
     """
-    a = float(alpha)
-    _check_amplitude(a)
-    overlaps = pam4_overlaps(a)
+    overlaps = pam4_overlaps(_pulse_amplitude(alpha))
 
     def gap(p: float) -> float:
         g1, g2 = double_bpsk_block_traces(p, *overlaps)
@@ -173,10 +159,11 @@ def ppm_closed_form(m: int, alpha: float) -> PpmClosedForm:
     sqrt(1 - chi):
     Pc = 1/m + 2 (m-1) sqrt(1 - chi) / m^(3/2) + O(1 - chi).
     """
-    _validate_ppm_args(m, alpha)
-    chi = math.exp(-float(alpha) ** 2)
+    m = _cyclic_order(m, "slots")
+    a = _pulse_amplitude(alpha)
+    chi = math.exp(-a ** 2)
     head = math.sqrt(1.0 + (m - 1) * chi)
-    tail = math.sqrt(-math.expm1(-float(alpha) ** 2))
+    tail = math.sqrt(-math.expm1(-a ** 2))
     scale = m * math.sqrt(m)
     correct = (head + (m - 1) * tail) / scale
     cross = (head - tail) / scale
@@ -206,8 +193,8 @@ class DoublePpmClosedForm(NamedTuple):
 
 def double_ppm_closed_form(m: int, alpha: float) -> DoublePpmClosedForm:
     """Closed-form square root and performance of phase-doubled PPM."""
-    _validate_ppm_args(m, alpha)
-    a2 = float(alpha) ** 2
+    m = _cyclic_order(m, "slots")
+    a2 = _pulse_amplitude(alpha) ** 2
     chi = math.exp(-a2)
     gap = -math.expm1(-a2)  # 1 - chi without cancellation
     big = math.sqrt(1.0 + chi * chi + 2.0 * (m - 1) * chi)
@@ -231,12 +218,6 @@ def double_ppm_closed_form(m: int, alpha: float) -> DoublePpmClosedForm:
         cross=cross,
         pc=2.0 * m * correct * correct,
     )
-
-
-def _validate_ppm_args(m: int, alpha: float) -> None:
-    if not (math.isfinite(m) and int(m) == m and m >= 2):
-        raise DomainError(f"slot count must be an integer >= 2, got {m}")
-    _check_amplitude(float(alpha))
 
 
 def _xlog2x(value: float) -> float:
@@ -282,13 +263,18 @@ def _double_bpsk_route(alpha, m, delta, prior):
     return make_double_bpsk(alpha, beta, p), {"delta": float(delta), "prior": p}
 
 
+def _with_m(ensemble):
+    """A cyclic scheme's ensemble and its SweepPoint m: the built ensemble's, an int."""
+    return ensemble, {"m": ensemble.m}
+
+
 # scheme -> (its SweepPoint parameter fields, the required one first; that
 # parameter's description; builder). A builder maps (alpha, m, delta, prior)
 # to the scheme's GusEnsemble and its SweepPoint parameter values.
 _SCHEME_TABLE = {
-    "psk": (("m",), "a phase count m", lambda a, m, d, p: (make_psk(m, a), {"m": m})),
-    "ppm": (("m",), "a slot count m", lambda a, m, d, p: (make_ppm(m, a), {"m": m})),
-    "double_ppm": (("m",), "a slot count m", lambda a, m, d, p: (make_double_ppm(m, a), {"m": m})),
+    "psk": (("m",), "a phase count m", lambda a, m, d, p: _with_m(make_psk(m, a))),
+    "ppm": (("m",), "a slot count m", lambda a, m, d, p: _with_m(make_ppm(m, a))),
+    "double_ppm": (("m",), "a slot count m", lambda a, m, d, p: _with_m(make_double_ppm(m, a))),
     "double_bpsk": (("delta", "prior"), "a phase offset delta", _double_bpsk_route),
 }
 SCHEMES = tuple(_SCHEME_TABLE)
@@ -313,9 +299,9 @@ class SweepPoint:
 
     def __post_init__(self):
         if not -1e-12 <= self.pc <= 1.0 + 1e-12:
-            raise ValueError(f"pc out of range: {self.pc}")
+            raise InputError(f"pc out of range: {self.pc}")
         if abs(self.pc + self.pe - 1.0) > 1e-12:
-            raise ValueError("pe must complement pc")
+            raise InputError("pe must complement pc")
 
 
 def evaluate_scheme(
@@ -332,7 +318,7 @@ def evaluate_scheme(
     Every scheme is geometrically uniform and takes the block-circulant
     fast path; mutual information comes from the induced channel of the
     computed measurement. A parameter the scheme does not take is a
-    ``DomainError``.
+    ``DomainError``; the builder checks m, the amplitude and the prior.
     """
     if not (math.isfinite(photon_number) and photon_number > 0.0):
         raise DomainError(f"mean photon number must be positive and finite, got {photon_number}")
@@ -345,11 +331,7 @@ def evaluate_scheme(
             raise DomainError(f"scheme {scheme!r} takes no {name}, got {name}={value!r}")
     if given[fields[0]] is None:
         raise DomainError(f"scheme {scheme!r} needs {what}")
-    if fields[0] == "m":
-        if not float(m).is_integer():
-            raise DomainError(f"scheme {scheme!r} needs an integer m, got {m}")
-        m = int(m)
-    elif not math.isfinite(delta):
+    if fields[0] == "delta" and not math.isfinite(delta):
         raise DomainError(f"scheme {scheme!r} needs a finite phase offset delta, got {delta}")
 
     ensemble, params = build(math.sqrt(photon_number), m, delta, prior)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis
 from .constellations import RULE_TOL, GusEnsemble, make_double_bpsk
-from .errors import GramFileError, InputError, InvalidPrior, NotBlockDiagonal, NumericalError
+from .errors import GramFileError, InputError, NotBlockDiagonal, NumericalError
 from .gus import TOL_PSD, _fast_srms, _refuse_singular, fast_srm
 from .srm import TOL_COND, certify_srm, check_theorem3
 
@@ -59,18 +59,18 @@ def parse_grid(text: str) -> np.ndarray:
     """Parse a ``start:stop:count`` grid of mean photon numbers."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must look like start:stop:count, got {text!r}")
+        raise InputError(f"grid must look like start:stop:count, got {text!r}")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError as exc:
-        raise ValueError(f"bad grid {text!r}: {exc}") from None
+        raise InputError(f"bad grid {text!r}: {exc}") from None
     if count < 1:
-        raise ValueError(f"grid count must be at least 1, got {count}")
+        raise InputError(f"grid count must be at least 1, got {count}")
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"bad grid {text!r}: endpoints must be finite")
+        raise InputError(f"bad grid {text!r}: endpoints must be finite")
     if start < 0 or stop < 0:
-        raise ValueError("mean photon numbers must be nonnegative")
+        raise InputError("mean photon numbers must be nonnegative")
     if count == 1:
         return np.array([start])
     return np.linspace(start, stop, count)
@@ -86,30 +86,30 @@ def parse_angle(token: str) -> float:
         else:
             coef, div = float(token), None
     except ValueError:
-        raise ValueError(f"bad angle {token!r}") from None
+        raise InputError(f"bad angle {token!r}") from None
     if div == 0:
-        raise ValueError(f"bad angle {token!r}: division by zero")
+        raise InputError(f"bad angle {token!r}: division by zero")
     angle = coef if div is None else coef * math.pi / div
     if not math.isfinite(angle):
-        raise ValueError(f"bad angle {token!r}")
+        raise InputError(f"bad angle {token!r}")
     return angle
 
 
 def parse_angle_list(text: str) -> list[float]:
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if not tokens:
-        raise ValueError("empty angle list")
+        raise InputError("empty angle list")
     return [parse_angle(tok) for tok in tokens]
 
 
 def parse_int_list(text: str) -> list[int]:
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if not tokens:
-        raise ValueError("empty integer list")
+        raise InputError("empty integer list")
     try:
         return [int(tok) for tok in tokens]
     except ValueError as exc:
-        raise ValueError(f"bad integer list {text!r}: {exc}") from None
+        raise InputError(f"bad integer list {text!r}: {exc}") from None
 
 
 def render_csv(columns: list[str], rows: list[dict]) -> str:
@@ -202,7 +202,7 @@ def _cross_check_fig1(checks, tol_psd: float) -> None:
     for (photon_number, delta, pc, _), (result, lowest) in zip(checks, results):
         _refuse_singular(lowest, tol_psd)
         if abs(result.pc - pc) > TOL_RECON:
-            raise ArithmeticError(
+            raise NumericalError(
                 f"closed form and pipeline disagree at |alpha|^2={photon_number}, "
                 f"delta={delta}: {pc!r} vs {result.pc!r}"
             )
@@ -421,7 +421,7 @@ def load_gram_file(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None
 
     try:
         ensemble = GusEnsemble(rows=overlaps[:, :, None], constellation_priors=np.array(priors))
-    except (InvalidPrior, ValueError) as exc:
+    except InputError as exc:
         raise GramFileError(f"{path}: invalid constellation: {exc}") from exc
     return ensemble, blocks
 
@@ -493,7 +493,7 @@ def cmd_check(args) -> int:
     if blocks is not None:
         try:
             verdict3 = check_theorem3(ensemble, blocks, result, tol_cond=args.tol_cond)
-        except (NotBlockDiagonal, ValueError) as exc:
+        except (NotBlockDiagonal, InputError) as exc:
             lines.append(f"theorem3 error ({exc})")
         else:
             word = "optimal" if verdict3.optimal else f"suboptimal ({_condition_i(verdict3)})"

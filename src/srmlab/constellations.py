@@ -11,7 +11,10 @@ overlap matrix. Builders cover coherent-state binary phase keying in two
 constellations, m-ary phase keying, pulse position modulation and its
 two-phase variant; each writes its first rows as an array, with every seed
 overlap <h|h> set to 1 rather than computed, and hands them to
-``GusEnsemble``.
+``GusEnsemble``. Each scheme parameter is checked here and only here, by
+one function that the closed forms in ``analysis`` call too: the cyclic
+order m (``_cyclic_order``), the pulse amplitude (``_pulse_amplitude``)
+and the prior of the two-pair schemes (``_pair_prior``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPrior
+from .errors import DomainError, InputError, InvalidPrior
 from .linalg import _mirror
 
 PRIOR_TOL = 1e-12
@@ -57,7 +60,7 @@ class GusEnsemble:
     def __post_init__(self):
         rows = np.array(self.rows, dtype=complex, order="C")
         if rows.ndim != 3 or rows.shape[0] != rows.shape[1] or 0 in rows.shape:
-            raise ValueError(f"rows must have shape (s, s, m) with s, m >= 1, got {rows.shape}")
+            raise InputError(f"rows must have shape (s, s, m) with s, m >= 1, got {rows.shape}")
         s, _, m = rows.shape
         q = np.array(self.constellation_priors, dtype=float).reshape(-1)
         if len(q) != s:
@@ -71,24 +74,24 @@ class GusEnsemble:
         largest = float(modulus.max())
         # a finite entry near the float maximum may still have an infinite modulus
         if not np.isfinite(largest) and not np.isfinite(rows).all():
-            raise ValueError("overlaps must be finite")
+            raise InputError("overlaps must be finite")
         # rows is a C-contiguous copy, so this view holds the seeds rows[h, h, 0]
         seeds = rows.reshape(-1)[:: (s + 1) * m]
         seed_err = np.abs(seeds - 1.0)
         if seed_err.max() > RULE_TOL:
             h = int(seed_err.argmax())
-            raise ValueError(f"seed state {h} is not unit norm: <0|0> = {rows[h, h, 0]}")
+            raise InputError(f"seed state {h} is not unit norm: <0|0> = {rows[h, h, 0]}")
         # checked before the mirror, whose sums would overflow near the float maximum
         if largest > 1.0 + RULE_TOL:
             h, k, _ = np.unravel_index(int(modulus.argmax()), modulus.shape)
-            raise ValueError(f"overlap modulus {largest!r} > 1 in block ({h}, {k})")
+            raise InputError(f"overlap modulus {largest!r} > 1 in block ({h}, {k})")
 
         mirror = _mirror(rows)
         defect = np.abs(rows - mirror)
         if defect.max() > RULE_TOL:
             # the first worst entry lies in the first worst block
             h, k, _ = np.unravel_index(int(defect.argmax()), defect.shape)
-            raise ValueError(
+            raise InputError(
                 f"rows are not Hermitian-consistent on blocks ({h}, {k}) / ({k}, {h}): "
                 f"defect {defect.max():.3e}"
             )
@@ -129,20 +132,30 @@ def _weighted_rows(ensemble: GusEnsemble) -> np.ndarray:
 
 
 def _cyclic_order(m, what: str) -> int:
-    """The number m of cyclic shifts, as an int; ``ValueError`` unless it is an integer >= 2."""
-    if m < 2:
-        raise ValueError(f"need at least two {what}")
-    if not float(m).is_integer():
-        raise ValueError(f"the number of {what} must be an integer, got {m}")
+    """The number m of cyclic shifts, as an int; ``DomainError`` unless it is an integer >= 2."""
+    if not (math.isfinite(m) and m >= 2 and float(m).is_integer()):
+        raise DomainError(f"the number of {what} must be an integer >= 2, got {m}")
     return int(m)
 
 
-def _amplitude_chi(alpha: float) -> float:
-    """Vacuum overlap chi = exp(-alpha^2) of a pulse with positive amplitude alpha."""
+def _pulse_amplitude(alpha) -> float:
+    """A pulse amplitude as a float; ``DomainError`` unless it is positive and finite."""
     a = float(alpha)
-    if a <= 0:
-        raise ValueError("amplitude must be positive")
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"amplitude must be positive and finite, got {a}")
+    return a
+
+
+def _amplitude_chi(alpha) -> float:
+    """Vacuum overlap chi = exp(-alpha^2) of a pulse with amplitude alpha."""
+    a = _pulse_amplitude(alpha)
     return math.exp(-a * a)
+
+
+def _pair_prior(p) -> None:
+    """``InvalidPrior`` unless p, the first binary pair's per-state prior, lies in (0, 1/2)."""
+    if not 0.0 < p < 0.5:
+        raise InvalidPrior(f"p must lie strictly between 0 and 1/2, got {float(p)}")
 
 
 def make_double_bpsk(alpha, beta, p: float) -> GusEnsemble:
@@ -152,8 +165,7 @@ def make_double_bpsk(alpha, beta, p: float) -> GusEnsemble:
     carries q = 1/2 - p, so the four priors sum to one. The shared
     symmetry is the half-turn phase rotation.
     """
-    if not 0.0 < p < 0.5:
-        raise InvalidPrior(f"p must lie strictly between 0 and 1/2, got {p}")
+    _pair_prior(p)
     seeds = (complex(alpha), complex(beta))
     # <a|a> = 1 is written, not computed: the exponent -|a|^2 + conj(a) a
     # cancels to rounding noise that grows with |a|^2

@@ -1,9 +1,13 @@
 """Exception types shared across the library.
 
-Every failure derives from exactly one of two classes: ``InputError`` for
-arguments, priors and files that are out of range or malformed, and
-``NumericalError`` for matrices and searches that fail numerically. The CLI
-maps the first to exit code 2 and the second to exit code 3.
+Every failure that srmlab raises is one of these classes, and each derives
+from exactly one of two: ``InputError`` for arguments, priors and files
+that are out of range or malformed, and ``NumericalError`` for matrices and
+searches that fail numerically. ``InputError`` is also a ``ValueError``, as
+``json.JSONDecodeError`` is, so a caller that catches ``ValueError`` from a
+builder still catches it. The CLI maps the first to exit code 2 and the
+second to exit code 3; its ``ValueError`` and ``ArithmeticError`` arms
+catch what numpy and the standard library raise on extreme input.
 """
 
 
@@ -11,7 +15,7 @@ class SrmLabError(Exception):
     """Base class for all library-specific failures."""
 
 
-class InputError(SrmLabError):
+class InputError(SrmLabError, ValueError):
     """An argument, prior or input file is out of range or malformed."""
 
 
@@ -36,7 +40,7 @@ class NotBlockDiagonal(NumericalError):
 
 
 class DomainError(InputError):
-    """An argument is outside the domain of a closed-form evaluator."""
+    """A scheme parameter or argument is outside the domain of its builder or evaluator."""
 
 
 class GramFileError(InputError):

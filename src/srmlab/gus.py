@@ -40,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
-from .errors import GramSingular
+from .errors import GramSingular, InputError
 from .linalg import _coupling_stacks, _root_rows
 from .srm import SrmResult
 
@@ -72,12 +72,12 @@ def _fast_srms(ensembles: list[GusEnsemble]) -> list[tuple[SrmResult, float]]:
 
     Each root is the one ``fast_srm`` takes alone; no ensemble is tested
     for singularity, which is the caller's to do with ``_refuse_singular``
-    on each least eigenvalue. Raises ``ValueError`` unless the ensembles
+    on each least eigenvalue. Raises ``InputError`` unless the ensembles
     share one (s, m).
     """
     shapes = {ensemble.rows.shape for ensemble in ensembles}
     if len(shapes) != 1:
-        raise ValueError(
+        raise InputError(
             f"ensembles rooted together must share one (s, s, m), got {sorted(shapes)}"
         )
     rows = np.array([_weighted_rows(ensemble) for ensemble in ensembles])

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .constellations import GusEnsemble, _weighted_rows
-from .errors import NotBlockDiagonal
+from .errors import InputError, NotBlockDiagonal
 from .linalg import _root_rows
 
 TOL_COND = 1e-9
@@ -109,7 +109,7 @@ def check_theorem3(
     """Theorem-3 verdict for a one-bin ensemble whose weighted Gram matrix is block diagonal.
 
     ``ensemble`` is a dense set of n states (m = 1) and ``result`` its
-    square-root measurement, as ``fast_srm`` takes it; ``ValueError``
+    square-root measurement, as ``fast_srm`` takes it; ``InputError``
     unless both hold n states of one bin. ``blocks`` partitions the state
     indices. Entries coupling different blocks must vanish within
     ``tol_cond`` (else ``NotBlockDiagonal``). The measurement is optimal
@@ -127,9 +127,9 @@ def check_theorem3(
     eigenvalues are not read.
     """
     if ensemble.m != 1:
-        raise ValueError(f"check_theorem3 takes a one-bin ensemble, got m = {ensemble.m}")
+        raise InputError(f"check_theorem3 takes a one-bin ensemble, got m = {ensemble.m}")
     if result.rows.shape != ensemble.rows.shape:
-        raise ValueError(
+        raise InputError(
             f"result rows {result.rows.shape} do not match the ensemble's {ensemble.rows.shape}"
         )
     g = _weighted_rows(ensemble)[:, :, 0]
@@ -137,9 +137,9 @@ def check_theorem3(
     partition = [tuple(int(i) for i in block) for block in blocks]
     indices = sorted(i for block in partition for i in block)
     if indices != list(range(n)):
-        raise ValueError("blocks must partition the state indices exactly once each")
+        raise InputError("blocks must partition the state indices exactly once each")
     if not all(partition):
-        raise ValueError("every block must hold at least one state index")
+        raise InputError("every block must hold at least one state index")
 
     inside = np.zeros((n, n), dtype=bool)
     for block in partition:

@@ -47,6 +47,7 @@ from srmlab.cli import TOL_RECON
 from srmlab.constellations import RULE_TOL, GusEnsemble
 from srmlab.errors import (
     GramFileError,
+    InputError,
     InvalidPrior,
     NotBlockDiagonal,
     NumericalError,
@@ -648,9 +649,9 @@ def check_theorem3_reference(
     partition = [tuple(int(i) for i in block) for block in blocks]
     indices = sorted(i for block in partition for i in block)
     if indices != list(range(n)):
-        raise ValueError("blocks must partition the state indices exactly once each")
+        raise InputError("blocks must partition the state indices exactly once each")
     if not all(partition):
-        raise ValueError("every block must hold at least one state index")
+        raise InputError("every block must hold at least one state index")
 
     inside = np.zeros((n, n), dtype=bool)
     for block in partition:

@@ -213,7 +213,7 @@ def test_criterion_06_optimized_prior():
     for photon_number in (0.5, 1.0, 2.0, 10.0):
         alpha = math.sqrt(photon_number)
         p_star = analysis.optimize_prior_4pam(alpha)
-        g1, g2 = analysis.pam4_block_traces(alpha, p_star)
+        g1, g2 = analysis.double_bpsk_block_traces(p_star, *analysis.pam4_overlaps(alpha))
         worst_balance = max(worst_balance, abs(g1 - g2))
         ensemble = make_double_bpsk(alpha, 3 * alpha, p_star)
         gram = weighted_gram(ensemble)
@@ -227,7 +227,10 @@ def test_criterion_06_optimized_prior():
     alpha = 1.0
     p_bisect = analysis.optimize_prior_4pam(alpha)
     grid = np.arange(1e-4, 0.5, 1e-4)
-    gaps = np.array([abs(np.subtract(*analysis.pam4_block_traces(alpha, p))) for p in grid])
+    overlaps = analysis.pam4_overlaps(alpha)
+    gaps = np.array(
+        [abs(np.subtract(*analysis.double_bpsk_block_traces(p, *overlaps))) for p in grid]
+    )
     p_scan = float(grid[gaps.argmin()])
     scan_ok = abs(p_bisect - p_scan) <= 2e-4
     ok = worst_balance <= 1e-10 and all_certified and bright_ok and scan_ok

@@ -19,12 +19,13 @@ from helpers import (
 from srmlab import analysis
 from srmlab.analysis import (
     SweepPoint,
+    double_bpsk_block_traces,
     double_ppm_closed_form,
     evaluate_scheme,
     mutual_info_double_ppm,
     mutual_info_ppm,
     optimize_prior_4pam,
-    pam4_block_traces,
+    pam4_overlaps,
     pc_double_bpsk_equal_amp,
     ppm_closed_form,
 )
@@ -34,7 +35,7 @@ from srmlab.constellations import (
     make_ppm,
     make_psk,
 )
-from srmlab.errors import DomainError, GramSingular
+from srmlab.errors import DomainError, GramSingular, InvalidPrior
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import certify_srm, channel_stats
 
@@ -101,14 +102,15 @@ class TestPriorOptimization:
         for photon_number in (0.5, 1.0, 2.0, 10.0):
             alpha = math.sqrt(photon_number)
             p_star = optimize_prior_4pam(alpha)
-            g1, g2 = pam4_block_traces(alpha, p_star)
+            g1, g2 = double_bpsk_block_traces(p_star, *pam4_overlaps(alpha))
             assert abs(g1 - g2) <= 1e-10
 
     def test_matches_grid_scan_oracle(self):
         alpha = 1.0
         p_star = optimize_prior_4pam(alpha)
         grid = np.arange(1e-4, 0.5, 1e-4)
-        gaps = np.array([abs(np.subtract(*pam4_block_traces(alpha, p))) for p in grid])
+        overlaps = pam4_overlaps(alpha)
+        gaps = np.array([abs(np.subtract(*double_bpsk_block_traces(p, *overlaps))) for p in grid])
         p_grid = float(grid[gaps.argmin()])
         assert abs(p_star - p_grid) <= 2e-4
         # frozen from the grid-scan oracle above
@@ -126,7 +128,7 @@ class TestPriorOptimization:
 
     def test_closed_form_traces_match_pipeline(self):
         alpha, p = 1.0, 0.3
-        g1, g2 = pam4_block_traces(alpha, p)
+        g1, g2 = double_bpsk_block_traces(p, *pam4_overlaps(alpha))
         ens = make_double_bpsk(alpha, 3 * alpha, p)
         g, _ = trace_criterion(block_sqrt(block_diagonalize(ens)))
         assert g1 == pytest.approx(g[0], abs=1e-12)
@@ -321,7 +323,7 @@ class TestEvaluateScheme:
             evaluate_scheme("double_bpsk", 1.0)
         for scheme in ("psk", "ppm", "double_ppm"):
             for m in (2.5, 3.5, math.nan, math.inf):
-                with pytest.raises(DomainError, match="integer m"):
+                with pytest.raises(DomainError, match="must be an integer >= 2, got"):
                     evaluate_scheme(scheme, 1.0, m=m)
         for delta in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match="phase offset"):
@@ -362,5 +364,5 @@ class TestAnalysisExtras:
         assert xi == pytest.approx(eta_a**4)
 
     def test_block_traces_reject_bad_prior(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidPrior):
             analysis.double_bpsk_block_traces(0.6, 0.1, 0.1, 0.1, 0.1)

@@ -360,6 +360,18 @@ class TestFig4Fig5:
         assert info["double_ppm"] == pytest.approx(2.0, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "argv", ["fig4 --m 1", "fig5 --m 1", "sweep --scheme ppm --m 1", "sweep --scheme double_ppm --m 1"]
+)
+def test_one_slot_is_one_error_line_on_every_command(argv, tmp_path, capsys):
+    # fig4/fig5's closed forms and sweep's builders refuse m through one check
+    out = tmp_path / "rows.csv"
+    assert main([*argv.split(), "--out", str(out)]) == EXIT_CONFIG
+    expected = "error: the number of slots must be an integer >= 2, got 1\n"
+    assert capsys.readouterr() == ("", expected)
+    assert not out.exists()
+
+
 class TestSweep:
     def test_double_bpsk_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import block_circulant, dense_ensemble, random_gus_ensemble, weighted_gram
-from srmlab import constellations
+from srmlab import analysis, constellations
 from srmlab.constellations import (
     RULE_TOL,
     GusEnsemble,
@@ -17,7 +17,7 @@ from srmlab.constellations import (
     make_ppm,
     make_psk,
 )
-from srmlab.errors import InvalidPrior
+from srmlab.errors import DomainError, InvalidPrior
 from srmlab.gus import fast_srm
 from srmlab.linalg import _mirror
 
@@ -489,3 +489,66 @@ class TestValidatorContract:
         with pytest.raises(ValueError) as caught:
             GusEnsemble(rows=rows, constellation_priors=priors)
         assert str(caught.value) == f"seed state 2 is not unit norm: <0|0> = {rows[2, 2, 0]}"
+
+
+# every path to a scheme parameter, with the word its m check names: one
+# function in constellations refuses each parameter, so each fault has one
+# class and one text whichever builder, closed form or sweep meets it
+M_PATHS = {
+    "make_psk": ("phases", lambda m: make_psk(m, 1.0)),
+    "make_ppm": ("slots", lambda m: make_ppm(m, 1.0)),
+    "make_double_ppm": ("slots", lambda m: make_double_ppm(m, 1.0)),
+    "ppm_closed_form": ("slots", lambda m: analysis.ppm_closed_form(m, 1.0)),
+    "double_ppm_closed_form": ("slots", lambda m: analysis.double_ppm_closed_form(m, 1.0)),
+    "mutual_info_ppm": ("slots", lambda m: analysis.mutual_info_ppm(m, 1.0)),
+    "mutual_info_double_ppm": ("slots", lambda m: analysis.mutual_info_double_ppm(m, 1.0)),
+    "evaluate_scheme[psk]": ("phases", lambda m: analysis.evaluate_scheme("psk", 1.0, m=m)),
+    "evaluate_scheme[ppm]": ("slots", lambda m: analysis.evaluate_scheme("ppm", 1.0, m=m)),
+    "evaluate_scheme[double_ppm]": (
+        "slots",
+        lambda m: analysis.evaluate_scheme("double_ppm", 1.0, m=m),
+    ),
+}
+AMPLITUDE_PATHS = {
+    "make_ppm": lambda a: make_ppm(4, a),
+    "make_double_ppm": lambda a: make_double_ppm(4, a),
+    "ppm_closed_form": lambda a: analysis.ppm_closed_form(4, a),
+    "double_ppm_closed_form": lambda a: analysis.double_ppm_closed_form(4, a),
+    "mutual_info_ppm": lambda a: analysis.mutual_info_ppm(4, a),
+    "mutual_info_double_ppm": lambda a: analysis.mutual_info_double_ppm(4, a),
+    "pc_double_bpsk_equal_amp": lambda a: analysis.pc_double_bpsk_equal_amp(a, math.pi / 2),
+    "optimize_prior_4pam": analysis.optimize_prior_4pam,
+}
+PRIOR_PATHS = {
+    "make_double_bpsk": lambda p: make_double_bpsk(1.0, 1j, p),
+    "double_bpsk_block_traces": lambda p: analysis.double_bpsk_block_traces(
+        p, *analysis.pam4_overlaps(1.0)
+    ),
+    "evaluate_scheme[double_bpsk]": lambda p: analysis.evaluate_scheme(
+        "double_bpsk", 1.0, delta=math.pi / 2, prior=p
+    ),
+}
+
+
+def refusal_cases():
+    for m in (1, 2.5, math.nan, math.inf):
+        for name, (what, build) in M_PATHS.items():
+            text = f"the number of {what} must be an integer >= 2, got {m}"
+            yield pytest.param(build, m, DomainError, text, id=f"{name}(m={m})")
+    for a in (0, -1, math.nan, math.inf):
+        for name, build in AMPLITUDE_PATHS.items():
+            text = f"amplitude must be positive and finite, got {float(a)}"
+            yield pytest.param(build, a, DomainError, text, id=f"{name}(alpha={a})")
+    for p in (0, 0.5, 0.6):
+        for name, build in PRIOR_PATHS.items():
+            text = f"p must lie strictly between 0 and 1/2, got {float(p)}"
+            yield pytest.param(build, p, InvalidPrior, text, id=f"{name}(p={p})")
+
+
+@pytest.mark.parametrize("build, value, cls, text", refusal_cases())
+def test_one_refusal_per_fault(build, value, cls, text):
+    with pytest.raises(Exception) as info:
+        build(value)
+    assert (type(info.value), str(info.value)) == (cls, text)
+    # an InputError is a ValueError, so a caller that catches that still does
+    assert isinstance(info.value, ValueError)

@@ -1,6 +1,7 @@
 """The package's public surface."""
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -50,7 +51,6 @@ EXPORTED = [
     "mutual_info_double_ppm",
     "mutual_info_ppm",
     "optimize_prior_4pam",
-    "pam4_block_traces",
     "pam4_overlaps",
     "pc_double_bpsk_equal_amp",
     "ppm_closed_form",
@@ -197,8 +197,8 @@ def test_check_report_text_lives_in_the_cli():
 
 def test_every_error_is_raised_in_the_package():
     # an error class that nothing in src/srmlab raises is dead code, such as
-    # a guard that cannot fire leaves behind; the three base classes are
-    # caught, never raised
+    # a guard that cannot fire leaves behind; the three base classes need
+    # not be raised
     def raised(tree):
         names = set()
         for node in ast.walk(tree):
@@ -214,6 +214,48 @@ def test_every_error_is_raised_in_the_package():
     bases = {"SrmLabError", "InputError", "NumericalError"}
     assert bases <= declared
     assert sorted(declared - bases - used) == []
+
+
+def test_every_raise_names_an_srmlab_error():
+    # every error the package makes is one of its own classes, so a caller
+    # tells an input fault from a numerical one by class alone; re-raising a
+    # caught error by name makes no new one
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    made = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                call = isinstance(node.exc, ast.Call)
+                name = ast.unparse(node.exc.func if call else node.exc)
+                if call or isinstance(getattr(builtins, name, None), type):
+                    made.append((path.name, node.lineno, name))
+    assert len(made) > 50
+    assert [site for site in made if site[2] not in declared] == []
+
+
+def test_each_scheme_parameter_is_refused_in_one_function():
+    # the cyclic order m, the pulse amplitude and the two-pair prior are
+    # each refused by one function in constellations, which every builder,
+    # closed form and sweep that reads the parameter calls
+    owners = {
+        "must be an integer >= 2": "_cyclic_order",
+        "amplitude must be positive": "_pulse_amplitude",
+        "p must lie strictly between": "_pair_prior",
+    }
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    raisers = {
+        phrase: sorted(
+            (name, function.name)
+            for name, tree in trees.items()
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Raise) and phrase in ast.unparse(node)
+        )
+        for phrase in owners
+    }
+    assert raisers == {phrase: [("constellations.py", owner)] for phrase, owner in owners.items()}
 
 
 def test_one_eigendecomposition_kernel():
