@@ -311,14 +311,15 @@ def load_gram_file(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None
     whitespace ``str.split`` knows; numbers are read by Python's ``int``
     and ``float``. Blank lines are ignored.
 
-    The file is read in one pass that only sorts lines by directive; the
-    ``inner`` tokens are then converted and checked column by column.
-    Every error names the file and, where there is one, the line, and a
-    file with several faults reports the one a line-by-line reading meets
-    first: faults in line order, then a missing ``n`` or ``priors``, then
-    a repeated pair, then an invalid constellation. The n states are the
-    ``GusEnsemble`` of n constellations of one state each: its (n, n, 1)
-    first rows are the overlap matrix.
+    ``_read_line`` alone says what a line means. The first reading sends
+    every line but the ``inner`` ones through it and converts the ``inner``
+    lines in bulk; a file that fails there is read again from the top,
+    every line through ``_read_line`` (``_reread``), which raises what a
+    line-by-line reading meets first: faults in line order, then a missing
+    ``n`` or ``priors``, then a repeated pair, then an invalid
+    constellation. Every error names the file and, where there is one, the
+    line. The n states are the ``GusEnsemble`` of n constellations of one
+    state each: its (n, n, 1) first rows are the overlap matrix.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -328,149 +329,142 @@ def load_gram_file(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None
     lines = _COMMENT_RE.sub("", text).split("\n")
     del text
 
-    n = None
-    priors = None
-    blocks = None
+    header: dict = {}
     inner: list[str] = []
-    inner_lines: list[int] = []
-    first_line: dict[str, int] = {}
-
-    def once(key: str, lineno: int) -> None:
-        if key in first_line:
-            raise GramFileError(
-                f"{path}:{lineno}: duplicate {key!r} line, first given on line {first_line[key]}"
-            )
-        first_line[key] = lineno
-
-    fault = None
     try:
         for lineno, line in enumerate(lines, start=1):
             # the prefix test is a shortcut for the common case of the split test
-            if line.startswith("inner ") or line.split()[:1] == ["inner"]:
-                if n is None:
-                    raise GramFileError(f"{path}:{lineno}: 'n' must come before 'inner'")
+            if (line.startswith("inner ") or line.split()[:1] == ["inner"]) and "n" in header:
                 inner.append(line)
-                inner_lines.append(lineno)
-                continue
-            parts = line.split()
-            if not parts:
-                continue
-            key = parts[0]
-            where = f"{path}:{lineno}"
-            if key == "n":
-                once(key, lineno)
-                if len(parts) != 2:
-                    raise GramFileError(f"{where}: expected 'n <count>'")
-                try:
-                    n = int(parts[1])
-                except ValueError:
-                    raise GramFileError(f"{where}: state count must be an integer") from None
-                if n < 1:
-                    raise GramFileError(f"{where}: state count must be positive")
-            elif key == "priors":
-                once(key, lineno)
-                if n is None:
-                    raise GramFileError(f"{where}: 'n' must come before 'priors'")
-                if len(parts) != n + 1:
-                    raise GramFileError(f"{where}: expected {n} priors, got {len(parts) - 1}")
-                try:
-                    priors = [float(tok) for tok in parts[1:]]
-                except ValueError:
-                    raise GramFileError(f"{where}: priors must be numbers") from None
-            elif key == "blocks":
-                once(key, lineno)
-                if len(parts) < 2:
-                    raise GramFileError(f"{where}: expected at least one index group")
-                try:
-                    blocks = [
-                        tuple(int(tok) for tok in group.split(",") if tok)
-                        for group in parts[1:]
-                    ]
-                except ValueError:
-                    raise GramFileError(f"{where}: block indices must be integers") from None
-            else:
-                raise GramFileError(f"{where}: unknown directive {key!r}")
-    except GramFileError as exc:
-        fault = exc
-    del lines
-
-    # the 'inner' lines collected before a fault precede it, so their faults win
-    columns = _inner_columns(path, n, inner, inner_lines)
-    del inner
-    if fault is not None:
-        raise fault
-    if n is None:
-        raise GramFileError(f"{path}: missing 'n' line")
-    if priors is None:
-        raise GramFileError(f"{path}: missing 'priors' line")
+            elif parts := line.split():
+                _read_line(path, lineno, parts, header)
+        columns = _inner_columns(header["n"][1], inner) if "priors" in header else None
+    except GramFileError:
+        columns = None
+    if columns is None:
+        header, columns = _reread(path, lines)
 
     i, j, values = columns
-    keys = i * n + j
-    unique, first = np.unique(keys, return_index=True)
-    if unique.size < keys.size:
-        firsts = first[np.searchsorted(unique, keys)]
-        at = np.flatnonzero(firsts != np.arange(keys.size))[0]
-        raise GramFileError(
-            f"{path}:{inner_lines[at]}: duplicate inner product for pair ({i[at]}, {j[at]}), "
-            f"first given on line {inner_lines[firsts[at]]}"
-        )
-
-    overlaps = np.eye(n, dtype=complex)
+    overlaps = np.eye(header["n"][1], dtype=complex)
     overlaps[i, j] = values
     overlaps[j, i] = values.conj()
-
+    priors = np.array(header["priors"][1])
     try:
-        ensemble = GusEnsemble(rows=overlaps[:, :, None], constellation_priors=np.array(priors))
+        ensemble = GusEnsemble(rows=overlaps[:, :, None], constellation_priors=priors)
     except InputError as exc:
         raise GramFileError(f"{path}: invalid constellation: {exc}") from exc
-    return ensemble, blocks
+    return ensemble, header["blocks"][1] if "blocks" in header else None
 
 
-def _inner_columns(path: str, n, lines: list[str], linenos: list[int]):
-    """Convert ``inner`` lines, each starting with that word, to index and value arrays.
+def _read_line(path: str, lineno: int, parts: list[str], header: dict, pairs: dict | None = None):
+    """Read one non-blank line, split into ``parts``: the one place that raises a line's fault.
 
-    The lines are split as one text, and every fifth token from the second
-    to the fifth on forms the ``i``, ``j``, ``re`` and ``im`` column; the
-    columns are converted and checked in bulk: indices in range and, as
-    for unit states, every finite overlap of modulus at most 1 (to
-    ``RULE_TOL``). This keeps the lines apart: no column accepts the word
-    "inner" that starts every line, so when there are five tokens a line and
-    the columns convert, each line holds exactly five. Only if a bulk step
-    fails are the lines checked one by one, to raise the error of the first
-    faulty line. That check finds no fault only when an index does not fit
-    in int64, which needs ``n`` not to either; ``None`` is returned then,
-    and the ``priors`` check refuses the file.
+    ``n``, ``priors`` and ``blocks`` go into ``header`` as (line number,
+    value); an ``inner`` line is checked and, given ``pairs``, goes there
+    as (line number, value) under its (i, j), where a repeat is a fault.
     """
-    count = len(lines)
-    tokens = " ".join(lines).split()
-    try:
-        if len(tokens) == 5 * count:
-            i = np.fromiter(map(int, tokens[1::5]), dtype=np.int64, count=count)
-            j = np.fromiter(map(int, tokens[2::5]), dtype=np.int64, count=count)
-            if ((i >= 0) & (i < j) & (j < n)).all():
-                values = np.empty(count, dtype=complex)
-                values.real = np.fromiter(map(float, tokens[3::5]), dtype=float, count=count)
-                values.imag = np.fromiter(map(float, tokens[4::5]), dtype=float, count=count)
-                if not (np.isfinite(values) & (np.abs(values) > 1.0 + RULE_TOL)).any():
-                    return i, j, values
-    except (ValueError, OverflowError):
-        pass
-    for line, lineno in zip(lines, linenos):
-        where = f"{path}:{lineno}"
-        parts = line.split()
+    key, where = parts[0], f"{path}:{lineno}"
+    n = header["n"][1] if "n" in header else None
+
+    def numbers(convert, tokens, fault):
+        try:
+            return [convert(tok) for tok in tokens]
+        except ValueError:
+            raise GramFileError(f"{where}: {fault}") from None
+
+    if key not in ("n", "priors", "blocks", "inner"):
+        raise GramFileError(f"{where}: unknown directive {key!r}")
+    if key in header:
+        raise GramFileError(f"{where}: duplicate {key!r} line, first given on line {header[key][0]}")
+    if key in ("priors", "inner") and n is None:
+        raise GramFileError(f"{where}: 'n' must come before {key!r}")
+    if key == "n":
+        if len(parts) != 2:
+            raise GramFileError(f"{where}: expected 'n <count>'")
+        (value,) = numbers(int, parts[1:], "state count must be an integer")
+        if value < 1:
+            raise GramFileError(f"{where}: state count must be positive")
+    elif key == "priors":
+        if len(parts) != n + 1:
+            raise GramFileError(f"{where}: expected {n} priors, got {len(parts) - 1}")
+        value = numbers(float, parts[1:], "priors must be numbers")
+    elif key == "blocks":
+        if len(parts) < 2:
+            raise GramFileError(f"{where}: expected at least one index group")
+        fault = "block indices must be integers"
+        value = [tuple(numbers(int, filter(None, group.split(",")), fault)) for group in parts[1:]]
+    else:
         if len(parts) != 5:
             raise GramFileError(f"{where}: expected 'inner i j re im'")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-            value = complex(float(parts[3]), float(parts[4]))
-        except ValueError:
-            raise GramFileError(f"{where}: bad 'inner' line") from None
+        i, j = numbers(int, parts[1:3], "bad 'inner' line")
+        value = complex(*numbers(float, parts[3:], "bad 'inner' line"))
         if not (0 <= i < j < n):
             raise GramFileError(f"{where}: need 0 <= i < j < {n}, got i={i}, j={j}")
         modulus = float(np.abs(value))
         if cmath.isfinite(value) and modulus > 1.0 + RULE_TOL:
             raise GramFileError(f"{where}: overlap of states {i} and {j} has modulus {modulus!r} > 1")
-    return None
+        if pairs is not None:
+            if (i, j) in pairs:
+                raise GramFileError(
+                    f"{where}: duplicate inner product for pair ({i}, {j}), "
+                    f"first given on line {pairs[i, j][0]}"
+                )
+            pairs[i, j] = lineno, value
+        return
+    header[key] = lineno, value
+
+
+def _inner_columns(n: int, lines: list[str]):
+    """The index and value columns of ``inner`` lines, converted in bulk; ``None`` if any line fails.
+
+    The lines are split as one text, and every fifth token from the second
+    to the fifth on forms the ``i``, ``j``, ``re`` and ``im`` column. This
+    keeps the lines apart: no column accepts the word "inner" that starts
+    every line, so when there are five tokens a line and the columns
+    convert, each line holds exactly five. The columns pass if every index
+    is in range, every finite overlap has modulus at most 1 (to
+    ``RULE_TOL``), as for unit states, and no pair repeats. Nothing is
+    raised here: a file whose columns fail is read again line by line.
+    """
+    count = len(lines)
+    tokens = " ".join(lines).split()
+    if len(tokens) != 5 * count:
+        return None
+    try:
+        i = np.fromiter(map(int, tokens[1::5]), dtype=np.int64, count=count)
+        j = np.fromiter(map(int, tokens[2::5]), dtype=np.int64, count=count)
+        values = np.empty(count, dtype=complex)
+        values.real = np.fromiter(map(float, tokens[3::5]), dtype=float, count=count)
+        values.imag = np.fromiter(map(float, tokens[4::5]), dtype=float, count=count)
+    except (ValueError, OverflowError):
+        return None
+    # sorted pair keys differ pairwise unless a pair repeats (numpy 2's
+    # np.unique hashes instead, some 20 times slower on these mostly sorted keys)
+    well_formed = (
+        ((i >= 0) & (i < j) & (j < n)).all()
+        and not (np.isfinite(values) & (np.abs(values) > 1.0 + RULE_TOL)).any()
+        and np.diff(np.sort(i * n + j)).all()
+    )
+    return (i, j, values) if well_formed else None
+
+
+def _reread(path: str, lines: list[str]):
+    """The second reading: every line through ``_read_line`` in order; the header and columns.
+
+    Only the second sweep enters the pairs, so a repeated pair is raised
+    after every line fault and after a missing ``n`` or ``priors``.
+    """
+    for pairs in (None, {}):
+        header: dict = {}
+        for lineno, line in enumerate(lines, start=1):
+            if parts := line.split():
+                _read_line(path, lineno, parts, header, pairs)
+        for key in ("n", "priors"):
+            if key not in header:
+                raise GramFileError(f"{path}: missing {key!r} line")
+    index = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    values = np.array([value for _, value in pairs.values()], dtype=complex)
+    return header, (index[:, 0], index[:, 1], values)
 
 
 def _condition_i(verdict) -> str:

@@ -133,7 +133,11 @@ def _weighted_rows(ensemble: GusEnsemble) -> np.ndarray:
 
 def _cyclic_order(m, what: str) -> int:
     """The number m of cyclic shifts, as an int; ``DomainError`` unless it is an integer >= 2."""
-    if not (math.isfinite(m) and m >= 2 and float(m).is_integer()):
+    try:
+        whole = float(m).is_integer()  # False for nan and inf
+    except OverflowError:  # an int beyond float range
+        whole = False
+    if not (whole and m >= 2):
         raise DomainError(f"the number of {what} must be an integer >= 2, got {m}")
     return int(m)
 

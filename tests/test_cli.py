@@ -372,6 +372,17 @@ def test_one_slot_is_one_error_line_on_every_command(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["fig4", "fig5", "sweep --scheme ppm", "sweep --scheme double_ppm"]
+)
+def test_slot_count_beyond_float_range_is_one_error_line(command, capsys):
+    # an int m that no float holds is refused as any other bad m, not as a numerical failure
+    m = "1" + "0" * 400
+    assert main([*command.split(), "--grid", "1:1:1", "--m", m]) == EXIT_CONFIG
+    expected = f"error: the number of slots must be an integer >= 2, got {m}\n"
+    assert capsys.readouterr() == ("", expected)
+
+
 class TestSweep:
     def test_double_bpsk_sweep(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -833,6 +844,25 @@ class TestGramFileParser:
         outcome = self.assert_same_text("\n".join(lines) + "\n", tmp_path)
         assert not isinstance(outcome, str)
 
+    def test_well_formed_files_take_one_reading(self, monkeypatch, tmp_path):
+        # the gram files and the benchmark's kind of file never reach the
+        # line-by-line second reading, which would read them the same
+        def second_reading(path, lines):
+            raise AssertionError(f"{path} was read a second time")
+
+        paths = sorted(GRAMFILES.glob("*.gram"))
+        for n in (16, 64, 128):
+            for blocks in (False, True):
+                lines = gram_lines(np.random.default_rng(n + blocks), n, blocks)
+                paths.append(tmp_path / f"n{n}_{blocks}.gram")
+                paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = [parse_outcome(load_gram_file_reference, path) for path in paths]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_reread", second_reading)
+            assert [parse_outcome(cli.load_gram_file, path) for path in paths] == expected
+        monkeypatch.setattr(cli, "_inner_columns", lambda n, lines: None)
+        assert [parse_outcome(cli.load_gram_file, path) for path in paths] == expected
+
     @pytest.mark.parametrize(
         "text", [case[0] for case in MALFORMED_FILES] + [case[1] for case in REPEATED_DIRECTIVES]
     )
@@ -905,8 +935,13 @@ class TestGramFileParser:
             "n 3\npriors 0.2 0.3 0.5\ninner 0 1 0.5 0\ninner 0 1 0.5 0 # again\n",
             "n 2\npriors 0.5 0.5\n",
             "",
+            "blocks 0 1,2\nn 3\npriors 0.2 0.3 0.5\ninner 0 1 0.5 0\n",
+            "n 3\ninner 0 1 0.5 0\ninner 1 2 0.1 0\npriors 0.2 0.3 0.5\ninner 0 2 0.2 0\n",
         ],
-        ids=["comments", "crlf", "cr", "repeat-commented", "no-inner", "empty"],
+        ids=[
+            "comments", "crlf", "cr", "repeat-commented", "no-inner", "empty", "blocks-first",
+            "priors-late",
+        ],
     )
     def test_comments_and_line_endings(self, text, tmp_path):
         self.assert_same_text(text, tmp_path)

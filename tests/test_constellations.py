@@ -531,10 +531,11 @@ PRIOR_PATHS = {
 
 
 def refusal_cases():
-    for m in (1, 2.5, math.nan, math.inf):
+    for m in (1, 2.5, math.nan, math.inf, 10**400):
+        shown = "10**400" if m == 10**400 else m  # an int beyond float range
         for name, (what, build) in M_PATHS.items():
             text = f"the number of {what} must be an integer >= 2, got {m}"
-            yield pytest.param(build, m, DomainError, text, id=f"{name}(m={m})")
+            yield pytest.param(build, m, DomainError, text, id=f"{name}(m={shown})")
     for a in (0, -1, math.nan, math.inf):
         for name, build in AMPLITUDE_PATHS.items():
             text = f"amplitude must be positive and finite, got {float(a)}"

@@ -258,6 +258,40 @@ def test_each_scheme_parameter_is_refused_in_one_function():
     assert raisers == {phrase: [("constellations.py", owner)] for phrase, owner in owners.items()}
 
 
+def test_gram_line_faults_are_raised_in_one_function():
+    # cli._read_line says what a Gram-file line means: every GramFileError
+    # that names a line is raised there, and the bulk step that converts the
+    # inner lines raises nothing and holds no loop, so that a faulty file
+    # is always read again through _read_line
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names_a_line(message):
+        # a fault of the whole file reads "{path}: ...", one of a line "{path}:{lineno}: ..."
+        head = message.values[:2] if isinstance(message, ast.JoinedStr) else []
+        return not (
+            len(head) == 2
+            and isinstance(head[0], ast.FormattedValue)
+            and ast.unparse(head[0].value) == "path"
+            and isinstance(head[1], ast.Constant)
+            and head[1].value.startswith(": ")
+        )
+
+    sites = [
+        name
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and ast.unparse(node.exc.func) == "GramFileError"
+        and names_a_line(node.exc.args[0])
+    ]
+    assert len(sites) > 10 and set(sites) == {"_read_line"}
+    bulk = list(ast.walk(functions["_inner_columns"]))
+    assert [node for node in bulk if isinstance(node, ast.Raise)] == []
+    assert [node for node in bulk if isinstance(node, (ast.For, ast.While, ast.comprehension))] == []
+
+
 def test_one_eigendecomposition_kernel():
     # np.linalg.eigh is written once in src/srmlab, inside linalg._root_rows:
     # every square root, batched or per block, goes through that kernel
