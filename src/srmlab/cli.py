@@ -611,6 +611,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # an input too large to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NumericalError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -138,6 +138,9 @@ def _cyclic_order(m, what: str) -> int:
     except OverflowError:  # an int beyond float range
         whole = False
     if not (whole and m >= 2):
+        # 2048 bits is at most 617 digits, below the least limit (640) of str(int)
+        if isinstance(m, int) and m.bit_length() > 2048:
+            m = f"{'a negative' if m < 0 else 'an'} int of {m.bit_length()} bits"
         raise DomainError(f"the number of {what} must be an integer >= 2, got {m}")
     return int(m)
 

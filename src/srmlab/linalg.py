@@ -11,16 +11,15 @@ stack (s = n, m = 1), with no transform. Each matrix is read from its
 lower triangle. Stacks of s <= 2, which every builder ensemble and every
 Gram file of one or two states give, are rooted in closed form with no
 LAPACK call, so their bits depend on no BLAS kernel. Stacks of s >= 3 go
-to ``eigh``: when they split into groups of constellations that no entry
-couples, which ``_components`` finds by breadth-first search, one
-``eigh`` per group size, so groups of sizes b_i cost sum b_i^3, not s^3,
-per bin. The root of every matrix goes back through one inverse FFT to
-the root's first rows, whose average with their mirror is the one
-Hermitian projection, and with them comes the least eigenvalue of every
-bin, untested. The transforms are private and take rows that
-``GusEnsemble`` has already checked. Matrices are square complex128
-arrays, indexed (row, column) from 0. All functions are pure and never
-mutate their inputs.
+to one ``eigh`` per size of their groups of coupled constellations (one
+group, unless ``_components`` finds more by breadth-first search), so
+groups of sizes b_i cost sum b_i^3, not s^3, per bin. The root of every
+matrix goes back through one inverse FFT to the root's first rows, whose
+average with their mirror is the one Hermitian projection, and with them
+comes the least eigenvalue of every bin, untested. The transforms are
+private and take rows that ``GusEnsemble`` has already checked. Matrices
+are square complex128 arrays, indexed (row, column) from 0. All
+functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -105,10 +104,10 @@ def _root_rows(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     some bin of some ensemble), and the root of a matrix that splits so is
     the direct sum of its groups' roots: the matrices of each group size
     go to one ``eigh``, every root entry between two groups is exactly
-    zero, and a stack of one group goes to ``eigh`` whole. Raises
-    ``ConvergenceFailure`` when the eigensolver fails. The (..., m) least
-    eigenvalues, each the minimum over the bin's groups, are returned as
-    computed. The first rows are averaged with their mirror, the one
+    zero, and a stack whose first matrix has no zero entry is one group.
+    Raises ``ConvergenceFailure`` when the eigensolver fails. The (..., m)
+    least eigenvalues, each the minimum over the bin's groups, are returned
+    as computed. The first rows are averaged with their mirror, the one
     Hermitian projection, so the factor they describe is exactly Hermitian.
     """
     *batch, m, s, _ = stacks.shape
@@ -139,30 +138,22 @@ def _root_rows(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         root[:, 1, 0] = b / scale
         root[:, 0, 1] = root[:, 1, 0].conj()
     else:
-        # the (g, b) node index of the g groups of each size b; none for one
-        # group, as when the first matrix has no zero entry
-        index = []
+        # one group of all s nodes unless the first matrix has a zero entry;
+        # ``at`` is the (g, b) node index of the g groups of each size b
+        groups = [np.arange(s)]
         if np.count_nonzero(stack[0]) < s * s:
             coupled = (stack != 0).any(axis=0)
             groups = _components(coupled | coupled.T)
-            if len(groups) > 1:
-                sizes = sorted({len(group) for group in groups})
-                index = [np.array([group for group in groups if len(group) == b]) for b in sizes]
-        parts = [stack[:, at[:, :, None], at[:, None, :]] for at in index]
-        parts = [part.reshape(-1, *part.shape[-2:]) for part in parts]
-        roots, lowests = [], []
-        for part in parts or [stack]:
+        root, lowest = np.zeros_like(stack), np.full(len(stack), np.inf)
+        for b in sorted({len(group) for group in groups}):
+            at = np.array([group for group in groups if len(group) == b])
+            part = stack[:, at[:, :, None], at[:, None, :]].reshape(-1, b, b)
             try:
                 w, v = np.linalg.eigh(part)
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
-            lowests.append(w[:, 0])
-            roots.append((v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2))
-        root, lowest = roots[0], lowests[0]
-        if index:
-            root = np.zeros_like(stack)
-            for at, part_root in zip(index, roots):
-                root[:, at[:, :, None], at[:, None, :]] = part_root.reshape(len(stack), *at.shape, -1)
-            lowest = np.min([low.reshape(len(stack), -1).min(axis=-1) for low in lowests], axis=0)
+            lowest = np.minimum(lowest, w[:, 0].reshape(len(stack), -1).min(axis=-1))
+            part_root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+            root[:, at[:, :, None], at[:, None, :]] = part_root.reshape(len(stack), *at.shape, b)
     rows = _first_rows(root.reshape(*batch, m, s, s))
     return (rows + _mirror(rows)) / 2.0, lowest.reshape(*batch, m)

@@ -35,7 +35,7 @@ from srmlab.constellations import (
     make_ppm,
     make_psk,
 )
-from srmlab.errors import DomainError, GramSingular, InvalidPrior
+from srmlab.errors import DomainError, GramSingular, InputError, InvalidPrior
 from srmlab.gus import block_diagonalize, fast_srm
 from srmlab.srm import certify_srm, channel_stats
 
@@ -350,9 +350,16 @@ class TestEvaluateScheme:
             with pytest.raises(DomainError, match="photon number"):
                 evaluate_scheme("ppm", photon_number, m=2)
 
-    def test_sweep_point_validates(self):
-        with pytest.raises(ValueError):
-            SweepPoint(photon_number=1.0, pc=0.7, pe=0.2)
+    @pytest.mark.parametrize(
+        "pc, pe, message",
+        # at pc = 1.5, pe complements pc, so only the range check refuses it
+        [(0.7, 0.2, "pe must complement pc"), (1.5, -0.5, "pc out of range: 1.5")],
+        ids=["pe", "pc"],
+    )
+    def test_sweep_point_validates(self, pc, pe, message):
+        with pytest.raises(InputError) as info:
+            SweepPoint(photon_number=1.0, pc=pc, pe=pe)
+        assert str(info.value) == message
 
 
 class TestAnalysisExtras:

@@ -40,6 +40,7 @@ from srmlab.cli import (
     parse_angle_list,
     parse_grid,
     parse_int_list,
+    render_json,
 )
 from srmlab.constellations import make_double_bpsk, make_psk
 from srmlab.gus import fast_srm
@@ -381,6 +382,39 @@ def test_slot_count_beyond_float_range_is_one_error_line(command, capsys):
     assert main([*command.split(), "--grid", "1:1:1", "--m", m]) == EXIT_CONFIG
     expected = f"error: the number of slots must be an integer >= 2, got {m}\n"
     assert capsys.readouterr() == ("", expected)
+
+
+@pytest.mark.parametrize(
+    "command, module, name",
+    [
+        ("fig4 --grid 1:2:3", cli, "parse_grid"),
+        ("sweep --scheme ppm --m 4 --grid 1:1:1", analysis, "make_ppm"),
+    ],
+    ids=["fig4_grid", "sweep_ppm"],
+)
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 745. GiB"), "error: Unable to allocate 745. GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_an_input_too_large_to_hold_is_one_error_line(
+    command, module, name, error, line, monkeypatch, tmp_path, capsys
+):
+    # a grid or an m whose arrays no memory holds is a configuration error;
+    # the allocation is stood in for, never made
+    def too_large(*args):
+        raise error
+
+    monkeypatch.setattr(module, name, too_large)
+    out = tmp_path / "rows.csv"
+    assert main(command.split()) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", line)
+    assert main([*command.split(), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", line)
+    assert not out.exists()
 
 
 class TestSweep:
@@ -989,6 +1023,9 @@ class TestDeterminismAndFormats:
                     assert text == j_row[key]
                 else:
                     assert float(text) == j_row[key]
+
+    def test_json_writes_nan_as_null(self):
+        assert json.loads(render_json(["x"], [{"x": float("nan")}])) == [{"x": None}]
 
     def test_csv_uses_lf_endings(self, tmp_path):
         out = tmp_path / "rows.csv"

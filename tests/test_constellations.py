@@ -531,10 +531,16 @@ PRIOR_PATHS = {
 
 
 def refusal_cases():
-    for m in (1, 2.5, math.nan, math.inf, 10**400):
-        shown = "10**400" if m == 10**400 else m  # an int beyond float range
+    # ints beyond float range; those too long to turn into decimal are shown by their size
+    huge = {
+        10**400: ("10**400", 10**400),
+        10**5000: ("10**5000", "an int of 16610 bits"),
+        -(10**5000): ("-10**5000", "a negative int of 16610 bits"),
+    }
+    for m in (1, 2.5, math.nan, math.inf, *huge):
+        shown, got = huge.get(m, (m, m))
         for name, (what, build) in M_PATHS.items():
-            text = f"the number of {what} must be an integer >= 2, got {m}"
+            text = f"the number of {what} must be an integer >= 2, got {got}"
             yield pytest.param(build, m, DomainError, text, id=f"{name}(m={shown})")
     for a in (0, -1, math.nan, math.inf):
         for name, build in AMPLITUDE_PATHS.items():

@@ -683,6 +683,30 @@ class TestCoupledGroups:
         assert main(["check", str(path), "--out", str(tmp_path / "report.txt")]) == EXIT_OK
         assert calls["eigh"] == [(1, 3, 3)]
 
+    def test_an_irreducible_stack_keeps_the_bits_of_one_whole_stack_eigh(self, monkeypatch, tmp_path):
+        # the one-group case gathers and scatters the whole stack around its
+        # eigh, yet its first rows and least eigenvalues are, bit for bit,
+        # those of one eigh of the stack as it comes
+        def whole_stack_route(stack):
+            w, v = np.linalg.eigh(stack)
+            root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+            rows = linalg._first_rows(root)
+            return (rows + linalg._mirror(rows)) / 2.0, w[:, 0]
+
+        path = tmp_path / "dense16.gram"
+        path.write_text("\n".join(gram_lines(np.random.default_rng(16), 16, False)) + "\n")
+        stacks = [
+            block_diagonalize(random_gus_ensemble(np.random.default_rng(5), 3, 5)),
+            block_diagonalize(load_gram_file(str(path))[0]),
+        ]
+        assert [stack.shape for stack in stacks] == [(5, 3, 3), (1, 16, 16)]
+        monkeypatch.setattr(linalg, "_components", refuse_split)
+        for stack in stacks:
+            rows, lowest = linalg._root_rows(stack)
+            whole_rows, whole_lowest = whole_stack_route(stack)
+            assert rows.tobytes() == whole_rows.tobytes()
+            assert lowest.tobytes() == whole_lowest.tobytes()
+
 
 def dense_least_eigenvalues(stacks: np.ndarray) -> np.ndarray:
     """The least eigenvalue of each bin's Hermitian part, by one ``eigvalsh`` of each whole matrix."""
