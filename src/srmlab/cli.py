@@ -522,77 +522,53 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(p):
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    def add_tol_psd(p):
-        p.add_argument("--tol-psd", dest="tol_psd", type=float, default=TOL_PSD)
-
-    def add_grid(p):
-        p.add_argument(
-            "--grid",
-            default=DEFAULT_GRID,
-            help="mean photon number grid start:stop:count "
-            f"(default {DEFAULT_GRID})",
-        )
-
-    def subcommand(name, help_text):
+    grid_help = f"mean photon number grid start:stop:count (default {DEFAULT_GRID})"
+    grid = ("--grid", dict(default=DEFAULT_GRID, help=grid_help))
+    out = ("--out", dict(help="output path (default: stdout)"))
+    output = [out, ("--format", dict(choices=("csv", "json"), default="csv"))]
+    tol_psd = ("--tol-psd", dict(dest="tol_psd", type=float, default=TOL_PSD))
+    fig23 = [grid, *output, tol_psd]
+    fig45 = [grid, ("--m", dict(default=DEFAULT_MS, help="comma list of slot counts")), *output]
+    # name: (help, function, arguments in help order, each a (flag, keywords)
+    # pair for add_argument); made on each call, so each cmd_* is read then
+    subcommands = {
+        "fig1": ("two equal-amplitude binary pairs: pc over energy and phase offset", cmd_fig1, [
+            grid,
+            ("--delta", dict(default=DEFAULT_DELTAS, help="comma list of phase offsets")),
+            *output, tol_psd,
+        ]),
+        "fig2": ("4-level amplitude keying: optimized prior over energy", cmd_fig23, fig23),
+        "fig3": (
+            "4-level amplitude keying: error probability at the optimized prior", cmd_fig23, fig23
+        ),
+        "fig4": (
+            "pulse position keying, plain and phase-doubled: error probability", cmd_fig45, fig45
+        ),
+        "fig5": (
+            "pulse position keying, plain and phase-doubled: mutual information", cmd_fig45, fig45
+        ),
+        "sweep": ("evaluate one scheme over an energy grid", cmd_sweep, [
+            ("--scheme", dict(required=True, choices=analysis.SCHEMES)),
+            grid,
+            ("--m", dict(default=DEFAULT_MS, help="comma list of sizes m")),
+            ("--delta", dict(default="pi/2", help="comma list of phase offsets delta")),
+            ("--p", dict(type=float, default=None, help="per-state prior of the first pair")),
+            *output, tol_psd,
+        ]),
+        "check": ("report measurement performance for a Gram file", cmd_check, [
+            ("gramfile", dict(help="path to a Gram description file")),
+            out, tol_psd,
+            ("--tol-cond", dict(dest="tol_cond", type=float, default=TOL_COND)),
+        ]),
+    }
+    for name, (help_text, func, arguments) in subcommands.items():
         # a subcommand that will not run is only listed: no arguments, no -h
         runs = command is None or command == name
         p = sub.add_parser(name, help=help_text, add_help=runs)
-        return p if runs else None
-
-    p1 = subcommand("fig1", "two equal-amplitude binary pairs: pc over energy and phase offset")
-    if p1:
-        add_grid(p1)
-        p1.add_argument("--delta", default=DEFAULT_DELTAS, help="comma list of phase offsets")
-        add_output(p1)
-        add_tol_psd(p1)
-        p1.set_defaults(func=cmd_fig1)
-
-    for name, help_text in (
-        ("fig2", "4-level amplitude keying: optimized prior over energy"),
-        ("fig3", "4-level amplitude keying: error probability at the optimized prior"),
-    ):
-        p = subcommand(name, help_text)
-        if p:
-            add_grid(p)
-            add_output(p)
-            add_tol_psd(p)
-            p.set_defaults(func=cmd_fig23)
-
-    for name, help_text in (
-        ("fig4", "pulse position keying, plain and phase-doubled: error probability"),
-        ("fig5", "pulse position keying, plain and phase-doubled: mutual information"),
-    ):
-        p = subcommand(name, help_text)
-        if p:
-            add_grid(p)
-            p.add_argument("--m", default=DEFAULT_MS, help="comma list of slot counts")
-            add_output(p)
-            p.set_defaults(func=cmd_fig45)
-
-    ps = subcommand("sweep", "evaluate one scheme over an energy grid")
-    if ps:
-        ps.add_argument("--scheme", required=True, choices=analysis.SCHEMES)
-        add_grid(ps)
-        ps.add_argument("--m", default=DEFAULT_MS, help="comma list of sizes m")
-        ps.add_argument("--delta", default="pi/2", help="comma list of phase offsets delta")
-        ps.add_argument("--p", type=float, default=None, help="per-state prior of the first pair")
-        add_output(ps)
-        add_tol_psd(ps)
-        ps.set_defaults(func=cmd_sweep)
-
-    pc = subcommand("check", "report measurement performance for a Gram file")
-    if pc:
-        pc.add_argument("gramfile", help="path to a Gram description file")
-        pc.add_argument("--out", help="output path (default: stdout)")
-        add_tol_psd(pc)
-        pc.add_argument("--tol-cond", dest="tol_cond", type=float, default=TOL_COND)
-        pc.set_defaults(func=cmd_check)
-
+        if runs:
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 

@@ -119,10 +119,20 @@ def coherent_inner(alpha, beta) -> complex:
     Equals exp(-(|a|^2 + |b|^2)/2 + conj(a) b); always has modulus <= 1
     and is 1 when the amplitudes coincide, up to a rounding error that
     grows with |a|^2, so the builders write their seed overlaps as 1.
+    Where that exponent overflows (|a|^2 + |b|^2 beyond float range), it
+    takes the equal -|a - b|^2/2 + i Im(conj(a) b), which does not cancel:
+    coincident amplitudes give 1 and distant ones 0.
     """
     a = complex(alpha)
     b = complex(beta)
-    return cmath.exp(-(abs(a) ** 2 + abs(b) ** 2) / 2.0 + a.conjugate() * b)
+    try:
+        exponent = -(abs(a) ** 2 + abs(b) ** 2) / 2.0 + a.conjugate() * b
+    except OverflowError:  # a squared modulus beyond float range
+        exponent = math.inf
+    if not cmath.isfinite(exponent):
+        distance = abs(a - b)
+        exponent = complex(-distance * distance / 2.0, (a.conjugate() * b).imag)
+    return cmath.exp(exponent)
 
 
 def _weighted_rows(ensemble: GusEnsemble) -> np.ndarray:

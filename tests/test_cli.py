@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 import errno
 import json
@@ -174,8 +175,9 @@ FIG1_FAILURES = [
 ]
 
 # every singular row that the defaults and the low-energy grids meet today,
-# refused with its ensemble's least bin eigenvalue; giving these ensembles an
-# answer changes this table on purpose
+# and coincident pairs at the top of the float range, refused with its
+# ensemble's least bin eigenvalue; giving these ensembles an answer changes
+# this table on purpose
 SINGULAR_ROWS = [
     ("sweep --scheme psk", "-2.011e-17"),
     ("sweep --scheme psk --m 8 --grid 0.1:0.1:1", "1.795e-11"),
@@ -184,6 +186,7 @@ SINGULAR_ROWS = [
     ("sweep --scheme double_bpsk --grid 2e-7:2e-7:1", "-8.896e-18"),
     ("fig2 --grid 2.5e-4:2.5e-4:1", "7.654e-11"),
     ("fig1 --grid 1:1e-12:2 --delta pi/8,pi/4", "-7.623e-18"),
+    ("sweep --scheme double_bpsk --delta 0 --grid 9e307:9e307:1", "0.000e+00"),
 ]
 
 
@@ -1124,6 +1127,16 @@ def test_bright_coherent_pairs_answer(command, tmp_path):
     assert rows and all(float(row["pc"]) == 1.0 for row in rows)
 
 
+@pytest.mark.parametrize("grid", ["2e307:2e307:1", "1e308:1e308:1"])
+@pytest.mark.parametrize("command", ["fig2", "fig3"])
+def test_bright_amplitude_keying_answers(command, grid, tmp_path):
+    # |3 alpha|^2 is beyond float range, and the pairs are orthogonal
+    out = tmp_path / "rows.csv"
+    assert main([command, "--grid", grid, "--out", str(out)]) == EXIT_OK
+    (row,) = read_csv(out)
+    assert (float(row["p_star"]), float(row["pc"])) == (0.25, 1.0)
+
+
 def test_module_entry_point(tmp_path):
     # `python -m srmlab` is the one script entry besides the installed one
     root = GRAMFILES.parent
@@ -1212,3 +1225,63 @@ def test_a_subcommand_parses_as_in_the_full_parser():
     full = cli.build_parser()
     for argv in SUBCOMMAND_ARGVS:
         assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+
+
+def subparsers(parser) -> dict:
+    """The subcommand parsers of ``parser``, by name."""
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("name", [argv[0] for argv in SUBCOMMAND_ARGVS])
+def test_a_run_builds_the_arguments_of_its_own_subcommand_only(name):
+    # the full parser takes twice the time of one subcommand's, on every run
+    for other, parser in subparsers(cli.build_parser(name)).items():
+        assert bool(parser._actions) == (other == name), other
+
+
+PARSED = [
+    (["fig1"], {
+        "grid": "0.1:10:100", "delta": "0,pi/8,pi/4,3pi/8,pi/2", "out": None, "format": "csv",
+        "tol_psd": 1e-10,
+    }),
+    (["fig2"], {"grid": "0.1:10:100", "out": None, "format": "csv", "tol_psd": 1e-10}),
+    (["fig3"], {"grid": "0.1:10:100", "out": None, "format": "csv", "tol_psd": 1e-10}),
+    (["fig4"], {"grid": "0.1:10:100", "m": "2,16", "out": None, "format": "csv"}),
+    (["fig5"], {"grid": "0.1:10:100", "m": "2,16", "out": None, "format": "csv"}),
+    (["sweep", "--scheme", "ppm"], {
+        "scheme": "ppm", "grid": "0.1:10:100", "m": "2,16", "delta": "pi/2", "p": None,
+        "out": None, "format": "csv", "tol_psd": 1e-10,
+    }),
+    (["check", "a.gram"], {"gramfile": "a.gram", "out": None, "tol_psd": 1e-10, "tol_cond": 1e-9}),
+    # options given as text are read through their types
+    (["sweep", "--scheme", "psk", "--p", "0.2", "--tol-psd", "1e-6"], {
+        "scheme": "psk", "grid": "0.1:10:100", "m": "2,16", "delta": "pi/2", "p": 0.2,
+        "out": None, "format": "csv", "tol_psd": 1e-6,
+    }),
+    (["check", "a.gram", "--tol-cond", "1e-4"], {
+        "gramfile": "a.gram", "out": None, "tol_psd": 1e-10, "tol_cond": 1e-4,
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PARSED, ids=[" ".join(argv) for argv, _ in PARSED])
+def test_a_subcommand_parses_to_its_documented_values(argv, expected):
+    parsed = vars(cli.build_parser(argv[0]).parse_args(argv))
+    del parsed["func"]
+    assert parsed == {"command": argv[0], **expected}
+    assert all(type(parsed[key]) is type(value) for key, value in expected.items())
+
+
+def test_readme_synopsis_lists_every_long_option():
+    readme = (GRAMFILES.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = []
+    for line in block.splitlines():
+        names = re.match(r"srmlab (\w+(?: \| \w+)*) ", line).group(1).split(" | ")
+        for name in names:
+            parser = subparsers(cli.build_parser(name))[name]
+            options = [o for a in parser._actions for o in a.option_strings if o.startswith("--")]
+            assert re.findall(r"--[a-z-]+", line) == [o for o in options if o != "--help"], name
+        listed += names
+    assert listed == [argv[0] for argv in SUBCOMMAND_ARGVS]

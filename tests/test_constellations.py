@@ -47,6 +47,13 @@ class TestCoherentInner:
             a = complex(rng.normal(), rng.normal())
             assert coherent_inner(a, a) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("a", [9.5e153, 1e154])
+    def test_self_overlap_is_one_where_the_moduli_sum_overflows(self, a):
+        assert coherent_inner(a, a) == 1
+
+    def test_distant_pair_is_orthogonal_where_a_squared_modulus_overflows(self):
+        assert coherent_inner(1e154, 3e154) == 0
+
     def test_modulus_bounded(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
