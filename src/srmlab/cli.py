@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,6 +43,10 @@ STRUCTURAL_ZERO = "boundary: min eigenvalue over Y - W_r is 0.000000e+00, inside
 
 _ANGLE_RE = re.compile(r"^\s*([+-]?)([0-9.]*)\s*pi\s*(?:/\s*([0-9.]+))?\s*$")
 _COMMENT_RE = re.compile(r"#[^\n]*")
+# the five tokens of an ``inner i j re im`` line, as ``_inner_columns`` reads them
+_INNER_FIELDS = np.dtype(
+    [("word", "U5"), ("i", np.int64), ("j", np.int64), ("re", float), ("im", float)]
+)
 
 
 def fmt(value) -> str:
@@ -308,25 +313,30 @@ def load_gram_file(path: str) -> tuple[GusEnsemble, list[tuple[int, ...]] | None
 
     Only ``\\n`` breaks lines (``\\r\\n`` and ``\\r`` read as ``\\n``); ``#``
     starts a comment anywhere on a line; tokens are separated by any
-    whitespace ``str.split`` knows; numbers are read by Python's ``int``
-    and ``float``. Blank lines are ignored.
+    whitespace ``str.split`` knows; numbers read as Python's ``int`` and
+    ``float`` read them. Blank lines are ignored.
 
     ``_read_line`` alone says what a line means. The first reading sends
     every line but the ``inner`` ones through it and converts the ``inner``
-    lines in bulk; a file that fails there is read again from the top,
-    every line through ``_read_line`` (``_reread``), which raises what a
-    line-by-line reading meets first: faults in line order, then a missing
-    ``n`` or ``priors``, then a repeated pair, then an invalid
-    constellation. Every error names the file and, where there is one, the
-    line. The n states are the ``GusEnsemble`` of n constellations of one
-    state each: its (n, n, 1) first rows are the overlap matrix.
+    lines in bulk with numpy's C text reader, whose float conversion is
+    the correctly rounded routine of Python's ``float``; a token that
+    reader refuses, or any other fault there, sends the file to a second
+    reading from the top, every line through ``_read_line`` (``_reread``),
+    which raises what a line-by-line reading meets first: faults in line
+    order, then a missing ``n`` or ``priors``, then a repeated pair, then
+    an invalid constellation. Every error names the file and, where there
+    is one, the line. The n states are the ``GusEnsemble`` of n
+    constellations of one state each: its (n, n, 1) first rows are the
+    overlap matrix.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise GramFileError(f"{path}: cannot read file: {exc}") from exc
-    lines = _COMMENT_RE.sub("", text).split("\n")
+    if "#" in text:
+        text = _COMMENT_RE.sub("", text)
+    lines = text.split("\n")
     del text
 
     header: dict = {}
@@ -417,27 +427,31 @@ def _read_line(path: str, lineno: int, parts: list[str], header: dict, pairs: di
 def _inner_columns(n: int, lines: list[str]):
     """The index and value columns of ``inner`` lines, converted in bulk; ``None`` if any line fails.
 
-    The lines are split as one text, and every fifth token from the second
-    to the fifth on forms the ``i``, ``j``, ``re`` and ``im`` column. This
-    keeps the lines apart: no column accepts the word "inner" that starts
-    every line, so when there are five tokens a line and the columns
-    convert, each line holds exactly five. The columns pass if every index
-    is in range, every finite overlap has modulus at most 1 (to
-    ``RULE_TOL``), as for unit states, and no pair repeats. Nothing is
-    raised here: a file whose columns fail is read again line by line.
+    One ``np.loadtxt`` call splits every line at the whitespace
+    ``str.split`` knows and converts it in C into the fields of
+    ``_INNER_FIELDS``, so a line of four or six tokens is refused. Its
+    floats come from the correctly rounded routine Python's ``float`` uses
+    and its integers are optionally signed ASCII digits, so every token it
+    accepts reads as ``int`` and ``float`` read it; a token it refuses
+    (``1_0``, ``1.0`` as an index, non-ASCII digits) makes the file read
+    again line by line. Older numpy reads an index like ``1.0`` through a
+    float with a ``DeprecationWarning``, which is taken as a refusal. The
+    columns pass if every index is in range, every finite overlap has
+    modulus at most 1 (to ``RULE_TOL``), as for unit states, and no pair
+    repeats. Nothing is raised here.
     """
-    count = len(lines)
-    tokens = " ".join(lines).split()
-    if len(tokens) != 5 * count:
-        return None
-    try:
-        i = np.fromiter(map(int, tokens[1::5]), dtype=np.int64, count=count)
-        j = np.fromiter(map(int, tokens[2::5]), dtype=np.int64, count=count)
-        values = np.empty(count, dtype=complex)
-        values.real = np.fromiter(map(float, tokens[3::5]), dtype=float, count=count)
-        values.imag = np.fromiter(map(float, tokens[4::5]), dtype=float, count=count)
-    except (ValueError, OverflowError):
-        return None
+    if not lines:  # loadtxt warns on an empty input
+        table = np.zeros(0, _INNER_FIELDS)
+    else:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                table = np.loadtxt(lines, _INNER_FIELDS, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            return None
+    i, j = table["i"], table["j"]
+    values = np.empty(len(lines), dtype=complex)
+    values.real, values.imag = table["re"], table["im"]
     # sorted pair keys differ pairwise unless a pair repeats (numpy 2's
     # np.unique hashes instead, some 20 times slower on these mostly sorted keys)
     well_formed = (

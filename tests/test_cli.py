@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -893,7 +894,19 @@ class TestGramFileParser:
                 lines = gram_lines(np.random.default_rng(n + blocks), n, blocks)
                 paths.append(tmp_path / f"n{n}_{blocks}.gram")
                 paths[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # every form that both readers accept: tab and \x0b separators, a
+        # tab-led line, signs, leading zeros, an upper-case exponent, and a
+        # file of one inner line
+        forms = {
+            "forms.gram": "n 8\npriors" + " 0.125" * 8 + "\ninner\t0\t1\t0.5\t0\n"
+            "inner\x0b0\x0b2 0.25\x0b-0.0\n\tinner +1 007 1E-3 -0.0\ninner 2 +3 -.25 +0.5e-1\n",
+            "one.gram": "n 2\npriors 0.5 0.5\ninner 0 1 0.5 0\n",
+        }
+        for name, text in forms.items():
+            paths.append(tmp_path / name)
+            paths[-1].write_text(text, encoding="utf-8")
         expected = [parse_outcome(load_gram_file_reference, path) for path in paths]
+        assert not any(isinstance(outcome, str) for outcome in expected)
         with monkeypatch.context() as patch:
             patch.setattr(cli, "_reread", second_reading)
             assert [parse_outcome(cli.load_gram_file, path) for path in paths] == expected
@@ -990,6 +1003,84 @@ class TestGramFileParser:
         two = f"n 2\npriors 0.5 0.5\ninner 0 1 0.5 0{space}inner 0 1 0.2 0\n"
         message = self.assert_same_text(two, tmp_path)
         assert message == f"{tmp_path / 'case.gram'}:3: expected 'inner i j re im'"
+
+    @pytest.mark.parametrize(
+        "space", ["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"], ids=ascii
+    )
+    def test_odd_separators(self, space, tmp_path):
+        text = f"n 3\npriors 0.25 0.25 0.5\ninner{space}0{space}1{space}0.5{space}0\ninner 1 2 0.1{space}0\n"
+        assert not isinstance(self.assert_same_text(text, tmp_path), str)
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "'0.1'", '"0.1"', "0.\x001", "\x000.1", "0.1 0", "", "nan(1)", "1,5", "0x1", "0e",
+            ".e1", "1e400", "-Infinity", "4.9e-324", "-0", "0.1_0", "\u0660.5",
+        ],
+        ids=ascii,
+    )
+    def test_odd_value_tokens(self, token, tmp_path):
+        # "0.1 0" makes a line of six tokens and "" one of four
+        for line in (f"inner 0 2 {token} 0.25", f"inner 1 2 0.25 {token}"):
+            self.assert_same_text(f"n 3\npriors 0.25 0.25 0.5\ninner 0 1 0.5 0\n{line}\n", tmp_path)
+
+    @pytest.mark.parametrize(
+        "token", ["+0", "00", "-0", "1_0", "\u0660", "1.0", "1e0", str(2**63)], ids=ascii
+    )
+    def test_odd_index_tokens(self, token, tmp_path):
+        head = "n 12\npriors" + " 0.0625" * 8 + " 0.125" * 4 + "\n"
+        for line in (f"inner {token} 11 0.1 0", f"inner 0 {token} 0.1 0"):
+            self.assert_same_text(f"{head}inner 3 4 0.5 0\n{line}\n", tmp_path)
+
+    def test_an_index_read_through_a_float_is_refused(self, monkeypatch):
+        # numpy releases before the deprecation expired read an int64 "1.0"
+        # through a float and only warn, where Python's int refuses it
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(lines, *args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # as outside the test suite
+            assert cli._inner_columns(3, ["inner 0 1 0.5 0"]) is None
+
+    def test_values_have_the_bits_of_python_float(self, monkeypatch, tmp_path):
+        # one reading, and every value correctly rounded as float() rounds it:
+        # random bit patterns, %.Ne up to 25 digits, long decimals and subnormals
+        rng = np.random.default_rng(36)
+        n = 91
+        size = n * (n - 1) // 2
+        sign = np.where(rng.integers(2, size=size) == 1, 1 << 63, 0).astype(np.uint64)
+        exponent = rng.integers(0, 0x3FE, size=size, dtype=np.uint64) << np.uint64(52)
+        mantissa = rng.integers(0, 1 << 52, size=size, dtype=np.uint64)
+        patterns = (sign | exponent | mantissa).view(float)
+        subnormals = (rng.integers(1, 1 << 52, size=size, dtype=np.uint64)).view(float)
+        tokens = []
+        for k in range(size):
+            if k % 2:
+                digits = "".join(map(str, rng.integers(10, size=int(rng.integers(30, 41)))))
+                tokens += [("-0." if k % 3 else "0.") + digits, f"{subnormals[k]:.{k % 26}e}"]
+            else:
+                tokens += [repr(float(patterns[k])), f"{rng.uniform(-0.7, 0.7):.{k % 26}e}"]
+        tokens[:6] = ["2.4703282292062328e-324", "1e-400", "4.9e-324", "-0.0", repr(float(subnormals[0])), "0"]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        lines = [f"inner {i} {j} {re} {im}" for (i, j), re, im in zip(pairs, tokens[::2], tokens[1::2])]
+        path = tmp_path / "bits.gram"
+        path.write_text(f"n {n}\npriors" + f" {1 / n!r}" * n + "\n" + "\n".join(lines) + "\n")
+        expected = np.array([complex(float(re), float(im)) for re, im in zip(tokens[::2], tokens[1::2])])
+
+        def second_reading(path, lines):
+            raise AssertionError(f"{path} was read a second time")
+
+        monkeypatch.setattr(cli, "_reread", second_reading)
+        ensemble, _ = cli.load_gram_file(str(path))
+        i, j = np.array(pairs).T
+        assert ensemble.rows[i, j, 0].tobytes() == expected.tobytes()
+        # a token that rounds past the largest double reads as inf
+        _, _, values = cli._inner_columns(n, ["inner 0 1 1.7976931348623159e308 0"])
+        assert values.tobytes() == np.array([complex(float("1.7976931348623159e308"), 0.0)]).tobytes()
 
 
 class TestDeterminismAndFormats:
